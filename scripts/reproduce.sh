@@ -37,9 +37,10 @@
 #                           bit-identity vs cold rebuild, generation-keyed
 #                           cache, save/restore at generation > 0, trigger
 #                           policy) explicitly, plus the recluster-touching
-#                           differential + stress labels under
+#                           differential, stress and cluster labels under
 #                           ThreadSanitizer — the swap window is exactly
-#                           where a reader/swapper race would hide.
+#                           where a reader/swapper race would hide, and
+#                           each epoch runs the parallel DBSCAN grid pass.
 #   IBSEG_NET_CHECK=1       also exercise the network front-end: the
 #                           loopback server suite (ctest label "net") under
 #                           AddressSanitizer, plus the operational smoke
@@ -96,10 +97,11 @@ if [ "${IBSEG_RECLUSTER_CHECK:-0}" = "1" ]; then
   # Plain run of the recluster label (fast; also covered by the full ctest
   # above, repeated here so a recluster regression is named explicitly)...
   ctest --test-dir build -L recluster --output-on-failure
-  # ... then the differential + stress labels under TSan: the atomic index
-  # swap publishes a whole new pipeline under concurrent readers, and the
-  # ReclusterWorker polls trigger atomics from its own thread.
-  IBSEG_SAN_LABELS="differential|stress" scripts/check_sanitizers.sh thread
+  # ... then the differential, stress and cluster labels under TSan: the
+  # atomic index swap publishes a whole new pipeline under concurrent
+  # readers, the ReclusterWorker polls trigger atomics from its own thread,
+  # and every epoch's shadow build runs the parallel DBSCAN grid pass.
+  IBSEG_SAN_LABELS="differential|stress|cluster" scripts/check_sanitizers.sh thread
 fi
 
 if [ "${IBSEG_PERSIST_CHECK:-0}" = "1" ]; then

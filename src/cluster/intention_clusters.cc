@@ -5,8 +5,13 @@
 #include <cassert>
 #include <limits>
 #include <map>
+#include <thread>
 
-#include "util/thread_pool.h"
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include "cluster/vp_tree.h"
 #include "util/vector_math.h"
 
 namespace ibseg {
@@ -76,18 +81,27 @@ IntentionClustering IntentionClustering::build(
     used_grid = true;
     // Grid search around the k-distance estimate: pick the eps whose
     // substantial-cluster count is closest to the target range; ties
-    // prefer less noise, then the smaller eps (deterministic regardless of
-    // the parallel evaluation order below).
-    double base = estimate_eps(feats, options.dbscan.min_pts);
-    std::vector<DbscanResult> candidates(options.eps_grid.size());
+    // prefer less noise, then the earlier grid entry. One VP tree serves
+    // the estimate and a single neighbour pass for the whole grid; the
+    // tree and the pass's neighbour lists are freed when the inner block
+    // below closes, before any index is built.
+    std::vector<DbscanResult> candidates;
     {
-      ThreadPool pool(std::min<size_t>(options.eps_grid.size(), 8));
-      pool.parallel_for(options.eps_grid.size(), [&](size_t i) {
-        DbscanParams params = options.dbscan;
-        params.eps = base * options.eps_grid[i];
-        candidates[i] = dbscan(feats, params);
-      });
+      VpTree tree(feats);
+      double base = estimate_eps(tree, options.dbscan.min_pts);
+      std::vector<double> eps_values;
+      eps_values.reserve(options.eps_grid.size());
+      for (double m : options.eps_grid) eps_values.push_back(base * m);
+      candidates = dbscan_grid(tree, options.dbscan, eps_values,
+                               std::thread::hardware_concurrency());
     }
+#if defined(__GLIBC__)
+    // The pass's worker threads allocated the neighbour lists in their own
+    // glibc arenas. Freed there, that memory stays resident (glibc raises
+    // its trim threshold as large buffers come and go) where no later
+    // allocation on this thread can reuse it; hand it back to the OS.
+    malloc_trim(0);
+#endif
     bool have_best = false;
     int best_dist = 0;
     size_t best_noise = 0;

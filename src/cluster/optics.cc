@@ -55,7 +55,7 @@ OpticsResult optics(const std::vector<std::vector<double>>& points,
   VpTree tree(points);
   double eps = params.eps > 0.0
                    ? params.eps
-                   : 3.0 * std::max(estimate_eps(points, params.min_pts),
+                   : 3.0 * std::max(estimate_eps(tree, params.min_pts),
                                     1e-9);
   result.eps_used = eps;
 

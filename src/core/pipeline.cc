@@ -42,7 +42,7 @@ RelatedPostPipeline RelatedPostPipeline::build(std::vector<Document> docs,
   // --- Segment grouping + refinement.
   Stopwatch group_watch;
   {
-    obs::TraceScope grouping(obs::Stage::kClusterAssign);
+    obs::TraceScope grouping(obs::Stage::kGroup);
     p.clustering_ = std::make_unique<IntentionClustering>(IntentionClustering::build(
         p.docs_, p.segmentations_, options.grouping));
   }
@@ -83,7 +83,7 @@ RelatedPostPipeline RelatedPostPipeline::rebuild(
   // exactly; everything downstream is byte-for-byte the cold-build path.
   Stopwatch group_watch;
   {
-    obs::TraceScope grouping(obs::Stage::kClusterAssign);
+    obs::TraceScope grouping(obs::Stage::kGroup);
     p.clustering_ = std::make_unique<IntentionClustering>(
         IntentionClustering::build(p.docs_, p.segmentations_,
                                    options.grouping));
@@ -160,7 +160,7 @@ RelatedPostPipeline RelatedPostPipeline::build_from_snapshot(
 
   Stopwatch group_watch;
   {
-    obs::TraceScope grouping(obs::Stage::kClusterAssign);
+    obs::TraceScope grouping(obs::Stage::kGroup);
     p.clustering_ = std::make_unique<IntentionClustering>(
         restore_clustering(p.docs_, snapshot));
   }
@@ -200,7 +200,7 @@ RelatedPostPipeline RelatedPostPipeline::build_shard(
 
   Stopwatch group_watch;
   {
-    obs::TraceScope grouping(obs::Stage::kClusterAssign);
+    obs::TraceScope grouping(obs::Stage::kGroup);
     p.clustering_ = std::make_unique<IntentionClustering>(
         restore_clustering(p.docs_, snapshot));
     // Every shard assigns against the full corpus's centroids; the

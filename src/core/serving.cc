@@ -48,7 +48,7 @@ struct ServingMetrics {
   static ServingMetrics& get() {
     static ServingMetrics* m = [] {
       obs::MetricsRegistry& r = obs::MetricsRegistry::global();
-      // Touching any stage histogram registers all seven stage series,
+      // Touching any stage histogram registers all eight stage series,
       // completing the exposition alongside the serving metrics below.
       obs::stage_histogram(obs::Stage::kAnalyze);
       return new ServingMetrics{

@@ -111,7 +111,7 @@ std::unique_ptr<ShardedServing> ShardedServing::create(
   }
   IntentionClustering clustering;
   {
-    obs::TraceScope grouping(obs::Stage::kClusterAssign);
+    obs::TraceScope grouping(obs::Stage::kGroup);
     clustering = IntentionClustering::build(docs, segmentations,
                                             pipeline_options.grouping);
   }
@@ -606,7 +606,7 @@ uint64_t ShardedServing::recluster() {
   // keeps serving untouched.
   IntentionClustering clustering;
   {
-    obs::TraceScope grouping(obs::Stage::kClusterAssign);
+    obs::TraceScope grouping(obs::Stage::kGroup);
     clustering =
         IntentionClustering::build(docs, segs, pipeline_options_.grouping);
   }

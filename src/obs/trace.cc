@@ -17,6 +17,7 @@ const char* stage_name(Stage stage) {
   switch (stage) {
     case Stage::kAnalyze: return "analyze";
     case Stage::kSegment: return "segment";
+    case Stage::kGroup: return "group";
     case Stage::kClusterAssign: return "cluster-assign";
     case Stage::kIndexPublish: return "index-publish";
     case Stage::kTermWeight: return "term-weight";

@@ -15,6 +15,8 @@ namespace obs {
 enum class Stage : int {
   kAnalyze,       ///< Document::analyze: clean + tokenize + tag + CM profile
   kSegment,       ///< Segmenter::segment: intention border selection
+  kGroup,         ///< offline segment grouping: IntentionClustering::build
+                  ///  (DBSCAN eps grid) or its restore from a snapshot
   kClusterAssign, ///< nearest-centroid assignment of query/ingest segments
   kIndexPublish,  ///< adding units to per-cluster indices (under the
                   ///  serving write lock on the ingest path)
@@ -24,10 +26,11 @@ enum class Stage : int {
 };
 
 /// Number of Stage values (kept in sync with the enum).
-inline constexpr int kNumStages = 7;
+inline constexpr int kNumStages = 8;
 
 /// \brief Stable exposition name of a stage ("analyze", "segment",
-/// "cluster-assign", "index-publish", "term-weight", "score", "top-k").
+/// "group", "cluster-assign", "index-publish", "term-weight", "score",
+/// "top-k").
 /// \param stage the stage
 const char* stage_name(Stage stage);
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "cluster/dbscan.h"
@@ -118,6 +120,63 @@ TEST(VpTree, RangeQueryMatchesBruteForce) {
   }
 }
 
+// A coarse 2-D lattice: a 7x7 integer grid with every third point removed
+// and three points duplicated, so many pairs lie exactly 1, sqrt(2), 2, ...
+// apart.
+std::vector<std::vector<double>> coarse_lattice() {
+  std::vector<std::vector<double>> points;
+  for (int x = 0; x < 7; ++x) {
+    for (int y = 0; y < 7; ++y) {
+      if ((x * 7 + y) % 3 != 0) points.push_back({double(x), double(y)});
+    }
+  }
+  points.push_back(points[4]);
+  points.push_back(points[4]);
+  points.push_back(points[17]);
+  return points;
+}
+
+// Radii that some lattice pairs are exactly apart.
+const std::vector<double> kLatticeEps = {1.0, std::sqrt(2.0), 2.0,
+                                         std::sqrt(5.0), 3.0};
+
+TEST(VpTree, RangeQueryKeepsTiesAtTheRadius) {
+  // The root's radius is 2 and one of the two points at 2 lands in the
+  // outside child; from the query at 1 it is exactly eps away.
+  std::vector<std::vector<double>> points = {{0.0}, {1.0}, {2.0}, {2.0}};
+  VpTree tree(points);
+  std::vector<size_t> got;
+  tree.range_query({1.0}, 1.0, &got);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<size_t>{0, 1, 2, 3}));
+}
+
+TEST(VpTree, NeighborsWithinIsExactOnLatticeTies) {
+  auto points = coarse_lattice();
+  VpTree tree(points);
+  for (double eps : kLatticeEps) {
+    for (size_t p = 0; p < points.size(); ++p) {
+      std::vector<VpTree::Neighbor> hits;
+      tree.neighbors_within(p, eps, &hits);
+      std::vector<size_t> via_query;
+      tree.range_query(points[p], eps, &via_query);
+      std::set<size_t> got;
+      for (const VpTree::Neighbor& h : hits) {
+        got.insert(h.index);
+        // Bit-identical to the reference distance.
+        EXPECT_EQ(h.distance, euclidean_distance(points[p], points[h.index]));
+      }
+      std::set<size_t> want;
+      for (size_t i = 0; i < points.size(); ++i) {
+        if (euclidean_distance(points[p], points[i]) <= eps) want.insert(i);
+      }
+      EXPECT_EQ(got, want) << "point " << p << " eps " << eps;
+      EXPECT_EQ(hits.size(), got.size());
+      EXPECT_EQ(std::set<size_t>(via_query.begin(), via_query.end()), want);
+    }
+  }
+}
+
 TEST(VpTree, KthNeighborDistance) {
   std::vector<std::vector<double>> points = {
       {0.0}, {1.0}, {2.0}, {4.0}, {8.0}};
@@ -176,6 +235,88 @@ TEST(Dbscan, EmptyInput) {
   DbscanResult r = dbscan({}, {});
   EXPECT_TRUE(r.labels.empty());
   EXPECT_EQ(r.num_clusters, 0);
+}
+
+// ----------------------------------------------------------- dbscan grid ----
+
+// Run the grid pass on several workers, so a ThreadSanitizer build sees
+// its concurrent writes.
+constexpr size_t kGridThreads = 3;
+
+// Every grid entry must equal dbscan() at that eps: the same labels,
+// num_clusters and (bit-identical) eps_used.
+void expect_grid_matches_dbscan(
+    const std::vector<std::vector<double>>& points,
+    const std::vector<double>& eps_values, size_t min_pts) {
+  DbscanParams params;
+  params.min_pts = min_pts;
+  VpTree tree(points);
+  std::vector<DbscanResult> grid =
+      dbscan_grid(tree, params, eps_values, kGridThreads);
+  ASSERT_EQ(grid.size(), eps_values.size());
+  for (size_t i = 0; i < eps_values.size(); ++i) {
+    params.eps = eps_values[i];
+    DbscanResult want = dbscan(points, params);
+    EXPECT_EQ(grid[i].labels, want.labels) << "eps " << eps_values[i];
+    EXPECT_EQ(grid[i].num_clusters, want.num_clusters)
+        << "eps " << eps_values[i];
+    EXPECT_EQ(grid[i].eps_used, want.eps_used) << "eps " << eps_values[i];
+  }
+}
+
+TEST(DbscanGrid, MatchesDbscanOnThreeBlobs) {
+  auto points = three_blobs(50, 1);
+  expect_grid_matches_dbscan(points, {0.05, 0.2, 0.5, 1.0, 1.5, 3.0, 12.0},
+                             5);
+}
+
+TEST(DbscanGrid, MatchesDbscanOnCoarseLatticeWithDuplicates) {
+  auto points = coarse_lattice();
+  for (size_t min_pts = 1; min_pts <= 10; ++min_pts) {
+    SCOPED_TRACE(min_pts);
+    expect_grid_matches_dbscan(points, kLatticeEps, min_pts);
+  }
+}
+
+TEST(DbscanGrid, UnsortedAndRepeatedValues) {
+  auto points = three_blobs(40, 8);
+  expect_grid_matches_dbscan(points, {1.5, 0.2, 1.5, 6.0, 0.2, 0.7}, 4);
+}
+
+TEST(DbscanGrid, FewerPointsThanMinPts) {
+  std::vector<std::vector<double>> points = {{0.0, 0.0}, {0.1, 0.0},
+                                             {0.0, 0.1}};
+  expect_grid_matches_dbscan(points, {0.05, 0.5, 5.0}, 8);
+  VpTree tree(points);
+  for (const DbscanResult& r :
+       dbscan_grid(tree, DbscanParams{}, {5.0}, kGridThreads)) {
+    EXPECT_EQ(r.num_clusters, 0);
+    EXPECT_EQ(r.labels, std::vector<int>(3, kNoise));
+  }
+}
+
+TEST(DbscanGrid, EmptyInput) {
+  expect_grid_matches_dbscan({}, {0.5, 1.0}, 8);
+  VpTree tree({});
+  std::vector<DbscanResult> grid =
+      dbscan_grid(tree, DbscanParams{}, {0.5, 1.0}, kGridThreads);
+  ASSERT_EQ(grid.size(), 2u);
+  EXPECT_TRUE(grid[0].labels.empty());
+  EXPECT_EQ(grid[0].eps_used, 0.0);
+  EXPECT_TRUE(dbscan_grid(tree, DbscanParams{}, {}, kGridThreads).empty());
+}
+
+TEST(DbscanGrid, ValuesAtOrBelowZeroAutoTune) {
+  // As DbscanParams::eps: <= 0 means estimate_eps() * eps_scale.
+  auto points = three_blobs(50, 3);
+  expect_grid_matches_dbscan(points, {0.0, -1.0, 1.5, -0.5}, 8);
+  VpTree tree(points);
+  DbscanParams params;
+  std::vector<DbscanResult> grid =
+      dbscan_grid(tree, params, {0.0, -2.0}, kGridThreads);
+  const double tuned = estimate_eps(tree, params.min_pts) * params.eps_scale;
+  EXPECT_EQ(grid[0].eps_used, tuned);
+  EXPECT_EQ(grid[1].eps_used, tuned);
 }
 
 // ---------------------------------------------------------------- kmeans ----
@@ -308,6 +449,32 @@ TEST(IntentionClustering, CentroidsHaveFeatureDims) {
   auto clustering = IntentionClustering::build(docs, segs);
   for (const auto& c : clustering.centroids()) {
     EXPECT_EQ(c.size(), static_cast<size_t>(kSegmentFeatureDims));
+  }
+}
+
+TEST(IntentionClustering, GridMultipleAtOrBelowZeroAutoTunes) {
+  // A grid multiple <= 0 keeps DbscanParams::eps's meaning: the auto-tuned
+  // eps, i.e. the estimate times eps_scale, the same eps as a multiple of
+  // exactly eps_scale.
+  auto docs = make_two_intent_corpus(30);
+  std::vector<Segmentation> segs(docs.size());
+  for (size_t d = 0; d < docs.size(); ++d) {
+    segs[d] = Segmentation{docs[d].num_units(), {2}};
+  }
+  GroupingOptions auto_tuned;
+  auto_tuned.kmeans_fallback_k = 0;  // keep DBSCAN's eps_used
+  auto_tuned.eps_grid = {0.0, -1.0};
+  GroupingOptions scaled = auto_tuned;
+  scaled.eps_grid = {scaled.dbscan.eps_scale};
+  auto a = IntentionClustering::build(docs, segs, auto_tuned);
+  auto b = IntentionClustering::build(docs, segs, scaled);
+  EXPECT_GT(a.eps_used(), 0.0);
+  EXPECT_EQ(a.eps_used(), b.eps_used());
+  EXPECT_EQ(a.num_clusters(), b.num_clusters());
+  ASSERT_EQ(a.segments().size(), b.segments().size());
+  for (size_t i = 0; i < a.segments().size(); ++i) {
+    EXPECT_EQ(a.segments()[i].cluster, b.segments()[i].cluster);
+    EXPECT_EQ(a.segments()[i].ranges, b.segments()[i].ranges);
   }
 }
 

@@ -202,6 +202,7 @@ TEST(TraceTest, StageNamesMatchTheDocumentedCatalog) {
   using obs::Stage;
   EXPECT_STREQ(obs::stage_name(Stage::kAnalyze), "analyze");
   EXPECT_STREQ(obs::stage_name(Stage::kSegment), "segment");
+  EXPECT_STREQ(obs::stage_name(Stage::kGroup), "group");
   EXPECT_STREQ(obs::stage_name(Stage::kClusterAssign), "cluster-assign");
   EXPECT_STREQ(obs::stage_name(Stage::kIndexPublish), "index-publish");
   EXPECT_STREQ(obs::stage_name(Stage::kTermWeight), "term-weight");
