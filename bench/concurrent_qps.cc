@@ -1,10 +1,9 @@
-// Concurrent serving throughput: aggregate queries/sec against the
-// ServingPipeline at 1, 4 and 8 query threads while ingest writers
-// continuously publish new posts — the ingest-heavy serving scenario the
-// ROADMAP's "millions of users" north star implies. Queries run under the
-// serving layer's shared lock; writers prepare posts lock-free and take
-// the exclusive lock only to publish, so query throughput should scale
-// with reader count. Note the fairness tradeoff the rows make visible:
+// Concurrent serving throughput: aggregate queries/sec against a
+// one-shard ShardedServing at 1, 4 and 8 reader threads while ingest
+// writers continuously publish new posts — the ingest-heavy serving
+// scenario. Queries run under the shard's shared lock; writers prepare
+// posts lock-free and take the exclusive lock only to publish, so query
+// throughput should scale with reader count. Note the fairness tradeoff the rows make visible:
 // std::shared_mutex is reader-preferring on glibc, so under sustained
 // read pressure writers starve and the corpus barely grows, while a lone
 // reader leaves gaps that let writers balloon the corpus (the final-docs
@@ -25,7 +24,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/serving.h"
+#include "core/sharded_serving.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/sync.h"
@@ -35,7 +34,7 @@ namespace ibseg {
 namespace {
 
 struct QpsRow {
-  size_t query_threads = 0;
+  size_t reader_threads = 0;
   size_t ingest_threads = 0;
   double qps = 0.0;
   double ingests_per_sec = 0.0;
@@ -59,22 +58,19 @@ int window_ms() {
   return v > 0 ? v : 1500;
 }
 
-QpsRow run_config(const SyntheticCorpus& corpus,
-                  const PipelineSnapshot& snapshot, size_t query_threads,
+QpsRow run_config(const SyntheticCorpus& corpus, size_t reader_threads,
                   size_t ingest_threads,
                   const std::vector<std::string>& ingest_texts,
                   const std::vector<Document>& externals) {
-  // Each configuration serves a fresh pipeline restored from the shared
-  // offline snapshot (segmentation + clustering are skipped, so per-config
-  // setup is just index construction).
-  ServingPipeline serving(RelatedPostPipeline::build_from_snapshot(
-      analyze_corpus(corpus), snapshot, {}));
-  const size_t num_docs = serving.seed_docs();
+  // Each configuration serves a fresh deployment over the same corpus.
+  auto built = ShardedServing::create(analyze_corpus(corpus));
+  ShardedServing& serving = *built;
+  const size_t num_docs = serving.num_docs();
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> queries{0};
   std::atomic<uint64_t> ingests{0};
-  CyclicBarrier barrier(query_threads + ingest_threads + 1);
+  CyclicBarrier barrier(reader_threads + ingest_threads + 1);
 
   ScopedThreads threads;
   for (size_t w = 0; w < ingest_threads; ++w) {
@@ -88,7 +84,7 @@ QpsRow run_config(const SyntheticCorpus& corpus,
       }
     });
   }
-  for (size_t t = 0; t < query_threads; ++t) {
+  for (size_t t = 0; t < reader_threads; ++t) {
     threads.spawn([&, t] {
       barrier.arrive_and_wait();
       Rng rng(10 + t);
@@ -113,7 +109,7 @@ QpsRow run_config(const SyntheticCorpus& corpus,
   double elapsed = watch.elapsed_seconds();
 
   QpsRow row;
-  row.query_threads = query_threads;
+  row.reader_threads = reader_threads;
   row.ingest_threads = ingest_threads;
   row.queries = queries.load();
   row.ingests = ingests.load();
@@ -135,13 +131,6 @@ int main() {
   GeneratorOptions gen = eval_profile(ForumDomain::kTechSupport, corpus_size);
   SyntheticCorpus corpus = generate_corpus(gen);
 
-  // One shared offline build; per-config pipelines restore from its
-  // snapshot so every configuration serves identical state.
-  PipelineOptions build_options;
-  RelatedPostPipeline offline =
-      RelatedPostPipeline::build(analyze_corpus(corpus), build_options);
-  PipelineSnapshot snapshot = offline.snapshot();
-
   GeneratorOptions ingest_gen =
       eval_profile(ForumDomain::kTechSupport, 64, /*seed=*/555);
   SyntheticCorpus ingest_corpus = generate_corpus(ingest_gen);
@@ -156,20 +145,20 @@ int main() {
         ingest_corpus.posts[i % ingest_corpus.posts.size()].text));
   }
 
-  // Ingest-heavy serving mix: two continuous writers against 1/4/8 query
+  // Ingest-heavy serving mix: two continuous writers against 1/4/8 reader
   // threads (the paper's forums see a constant influx of new posts).
   const size_t kIngestThreads = 2;
   std::vector<QpsRow> rows;
-  for (size_t query_threads : {1u, 4u, 8u}) {
-    rows.push_back(run_config(corpus, snapshot, query_threads,
-                              kIngestThreads, ingest_texts, externals));
+  for (size_t reader_threads : {1u, 4u, 8u}) {
+    rows.push_back(run_config(corpus, reader_threads, kIngestThreads,
+                              ingest_texts, externals));
   }
 
-  TablePrinter table({"query threads", "ingest threads", "queries/sec",
+  TablePrinter table({"reader threads", "ingest threads", "queries/sec",
                       "ingests/sec", "final docs", "speedup vs 1"});
   for (const QpsRow& row : rows) {
     double speedup = rows[0].qps > 0.0 ? row.qps / rows[0].qps : 0.0;
-    table.add_row({std::to_string(row.query_threads),
+    table.add_row({std::to_string(row.reader_threads),
                    std::to_string(row.ingest_threads), fmt(row.qps, 1),
                    fmt(row.ingests_per_sec, 1),
                    std::to_string(row.final_docs), fmt(speedup, 2)});
@@ -188,11 +177,11 @@ int main() {
     for (size_t i = 0; i < rows.size(); ++i) {
       const QpsRow& row = rows[i];
       std::fprintf(out,
-                   "    {\"query_threads\": %zu, \"ingest_threads\": %zu, "
+                   "    {\"reader_threads\": %zu, \"ingest_threads\": %zu, "
                    "\"qps\": %.1f, \"ingests_per_sec\": %.1f, "
                    "\"queries\": %llu, \"ingests\": %llu, "
                    "\"final_docs\": %zu}%s\n",
-                   row.query_threads, row.ingest_threads, row.qps,
+                   row.reader_threads, row.ingest_threads, row.qps,
                    row.ingests_per_sec,
                    static_cast<unsigned long long>(row.queries),
                    static_cast<unsigned long long>(row.ingests),

@@ -46,7 +46,7 @@
 
 #include "bench/bench_common.h"
 #include "cluster/intention_clusters.h"
-#include "core/serving.h"
+#include "core/sharded_serving.h"
 #include "eval/ndcg.h"
 #include "eval/precision.h"
 #include "seg/segmenter.h"
@@ -126,7 +126,7 @@ struct Quality {
   double mean_ndcg = 0.0;
 };
 
-Quality evaluate(const ServingPipeline& serving,
+Quality evaluate(const ShardedServing& serving,
                  const SyntheticCorpus& year2, size_t year1_docs) {
   const size_t n2 = year2.posts.size();
   auto grade_of = [&](DocId q, DocId d) {
@@ -180,7 +180,8 @@ int recovery_gate(size_t year1_posts, size_t year2_posts) {
 
   // Drifted: year-1 offline build, year-2 arrives through streaming
   // nearest-centroid ingest (ids n1..n1+n2-1, the order add_post assigns).
-  ServingPipeline drifted(RelatedPostPipeline::build(analyze_corpus(year1)));
+  auto drifted_serving = ShardedServing::create(analyze_corpus(year1));
+  ShardedServing& drifted = *drifted_serving;
   for (const GeneratedPost& p : year2.posts) drifted.add_post(p.text);
 
   // Fresh: the cold two-year build the recluster is measured against,
@@ -190,10 +191,10 @@ int recovery_gate(size_t year1_posts, size_t year2_posts) {
     combined.push_back(Document::analyze(static_cast<DocId>(n1 + j),
                                          year2.posts[j].text));
   }
-  ServingPipeline fresh(RelatedPostPipeline::build(std::move(combined)));
+  auto fresh = ShardedServing::create(std::move(combined));
 
   const Quality q_drifted = evaluate(drifted, year2, n1);
-  const Quality q_fresh = evaluate(fresh, year2, n1);
+  const Quality q_fresh = evaluate(*fresh, year2, n1);
   drifted.recluster();
   const Quality q_reclustered = evaluate(drifted, year2, n1);
 

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/serving.h"
+#include "core/pipeline.h"
 #include "datagen/adversarial.h"
 #include "eval/ndcg.h"
 #include "eval/precision.h"
@@ -130,9 +130,10 @@ GateRow run_profile(const AdversarialCorpus& adversarial) {
     offline.push_back(
         Document::analyze(static_cast<DocId>(i), corpus.posts[i].text));
   }
-  ServingPipeline serving(RelatedPostPipeline::build(std::move(offline)));
+  RelatedPostPipeline pipeline =
+      RelatedPostPipeline::build(std::move(offline));
   for (size_t i = adversarial.offline_posts; i < corpus.posts.size(); ++i) {
-    serving.add_post(corpus.posts[i].text);
+    pipeline.add_post(corpus.posts[i].text);
   }
 
   std::vector<double> precisions;
@@ -146,10 +147,8 @@ GateRow run_profile(const AdversarialCorpus& adversarial) {
       if (corpus.posts[d].component_id == component) return 1;
       return 0;
     };
-    auto result = serving.find_related(q, 5);
     std::vector<DocId> ids;
-    ids.reserve(result.results.size());
-    for (const ScoredDoc& sd : result.results) ids.push_back(sd.doc);
+    for (const ScoredDoc& sd : pipeline.find_related(q, 5)) ids.push_back(sd.doc);
     precisions.push_back(
         list_precision(ids, [&](DocId d) { return grade(d) == 2; }));
     std::vector<int> ideal;

@@ -1,7 +1,7 @@
 // Observability overhead: proves the metrics layer is cheap enough to
 // leave on in production. Runs the concurrent_qps serving scenario (4
-// query threads + 2 continuous ingest writers over a snapshot-restored
-// pipeline) in interleaved windows with timing instrumentation enabled
+// reader threads + 2 continuous ingest writers over a fresh one-shard
+// ShardedServing) in interleaved windows with timing instrumentation enabled
 // (obs::set_enabled(true)) and disabled, and reports the median-QPS
 // delta. The target is <2% regression — TraceScope costs two steady-clock
 // reads plus a short bucket scan and three relaxed atomic RMWs per
@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/serving.h"
+#include "core/sharded_serving.h"
 #include "obs/trace.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -40,7 +40,7 @@
 namespace ibseg {
 namespace {
 
-constexpr size_t kQueryThreads = 4;
+constexpr size_t kReaderThreads = 4;
 constexpr size_t kIngestThreads = 2;
 
 std::string fmt(double v, int precision) {
@@ -62,21 +62,20 @@ struct WindowResult {
   double ingests_per_sec = 0.0;
 };
 
-WindowResult run_window(const SyntheticCorpus& corpus,
-                        const PipelineSnapshot& snapshot, bool metrics_on,
+WindowResult run_window(const SyntheticCorpus& corpus, bool metrics_on,
                         const std::vector<std::string>& ingest_texts,
                         const std::vector<Document>& externals) {
-  // A fresh snapshot-restored pipeline per window keeps corpus growth from
-  // earlier windows out of this one's query costs.
+  // A fresh deployment per window keeps corpus growth from earlier
+  // windows out of this one's query costs.
   obs::set_enabled(metrics_on);
-  ServingPipeline serving(RelatedPostPipeline::build_from_snapshot(
-      analyze_corpus(corpus), snapshot, {}));
-  const size_t num_docs = serving.seed_docs();
+  auto built = ShardedServing::create(analyze_corpus(corpus));
+  ShardedServing& serving = *built;
+  const size_t num_docs = serving.num_docs();
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> queries{0};
   std::atomic<uint64_t> ingests{0};
-  CyclicBarrier barrier(kQueryThreads + kIngestThreads + 1);
+  CyclicBarrier barrier(kReaderThreads + kIngestThreads + 1);
 
   ScopedThreads threads;
   for (size_t w = 0; w < kIngestThreads; ++w) {
@@ -89,7 +88,7 @@ WindowResult run_window(const SyntheticCorpus& corpus,
       }
     });
   }
-  for (size_t t = 0; t < kQueryThreads; ++t) {
+  for (size_t t = 0; t < kReaderThreads; ++t) {
     threads.spawn([&, t] {
       barrier.arrive_and_wait();
       Rng rng(10 + t);
@@ -140,10 +139,6 @@ int main() {
   GeneratorOptions gen = eval_profile(ForumDomain::kTechSupport, corpus_size);
   SyntheticCorpus corpus = generate_corpus(gen);
 
-  RelatedPostPipeline offline =
-      RelatedPostPipeline::build(analyze_corpus(corpus), {});
-  PipelineSnapshot snapshot = offline.snapshot();
-
   GeneratorOptions ingest_gen =
       eval_profile(ForumDomain::kTechSupport, 64, /*seed=*/555);
   SyntheticCorpus ingest_corpus = generate_corpus(ingest_gen);
@@ -164,7 +159,7 @@ int main() {
   std::vector<WindowResult> windows;
   for (bool metrics_on : kSchedule) {
     windows.push_back(
-        run_window(corpus, snapshot, metrics_on, ingest_texts, externals));
+        run_window(corpus, metrics_on, ingest_texts, externals));
   }
 
   std::vector<double> qps_off, qps_on;
@@ -193,7 +188,7 @@ int main() {
     std::fprintf(out, "{\n  \"bench\": \"obs_overhead\",\n");
     std::fprintf(out, "  \"corpus_posts\": %zu,\n", corpus_size);
     std::fprintf(out, "  \"window_ms\": %d,\n", window_ms());
-    std::fprintf(out, "  \"query_threads\": %zu,\n", kQueryThreads);
+    std::fprintf(out, "  \"reader_threads\": %zu,\n", kReaderThreads);
     std::fprintf(out, "  \"ingest_threads\": %zu,\n", kIngestThreads);
     std::fprintf(out, "  \"hardware_threads\": %u,\n",
                  std::thread::hardware_concurrency());

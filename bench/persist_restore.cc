@@ -1,14 +1,15 @@
 // Persistence cost and warm-restart payoff: what a deployment pays for
 // crash safety (snapshot save time, WAL append overhead on the ingest
-// path) and what it gets back at startup (restore-from-snapshot versus a
-// cold offline rebuild of the same corpus). Three measurements:
+// path) and what it gets back at startup (restore from a state directory
+// versus a cold offline rebuild of the same corpus). Three measurements,
+// all through a one-shard ShardedServing with a state directory:
 //
-//   1. cold build   — RelatedPostPipeline::build over the corpus (the
+//   1. cold build   — ShardedServing::create over the corpus (the
 //                     segmentation + clustering + indexing a restart
 //                     without persistence repeats every time),
-//   2. save         — ServingPipeline::save to a snapshot v2 file,
-//   3. warm restore — ServingPipeline::restore from that file, including
-//                     WAL replay of a tail of post-snapshot ingests.
+//   2. save         — ShardedServing::save (shard snapshot v2 + manifest),
+//   3. warm restore — ShardedServing::restore from that directory,
+//                     including WAL replay of a tail of post-save ingests.
 //
 // Also reported: ingest latency with the WAL off / fsync=none /
 // fsync=every-append, isolating the durability tax on add_post.
@@ -19,15 +20,14 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/serving.h"
-#include "storage/snapshot_v2.h"
+#include "core/sharded_serving.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
 
@@ -40,11 +40,13 @@ std::string fmt(double v, int precision) {
   return buf;
 }
 
-std::string tmp_file(const char* name) {
+/// A fresh (emptied) state directory under $TMPDIR.
+std::string tmp_dir(const char* name) {
   const char* dir = std::getenv("TMPDIR");
   std::string path = (dir != nullptr && *dir != '\0') ? dir : "/tmp";
   path += "/ibseg_bench_";
   path += name;
+  std::filesystem::remove_all(path);
   return path;
 }
 
@@ -52,10 +54,10 @@ std::string tmp_file(const char* name) {
 double ingest_latency(const SyntheticCorpus& corpus,
                       const std::vector<std::string>& texts,
                       const ServingOptions& options) {
-  ServingPipeline serving(RelatedPostPipeline::build(analyze_corpus(corpus)),
-                          options);
+  auto serving = ShardedServing::create(analyze_corpus(corpus), {}, options);
+  if (serving == nullptr) return 0.0;
   Stopwatch watch;
-  for (const std::string& text : texts) serving.add_post(text);
+  for (const std::string& text : texts) serving->add_post(text);
   return texts.empty() ? 0.0
                        : watch.elapsed_seconds() /
                              static_cast<double>(texts.size());
@@ -64,7 +66,7 @@ double ingest_latency(const SyntheticCorpus& corpus,
 int run() {
   const size_t corpus_size =
       static_cast<size_t>(240 * bench::bench_scale());
-  const size_t wal_tail = 32;  // ingests between last snapshot and "crash"
+  const size_t wal_tail = 32;  // ingests between last save and "crash"
   GeneratorOptions gen =
       bench::eval_profile(ForumDomain::kTechSupport, corpus_size);
   SyntheticCorpus corpus = generate_corpus(gen);
@@ -75,65 +77,56 @@ int run() {
   std::vector<std::string> tail_texts;
   for (const GeneratedPost& p : extra.posts) tail_texts.push_back(p.text);
 
-  const std::string snap_path = tmp_file("persist.snap");
-  const std::string wal_path = tmp_file("persist.wal");
-  std::remove(snap_path.c_str());
-  std::remove(wal_path.c_str());
+  const std::string state_dir = tmp_dir("persist.d");
+  ServingOptions persisted;
+  persisted.persist.shard_dir = state_dir;
 
   // 1. Cold build (what every restart costs without persistence).
   Stopwatch cold_watch;
-  auto serving = std::make_unique<ServingPipeline>(
-      RelatedPostPipeline::build(analyze_corpus(corpus)));
+  auto serving =
+      ShardedServing::create(analyze_corpus(corpus), {}, persisted);
   const double cold_build_sec = cold_watch.elapsed_seconds();
+  if (serving == nullptr) {
+    std::fprintf(stderr, "error: cannot create %s\n", state_dir.c_str());
+    return 1;
+  }
 
   // 2. Save.
   Stopwatch save_watch;
-  if (!serving->save(snap_path)) {
-    std::fprintf(stderr, "error: snapshot save failed\n");
+  if (!serving->save(state_dir)) {
+    std::fprintf(stderr, "error: save failed\n");
     return 1;
   }
   const double save_sec = save_watch.elapsed_seconds();
-  uint64_t snapshot_bytes = 0;
-  {
-    std::ifstream is(snap_path, std::ios::binary | std::ios::ate);
-    snapshot_bytes = is ? static_cast<uint64_t>(is.tellg()) : 0;
-  }
-  serving.reset();
+  std::error_code ec;
+  const uint64_t snapshot_bytes = std::filesystem::file_size(
+      state_dir + "/shard-0/snapshot.v2", ec);
 
   // 3. Warm restore, with a WAL tail to replay on top of the snapshot.
-  {
-    ServingOptions wal_options;
-    wal_options.persist.wal_path = wal_path;
-    auto writer = ServingPipeline::restore(snap_path, {}, wal_options);
-    if (writer == nullptr) {
-      std::fprintf(stderr, "error: restore (WAL writer) failed\n");
-      return 1;
-    }
-    for (const std::string& text : tail_texts) writer->add_post(text);
-  }
-  ServingOptions wal_options;
-  wal_options.persist.wal_path = wal_path;
+  for (const std::string& text : tail_texts) serving->add_post(text);
+  serving.reset();
   Stopwatch restore_watch;
-  auto restored = ServingPipeline::restore(snap_path, {}, wal_options);
+  auto restored = ShardedServing::restore(state_dir);
   const double restore_sec = restore_watch.elapsed_seconds();
   if (restored == nullptr || restored->epoch() != wal_tail) {
     std::fprintf(stderr, "error: warm restore failed\n");
     return 1;
   }
+  restored.reset();
 
   // 4. Durability tax on the ingest path.
   ServingOptions no_wal;
   ServingOptions wal_nosync;
-  wal_nosync.persist.wal_path = wal_path + ".nosync";
+  wal_nosync.persist.shard_dir = tmp_dir("persist.nosync.d");
   wal_nosync.persist.wal.fsync = WalFsync::kNone;
   ServingOptions wal_sync;
-  wal_sync.persist.wal_path = wal_path + ".sync";
+  wal_sync.persist.shard_dir = tmp_dir("persist.sync.d");
   wal_sync.persist.wal.fsync = WalFsync::kEveryAppend;
   const double ingest_off = ingest_latency(corpus, tail_texts, no_wal);
   const double ingest_nosync = ingest_latency(corpus, tail_texts, wal_nosync);
   const double ingest_sync = ingest_latency(corpus, tail_texts, wal_sync);
-  std::remove((wal_path + ".nosync").c_str());
-  std::remove((wal_path + ".sync").c_str());
+  std::filesystem::remove_all(wal_nosync.persist.shard_dir);
+  std::filesystem::remove_all(wal_sync.persist.shard_dir);
 
   const double speedup =
       restore_sec > 0.0 ? cold_build_sec / restore_sec : 0.0;
@@ -174,8 +167,7 @@ int run() {
     std::fclose(out);
     std::printf("wrote BENCH_persist_restore.json\n");
   }
-  std::remove(snap_path.c_str());
-  std::remove(wal_path.c_str());
+  std::filesystem::remove_all(state_dir);
   return 0;
 }
 

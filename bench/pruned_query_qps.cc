@@ -1,14 +1,13 @@
-// MaxScore pruning throughput: queries/sec through
-// ServingPipeline::find_related_batch with the pruned per-intention path
-// (the default) against the exhaustive score-then-select fallback
-// (MatcherOptions::exhaustive_fallback), at 1 and 4 matcher query
-// threads, result cache OFF — every query does real scoring work, so the
-// ratio is the pruning win, not a cache artifact. Both paths return
-// bit-identical rankings (the differential suite proves it); the bench
-// also reports the work counters — units fully scored and candidates
-// abandoned mid-scoring — so the speedup can be traced to scored-work
-// actually avoided rather than measurement noise. The headline number is
-// the single-core k=10 ratio (pruned vs exhaustive at query_threads 1).
+// MaxScore pruning throughput: single-threaded queries/sec through a
+// one-shard ShardedServing::find_related with the pruned per-intention
+// path (the default) against the exhaustive score-then-select fallback
+// (MatcherOptions::exhaustive_fallback), result cache OFF — every query
+// does real scoring work, so the ratio is the pruning win, not a cache
+// artifact. Both paths return bit-identical rankings (the differential
+// suite proves it); the bench also reports the work counters — units
+// fully scored and candidates abandoned mid-scoring — so the speedup can
+// be traced to scored-work actually avoided rather than measurement
+// noise. The headline number is the k=10 ratio (pruned vs exhaustive).
 //
 // Results print as a table and are recorded in
 // BENCH_pruned_query_qps.json (current working directory);
@@ -23,7 +22,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/serving.h"
+#include "core/sharded_serving.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
@@ -31,11 +30,9 @@
 namespace ibseg {
 namespace {
 
-constexpr size_t kBatchSize = 64;
 constexpr int kTopK = 10;
 
 struct QpsRow {
-  int query_threads = 0;
   bool pruned = false;
   double qps = 0.0;
   uint64_t queries = 0;
@@ -56,16 +53,12 @@ int window_ms() {
   return v > 0 ? v : 1200;
 }
 
-QpsRow run_config(const SyntheticCorpus& corpus,
-                  const PipelineSnapshot& snapshot, int query_threads,
-                  bool pruned) {
+QpsRow run_config(const SyntheticCorpus& corpus, bool pruned) {
   PipelineOptions build_options;
-  build_options.matcher.query_threads = query_threads;
   build_options.matcher.exhaustive_fallback = !pruned;
   // Cache off: ServingOptions default capacity 0 — every query scores.
-  ServingPipeline serving(RelatedPostPipeline::build_from_snapshot(
-      analyze_corpus(corpus), snapshot, build_options));
-  const size_t num_docs = serving.seed_docs();
+  auto serving = ShardedServing::create(analyze_corpus(corpus), build_options);
+  const size_t num_docs = serving->num_docs();
 
   // Uniform query stream, deterministic per config (same seed), so every
   // row answers the same queries.
@@ -73,22 +66,19 @@ QpsRow run_config(const SyntheticCorpus& corpus,
   const double window_sec = window_ms() / 1000.0;
   uint64_t queries = 0;
   Stopwatch watch;
-  std::vector<DocId> batch(kBatchSize);
   while (watch.elapsed_seconds() < window_sec) {
-    for (DocId& q : batch) {
-      q = static_cast<DocId>(rng.next_below(num_docs));
-    }
-    serving.find_related_batch(batch, kTopK);
-    queries += kBatchSize;
+    serving->find_related(static_cast<DocId>(rng.next_below(num_docs)),
+                          kTopK);
+    ++queries;
   }
   double elapsed = watch.elapsed_seconds();
 
   QpsRow row;
-  row.query_threads = query_threads;
   row.pruned = pruned;
   row.queries = queries;
   row.qps = static_cast<double>(queries) / elapsed;
-  const QueryWorkCounters& work = serving.quiescent().matcher().work_counters();
+  const QueryWorkCounters& work =
+      serving->shard(0).quiescent().matcher().work_counters();
   row.units_scored = work.units_scored.load(std::memory_order_relaxed);
   row.units_pruned = work.units_pruned.load(std::memory_order_relaxed);
   return row;
@@ -110,35 +100,18 @@ int main() {
   GeneratorOptions gen = eval_profile(ForumDomain::kTechSupport, corpus_size);
   SyntheticCorpus corpus = generate_corpus(gen);
 
-  // One shared offline build; per-config pipelines restore from its
-  // snapshot so both paths serve identical state (and therefore identical
-  // rankings — only the work differs).
-  RelatedPostPipeline offline =
-      RelatedPostPipeline::build(analyze_corpus(corpus), {});
-  PipelineSnapshot snapshot = offline.snapshot();
-
+  // Both configurations build the same corpus deterministically, so they
+  // serve identical state (and identical rankings — only the work
+  // differs). rows[0] is the exhaustive baseline.
   std::vector<QpsRow> rows;
-  for (int query_threads : {1, 4}) {
-    for (bool pruned : {false, true}) {
-      rows.push_back(run_config(corpus, snapshot, query_threads, pruned));
-    }
-  }
+  for (bool pruned : {false, true}) rows.push_back(run_config(corpus, pruned));
+  const double base = rows[0].qps;
 
-  // The headline: pruned vs exhaustive at the same thread count.
-  auto exhaustive_qps = [&](int threads) {
-    for (const QpsRow& r : rows) {
-      if (r.query_threads == threads && !r.pruned) return r.qps;
-    }
-    return 0.0;
-  };
-  TablePrinter table({"query threads", "path", "queries/sec",
-                      "units scored/query", "units abandoned/query",
-                      "speedup vs exhaustive"});
+  TablePrinter table({"path", "queries/sec", "units scored/query",
+                      "units abandoned/query", "speedup vs exhaustive"});
   for (const QpsRow& row : rows) {
-    double base = exhaustive_qps(row.query_threads);
     table.add_row(
-        {std::to_string(row.query_threads),
-         row.pruned ? "pruned" : "exhaustive", fmt(row.qps, 1),
+        {row.pruned ? "pruned" : "exhaustive", fmt(row.qps, 1),
          fmt(row.queries > 0
                  ? static_cast<double>(row.units_scored) / row.queries
                  : 0.0,
@@ -160,18 +133,16 @@ int main() {
     std::fprintf(out, "{\n  \"bench\": \"pruned_query_qps\",\n");
     std::fprintf(out, "  \"corpus_posts\": %zu,\n", corpus_size);
     std::fprintf(out, "  \"window_ms\": %d,\n", window_ms());
-    std::fprintf(out, "  \"batch_size\": %zu,\n", kBatchSize);
     std::fprintf(out, "  \"top_k\": %d,\n", kTopK);
     std::fprintf(out, "  \"configs\": [\n");
     for (size_t i = 0; i < rows.size(); ++i) {
       const QpsRow& row = rows[i];
-      double base = exhaustive_qps(row.query_threads);
       std::fprintf(out,
-                   "    {\"query_threads\": %d, \"pruned\": %s, "
+                   "    {\"pruned\": %s, "
                    "\"qps\": %.1f, \"queries\": %llu, "
                    "\"units_scored\": %llu, \"units_pruned\": %llu, "
                    "\"speedup_vs_exhaustive\": %.2f}%s\n",
-                   row.query_threads, row.pruned ? "true" : "false", row.qps,
+                   row.pruned ? "true" : "false", row.qps,
                    static_cast<unsigned long long>(row.queries),
                    static_cast<unsigned long long>(row.units_scored),
                    static_cast<unsigned long long>(row.units_pruned),

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/serving.h"
+#include "core/sharded_serving.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
 
@@ -41,7 +41,7 @@ std::string fmt(double v, int precision) {
 
 /// One pass of the reader loop: top-5 queries round-robin over the
 /// corpus. Returns the number of queries issued.
-uint64_t reader_pass(const ServingPipeline& serving, size_t num_docs) {
+uint64_t reader_pass(const ShardedServing& serving, size_t num_docs) {
   for (size_t q = 0; q < num_docs; ++q) {
     serving.find_related(static_cast<DocId>(q), 5);
   }
@@ -62,8 +62,8 @@ int run() {
   // Pool every ingest: the drain measurement wants a full pool, and the
   // differential suite proves pooling never changes results.
   options.recluster.pending_distance_threshold = 0.0;
-  ServingPipeline serving(RelatedPostPipeline::build(analyze_corpus(corpus)),
-                          options);
+  auto built = ShardedServing::create(analyze_corpus(corpus), {}, options);
+  ShardedServing& serving = *built;
   for (const GeneratedPost& p : extra.posts) serving.add_post(p.text);
 
   const size_t num_docs = serving.num_docs();

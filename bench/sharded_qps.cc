@@ -4,8 +4,8 @@
 // Every configuration serves the identical corpus (sharding is
 // bit-identical by construction, so the rows differ only in cost), which
 // makes the table a pure overhead/scaling measurement: the 1-shard row is
-// the scatter layer's fixed tax over a plain ServingPipeline, and the
-// higher rows show how fan-out amortizes under per-shard locking. On a
+// the scatter layer's fixed tax over a single shard, and the higher rows
+// show how fan-out amortizes under per-shard locking. On a
 // single-core container the thread rows report hardware-limited numbers
 // (hardware_threads lands in the JSON for exactly that reason).
 //

@@ -6,16 +6,15 @@
 //   ibseg_cli segment
 //       Read one post from stdin, print its intention segments.
 //
-//   ibseg_cli snapshot <corpus-file> <snapshot-file>
-//       Run the offline phase (segment + cluster) and persist it.
-//
-//   ibseg_cli query <corpus-file> <doc-id> [k] [snapshot-file]
-//       Top-k related posts for a post of the corpus. With a snapshot the
-//       offline phase is reloaded instead of recomputed.
+//   ibseg_cli query <corpus-file> <doc-id> [k]
+//       Top-k related posts for a post of the corpus.
 //
 //   ibseg_cli ask <corpus-file> [k]
 //       Top-k related posts for a NEW post read from stdin (external
 //       query: nothing is ingested).
+//
+// `query` and `ask` serve through the scatter-gather facade
+// (core/sharded_serving.h) — the same serving path ibseg_server runs.
 //
 // A leading `--metrics` (Prometheus text) or `--metrics=json` flag makes
 // the process dump its metrics registry — query/ingest counters, latency
@@ -24,37 +23,30 @@
 //
 //   ibseg_cli --metrics query posts.corpus 0 5
 //
-// Two more leading flags tune the query path (only `query` uses them):
-// `--threads=N` fans per-intention scoring out over N worker threads
-// (results are bit-identical to serial), and `--cache[=N]` enables the
-// epoch-invalidated result cache with capacity N (default 1024) — combine
-// with --metrics to see ibseg_query_cache_{hits,misses,evictions,size}:
+// `--cache[=N]` enables the epoch-invalidated result cache with capacity
+// N (default 1024) — combine with --metrics to see
+// ibseg_query_cache_{hits,misses,evictions,size}:
 //
-//   ibseg_cli --metrics --cache=256 --threads=4 query posts.corpus 0 5
+//   ibseg_cli --metrics --cache=256 query posts.corpus 0 5
 //
-// Persistence flags (query command; see docs/ARCHITECTURE.md §5):
-// `--save=PATH` writes the complete serving state as a binary snapshot v2
-// after the command, `--restore=PATH` builds the serving pipeline from
-// such a snapshot instead of recomputing the offline phase (the corpus
-// file is then only consulted for scenario annotation), and `--wal=PATH`
-// attaches the write-ahead ingest log — together the warm-restart loop:
+// `--shards=N` (default 1) serves through N hash-partitioned shards;
+// results are bit-identical at any N.
 //
-//   ibseg_cli --save=state.snap query posts.corpus 0 5   # cold start, save
-//   ibseg_cli --restore=state.snap --wal=ingest.wal query posts.corpus 0 5
+// Persistence flags (see docs/ARCHITECTURE.md §5): `--save=DIR` writes the
+// complete serving state as a state directory (per-shard snapshot v2 +
+// WAL, publication journal, manifest) after the command, and
+// `--restore=DIR` serves from such a directory instead of recomputing the
+// offline phase (the corpus file is then only consulted for scenario
+// annotation; the shard count comes from the directory) — together the
+// warm-restart loop:
+//
+//   ibseg_cli --shards=4 --save=state.d query posts.corpus 0 5
+//   ibseg_cli --restore=state.d query posts.corpus 0 5
 //
 // `--pruning=on|off` (default on) selects the MaxScore-pruned
 // per-intention path or the exhaustive historic one; rankings and scores
 // are bit-identical either way, so `off` is a baseline for benchmarking,
 // not a different answer.
-//
-// `--shards=N` serves the query through N hash-partitioned shards behind
-// the scatter-gather layer (core/sharded_serving.h) — results are
-// bit-identical to unsharded serving at any N. With --shards, --save/
-// --restore name a sharded state *directory* (per-shard snapshots + WALs,
-// publication journal, manifest) instead of a single snapshot file:
-//
-//   ibseg_cli --shards=4 --save=state.d query posts.corpus 0 5
-//   ibseg_cli --shards=4 --restore=state.d query posts.corpus 0 5
 //
 // `--connect=HOST:PORT` turns the CLI into a thin network client speaking
 // the docs/PROTOCOL.md wire protocol against a running ibseg_server — no
@@ -79,24 +71,19 @@
 #include <sstream>
 #include <string>
 
-#include "core/serving.h"
 #include "core/sharded_serving.h"
 #include "net/client.h"
 #include "obs/metrics.h"
 #include "storage/corpus_io.h"
-#include "storage/snapshot.h"
-#include "storage/snapshot_v2.h"
 
 using namespace ibseg;
 
 namespace {
 
 // Leading-flag state for the query path (see usage()).
-int g_query_threads = 0;      // --threads=N: parallel per-intention fan-out
 size_t g_cache_capacity = 0;  // --cache[=N]: result-cache capacity, 0 = off
-std::string g_save_path;      // --save=PATH: write snapshot v2 after query
-std::string g_restore_path;   // --restore=PATH: warm-start from snapshot v2
-std::string g_wal_path;       // --wal=PATH: attach the write-ahead ingest log
+std::string g_save_path;      // --save=DIR: write a state directory after
+std::string g_restore_path;   // --restore=DIR: serve from a state directory
 int g_num_shards = 1;         // --shards=N: hash-partitioned scatter-gather
 bool g_pruning = true;        // --pruning=off: exhaustive per-intention path
 std::string g_connect;        // --connect=HOST:PORT: thin network client
@@ -105,14 +92,12 @@ std::string g_tenant;         // --tenant=NAME: bind the connection (TENANT_OPEN
 int usage() {
   std::fprintf(stderr,
                "usage: ibseg_cli [--metrics[=json]] [--cache[=N]] "
-               "[--threads=N]\n"
-               "                 [--save=PATH] [--restore=PATH] [--wal=PATH] "
                "[--shards=N]\n"
-               "                 [--pruning=on|off] <command> ...\n"
+               "                 [--save=DIR] [--restore=DIR] "
+               "[--pruning=on|off] <command> ...\n"
                "  ibseg_cli generate <tech|travel|prog|health> <num-posts> <file>\n"
                "  ibseg_cli segment            (post on stdin)\n"
-               "  ibseg_cli snapshot <corpus-file> <snapshot-file>\n"
-               "  ibseg_cli query <corpus-file> <doc-id> [k] [snapshot]\n"
+               "  ibseg_cli query <corpus-file> <doc-id> [k]\n"
                "  ibseg_cli ask <corpus-file> [k]     (post on stdin)\n"
                "  --metrics        print the Prometheus text exposition after\n"
                "                   the command (latency/stage histograms,\n"
@@ -120,23 +105,18 @@ int usage() {
                "  --metrics=json   same, as a JSON dump with p50/p95/p99\n"
                "  --cache[=N]      enable the epoch-invalidated query result\n"
                "                   cache, capacity N (default 1024)\n"
-               "  --threads=N      score intention clusters on N worker\n"
-               "                   threads (bit-identical to serial)\n"
-               "  --save=PATH      (query) after serving, persist the full\n"
-               "                   state as a binary snapshot v2 (atomic,\n"
-               "                   CRC-framed; see docs/ARCHITECTURE.md)\n"
-               "  --restore=PATH   (query) warm-start from a snapshot v2\n"
-               "                   instead of recomputing the offline phase\n"
-               "  --wal=PATH       (query) write-ahead ingest log: replayed\n"
-               "                   on start, appended before publication\n"
+               "  --shards=N       serve through N hash-partitioned shards\n"
+               "                   (default 1; bit-identical at any N)\n"
+               "  --save=DIR       after serving, persist the full state as\n"
+               "                   a state directory (per-shard snapshot v2\n"
+               "                   + WAL, journal, manifest; see\n"
+               "                   docs/ARCHITECTURE.md)\n"
+               "  --restore=DIR    serve from a state directory instead of\n"
+               "                   recomputing the offline phase\n"
                "  --pruning=on|off MaxScore pruned per-intention top-n (on,\n"
                "                   the default) or the exhaustive historic\n"
                "                   path; rankings are bit-identical either\n"
                "                   way — off is a baseline, not a mode\n"
-               "  --shards=N       (query) serve through N hash-partitioned\n"
-               "                   shards (bit-identical to unsharded);\n"
-               "                   --save/--restore then name a sharded\n"
-               "                   state directory, --wal does not apply\n"
                "  --connect=H:P    thin client against a running\n"
                "                   ibseg_server (docs/PROTOCOL.md):\n"
                "                   query <doc-id> [k] | ask [k] | add |\n"
@@ -328,172 +308,78 @@ int cmd_segment() {
   return 0;
 }
 
-int cmd_snapshot(int argc, char** argv) {
-  if (argc != 2) return usage();
-  std::vector<Document> docs = load_docs(argv[0], nullptr);
-  if (docs.empty()) {
-    std::fprintf(stderr, "error: cannot load corpus %s\n", argv[0]);
-    return 1;
-  }
-  Segmenter segmenter = Segmenter::cm_tiling();
-  Vocabulary vocab;
-  std::vector<Segmentation> segs(docs.size());
-  for (size_t d = 0; d < docs.size(); ++d) {
-    segs[d] = segmenter.segment(docs[d], vocab);
-  }
-  IntentionClustering clustering = IntentionClustering::build(docs, segs);
-  PipelineSnapshot snap = make_snapshot(segs, clustering);
-  if (!save_snapshot_file(snap, argv[1])) {
-    std::fprintf(stderr, "error: cannot write %s\n", argv[1]);
-    return 1;
-  }
-  std::printf("offline phase done: %zu docs, %d intention clusters -> %s\n",
-              docs.size(), clustering.num_clusters(), argv[1]);
-  return 0;
-}
-
-// The --shards=N query path: same command surface, served through the
-// scatter-gather layer. --save/--restore address a sharded state
-// directory; the answers are bit-identical to the unsharded path.
-int cmd_query_sharded(char** argv, DocId query, int k) {
+// Opens the serving facade the local commands run: restored from
+// --restore=DIR, or built over the corpus file at --shards=N. `corpus`
+// receives the corpus (for scenario annotation) when the file is one.
+std::unique_ptr<ShardedServing> open_serving(const char* corpus_path,
+                                             SyntheticCorpus* corpus) {
   ServingOptions serving_options;
   serving_options.cache.capacity = g_cache_capacity;
   serving_options.num_shards = g_num_shards;
   PipelineOptions build_options;
-  build_options.matcher.query_threads = g_query_threads;
   build_options.matcher.exhaustive_fallback = !g_pruning;
-
-  SyntheticCorpus corpus;
-  std::unique_ptr<ShardedServing> serving;
   if (!g_restore_path.empty()) {
-    serving = ShardedServing::restore(g_restore_path, build_options,
-                                      serving_options);
+    auto serving = ShardedServing::restore(g_restore_path, build_options,
+                                           serving_options);
     if (serving == nullptr) {
-      std::fprintf(stderr, "error: cannot restore sharded state from %s\n",
+      std::fprintf(stderr, "error: cannot restore state from %s\n",
                    g_restore_path.c_str());
-      return 1;
+      return nullptr;
     }
-    if (auto c = load_corpus_file(argv[0])) corpus = *c;
-  } else {
-    std::vector<Document> docs = load_docs(argv[0], &corpus);
-    if (docs.empty()) {
-      std::fprintf(stderr, "error: cannot load corpus %s\n", argv[0]);
-      return 1;
-    }
-    serving = ShardedServing::create(std::move(docs), build_options,
-                                     serving_options);
-    if (serving == nullptr) {
-      std::fprintf(stderr, "error: cannot build sharded serving\n");
-      return 1;
-    }
+    if (auto c = load_corpus_file(corpus_path)) *corpus = *c;
+    return serving;
   }
+  std::vector<Document> docs = load_docs(corpus_path, corpus);
+  if (docs.empty()) {
+    std::fprintf(stderr, "error: cannot load corpus %s\n", corpus_path);
+    return nullptr;
+  }
+  auto serving =
+      ShardedServing::create(std::move(docs), build_options, serving_options);
+  if (serving == nullptr) std::fprintf(stderr, "error: cannot build serving\n");
+  return serving;
+}
 
-  // Texts live on the owner shard; the partition function finds it.
-  auto doc_text = [&](DocId id) -> std::string {
-    const ServingPipeline& shard =
-        serving->shard(ShardedServing::shard_of(id, serving->num_shards()));
-    for (const Document& d : shard.quiescent().docs()) {
-      if (d.id() == id) return d.text();
-    }
-    return "";
-  };
-  if (query >= serving->num_docs()) return usage();
+// A document's text, read from its owner shard.
+std::string doc_text(const ShardedServing& serving, DocId id) {
+  const ServingPipeline& shard =
+      serving.shard(ShardedServing::shard_of(id, serving.num_shards()));
+  for (const Document& d : shard.quiescent().docs()) {
+    if (d.id() == id) return d.text();
+  }
+  return "";
+}
 
-  std::printf("query %u (%u shards): \"%.70s...\"\n", query,
-              serving->num_shards(), doc_text(query).c_str());
-  for (const ScoredDoc& sd : serving->find_related(query, k).results) {
-    std::printf("  %4u  %.3f  \"%.70s...\"", sd.doc, sd.score,
-                doc_text(sd.doc).c_str());
-    if (sd.doc < corpus.posts.size() && query < corpus.posts.size()) {
-      std::printf("  [scenario %d%s]", corpus.posts[sd.doc].scenario_id,
-                  corpus.posts[sd.doc].scenario_id ==
-                          corpus.posts[query].scenario_id
-                      ? " *"
-                      : "");
-    }
-    std::printf("\n");
+// Honors --save=DIR after a local command. Returns the exit code.
+int save_if_requested(ShardedServing& serving) {
+  if (g_save_path.empty()) return 0;
+  if (!serving.save(g_save_path)) {
+    std::fprintf(stderr, "error: cannot save state to %s\n",
+                 g_save_path.c_str());
+    return 1;
   }
-  if (!g_save_path.empty()) {
-    if (!serving->save(g_save_path)) {
-      std::fprintf(stderr, "error: cannot save sharded state to %s\n",
-                   g_save_path.c_str());
-      return 1;
-    }
-    std::printf(
-        "saved sharded state (%zu docs, %u shards, epoch %llu) to %s\n",
-        serving->num_docs(), serving->num_shards(),
-        static_cast<unsigned long long>(serving->epoch()),
-        g_save_path.c_str());
-  }
+  std::printf("saved state (%zu docs, %u shards, epoch %llu) to %s\n",
+              serving.num_docs(), serving.num_shards(),
+              static_cast<unsigned long long>(serving.epoch()),
+              g_save_path.c_str());
   return 0;
 }
 
 int cmd_query(int argc, char** argv) {
-  if (argc < 2 || argc > 4) return usage();
+  if (argc < 2 || argc > 3) return usage();
   DocId query = static_cast<DocId>(std::strtoul(argv[1], nullptr, 10));
   int k = argc >= 3 ? std::atoi(argv[2]) : 5;
   if (k <= 0) return usage();
-  if (g_num_shards > 1) {
-    if (!g_wal_path.empty() || argc == 4) return usage();
-    return cmd_query_sharded(argv, query, k);
-  }
-
-  PipelineOptions build_options;
-  build_options.matcher.query_threads = g_query_threads;
-  build_options.matcher.exhaustive_fallback = !g_pruning;
-  ServingOptions serving_options;
-  serving_options.cache.capacity = g_cache_capacity;
-  serving_options.persist.wal_path = g_wal_path;
-
-  // Serve through ServingPipeline — the layer a deployment queries — so a
-  // --metrics run shows the full serving catalog (query latency, lock
-  // wait, corpus gauges), not just the offline stage timings.
   SyntheticCorpus corpus;
-  std::unique_ptr<ServingPipeline> serving;
-  if (!g_restore_path.empty()) {
-    // Warm restart: the snapshot is self-contained (texts, segmentations,
-    // labels, vocabulary), so the corpus file is only consulted for the
-    // scenario annotation of the output.
-    serving = ServingPipeline::restore(g_restore_path, build_options,
-                                       serving_options);
-    if (serving == nullptr) {
-      std::fprintf(stderr, "error: cannot restore from %s\n",
-                   g_restore_path.c_str());
-      return 1;
-    }
-    if (auto c = load_corpus_file(argv[0])) corpus = *c;
-  } else {
-    std::vector<Document> docs = load_docs(argv[0], &corpus);
-    if (docs.empty()) {
-      std::fprintf(stderr, "error: cannot load corpus %s\n", argv[0]);
-      return 1;
-    }
-    if (argc == 4) {
-      // Offline-phase snapshot (v2 or the legacy v1 text format — the
-      // loader sniffs the magic).
-      auto snap = load_snapshot_any_file(argv[3]);
-      if (!snap || snap->segmentations.size() != docs.size()) {
-        std::fprintf(stderr, "error: snapshot %s missing or inconsistent\n",
-                     argv[3]);
-        return 1;
-      }
-      serving = std::make_unique<ServingPipeline>(
-          RelatedPostPipeline::build_from_snapshot(std::move(docs), *snap,
-                                                   build_options),
-          serving_options);
-    } else {
-      serving = std::make_unique<ServingPipeline>(
-          RelatedPostPipeline::build(std::move(docs), build_options),
-          serving_options);
-    }
-  }
+  std::unique_ptr<ShardedServing> serving = open_serving(argv[0], &corpus);
+  if (serving == nullptr) return 1;
   if (query >= serving->num_docs()) return usage();
 
-  const std::string query_text = serving->quiescent().docs()[query].text();
-  std::printf("query %u: \"%.70s...\"\n", query, query_text.c_str());
+  std::printf("query %u (%u shards): \"%.70s...\"\n", query,
+              serving->num_shards(), doc_text(*serving, query).c_str());
   for (const ScoredDoc& sd : serving->find_related(query, k).results) {
     std::printf("  %4u  %.3f  \"%.70s...\"", sd.doc, sd.score,
-                serving->quiescent().docs()[sd.doc].text().c_str());
+                doc_text(*serving, sd.doc).c_str());
     if (sd.doc < corpus.posts.size() && query < corpus.posts.size()) {
       std::printf("  [scenario %d%s]", corpus.posts[sd.doc].scenario_id,
                   corpus.posts[sd.doc].scenario_id ==
@@ -503,28 +389,11 @@ int cmd_query(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  if (!g_save_path.empty()) {
-    if (!serving->save(g_save_path)) {
-      std::fprintf(stderr, "error: cannot save snapshot to %s\n",
-                   g_save_path.c_str());
-      return 1;
-    }
-    std::printf("saved serving state (%zu docs, epoch %llu) to %s\n",
-                serving->num_docs(),
-                static_cast<unsigned long long>(serving->epoch()),
-                g_save_path.c_str());
-  }
-  return 0;
+  return save_if_requested(*serving);
 }
 
 int cmd_ask(int argc, char** argv) {
   if (argc < 1 || argc > 2) return usage();
-  SyntheticCorpus corpus;
-  std::vector<Document> docs = load_docs(argv[0], &corpus);
-  if (docs.empty()) {
-    std::fprintf(stderr, "error: cannot load corpus %s\n", argv[0]);
-    return 1;
-  }
   int k = argc >= 2 ? std::atoi(argv[1]) : 5;
   std::ostringstream ss;
   ss << std::cin.rdbuf();
@@ -533,17 +402,16 @@ int cmd_ask(int argc, char** argv) {
     std::fprintf(stderr, "error: empty post on stdin\n");
     return 1;
   }
-  ServingPipeline serving(RelatedPostPipeline::build(std::move(docs)));
-  auto related = serving.find_related_external(query, k).results;
-  if (related.empty()) {
-    std::printf("no related posts found\n");
-    return 0;
-  }
+  SyntheticCorpus corpus;
+  std::unique_ptr<ShardedServing> serving = open_serving(argv[0], &corpus);
+  if (serving == nullptr) return 1;
+  auto related = serving->find_related_external(query, k).results;
+  if (related.empty()) std::printf("no related posts found\n");
   for (const ScoredDoc& sd : related) {
     std::printf("  %4u  %.3f  \"%.70s...\"\n", sd.doc, sd.score,
-                serving.quiescent().docs()[sd.doc].text().c_str());
+                doc_text(*serving, sd.doc).c_str());
   }
-  return 0;
+  return save_if_requested(*serving);
 }
 
 }  // namespace
@@ -573,18 +441,12 @@ int main(int argc, char** argv) {
       } else {
         return usage();
       }
-    } else if (std::strncmp(argv[arg], "--threads=", 10) == 0) {
-      g_query_threads = std::atoi(argv[arg] + 10);
-      if (g_query_threads <= 0) return usage();
     } else if (std::strncmp(argv[arg], "--save=", 7) == 0) {
       g_save_path = argv[arg] + 7;
       if (g_save_path.empty()) return usage();
     } else if (std::strncmp(argv[arg], "--restore=", 10) == 0) {
       g_restore_path = argv[arg] + 10;
       if (g_restore_path.empty()) return usage();
-    } else if (std::strncmp(argv[arg], "--wal=", 6) == 0) {
-      g_wal_path = argv[arg] + 6;
-      if (g_wal_path.empty()) return usage();
     } else if (std::strncmp(argv[arg], "--shards=", 9) == 0) {
       g_num_shards = std::atoi(argv[arg] + 9);
       if (g_num_shards <= 0) return usage();
@@ -619,8 +481,6 @@ int main(int argc, char** argv) {
     rc = cmd_generate(argc - arg - 1, argv + arg + 1);
   } else if (cmd == "segment") {
     rc = cmd_segment();
-  } else if (cmd == "snapshot") {
-    rc = cmd_snapshot(argc - arg - 1, argv + arg + 1);
   } else if (cmd == "query") {
     rc = cmd_query(argc - arg - 1, argv + arg + 1);
   } else if (cmd == "ask") {

@@ -22,7 +22,6 @@
 //   --max-connections=N  connection limit (default 256)
 //   --request-timeout=S  queue-wait deadline in seconds (default 5)
 //   --idle-timeout=S     idle connection close, seconds (default 300)
-//   --threads=N          per-intention query scoring threads (default 0)
 //   --cache=N            result cache capacity (default 0 = off)
 //   --recluster-pending-threshold=D
 //                        assignment-distance above which an ingested post
@@ -119,7 +118,7 @@ int usage() {
                "                    [--max-in-flight=N] "
                "[--max-connections=N]\n"
                "                    [--request-timeout=S] [--idle-timeout=S]\n"
-               "                    [--threads=N] [--cache=N]\n"
+               "                    [--cache=N]\n"
                "                    [--recluster-pending-threshold=D]\n"
                "                    [--recluster-max-pending=N] "
                "[--recluster-max-docs=N]\n"
@@ -208,8 +207,6 @@ int main(int argc, char** argv) {
       server_options.request_timeout_sec = std::atof(v);
     } else if (const char* v = value("--idle-timeout=")) {
       server_options.idle_timeout_sec = std::atof(v);
-    } else if (const char* v = value("--threads=")) {
-      build_options.matcher.query_threads = std::atoi(v);
     } else if (const char* v = value("--cache=")) {
       serving_options.cache.capacity = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value("--recluster-pending-threshold=")) {

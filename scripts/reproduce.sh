@@ -15,10 +15,13 @@
 #                           warnings from src/obs, src/core or src/index
 #                           (the documented operational surface). Skipped
 #                           with a notice when doxygen is not installed.
-#   IBSEG_DIFF_CHECK=1      also run the differential suite (serial ==
-#                           parallel == batched == cached query results,
-#                           bit for bit) plus the concurrency stress suite
-#                           under ThreadSanitizer — one instrumented build.
+#   IBSEG_DIFF_CHECK=1      also run the differential suites (serving
+#                           answers — any shard count, cached or not,
+#                           pruned or exhaustive, across ingests, restores
+#                           and reclusters — equal the single-pipeline
+#                           oracle bit for bit) plus the concurrency
+#                           stress suite under ThreadSanitizer — one
+#                           instrumented build.
 #   IBSEG_PERSIST_CHECK=1   also run the persistence suites (snapshot v2 +
 #                           WAL formats, "storage") and the crash-injection
 #                           suite (fork + _exit mid-ingest, "killsafety")
@@ -196,13 +199,6 @@ for b in build/bench/*; do "$b"; done 2>&1 | tee bench_output.txt
 echo "== bench JSON schema check =="
 # The QPS benches must have produced machine-readable results with the
 # fields the dashboards consume; a silent format drift fails here.
-for key in '"bench"' '"configs"' '"query_threads"' '"cache"' '"qps"'; do
-  if ! grep -q "${key}" BENCH_parallel_query_qps.json; then
-    echo "error: BENCH_parallel_query_qps.json missing key ${key}" >&2
-    exit 1
-  fi
-done
-echo "BENCH_parallel_query_qps.json schema OK"
 for key in '"bench"' '"cold_build_sec"' '"snapshot_save_sec"' \
            '"warm_restore_sec"' '"snapshot_bytes"'; do
   if ! grep -q "${key}" BENCH_persist_restore.json; then
@@ -218,8 +214,8 @@ for key in '"bench"' '"configs"' '"shards"' '"qps"' '"ingests"'; do
   fi
 done
 echo "BENCH_sharded_qps.json schema OK"
-for key in '"bench"' '"configs"' '"query_threads"' '"pruned"' '"qps"' \
-           '"units_scored"' '"units_pruned"' '"speedup_vs_exhaustive"'; do
+for key in '"bench"' '"configs"' '"pruned"' '"qps"' '"units_scored"' \
+           '"units_pruned"' '"speedup_vs_exhaustive"'; do
   if ! grep -q "${key}" BENCH_pruned_query_qps.json; then
     echo "error: BENCH_pruned_query_qps.json missing key ${key}" >&2
     exit 1

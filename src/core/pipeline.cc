@@ -136,8 +136,7 @@ DocId RelatedPostPipeline::add_post(std::string text) {
 
 RelatedPostPipeline RelatedPostPipeline::build_from_snapshot(
     std::vector<Document> docs, const PipelineSnapshot& snapshot,
-    const PipelineOptions& options,
-    const std::vector<std::string>* preload_vocab) {
+    const PipelineOptions& options) {
   if (!snapshot.is_consistent() ||
       snapshot.segmentations.size() != docs.size()) {
     return build(std::move(docs), options);
@@ -150,9 +149,6 @@ RelatedPostPipeline RelatedPostPipeline::build_from_snapshot(
   RelatedPostPipeline p;
   p.docs_ = std::move(docs);
   p.vocab_ = std::make_shared<Vocabulary>();
-  if (preload_vocab != nullptr) {
-    for (const std::string& term : *preload_vocab) p.vocab_->intern(term);
-  }
   p.segmenter_ = options.segmenter;
   p.options_ = options;
   p.segmentations_ = snapshot.segmentations;

@@ -47,7 +47,7 @@ struct PipelineOptions {
 /// the indices — the expensive, state-free half of add_post. Preparing is
 /// safe to run on any thread without synchronization; publishing
 /// (RelatedPostPipeline::ingest) mutates the pipeline and is not.
-/// ServingPipeline uses this split to keep analysis outside its write lock.
+/// ShardedServing uses this split to keep analysis outside every lock.
 struct PreparedPost {
   Document doc;
   Segmentation seg;
@@ -60,8 +60,8 @@ struct PreparedPost {
 /// Thread-safety: all query methods (find_related, find_related_external,
 /// the getters) are strictly read-only; any number of threads may call
 /// them concurrently as long as no mutation (add_post / ingest) runs.
-/// Mutations require exclusive access — ServingPipeline (core/serving.h)
-/// provides the reader/writer layer that enforces this at runtime.
+/// Mutations require exclusive access — each ServingPipeline shard
+/// (core/serving.h) of the ShardedServing facade enforces this at runtime.
 class RelatedPostPipeline {
  public:
   /// Builds the pipeline over `docs` (moved in).
@@ -70,18 +70,11 @@ class RelatedPostPipeline {
 
   /// Rebuilds a pipeline from a previously captured offline snapshot
   /// (segmentations + intention assignment), skipping the segmentation and
-  /// clustering phases — the restart path of a deployment. The snapshot
-  /// must cover exactly these documents (checked; returns a fresh build on
-  /// mismatch). When `preload_vocab` is non-null its terms are interned —
-  /// in order — into the fresh vocabulary before indexing, pinning every
-  /// TermId to the value it had when the snapshot was captured (snapshot
-  /// v2 stores the vocabulary for exactly this purpose); indexing the same
-  /// documents would assign the same ids anyway, so preloading is a
-  /// determinism anchor, never a behavior change.
+  /// clustering phases. The snapshot must cover exactly these documents
+  /// (checked; returns a fresh build on mismatch).
   static RelatedPostPipeline build_from_snapshot(
       std::vector<Document> docs, const PipelineSnapshot& snapshot,
-      const PipelineOptions& options = {},
-      const std::vector<std::string>* preload_vocab = nullptr);
+      const PipelineOptions& options = {});
 
   /// Builds one document-partitioned shard of a sharded deployment
   /// (core/sharded_serving.h): like build_from_snapshot, but the pipeline
@@ -121,7 +114,7 @@ class RelatedPostPipeline {
     }
   }
 
-  /// Captures the offline state for build_from_snapshot / save_snapshot.
+  /// Captures the offline state for build_from_snapshot.
   PipelineSnapshot snapshot() const {
     std::vector<DocId> ids;
     ids.reserve(docs_.size());

@@ -62,7 +62,6 @@ uint64_t matcher_options_fingerprint(const MatcherOptions& options) {
   fold(h, options.scoring.bm25_k1);
   fold(h, options.scoring.bm25_b);
   fold(h, options.scoring.lm_lambda);
-  fold(h, static_cast<uint64_t>(options.query_threads));
   fold(h, static_cast<uint64_t>(options.exhaustive_fallback ? 1 : 0));
   return h;
 }

@@ -51,7 +51,7 @@ struct QueryCacheOptions {
 /// generation). Value: the ranked
 /// list plus the (epoch, num_docs) snapshot it was computed under.
 /// Invalidation is by epoch comparison at lookup time: every ingest
-/// publish bumps the ServingPipeline epoch, so an entry filled at epoch E
+/// publish bumps the serving layer's epoch, so an entry filled at epoch E
 /// stops validating the moment any post is published — no writer ever
 /// has to touch the cache, and a hit is exactly as fresh as a query that
 /// took the shared lock at the same instant. Stale and TTL-expired

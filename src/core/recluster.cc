@@ -3,19 +3,11 @@
 #include <chrono>
 #include <utility>
 
-#include "core/serving.h"
 #include "core/sharded_serving.h"
 
 namespace ibseg {
 
 ReclusterWorker::ReclusterWorker(ShardedServing& backend,
-                                 ReclusterPolicy policy)
-    : ReclusterWorker([&backend] { return backend.pending_pool_size(); },
-                      [&backend] { return backend.docs_since_recluster(); },
-                      [&backend] { return backend.recluster(); },
-                      policy) {}
-
-ReclusterWorker::ReclusterWorker(ServingPipeline& backend,
                                  ReclusterPolicy policy)
     : ReclusterWorker([&backend] { return backend.pending_pool_size(); },
                       [&backend] { return backend.docs_since_recluster(); },

@@ -11,15 +11,13 @@
 /// \file
 /// ReclusterWorker: the background trigger loop that decides WHEN to run
 /// an offline re-clustering epoch (docs/ARCHITECTURE.md §9). The serving
-/// layers own the mechanism — ServingPipeline::recluster() and
-/// ShardedServing::recluster() are synchronous, thread-safe, and leave
-/// queries flowing while the shadow index builds — so the worker is pure
-/// policy: poll cheap atomic counters, fire when a threshold trips, never
-/// touch serving state otherwise.
+/// layer owns the mechanism — ShardedServing::recluster() is synchronous,
+/// thread-safe, and leaves queries flowing while the shadow index builds —
+/// so the worker is pure policy: poll cheap atomic counters, fire when a
+/// threshold trips, never touch serving state otherwise.
 
 namespace ibseg {
 
-class ServingPipeline;
 class ShardedServing;
 
 /// When to trigger a background recluster. All triggers default to
@@ -48,8 +46,8 @@ struct ReclusterPolicy {
 /// a ReclusterPolicy trigger trips.
 ///
 /// The worker holds three closures instead of a backend pointer so the
-/// same loop drives either serving layer (and, in tests, a fake).
-/// Construct with a ShardedServing or ServingPipeline reference and the
+/// same loop drives the serving layer and, in tests, a fake.
+/// Construct with a ShardedServing reference and the
 /// closures bind to its pending_pool_size() / docs_since_recluster() /
 /// recluster() — the first two are lock-free atomic reads, the last is
 /// the synchronous epoch (capture + shadow rebuild + swap).
@@ -66,7 +64,6 @@ struct ReclusterPolicy {
 class ReclusterWorker {
  public:
   ReclusterWorker(ShardedServing& backend, ReclusterPolicy policy);
-  ReclusterWorker(ServingPipeline& backend, ReclusterPolicy policy);
 
   /// Test seam: arbitrary counter/trigger closures.
   ReclusterWorker(std::function<size_t()> pending_pool_size,

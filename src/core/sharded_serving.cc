@@ -31,7 +31,7 @@ std::string shard_snapshot_path(const std::string& dir, uint32_t s,
   if (gen == 0) return shard_subdir(dir, s) + "/snapshot.v2";
   return shard_subdir(dir, s) + "/snapshot.g" + std::to_string(gen) + ".v2";
 }
-std::string shard_wal_path(const std::string& dir, uint32_t s) {
+std::string shard_wal_file(const std::string& dir, uint32_t s) {
   return shard_subdir(dir, s) + "/wal";
 }
 std::string journal_path(const std::string& dir) {
@@ -192,9 +192,7 @@ ShardedServing::ShardSet ShardedServing::build_shard_set(
   // Build each shard over its slice: shared vocabulary, global centroids,
   // global cluster count. Shard pipelines carry no cache and no WAL of
   // their own — both live at this layer — but DO own their slice's
-  // pending pool (the threshold travels in the shard's ServingOptions).
-  ServingOptions shard_options;
-  shard_options.recluster = recluster_options;
+  // pending pool (recluster_options carries the threshold).
   set.shards.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
     PipelineSnapshot snap;
@@ -206,10 +204,10 @@ ShardedServing::ShardSet ShardedServing::build_shard_set(
         pipeline_options);
     if (shard_states != nullptr) {
       set.shards.push_back(ServingPipeline::adopt(
-          std::move(p), shard_options, (*shard_states)[s]));
+          std::move(p), recluster_options, (*shard_states)[s]));
     } else {
       set.shards.push_back(
-          std::make_unique<ServingPipeline>(std::move(p), shard_options));
+          std::make_unique<ServingPipeline>(std::move(p), recluster_options));
     }
     set.shards.back()->set_stats_sink(set.stats.get());
   }
@@ -254,6 +252,17 @@ bool ShardedServing::init_shards(
   // gauge and clobber each other's values.
   obs::MetricsRegistry& r = obs::MetricsRegistry::global();
   obs::Labels tenant_only{{"tenant", tenant_label_}};
+  const char* ops[2] = {"find_related", "find_related_external"};
+  for (int op : {kRelated, kExternal}) {
+    obs::Labels labels{{"op", ops[op]}, {"tenant", tenant_label_}};
+    queries_[op] = &r.counter("ibseg_queries_total", "Queries served.",
+                              labels);
+    query_seconds_[op] = &r.histogram(
+        "ibseg_query_seconds",
+        "End-to-end serving query latency (cache hits included), in "
+        "seconds.",
+        labels);
+  }
   scatter_seconds_ = &r.histogram(
       "ibseg_scatter_seconds",
       "Scatter-phase latency of a sharded query (all shard legs), in "
@@ -295,7 +304,7 @@ bool ShardedServing::open_persistence(bool fresh) {
   for (uint32_t s = 0; s < num_shards(); ++s) {
     discard.clear();
     std::unique_ptr<IngestWal> wal = IngestWal::open(
-        shard_wal_path(persist_dir_, s), wal_options_, &discard);
+        shard_wal_file(persist_dir_, s), wal_options_, &discard);
     if (wal == nullptr) return false;
     if (fresh && !discard.empty() && !wal->reset()) return false;
     wals_.push_back(std::move(wal));
@@ -442,6 +451,8 @@ ShardedServing::QueryResult ShardedServing::find_related(DocId query,
   // never replace the shard set, statistics board or vocabulary
   // mid-query — and the generation read below is pinned for the whole
   // call, keying any insert to the generation that produced it.
+  obs::TraceScope latency(*query_seconds_[kRelated]);
+  queries_[kRelated]->inc();
   std::shared_lock<std::shared_mutex> gen_lock(recluster_mu_);
   QueryCache::Key key{query, k, matcher_fingerprint_,
                       generation_.load(std::memory_order_relaxed)};
@@ -472,16 +483,10 @@ ShardedServing::QueryResult ShardedServing::find_related(DocId query,
   return r;
 }
 
-std::vector<ShardedServing::QueryResult> ShardedServing::find_related_batch(
-    const std::vector<DocId>& queries, int k) const {
-  std::vector<QueryResult> out;
-  out.reserve(queries.size());
-  for (DocId q : queries) out.push_back(find_related(q, k));
-  return out;
-}
-
 ShardedServing::QueryResult ShardedServing::find_related_external(
     const Document& doc, int k) const {
+  obs::TraceScope latency(*query_seconds_[kExternal]);
+  queries_[kExternal]->inc();
   Vocabulary scratch;
   Segmentation seg = segmenter_.segment(doc, scratch);
   // Generation pin (see find_related); taken after the lock-free
@@ -858,7 +863,8 @@ std::unique_ptr<ShardedServing> ShardedServing::restore(
   // GLOBAL centroids — shards score with overridden global centroids, so
   // any one copy is authoritative). Until the first recluster this
   // reproduces the label-derived recomputation; after one it is the only
-  // correct source (see ServingPipeline::restore).
+  // correct source: the label-derived recomputation over the offline
+  // slice alone yields different centroids.
   if (!snaps[0].centroids.empty() &&
       static_cast<int>(snaps[0].centroids.size()) ==
           clustering.num_clusters()) {
@@ -923,7 +929,7 @@ std::unique_ptr<ShardedServing> ShardedServing::restore(
   for (uint32_t s = 0; s < ns; ++s) {
     std::vector<WalRecord> recs;
     std::unique_ptr<IngestWal> wal =
-        IngestWal::open(shard_wal_path(dir, s), sp->wal_options_, &recs);
+        IngestWal::open(shard_wal_file(dir, s), sp->wal_options_, &recs);
     if (wal == nullptr) return nullptr;
     for (WalRecord& rec : recs) wal_text[s][rec.id] = std::move(rec.text);
     sp->wals_.push_back(std::move(wal));
@@ -1118,7 +1124,7 @@ bool ShardedServing::catch_up_from_dir(const std::string& leader_dir) {
   std::vector<std::unordered_map<DocId, std::string>> wal_text(ns);
   for (uint32_t s = 0; s < ns; ++s) {
     std::vector<WalRecord> recs;
-    read_tail(shard_wal_path(leader_dir, s), &recs);
+    read_tail(shard_wal_file(leader_dir, s), &recs);
     for (WalRecord& rec : recs) wal_text[s][rec.id] = std::move(rec.text);
   }
 

@@ -17,10 +17,12 @@
 #include "util/thread_pool.h"
 
 /// \file
-/// ShardedServing: N ServingPipeline shards behind hash partitioning and
-/// scatter-gather, bit-identical to the unsharded pipeline at any shard
-/// count, with per-shard crash-safe persistence (docs/ARCHITECTURE.md
-/// §6). The network front-end (net/server.h) dispatches into this class.
+/// ShardedServing: the serving facade — N >= 1 ServingPipeline shards
+/// behind hash partitioning and scatter-gather, bit-identical to the
+/// unpartitioned pipeline at any shard count, with per-shard crash-safe
+/// persistence (docs/ARCHITECTURE.md §3, §6). The network front-end
+/// (net/server.h), the tenant registry, replicas and the CLI all serve
+/// through this class.
 
 namespace ibseg {
 
@@ -70,7 +72,7 @@ namespace ibseg {
 /// identical sorted sequences, reproducing the unpartitioned accumulation
 /// order exactly.
 ///
-/// Caching. The PR-3 epoch-invalidated result cache sits above the
+/// Caching. The epoch-invalidated result cache sits above the
 /// scatter layer, keyed on the *combined* epoch (the sum of per-shard
 /// epochs — each publication bumps exactly one shard by one, so the sum
 /// is monotone and equality implies every addend is unchanged). An entry
@@ -135,22 +137,28 @@ class ShardedServing {
   /// manifest intact on any failure.
   bool save(const std::string& dir);
 
-  using QueryResult = ServingPipeline::QueryResult;
+  /// A query answer plus the snapshot coordinates it was computed under.
+  struct QueryResult {
+    std::vector<ScoredDoc> results;
+    /// Documents published (summed over shards) as observed under the
+    /// shards' shared locks.
+    uint64_t epoch = 0;
+    /// Corpus size at the same moments; always seed docs + epoch.
+    size_t num_docs = 0;
+  };
 
   /// Top-k related posts for an in-corpus reference post — Algorithm 2
   /// over all shards, bit-identical to the unpartitioned pipeline.
   /// epoch/num_docs are the summed per-shard values observed under the
-  /// shards' shared locks.
+  /// shards' shared locks. Counted in ibseg_queries_total and timed in
+  /// ibseg_query_seconds ({op="find_related", tenant}), cache hits
+  /// included.
   QueryResult find_related(DocId query, int k) const;
-
-  /// Batched find_related; result[i] answers queries[i].
-  std::vector<QueryResult> find_related_batch(const std::vector<DocId>& queries,
-                                              int k) const;
 
   /// Top-k related posts for an external (non-ingested) post. Segmented
   /// lock-free; centroid assignment under the global lock in shared mode
   /// (the shared vocabulary may be growing); scoring scattered like
-  /// find_related.
+  /// find_related. Metered under op="find_related_external".
   QueryResult find_related_external(const Document& doc, int k) const;
 
   /// Ingests one post into its hash-owner shard; returns the reserved id.
@@ -158,13 +166,19 @@ class ShardedServing {
   /// append + index publish) is serialized globally.
   DocId add_post(std::string text);
 
-  /// Batched ingestion, published in order under one global-lock section.
+  /// Batched ingestion. Every post is analyzed lock-free, then the batch
+  /// is published in request order inside one publication-lock section:
+  /// its posts take consecutive publication sequence numbers (no
+  /// concurrent add_post lands between them) and the call returns — the
+  /// acknowledgement — only after all of them are published. Publication
+  /// is NOT atomic towards queries: each post publishes under its own
+  /// shard's lock and queries never take the publication lock, so a
+  /// concurrent query may observe a prefix of the batch.
   std::vector<DocId> add_posts(std::vector<std::string> texts);
 
   /// One background re-clustering epoch across the whole deployment,
   /// synchronous on the calling thread (core/recluster.h provides the
-  /// worker that makes it background). Mirrors
-  /// ServingPipeline::recluster at deployment scale: capture a consistent
+  /// worker that makes it background): capture a consistent
   /// global cut (publication lock, shared — queries keep flowing),
   /// re-run the FULL offline phase over it and build a complete shadow
   /// shard set (vocabulary, statistics board, per-shard indices) with no
@@ -375,9 +389,9 @@ class ShardedServing {
   mutable std::shared_mutex recluster_mu_;
   /// Serializes concurrent recluster() jobs (one shadow build at a time).
   std::mutex recluster_job_mu_;
-  /// Completed reclusters; bumped under recluster_mu_ exclusive, folded
-  /// into every cache key (same staleness argument as the unsharded
-  /// layer's generation).
+  /// Completed reclusters; bumped under recluster_mu_ exclusive and
+  /// folded into every cache key, so a pre-swap entry is unreachable the
+  /// instant the swap publishes (QueryCache::Key::generation).
   std::atomic<uint64_t> generation_{0};
   /// Leading publication_order_ entries the current offline clustering
   /// covers (guarded by publish_mu_).
@@ -439,6 +453,11 @@ class ShardedServing {
   /// the process-wide registry. "default" when unset.
   std::string tenant_label_;
 
+  /// Query rate and latency per op (ibseg_queries_total{op,tenant},
+  /// ibseg_query_seconds{op,tenant}), indexed by QueryOp.
+  enum QueryOp { kRelated = 0, kExternal = 1 };
+  obs::Counter* queries_[2] = {nullptr, nullptr};
+  obs::Histogram* query_seconds_[2] = {nullptr, nullptr};
   /// Per-shard instruments (ibseg_shard_queries_total{shard,tenant},
   /// ibseg_shard_docs{shard,tenant}) + scatter/merge stage timers.
   std::vector<obs::Counter*> shard_queries_;

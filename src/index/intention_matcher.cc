@@ -16,10 +16,6 @@ IntentionMatcher IntentionMatcher::build(const std::vector<Document>& docs,
                                          const MatcherOptions& options) {
   IntentionMatcher m;
   m.options_ = options;
-  if (options.query_threads > 1) {
-    m.pool_ = std::make_unique<ThreadPool>(
-        static_cast<size_t>(options.query_threads));
-  }
   m.indices_.resize(static_cast<size_t>(clustering.num_clusters()));
 
   std::map<DocId, size_t> doc_index;
@@ -289,8 +285,8 @@ double IntentionMatcher::cluster_weight(int cluster) const {
              : 1.0;
 }
 
-std::vector<ScoredDoc> IntentionMatcher::find_related_impl(
-    DocId query, int k, bool allow_parallel) const {
+std::vector<ScoredDoc> IntentionMatcher::find_related(DocId query,
+                                                      int k) const {
   std::vector<ScoredDoc> out;
   if (k <= 0) return out;
   auto it = doc_units_.find(query);
@@ -298,32 +294,19 @@ std::vector<ScoredDoc> IntentionMatcher::find_related_impl(
   const std::vector<std::pair<int, uint32_t>>& clusters = it->second;
 
   int n = options_.top_n_factor * k;
-  // Algorithm 2, phase 1: the per-intention lists. Each cluster's scoring
-  // is independent of every other's (the paper only sums afterwards), so
-  // with a pool the lists are produced concurrently — one task per
-  // cluster, score/top-k stage histograms recorded from whichever worker
-  // runs it. lists[i] holds cluster i's result either way, so phase 2
-  // consumes the identical inputs in the identical order.
+  // Algorithm 2, phase 1: the per-intention lists, one per cluster where
+  // the query has a segment (zero-weight clusters stay empty).
   std::vector<std::vector<ScoredDoc>> lists(clusters.size());
-  auto score_one = [&](size_t i) {
+  for (size_t i = 0; i < clusters.size(); ++i) {
     int cluster = clusters[i].first;
-    if (cluster_weight(cluster) <= 0.0) return;  // list stays empty
+    if (cluster_weight(cluster) <= 0.0) continue;
     lists[i] = match_single_intention(cluster, query, n);
-  };
-  if (allow_parallel && pool_ != nullptr && clusters.size() > 1) {
-    TaskGroup group(*pool_);
-    for (size_t i = 0; i < clusters.size(); ++i) {
-      group.run([&score_one, i] { score_one(i); });
-    }
-    group.wait();
-  } else {
-    for (size_t i = 0; i < clusters.size(); ++i) score_one(i);
   }
 
   // Phase 2: sum the (optionally weighted) per-intention scores of every
-  // doc appearing in at least one list. Always serial and in cluster
-  // order — floating-point accumulation order is part of the result
-  // contract (parallel == serial, bit for bit).
+  // doc appearing in at least one list, in cluster order — floating-point
+  // accumulation order is part of the result contract (the sharded
+  // gather reproduces it bit for bit).
   obs::TraceScope top_k(obs::Stage::kTopK);
   std::unordered_map<DocId, double> merged;
   for (size_t i = 0; i < clusters.size(); ++i) {
@@ -339,33 +322,6 @@ std::vector<ScoredDoc> IntentionMatcher::find_related_impl(
     return a.doc < b.doc;
   });
   if (out.size() > static_cast<size_t>(k)) out.resize(static_cast<size_t>(k));
-  return out;
-}
-
-std::vector<ScoredDoc> IntentionMatcher::find_related(DocId query,
-                                                      int k) const {
-  return find_related_impl(query, k, /*allow_parallel=*/true);
-}
-
-std::vector<std::vector<ScoredDoc>> IntentionMatcher::find_related_batch(
-    const std::vector<DocId>& queries, int k) const {
-  std::vector<std::vector<ScoredDoc>> out(queries.size());
-  if (pool_ != nullptr && queries.size() > 1) {
-    TaskGroup group(*pool_);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      // Each task is one whole query run serially: queries are the
-      // parallel grain (perfect independence, no merge), and a task that
-      // fanned out sub-tasks and waited would deadlock the fixed pool.
-      group.run([this, &queries, &out, i, k] {
-        out[i] = find_related_impl(queries[i], k, /*allow_parallel=*/false);
-      });
-    }
-    group.wait();
-  } else {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      out[i] = find_related_impl(queries[i], k, /*allow_parallel=*/false);
-    }
-  }
   return out;
 }
 

@@ -14,7 +14,6 @@
 #include "index/scoring.h"
 #include "seg/document.h"
 #include "text/vocabulary.h"
-#include "util/thread_pool.h"
 
 namespace ibseg {
 
@@ -45,23 +44,15 @@ struct MatcherOptions {
   /// query-likelihood language model are selectable, per the paper's
   /// "any text comparison may be employed", Sec. 7).
   ScoringOptions scoring;
-  /// Worker threads for the online query path. Per-intention scoring is
-  /// embarrassingly parallel (Algorithm 2 scores each cluster
-  /// independently and only then sums), so find_related fans the
-  /// per-cluster lists out over a matcher-owned pool when > 1, and
-  /// find_related_batch pipelines whole queries across it. 0/1 = serial.
-  /// Parallel and serial results are bit-identical: scoring is pure
-  /// per-cluster work and the merge accumulates in cluster order either
-  /// way. NOTE: when adding a field here, extend
-  /// matcher_options_fingerprint() (core/query_cache.h) — the
-  /// static-coverage test in tests/query_cache_test.cc enforces this.
-  int query_threads = 0;
   /// Forces the historic exhaustive score-then-select per-intention path
   /// instead of the MaxScore-pruned top-n (see score_units_maxscore).
   /// Results are bit-identical either way — the differential suite proves
   /// it — so this is an escape hatch and the honest baseline of
   /// bench/pruned_query_qps, not a semantics switch.
   bool exhaustive_fallback = false;
+  // NOTE: when adding a field here, extend matcher_options_fingerprint()
+  // (core/query_cache.h) — the static-coverage test in
+  // tests/query_cache_test.cc enforces this.
 };
 
 /// Cumulative query-path work counters (one per matcher, fed by every
@@ -93,20 +84,7 @@ class IntentionMatcher {
 
   /// Algorithm 2: the top-k documents related to reference document
   /// `query`. The query document itself is excluded from the result.
-  /// With MatcherOptions::query_threads > 1 the per-intention lists are
-  /// scored concurrently on the matcher's pool; the merge is serial and
-  /// in cluster order, so the ranking (scores included) is bit-identical
-  /// to the serial execution.
   std::vector<ScoredDoc> find_related(DocId query, int k) const;
-
-  /// Batched Algorithm 2: result[i] is find_related(queries[i], k).
-  /// With query_threads > 1 the queries are pipelined across the pool,
-  /// one task per query (each query runs its clusters serially — whole
-  /// queries are the better parallel grain for throughput, and nesting
-  /// fork/join on a fixed pool would deadlock). Results are bit-identical
-  /// to per-query find_related in any thread configuration.
-  std::vector<std::vector<ScoredDoc>> find_related_batch(
-      const std::vector<DocId>& queries, int k) const;
 
   /// Algorithm 1: the top-n documents related to `query` considering only
   /// intention cluster `cluster` (empty when the query has no segment
@@ -236,12 +214,6 @@ class IntentionMatcher {
   /// Effective weight of `cluster` (cluster_weights entry, default 1).
   double cluster_weight(int cluster) const;
 
-  /// find_related with the fan-out decision explicit: `allow_parallel`
-  /// false forces the serial path (used by batch tasks already running on
-  /// the pool — see find_related_batch).
-  std::vector<ScoredDoc> find_related_impl(DocId query, int k,
-                                           bool allow_parallel) const;
-
   std::vector<ClusterIndex> indices_;
   /// doc -> (cluster, unit-in-cluster) pairs.
   std::map<DocId, std::vector<std::pair<int, uint32_t>>> doc_units_;
@@ -253,11 +225,6 @@ class IntentionMatcher {
   /// Cross-shard statistics board fed by add_document (see
   /// set_stats_sink). Not owned.
   GlobalIndexStats* stats_sink_ = nullptr;
-  /// Query-path worker pool, created at build() when
-  /// options.query_threads > 1. Shared by all concurrent queries; each
-  /// query tracks its own tasks with a TaskGroup, so callers never wait
-  /// on each other's work. (Makes the matcher move-only.)
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace ibseg

@@ -83,7 +83,7 @@ enum class MsgType : uint8_t {
   kQuery = 0x02,     ///< top-k related posts for an in-corpus doc id
   kAsk = 0x03,       ///< top-k related posts for an external post text
   kAddPost = 0x04,   ///< ingest one post; acked with its assigned id
-  kAddPosts = 0x05,  ///< ingest a batch atomically; acked with all ids
+  kAddPosts = 0x05,  ///< ingest a batch in order; acked with all ids
   kSave = 0x06,       ///< persist serving state to the server's state dir
   kMetrics = 0x07,    ///< metrics snapshot (Prometheus text or JSON)
   kDrain = 0x08,      ///< begin graceful drain (admin)
@@ -193,8 +193,9 @@ struct AddPostRequest {
 void encode_add_post(const AddPostRequest& req, std::string* payload);
 bool decode_add_post(std::string_view payload, AddPostRequest* out);
 
-/// \brief ADD_POSTS: ingest a batch of posts atomically (queries observe
-/// none or all of the batch — the add_posts publication contract).
+/// \brief ADD_POSTS: ingest a batch of posts; they take consecutive
+/// publication sequence numbers and are acknowledged together (the
+/// ShardedServing::add_posts contract, docs/PROTOCOL.md §4.5).
 struct AddPostsRequest {
   std::vector<std::string> texts;  ///< 1..kMaxBatchPosts post texts
 };

@@ -15,8 +15,8 @@ namespace ibseg {
 
 /// Helpers shared by every on-disk format in src/storage: tolerant line
 /// reading, strict numeric-list parsing, CRC32 framing and atomic file
-/// replacement. The text formats (corpus v1, snapshot v1) and the binary
-/// snapshot v2 / ingest WAL all build on these so the failure behavior —
+/// replacement. The text formats (corpus v1, shard manifest) and the
+/// binary snapshot v2 / ingest WAL all build on these so the failure behavior —
 /// reject anything mangled, never destroy the previous good file — is
 /// uniform.
 

@@ -1,19 +1,8 @@
 #include "storage/snapshot.h"
 
-#include <fstream>
-#include <iostream>
 #include <map>
-#include <sstream>
-
-#include "storage/format_util.h"
-#include "util/strings.h"
 
 namespace ibseg {
-namespace {
-
-constexpr const char* kMagic = "IBSEG-SNAPSHOT v1";
-
-}  // namespace
 
 bool PipelineSnapshot::is_consistent() const {
   size_t segments = 0;
@@ -67,67 +56,6 @@ IntentionClustering restore_clustering(const std::vector<Document>& docs,
   return IntentionClustering::from_labels(docs, snapshot.segmentations,
                                           snapshot.segment_labels,
                                           snapshot.num_clusters);
-}
-
-bool save_snapshot(const PipelineSnapshot& snapshot, std::ostream& os) {
-  os << kMagic << '\n';
-  os << "clusters " << snapshot.num_clusters << '\n';
-  os << "documents " << snapshot.segmentations.size() << '\n';
-  for (const Segmentation& s : snapshot.segmentations) {
-    os << "seg " << s.num_units;
-    for (size_t b : s.borders) os << ' ' << b;
-    os << '\n';
-  }
-  os << "labels";
-  for (int l : snapshot.segment_labels) os << ' ' << l;
-  os << '\n';
-  os.flush();
-  return static_cast<bool>(os);
-}
-
-bool save_snapshot_file(const PipelineSnapshot& snapshot,
-                        const std::string& path) {
-  return atomic_write_file(
-      path, [&](std::ostream& os) { return save_snapshot(snapshot, os); });
-}
-
-std::optional<PipelineSnapshot> load_snapshot(std::istream& is) {
-  std::string line;
-  if (!read_line(is, &line) || line != kMagic) return std::nullopt;
-  PipelineSnapshot snap;
-  if (!read_line(is, &line) ||
-      !parse_scalar(line, "clusters", &snap.num_clusters)) {
-    return std::nullopt;
-  }
-  size_t documents = 0;
-  if (!read_line(is, &line) || !parse_scalar(line, "documents", &documents)) {
-    return std::nullopt;
-  }
-  for (size_t d = 0; d < documents; ++d) {
-    if (!read_line(is, &line)) return std::nullopt;
-    // "seg <num_units> <borders...>": parse as one strict list so a line
-    // with trailing garbage is rejected instead of truncated.
-    std::vector<size_t> values;
-    if (!parse_list(line, "seg", &values) || values.empty()) {
-      return std::nullopt;
-    }
-    Segmentation s;
-    s.num_units = values.front();
-    s.borders.assign(values.begin() + 1, values.end());
-    snap.segmentations.push_back(std::move(s));
-  }
-  if (!read_line(is, &line) ||
-      !parse_list(line, "labels", &snap.segment_labels)) {
-    return std::nullopt;
-  }
-  if (!snap.is_consistent()) return std::nullopt;
-  return snap;
-}
-
-std::optional<PipelineSnapshot> load_snapshot_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return std::nullopt;
-  return load_snapshot(is);
 }
 
 }  // namespace ibseg

@@ -1,9 +1,6 @@
 #ifndef IBSEG_STORAGE_SNAPSHOT_H_
 #define IBSEG_STORAGE_SNAPSHOT_H_
 
-#include <iosfwd>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "cluster/intention_clusters.h"
@@ -16,7 +13,8 @@ namespace ibseg {
 /// assignment of every segment. Together with the raw post texts this is
 /// enough to rebuild the matcher exactly (indices re-derive from it), so a
 /// deployment can segment+cluster once and reload on every restart — the
-/// paper's offline/online split (Sec. 7 "Indexing").
+/// paper's offline/online split (Sec. 7 "Indexing"). Persisted as part of
+/// the snapshot v2 format (storage/snapshot_v2.h).
 struct PipelineSnapshot {
   /// One segmentation per document, in corpus order.
   std::vector<Segmentation> segmentations;
@@ -47,13 +45,6 @@ PipelineSnapshot make_snapshot(const std::vector<Segmentation>& segmentations,
 /// Rebuilds the clustering (including refinement) from a snapshot.
 IntentionClustering restore_clustering(const std::vector<Document>& docs,
                                        const PipelineSnapshot& snapshot);
-
-/// Serialization (line-oriented text, like corpus_io).
-bool save_snapshot(const PipelineSnapshot& snapshot, std::ostream& os);
-bool save_snapshot_file(const PipelineSnapshot& snapshot,
-                        const std::string& path);
-std::optional<PipelineSnapshot> load_snapshot(std::istream& is);
-std::optional<PipelineSnapshot> load_snapshot_file(const std::string& path);
 
 }  // namespace ibseg
 

@@ -190,30 +190,6 @@ bool ServingSnapshot::is_consistent() const {
   return true;
 }
 
-PipelineSnapshot ServingSnapshot::offline() const {
-  PipelineSnapshot snap;
-  snap.segmentations.assign(segmentations.begin(),
-                            segmentations.begin() + num_seed_docs);
-  snap.segment_labels = seed_labels;
-  snap.num_clusters = num_clusters;
-  return snap;
-}
-
-PipelineSnapshot ServingSnapshot::offline_full() const {
-  const size_t eff = static_cast<size_t>(
-      std::max<uint64_t>(offline_docs, num_seed_docs));
-  PipelineSnapshot snap;
-  snap.segmentations.assign(
-      segmentations.begin(),
-      segmentations.begin() + static_cast<std::ptrdiff_t>(
-                                  std::min(eff, segmentations.size())));
-  snap.segment_labels = seed_labels;
-  snap.segment_labels.insert(snap.segment_labels.end(),
-                             offline_labels.begin(), offline_labels.end());
-  snap.num_clusters = num_clusters;
-  return snap;
-}
-
 bool save_snapshot_v2(const ServingSnapshot& snapshot, std::ostream& os) {
   os.write(kMagic, sizeof(kMagic));
   std::string prologue;
@@ -474,24 +450,6 @@ std::optional<ServingSnapshot> load_snapshot_v2_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) return std::nullopt;
   return load_snapshot_v2(is);
-}
-
-std::optional<PipelineSnapshot> load_snapshot_any_file(
-    const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return std::nullopt;
-  char magic[sizeof(kMagic)];
-  if (is.read(magic, sizeof(magic)) &&
-      std::memcmp(magic, kMagic, sizeof(kMagic)) == 0) {
-    is.seekg(0);
-    auto v2 = load_snapshot_v2(is);
-    if (!v2) return std::nullopt;
-    return v2->offline();
-  }
-  // v1 text fallback.
-  is.clear();
-  is.seekg(0);
-  return load_snapshot(is);
 }
 
 }  // namespace ibseg

@@ -12,19 +12,18 @@
 
 namespace ibseg {
 
-/// Binary snapshot v2: the complete durable state of a ServingPipeline,
-/// not just the offline phase. Where the v1 text snapshot stores only
-/// segmentations + labels (and relies on an external corpus file for the
-/// texts), v2 is self-contained and crash-evident:
+/// Binary snapshot v2: the complete durable state of one serving shard
+/// (ServingPipeline), not just the offline phase — self-contained (texts
+/// included) and crash-evident:
 ///
 ///   magic "IBSGSNP2" | u32 version | u32 section count | sections...
 ///   section := u32 id | u64 payload size | u32 CRC-32(payload) | payload
 ///
 /// All integers are little-endian. Every section is CRC-framed, so any
-/// truncation or bit rot — including the mid-text truncations the v1 text
-/// formats cannot detect — fails the load instead of producing a mangled
-/// corpus. Files are written via atomic_write_file (temp + fsync + rename),
-/// so the previous snapshot survives a crash mid-save.
+/// truncation or bit rot — including mid-text truncations a line-oriented
+/// text format cannot detect — fails the load instead of producing a
+/// mangled corpus. Files are written via atomic_write_file (temp + fsync
+/// + rename), so the previous snapshot survives a crash mid-save.
 ///
 /// Contents: every document's id + raw text + segmentation (in pipeline
 /// order), the intention-cluster label of every *offline* segment, the
@@ -76,8 +75,8 @@ struct ServingSnapshot {
   std::vector<DocId> pending_pool;
   /// Documents ingested since the offline state was last (re)computed.
   uint64_t docs_since_recluster = 0;
-  /// Vocabulary terms in interning order; preloading them on restore pins
-  /// every TermId to its pre-save value.
+  /// Vocabulary terms in interning order (restore re-derives the same
+  /// order; see docs/ARCHITECTURE.md §5).
   std::vector<std::string> vocab_terms;
   /// Id watermark at save time (>= every handed-out id, including ids
   /// reserved by in-flight ingests that had not yet published).
@@ -87,17 +86,6 @@ struct ServingSnapshot {
   /// valid, the seed label count matches the seed segment count and every
   /// label is within [0, num_clusters).
   bool is_consistent() const;
-
-  /// The offline part in v1 form (seed segmentations + labels), e.g. for
-  /// RelatedPostPipeline::build_from_snapshot.
-  PipelineSnapshot offline() const;
-
-  /// The FULL offline coverage in v1 form: segmentations + labels of the
-  /// first offline_docs documents (seed_labels ++ offline_labels). Equal
-  /// to offline() until the first recluster; after one, this is what
-  /// restore must rebuild from so the restored clustering covers exactly
-  /// the documents the recluster covered.
-  PipelineSnapshot offline_full() const;
 };
 
 /// Serializes `snapshot` to `os` (binary). Returns false on stream failure.
@@ -114,13 +102,6 @@ bool save_snapshot_v2_file(const ServingSnapshot& snapshot,
 /// section CRC or size mismatch, truncation, or structural inconsistency.
 std::optional<ServingSnapshot> load_snapshot_v2(std::istream& is);
 std::optional<ServingSnapshot> load_snapshot_v2_file(const std::string& path);
-
-/// Version-sniffing loader for the offline pipeline state: reads the v2
-/// binary format when the magic matches, and falls back to the v1 text
-/// format otherwise — old snapshot files keep working everywhere a
-/// PipelineSnapshot is consumed.
-std::optional<PipelineSnapshot> load_snapshot_any_file(
-    const std::string& path);
 
 }  // namespace ibseg
 

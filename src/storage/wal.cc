@@ -139,7 +139,8 @@ bool IngestWal::append_batch(const std::vector<WalRecord>& records) {
     if (!write_frame(record)) return false;
   }
   // One durability decision per batch; kEveryAppend still syncs once here
-  // (the batch publishes atomically, so per-record syncs buy nothing).
+  // (the batch is acknowledged as a whole, so per-record syncs buy
+  // nothing).
   if (options_.fsync == WalFsync::kEveryAppend && !records.empty()) {
     return sync();
   }

@@ -1,10 +1,11 @@
-// Deterministic stress suite for the concurrent serving core
-// (core/serving.h). Seeded datagen corpora drive mixed reader/writer
-// thread mixes, a barrier-synchronized "thundering herd" query burst, and
-// an invariant checker asserting that every query observes a consistent
-// snapshot: the corpus size and publication epoch move in lockstep, result
-// ids only ever reference documents that were reserved for publication,
-// and batched ingests are all-or-nothing. Run under
+// Deterministic stress suite for the concurrent serving facade
+// (core/sharded_serving.h). Seeded datagen corpora drive mixed
+// reader/writer thread mixes, a barrier-synchronized "thundering herd"
+// query burst, and an invariant checker asserting that every query
+// observes a consistent snapshot: the corpus size and publication epoch
+// move in lockstep, result ids only ever reference documents that were
+// reserved for publication, and a batched ingest takes consecutive
+// publication sequence numbers. Run under
 // IBSEG_SANITIZE=thread (scripts/check_sanitizers.sh) these tests are the
 // proof that the reader/writer layer is race-free, not accidentally so.
 
@@ -22,10 +23,11 @@
 #include <vector>
 
 #include "core/recluster.h"
-#include "core/serving.h"
 #include "core/sharded_serving.h"
 #include "datagen/post_generator.h"
 #include "obs/metrics.h"
+#include "oracle.h"
+#include "storage/wal_codec.h"
 #include "util/rng.h"
 #include "util/sync.h"
 
@@ -39,13 +41,19 @@ constexpr size_t kSeedPosts = 48;
 constexpr uint64_t kSeedCorpusSeed = 4242;
 constexpr uint64_t kIngestCorpusSeed = 777;
 
-RelatedPostPipeline make_pipeline(size_t posts = kSeedPosts,
-                                  uint64_t seed = kSeedCorpusSeed) {
+std::vector<Document> make_docs(size_t posts = kSeedPosts,
+                                uint64_t seed = kSeedCorpusSeed) {
   GeneratorOptions gen;
   gen.num_posts = posts;
   gen.posts_per_scenario = 4;
   gen.seed = seed;
-  return RelatedPostPipeline::build(analyze_corpus(generate_corpus(gen)));
+  return analyze_corpus(generate_corpus(gen));
+}
+
+/// A one-shard serving facade over the seeded corpus.
+std::unique_ptr<ShardedServing> make_serving(size_t posts = kSeedPosts,
+                                             ServingOptions options = {}) {
+  return ShardedServing::create(make_docs(posts), {}, std::move(options));
 }
 
 std::vector<std::string> make_ingest_texts(size_t count,
@@ -63,10 +71,9 @@ std::vector<std::string> make_ingest_texts(size_t count,
 
 // Checks the per-query snapshot invariants and returns an explanation on
 // violation (empty string = consistent). `seed_total` is the corpus size
-// before any online ingest — works for both the unsharded pipeline and
-// the sharded facade (whose epoch/num_docs are the summed per-shard
+// before any online ingest (epoch/num_docs are the summed per-shard
 // values).
-std::string check_snapshot_result(const ServingPipeline::QueryResult& r,
+std::string check_snapshot_result(const ShardedServing::QueryResult& r,
                                   size_t seed_total, DocId seed_next_id,
                                   size_t total_ingests) {
   // A query must observe epoch and corpus size from the same publication
@@ -98,26 +105,27 @@ std::string check_snapshot_result(const ServingPipeline::QueryResult& r,
   return "";
 }
 
-/// The original single-pipeline entry point (all existing call sites).
-std::string check_snapshot(const ServingPipeline& serving,
-                           const ServingPipeline::QueryResult& r,
+/// check_snapshot_result for a one-shard facade (seed corpus = shard 0's).
+std::string check_snapshot(const ShardedServing& serving,
+                           const ShardedServing::QueryResult& r,
                            DocId seed_next_id, size_t total_ingests) {
-  return check_snapshot_result(r, serving.seed_docs(), seed_next_id,
+  return check_snapshot_result(r, serving.shard(0).seed_docs(), seed_next_id,
                                total_ingests);
 }
 
 // ----------------------------------------------------- serving basics ----
 
-TEST(ServingPipeline, MatchesWrappedPipelineWhenQuiet) {
-  RelatedPostPipeline reference = make_pipeline();
-  auto expected = reference.find_related(4, 5);
+TEST(ServingFacade, MatchesWrappedPipelineWhenQuiet) {
+  Oracle reference(make_docs());
+  auto expected = reference.find_related(4, 5).results;
   Document external = Document::analyze(1u << 30, reference.docs()[0].text());
-  auto expected_ext = reference.find_related_external(external, 5);
+  auto expected_ext = reference.find_related_external(external, 5).results;
 
-  ServingPipeline serving(make_pipeline());
+  auto built = make_serving();
+  const ShardedServing& serving = *built;
   auto got = serving.find_related(4, 5);
   EXPECT_EQ(got.epoch, 0u);
-  EXPECT_EQ(got.num_docs, serving.seed_docs());
+  EXPECT_EQ(got.num_docs, serving.shard(0).seed_docs());
   ASSERT_EQ(got.results.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(got.results[i].doc, expected[i].doc);
@@ -131,8 +139,9 @@ TEST(ServingPipeline, MatchesWrappedPipelineWhenQuiet) {
   }
 }
 
-TEST(ServingPipeline, SingleThreadedIngestMatchesPipelineSemantics) {
-  ServingPipeline serving(make_pipeline(20));
+TEST(ServingFacade, SingleThreadedIngestMatchesPipelineSemantics) {
+  auto built = make_serving(20);
+  ShardedServing& serving = *built;
   std::vector<std::string> texts = make_ingest_texts(3);
   DocId first = serving.next_id();
   DocId a = serving.add_post(texts[0]);
@@ -142,11 +151,11 @@ TEST(ServingPipeline, SingleThreadedIngestMatchesPipelineSemantics) {
   EXPECT_EQ(ids[0], first + 1);
   EXPECT_EQ(ids[1], first + 2);
   EXPECT_EQ(serving.epoch(), 3u);
-  EXPECT_EQ(serving.num_docs(), serving.seed_docs() + 3);
+  EXPECT_EQ(serving.num_docs(), serving.shard(0).seed_docs() + 3);
   // The ingested posts answer queries.
   for (DocId id : {a, ids[0], ids[1]}) {
     auto r = serving.find_related(id, 5);
-    EXPECT_EQ(r.num_docs, serving.seed_docs() + r.epoch);
+    EXPECT_EQ(r.num_docs, serving.shard(0).seed_docs() + r.epoch);
   }
 }
 
@@ -159,7 +168,8 @@ TEST(ConcurrencyStress, MixedReadersAndWritersKeepInvariants) {
   constexpr size_t kQueriesPerReader = 40;
   constexpr size_t kTotalIngests = kWriters * kIngestsPerWriter;
 
-  ServingPipeline serving(make_pipeline());
+  auto built = make_serving();
+  ShardedServing& serving = *built;
   const DocId seed_next_id = serving.next_id();
   std::vector<std::string> texts = make_ingest_texts(kTotalIngests);
 
@@ -188,7 +198,7 @@ TEST(ConcurrencyStress, MixedReadersAndWritersKeepInvariants) {
         Rng rng(1000 + t);  // per-thread deterministic query schedule
         uint64_t last_epoch = 0;
         for (size_t q = 0; q < kQueriesPerReader; ++q) {
-          ServingPipeline::QueryResult r;
+          ShardedServing::QueryResult r;
           if (q % 4 == 3) {
             r = serving.find_related_external(
                 externals[q % externals.size()], 5);
@@ -219,7 +229,7 @@ TEST(ConcurrencyStress, MixedReadersAndWritersKeepInvariants) {
 
   // Quiescent state: everything published, every ingested id queryable.
   EXPECT_EQ(serving.epoch(), kTotalIngests);
-  EXPECT_EQ(serving.num_docs(), serving.seed_docs() + kTotalIngests);
+  EXPECT_EQ(serving.num_docs(), serving.shard(0).seed_docs() + kTotalIngests);
   EXPECT_EQ(serving.next_id(), seed_next_id + kTotalIngests);
   for (DocId id = seed_next_id; id < seed_next_id + kTotalIngests; ++id) {
     auto r = serving.find_related(id, 3);
@@ -232,11 +242,12 @@ TEST(ConcurrencyStress, MixedReadersAndWritersKeepInvariants) {
 
 TEST(ConcurrencyStress, ThunderingHerdAgreesWithoutWriters) {
   constexpr size_t kHerd = 8;
-  ServingPipeline serving(make_pipeline());
+  auto built = make_serving();
+  const ShardedServing& serving = *built;
   auto reference = serving.find_related(7, 5);
 
   CyclicBarrier barrier(kHerd);
-  std::vector<ServingPipeline::QueryResult> results(kHerd);
+  std::vector<ShardedServing::QueryResult> results(kHerd);
   {
     ScopedThreads threads;
     for (size_t t = 0; t < kHerd; ++t) {
@@ -262,7 +273,8 @@ TEST(ConcurrencyStress, ThunderingHerdAgreesWithoutWriters) {
 TEST(ConcurrencyStress, ThunderingHerdStaysConsistentDuringIngest) {
   constexpr size_t kHerd = 6;
   constexpr size_t kRounds = 6;
-  ServingPipeline serving(make_pipeline());
+  auto built = make_serving();
+  ShardedServing& serving = *built;
   const DocId seed_next_id = serving.next_id();
   std::vector<std::string> texts = make_ingest_texts(kRounds);
 
@@ -300,40 +312,170 @@ TEST(ConcurrencyStress, ThunderingHerdStaysConsistentDuringIngest) {
 
 // ------------------------------------------------------ batched ingest ----
 
-TEST(ConcurrencyStress, BatchedIngestPublishesAtomically) {
+// What ADD_POSTS promises (docs/PROTOCOL.md §4.5): the batch's posts take
+// consecutive publication sequence numbers in request order — no
+// concurrent add_post lands between them — and all of them are published
+// by the time the call returns. (Queries may observe a prefix of the
+// batch: each post publishes under its own shard lock.) The publication
+// sequence is read back from ship_segment frames, the replication log.
+TEST(ConcurrencyStress, BatchedIngestTakesConsecutiveSequenceNumbers) {
   constexpr size_t kBatch = 10;
-  constexpr size_t kProbes = 200;
-  ServingPipeline serving(make_pipeline(24));
-  std::vector<std::string> texts = make_ingest_texts(kBatch);
+  constexpr size_t kBatches = 3;
+  constexpr size_t kSingles = 24;
+  ServingOptions options;
+  options.num_shards = 2;
+  auto built = ShardedServing::create(make_docs(24), {}, options);
+  ShardedServing& serving = *built;
+  std::vector<std::string> texts = make_ingest_texts(kBatch * kBatches);
+  std::vector<std::string> singles = make_ingest_texts(kSingles, 778);
+
+  // Publication sequence -> document id, decoded from the shipped frames.
+  auto published_ids = [&serving] {
+    ShardedServing::ShipSegment seg = serving.ship_segment(
+        0, serving.offline_generation(), 1u << 20, 1u << 30);
+    std::vector<WalRecord> records;
+    wal_scan_frames(seg.raw.data(), seg.raw.size(), &records);
+    std::vector<DocId> ids;
+    for (const WalRecord& rec : records) ids.push_back(rec.id);
+    return ids;
+  };
 
   std::atomic<bool> start{false};
-  std::atomic<bool> done{false};
-  std::atomic<size_t> partial_observations{0};
+  std::vector<std::vector<DocId>> batch_ids(kBatches);
+  size_t unacknowledged = 0;  // written by the batch thread only
   {
     ScopedThreads threads;
+    threads.spawn([&] {
+      start.store(true, std::memory_order_release);
+      for (size_t b = 0; b < kBatches; ++b) {
+        std::vector<std::string> batch(texts.begin() + b * kBatch,
+                                       texts.begin() + (b + 1) * kBatch);
+        batch_ids[b] = serving.add_posts(std::move(batch));
+        // Acknowledged together: every id is in the sequence on return.
+        std::vector<DocId> seq = published_ids();
+        std::set<DocId> present(seq.begin(), seq.end());
+        for (DocId id : batch_ids[b]) unacknowledged += present.count(id) == 0;
+      }
+    });
     threads.spawn([&] {
       while (!start.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
-      serving.add_posts(texts);
-      done.store(true, std::memory_order_release);
-    });
-    threads.spawn([&] {
-      start.store(true, std::memory_order_release);
-      for (size_t i = 0; i < kProbes && !done.load(std::memory_order_acquire);
-           ++i) {
-        auto r = serving.find_related(3, 5);
-        // The batch publishes under one exclusive acquisition: a query
-        // sees either the pre-batch corpus or the complete batch.
-        uint64_t published = r.num_docs - serving.seed_docs();
-        if (published != 0 && published != kBatch) {
-          partial_observations.fetch_add(1);
-        }
-      }
+      for (const std::string& text : singles) serving.add_post(text);
     });
   }
-  EXPECT_EQ(partial_observations.load(), 0u);
-  EXPECT_EQ(serving.num_docs(), serving.seed_docs() + kBatch);
+  EXPECT_EQ(unacknowledged, 0u);
+
+  std::vector<DocId> seq = published_ids();
+  ASSERT_EQ(seq.size(), kBatch * kBatches + kSingles);
+  for (size_t b = 0; b < kBatches; ++b) {
+    ASSERT_EQ(batch_ids[b].size(), kBatch);
+    auto first = std::find(seq.begin(), seq.end(), batch_ids[b][0]);
+    ASSERT_GE(static_cast<size_t>(seq.end() - first), kBatch);
+    std::vector<DocId> run(first, first + kBatch);
+    EXPECT_EQ(run, batch_ids[b]) << "batch " << b
+                                 << " is not one consecutive, in-order run";
+  }
+  EXPECT_EQ(serving.num_docs(), 24 + kBatch * kBatches + kSingles);
+}
+
+// ----------------------------------------- sharded publication order ----
+
+// At three shards, two add_post writers and one add_posts writer race
+// readers of cached in-corpus and external queries. Publication is
+// serialized globally, so once quiet the deployment must equal the single
+// pipeline fed the same posts in the recorded publication order (read
+// back from ship_segment frames, under the ids the writers reserved) —
+// bit for bit, whatever the interleaving was.
+TEST(ConcurrencyStress, ShardedIngestEqualsReplayOfPublicationOrder) {
+  constexpr size_t kPerWriter = 6;
+  constexpr size_t kReaders = 2;
+  constexpr size_t kQueriesPerReader = 30;
+  constexpr size_t kTotalIngests = 3 * kPerWriter;
+  ServingOptions options;
+  options.num_shards = 3;
+  options.cache.capacity = 64;
+  auto built = ShardedServing::create(make_docs(), {}, options);
+  ShardedServing& serving = *built;
+  const DocId seed_next_id = serving.next_id();
+  std::vector<std::string> texts = make_ingest_texts(kTotalIngests);
+  std::vector<Document> externals;
+  for (size_t i = 0; i < 3; ++i) {
+    externals.push_back(Document::analyze(
+        static_cast<DocId>((1u << 30) + i), texts[i]));
+  }
+
+  std::atomic<size_t> violations{0};
+  std::vector<std::string> first_violation(kReaders);
+  {
+    ScopedThreads threads;
+    for (size_t w = 0; w < 2; ++w) {
+      threads.spawn([&, w] {
+        for (size_t i = 0; i < kPerWriter; ++i) {
+          serving.add_post(texts[w * kPerWriter + i]);
+        }
+      });
+    }
+    threads.spawn([&] {
+      serving.add_posts(std::vector<std::string>(
+          texts.begin() + 2 * kPerWriter, texts.end()));
+    });
+    for (size_t t = 0; t < kReaders; ++t) {
+      threads.spawn([&, t] {
+        Rng rng(2000 + t);
+        for (size_t q = 0; q < kQueriesPerReader; ++q) {
+          ShardedServing::QueryResult r =
+              q % 3 == 2
+                  ? serving.find_related_external(
+                        externals[q % externals.size()], 5)
+                  : serving.find_related(
+                        static_cast<DocId>(rng.next_below(kSeedPosts)), 5);
+          std::string why = check_snapshot_result(r, kSeedPosts, seed_next_id,
+                                                  kTotalIngests);
+          if (!why.empty()) {
+            if (violations.fetch_add(1) == 0) first_violation[t] = why;
+            return;
+          }
+        }
+      });
+    }
+  }  // joins all threads
+
+  ASSERT_EQ(violations.load(), 0u)
+      << "first violation: "
+      << *std::find_if(first_violation.begin(), first_violation.end(),
+                       [](const std::string& s) { return !s.empty(); });
+
+  ShardedServing::ShipSegment seg = serving.ship_segment(
+      0, serving.offline_generation(), 1u << 20, 1u << 30);
+  std::vector<WalRecord> records;
+  wal_scan_frames(seg.raw.data(), seg.raw.size(), &records);
+  ASSERT_EQ(records.size(), kTotalIngests);
+  Oracle reference(make_docs());
+  for (WalRecord& rec : records) reference.publish(rec.id, std::move(rec.text));
+  ASSERT_EQ(serving.num_docs(), reference.num_docs());
+  auto expect_same = [](const ShardedServing::QueryResult& got,
+                        const ShardedServing::QueryResult& want,
+                        const std::string& what) {
+    EXPECT_EQ(got.epoch, want.epoch) << what;
+    ASSERT_EQ(got.results.size(), want.results.size()) << what;
+    for (size_t i = 0; i < want.results.size(); ++i) {
+      EXPECT_EQ(got.results[i].doc, want.results[i].doc) << what;
+      EXPECT_EQ(got.results[i].score, want.results[i].score) << what;
+    }
+  };
+  for (const Document& d : reference.docs()) {
+    for (int k : {3, 10}) {
+      expect_same(serving.find_related(d.id(), k),
+                  reference.find_related(d.id(), k),
+                  "q " + std::to_string(d.id()) + " k " + std::to_string(k));
+    }
+  }
+  for (const Document& ext : externals) {
+    expect_same(serving.find_related_external(ext, 5),
+                reference.find_related_external(ext, 5),
+                "external " + std::to_string(ext.id()));
+  }
 }
 
 // ------------------------------------------------ workload determinism ----
@@ -344,7 +486,8 @@ TEST(ConcurrencyStress, ConcurrentWorkloadReachesDeterministicFinalState) {
   // (sorted) ingested texts — ids may be assigned in a different order,
   // but the published set is the same.
   auto run_workload = [] {
-    ServingPipeline serving(make_pipeline(24));
+    auto built = make_serving(24);
+    ShardedServing& serving = *built;
     std::vector<std::string> texts = make_ingest_texts(8);
     {
       ScopedThreads threads;
@@ -360,9 +503,10 @@ TEST(ConcurrencyStress, ConcurrentWorkloadReachesDeterministicFinalState) {
       });
     }
     std::vector<std::string> ingested;
-    for (size_t d = serving.seed_docs();
-         d < serving.quiescent().docs().size(); ++d) {
-      ingested.push_back(serving.quiescent().docs()[d].text());
+    const RelatedPostPipeline& shard = serving.shard(0).quiescent();
+    for (size_t d = serving.shard(0).seed_docs(); d < shard.docs().size();
+         ++d) {
+      ingested.push_back(shard.docs()[d].text());
     }
     std::sort(ingested.begin(), ingested.end());
     return std::make_tuple(serving.num_docs(), serving.epoch(),
@@ -393,7 +537,8 @@ TEST(ConcurrencyStress, PrunedPathStaysFreshAcrossIngestReseals) {
   constexpr size_t kReaders = 2;
   constexpr size_t kQueriesPerReader = 30;
 
-  ServingPipeline serving(make_pipeline(24));  // pruned: the default path
+  auto built = make_serving(24);  // pruned: the default path
+  ShardedServing& serving = *built;
   const DocId seed_next_id = serving.next_id();
   std::vector<std::string> texts = make_ingest_texts(kPairs);
 
@@ -448,12 +593,7 @@ TEST(ConcurrencyStress, PrunedPathStaysFreshAcrossIngestReseals) {
   // must agree bit for bit on every query.
   PipelineOptions exhaustive_opt;
   exhaustive_opt.matcher.exhaustive_fallback = true;
-  GeneratorOptions gen;
-  gen.num_posts = 24;
-  gen.posts_per_scenario = 4;
-  gen.seed = kSeedCorpusSeed;
-  ServingPipeline reference(RelatedPostPipeline::build(
-      analyze_corpus(generate_corpus(gen)), exhaustive_opt));
+  Oracle reference(make_docs(24), exhaustive_opt);
   for (size_t i = 0; i < kPairs; ++i) {
     reference.add_post(texts[i]);
     reference.add_post(texts[i]);
@@ -494,7 +634,8 @@ TEST(ConcurrencyStress, CacheHammerKeepsSnapshotInvariants) {
   ServingOptions options;
   options.cache.capacity = 8;  // far below the live key set
   options.cache.shards = 2;
-  ServingPipeline serving(make_pipeline(), options);
+  auto built = make_serving(kSeedPosts, options);
+  ShardedServing& serving = *built;
   ASSERT_NE(serving.query_cache(), nullptr);
   const DocId seed_next_id = serving.next_id();
   std::vector<std::string> texts = make_ingest_texts(kTotalIngests);
@@ -515,7 +656,7 @@ TEST(ConcurrencyStress, CacheHammerKeepsSnapshotInvariants) {
       uint64_t last_epoch = 0;
       for (size_t q = 0; q < kQueriesPerReader; ++q) {
         auto [query, k] = pick_query(q);
-        ServingPipeline::QueryResult r = serving.find_related(query, k);
+        ShardedServing::QueryResult r = serving.find_related(query, k);
         std::string why =
             check_snapshot(serving, r, seed_next_id, kTotalIngests);
         if (why.empty() && r.epoch < last_epoch) {
@@ -560,7 +701,7 @@ TEST(ConcurrencyStress, CacheHammerKeepsSnapshotInvariants) {
   // must equal the wrapped pipeline's direct answer.
   auto fill = serving.find_related(kHotKey, 5);
   auto hit = serving.find_related(kHotKey, 5);
-  auto want = serving.quiescent().find_related(kHotKey, 5);
+  auto want = serving.shard(0).quiescent().find_related(kHotKey, 5);
   EXPECT_EQ(fill.epoch, kTotalIngests);
   EXPECT_EQ(hit.epoch, kTotalIngests);
   ASSERT_EQ(hit.results.size(), want.size());
@@ -591,7 +732,9 @@ TEST(ConcurrencyStress, ReclusterUnderReadersAndWriters) {
   ServingOptions options;
   options.cache.capacity = 64;
   options.recluster.pending_distance_threshold = 0.0;  // pool every ingest
-  ServingPipeline serving(make_pipeline(), options);
+  auto built = make_serving(kSeedPosts, options);
+  ShardedServing& serving = *built;
+  const size_t seed_total = serving.num_docs();
   const DocId seed_next_id = serving.next_id();
   std::vector<std::string> texts = make_ingest_texts(kTotalIngests);
 
@@ -632,7 +775,8 @@ TEST(ConcurrencyStress, ReclusterUnderReadersAndWriters) {
               rng.next_below(static_cast<uint64_t>(kSeedPosts)));
           auto r = serving.find_related(query, 5);
           std::string why =
-              check_snapshot(serving, r, seed_next_id, kTotalIngests);
+              check_snapshot_result(r, seed_total, seed_next_id,
+                                    kTotalIngests);
           uint64_t gen = serving.offline_generation();
           if (why.empty() && r.epoch < last_epoch) {
             why = "epoch moved backwards within one reader";
@@ -660,12 +804,12 @@ TEST(ConcurrencyStress, ReclusterUnderReadersAndWriters) {
   // reached exactly the fired count, and the invariant held end to end.
   EXPECT_EQ(serving.offline_generation(), kReclusters);
   EXPECT_EQ(serving.epoch(), kTotalIngests);
-  EXPECT_EQ(serving.num_docs(), serving.seed_docs() + kTotalIngests);
+  EXPECT_EQ(serving.num_docs(), serving.shard(0).seed_docs() + kTotalIngests);
   EXPECT_EQ(serving.next_id(), seed_next_id + kTotalIngests);
 
   // A final quiescent epoch folds everything into the offline coverage.
   EXPECT_EQ(serving.recluster(), kReclusters + 1);
-  EXPECT_EQ(serving.offline_docs(), serving.num_docs());
+  EXPECT_EQ(serving.shard(0).offline_docs(), serving.num_docs());
   EXPECT_EQ(serving.docs_since_recluster(), 0u);
   EXPECT_EQ(serving.pending_pool_size(), 0u);
   for (DocId id = seed_next_id; id < seed_next_id + kTotalIngests; ++id) {

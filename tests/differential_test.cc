@@ -1,23 +1,27 @@
-// Differential harness for the parallel/cached query path. The parallel
-// per-intention fan-out (MatcherOptions::query_threads), the batched
-// find_related_batch API and the serving-layer result cache are only
-// shippable because each is provably identical — ranked lists AND scores,
-// bit for bit — to the serial, uncached reference execution. These tests
-// are property-style: seeded random corpora from src/datagen, every
-// document as the reference query, multiple k, with interleaved ingests
-// exercising the cache's epoch invalidation. Registered under the
+// Differential harness for the cached, pruned and scattered query paths.
+// The serving-layer result cache, the MaxScore-pruned per-intention
+// selection and the concurrent scatter legs are only shippable because
+// each is provably identical —
+// ranked lists AND scores, bit for bit — to the uncached, exhaustive
+// reference execution (the Oracle, tests/oracle.h). These tests are
+// property-style: seeded random corpora from src/datagen, every document
+// as the reference query, multiple k, with interleaved ingests exercising
+// the cache's epoch invalidation. Registered under the
 // `differential` ctest label; scripts/reproduce.sh IBSEG_DIFF_CHECK=1
 // runs the label under TSan.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/serving.h"
+#include "core/sharded_serving.h"
 #include "datagen/post_generator.h"
+#include "oracle.h"
 #include "storage/snapshot.h"
+#include "util/thread_pool.h"
 
 namespace ibseg {
 namespace {
@@ -46,13 +50,6 @@ struct SharedOffline {
     snapshot = offline.snapshot();
   }
 
-  RelatedPostPipeline pipeline(int query_threads) const {
-    PipelineOptions options;
-    options.matcher.query_threads = query_threads;
-    return RelatedPostPipeline::build_from_snapshot(analyze_corpus(corpus),
-                                                    snapshot, options);
-  }
-
   /// Variant with full control of the matcher options (the pruned vs
   /// exhaustive sweeps mutate top_n_factor / score_threshold /
   /// exhaustive_fallback).
@@ -76,48 +73,6 @@ void expect_identical(const std::vector<ScoredDoc>& got,
   }
 }
 
-// ------------------------------------------- serial vs parallel fan-out ----
-
-TEST(Differential, SerialVsParallelRankingsIdentical) {
-  for (uint64_t seed : {11u, 777u}) {
-    SharedOffline offline(kPosts, seed);
-    RelatedPostPipeline serial = offline.pipeline(0);
-    RelatedPostPipeline par2 = offline.pipeline(2);
-    RelatedPostPipeline par8 = offline.pipeline(8);
-    for (DocId q = 0; q < kPosts; ++q) {
-      for (int k : {1, 3, 10}) {
-        auto want = serial.find_related(q, k);
-        expect_identical(par2.find_related(q, k), want,
-                         "seed " + std::to_string(seed) + " q " +
-                             std::to_string(q) + " k " + std::to_string(k) +
-                             " threads 2");
-        expect_identical(par8.find_related(q, k), want,
-                         "seed " + std::to_string(seed) + " q " +
-                             std::to_string(q) + " k " + std::to_string(k) +
-                             " threads 8");
-      }
-    }
-  }
-}
-
-TEST(Differential, BatchMatchesPerQueryInEveryThreadConfig) {
-  SharedOffline offline(kPosts, 11);
-  std::vector<DocId> queries;
-  for (DocId q = 0; q < kPosts; ++q) queries.push_back(q);
-  queries.push_back(9999);  // unknown id -> empty result, also in batch
-  RelatedPostPipeline serial = offline.pipeline(0);
-  for (int threads : {0, 2, 8}) {
-    RelatedPostPipeline p = offline.pipeline(threads);
-    auto batched = p.matcher().find_related_batch(queries, 5);
-    ASSERT_EQ(batched.size(), queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      expect_identical(batched[i], serial.find_related(queries[i], 5),
-                       "batch threads " + std::to_string(threads) + " q " +
-                           std::to_string(queries[i]));
-    }
-  }
-}
-
 // --------------------------------- cached vs uncached across ingests ----
 
 // The cached pipeline must be indistinguishable from the uncached one at
@@ -128,13 +83,14 @@ TEST(Differential, BatchMatchesPerQueryInEveryThreadConfig) {
 // if the ranking happens to match.
 TEST(Differential, CachedVsUncachedIdenticalAcrossInterleavedIngests) {
   SharedOffline offline(kPosts, 11);
-  ServingPipeline uncached(offline.pipeline(0));
+  Oracle uncached(analyze_corpus(offline.corpus));
   ServingOptions with_cache;
   with_cache.cache.capacity = 16;  // small: exercises eviction mid-run
   with_cache.cache.shards = 2;
-  ServingPipeline cached(offline.pipeline(0), with_cache);
+  auto built =
+      ShardedServing::create(analyze_corpus(offline.corpus), {}, with_cache);
+  ShardedServing& cached = *built;
   ASSERT_NE(cached.query_cache(), nullptr);
-  ASSERT_EQ(uncached.query_cache(), nullptr);
 
   SyntheticCorpus ingest_corpus =
       generate_corpus(corpus_options(6, /*seed=*/555));
@@ -172,29 +128,51 @@ TEST(Differential, CachedVsUncachedIdenticalAcrossInterleavedIngests) {
   EXPECT_GT(cached.query_cache()->evictions(), 0u);
 }
 
-TEST(Differential, BatchedServingMatchesUncachedPerQuery) {
-  SharedOffline offline(kPosts, 777);
-  ServingPipeline uncached(offline.pipeline(0));
-  ServingOptions with_cache;
-  with_cache.cache.capacity = 64;
-  ServingPipeline cached(offline.pipeline(8), with_cache);
+// ------------------------------------------- serial vs parallel legs ----
 
-  std::vector<DocId> queries;
-  for (DocId q = 0; q < kPosts; ++q) queries.push_back(q % (kPosts / 2));
-  // Twice: second pass is served mostly from cache; both must agree.
-  for (int round = 0; round < 2; ++round) {
-    auto batch = cached.find_related_batch(queries, 5);
-    ASSERT_EQ(batch.size(), queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      auto want = uncached.find_related(queries[i], 5);
-      EXPECT_EQ(batch[i].epoch, want.epoch);
-      EXPECT_EQ(batch[i].num_docs, want.num_docs);
-      expect_identical(batch[i].results, want.results,
-                       "serving batch round " + std::to_string(round) +
-                           " q " + std::to_string(queries[i]));
+// The query path's parallelism is the scatter pool: a sharded query runs
+// its per-shard legs concurrently, then merges them. The merge must not
+// depend on how the legs were scheduled — queued one at a time on a
+// single worker, one worker per shard (the facade's own pool), or a wide
+// pool shared with other instances all reproduce the oracle bit for bit.
+TEST(Differential, SerialVsParallelRankingsIdentical) {
+  ThreadPool single_worker(1);
+  ThreadPool wide(8);
+  for (uint64_t seed : {11u, 777u}) {
+    SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, seed));
+    Oracle reference(analyze_corpus(corpus));
+    for (int shards : {2, 8}) {
+      struct Variant {
+        const char* name;
+        ThreadPool* pool;
+        std::unique_ptr<ShardedServing> serving;
+      };
+      Variant variants[] = {{"serial", &single_worker, nullptr},
+                            {"owned", nullptr, nullptr},
+                            {"wide", &wide, nullptr}};
+      for (Variant& v : variants) {
+        ServingOptions options;
+        options.num_shards = shards;
+        options.scatter_pool = v.pool;
+        options.tenant = std::string("legs_") + v.name;
+        v.serving =
+            ShardedServing::create(analyze_corpus(corpus), {}, options);
+        ASSERT_NE(v.serving, nullptr);
+      }
+      for (DocId q = 0; q < kPosts; ++q) {
+        for (int k : {1, 3, 10}) {
+          auto want = reference.find_related(q, k).results;
+          for (const Variant& v : variants) {
+            expect_identical(v.serving->find_related(q, k).results, want,
+                             "seed " + std::to_string(seed) + " shards " +
+                                 std::to_string(shards) + " " + v.name +
+                                 " q " + std::to_string(q) + " k " +
+                                 std::to_string(k));
+          }
+        }
+      }
     }
   }
-  EXPECT_GT(cached.query_cache()->hits(), 0u);
 }
 
 // ----------------------------------------------- tie-handling regression ----
@@ -319,8 +297,12 @@ TEST(Differential, PrunedVsExhaustiveAcrossInterleavedIngests) {
   MatcherOptions pruned;
   MatcherOptions exhaustive;
   exhaustive.exhaustive_fallback = true;
-  ServingPipeline p(offline.pipeline_with(pruned));
-  ServingPipeline e(offline.pipeline_with(exhaustive));
+  PipelineOptions pruned_opt;
+  pruned_opt.matcher = pruned;
+  PipelineOptions exhaustive_opt;
+  exhaustive_opt.matcher = exhaustive;
+  Oracle p(analyze_corpus(offline.corpus), pruned_opt);
+  Oracle e(analyze_corpus(offline.corpus), exhaustive_opt);
 
   SyntheticCorpus ingest_corpus =
       generate_corpus(corpus_options(6, /*seed=*/999));

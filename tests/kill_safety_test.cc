@@ -1,10 +1,10 @@
 // Crash-injection suite (ctest label "killsafety"): a child process is
 // forked, ingests posts through the WAL-backed serving layer, and is
 // killed with _exit(2) mid-stream at a randomized point K. The parent
-// then performs the warm restart (snapshot v2 + WAL replay) and asserts
-// recovery lands on the EXACT pre-crash published state: epoch == K and
-// find_related answers bit-identical to a never-crashed reference that
-// restored the same snapshot and ingested the same first K posts.
+// then performs the warm restart (state directory: snapshot v2 + WAL +
+// journal replay) and asserts recovery lands on the EXACT pre-crash
+// published state: epoch == K and find_related answers bit-identical to a
+// never-crashed reference that ingested the same first K posts.
 //
 // _exit skips every destructor and flush — the strongest process-death
 // model short of SIGKILL, and deterministic. The WAL writes each frame
@@ -17,15 +17,16 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
-#include "core/serving.h"
 #include "core/sharded_serving.h"
 #include "datagen/post_generator.h"
+#include "oracle.h"
 #include "storage/snapshot_v2.h"
 
 namespace ibseg {
@@ -52,22 +53,37 @@ std::vector<std::string> ingest_stream() {
   return texts;
 }
 
+std::string slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(is)),
+                     std::istreambuf_iterator<char>());
+}
+
+bool spew(const std::string& path, const std::string& data) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os << data;
+  os.flush();
+  return static_cast<bool>(os);
+}
+
+/// A fresh (emptied) pid-suffixed state directory under gtest's temp dir.
 std::string tmp_path(const std::string& name) {
   std::string path =
       ::testing::TempDir() + "/ibseg_kill_" + name + "_" +
       std::to_string(static_cast<long>(::getpid()));
-  std::remove(path.c_str());
+  std::filesystem::remove_all(path);
   return path;
 }
 
-/// Bit-identical comparison: both sides restored from the same snapshot
-/// and ran the same ingest code path, so even the floating-point scores
-/// must match exactly — any drift means recovery rebuilt different state.
-void expect_identical_answers(const ServingPipeline& a,
-                              const ServingPipeline& b) {
+/// Bit-identical comparison: both sides ran the same ingest code path, so
+/// even the floating-point scores must match exactly — any drift means
+/// recovery rebuilt different state. `Reference` is another facade or the
+/// Oracle.
+template <typename Reference>
+void expect_identical_answers(const ShardedServing& a, const Reference& b) {
   ASSERT_EQ(a.num_docs(), b.num_docs());
   ASSERT_EQ(a.epoch(), b.epoch());
-  for (const Document& d : a.quiescent().docs()) {
+  for (const Document& d : a.shard(0).quiescent().docs()) {
     auto ra = a.find_related(d.id(), 5);
     auto rb = b.find_related(d.id(), 5);
     ASSERT_EQ(ra.results.size(), rb.results.size()) << "query " << d.id();
@@ -80,14 +96,17 @@ void expect_identical_answers(const ServingPipeline& a,
   }
 }
 
-/// Writes the base snapshot every trial starts from: a serving pipeline
-/// over the seed corpus, saved through the normal save() path.
-void write_base_snapshot(const std::string& snap_path) {
-  ServingPipeline serving(RelatedPostPipeline::build(seed_docs()));
-  ASSERT_TRUE(serving.save(snap_path));
+/// Writes the base state directory every trial starts from: a one-shard
+/// deployment over the seed corpus, saved through the normal save() path.
+void write_base_dir(const std::string& dir) {
+  ServingOptions options;
+  options.persist.shard_dir = dir;
+  auto serving = ShardedServing::create(seed_docs(), {}, options);
+  ASSERT_NE(serving, nullptr);
+  ASSERT_TRUE(serving->save(dir));
 }
 
-/// One crash trial: child restores snapshot+WAL, ingests `crash_after`
+/// One crash trial: child restores the directory, ingests `crash_after`
 /// posts from the deterministic stream, then dies with _exit. Parent
 /// recovers and compares against a never-crashed reference at the same
 /// epoch. `torn_tail_bytes` is appended to the WAL between crash and
@@ -95,12 +114,9 @@ void write_base_snapshot(const std::string& snap_path) {
 void run_crash_trial(size_t crash_after, const std::string& torn_tail_bytes) {
   const std::vector<std::string> stream = ingest_stream();
   ASSERT_LE(crash_after, stream.size());
-  std::string snap_path = tmp_path("snap");
-  std::string wal_path = tmp_path("wal");
-  write_base_snapshot(snap_path);
-
-  ServingOptions persist;
-  persist.persist.wal_path = wal_path;
+  std::string dir = tmp_path("state");
+  std::string wal_file = dir + "/shard-0/wal";
+  write_base_dir(dir);
 
   pid_t pid = fork();
   ASSERT_GE(pid, 0) << "fork failed";
@@ -108,7 +124,7 @@ void run_crash_trial(size_t crash_after, const std::string& torn_tail_bytes) {
     // ---- child: ingest, then die without any cleanup. No gtest
     // assertions here — a child failure must surface as a wrong exit
     // code, never as a confusingly duplicated test result.
-    auto serving = ServingPipeline::restore(snap_path, {}, persist);
+    auto serving = ShardedServing::restore(dir);
     if (serving == nullptr) _exit(42);
     for (size_t i = 0; i < crash_after; ++i) {
       serving->add_post(stream[i]);
@@ -122,32 +138,31 @@ void run_crash_trial(size_t crash_after, const std::string& torn_tail_bytes) {
   ASSERT_EQ(WEXITSTATUS(status), kChildExitCode);
 
   if (!torn_tail_bytes.empty()) {
-    std::ofstream os(wal_path, std::ios::binary | std::ios::app);
+    std::ofstream os(wal_file, std::ios::binary | std::ios::app);
     os << torn_tail_bytes;
   }
 
   // ---- parent: warm restart from what the dead child left on disk.
-  auto recovered = ServingPipeline::restore(snap_path, {}, persist);
+  auto recovered = ShardedServing::restore(dir);
   ASSERT_NE(recovered, nullptr);
   EXPECT_EQ(recovered->epoch(), crash_after)
       << "recovery must land on the exact pre-crash epoch";
   EXPECT_EQ(recovered->num_docs(),
-            recovered->seed_docs() + recovered->epoch());
+            recovered->shard(0).seed_docs() + recovered->epoch());
 
-  // Never-crashed reference: same snapshot, same first K ingests, no WAL.
-  auto reference = ServingPipeline::restore(snap_path);
-  ASSERT_NE(reference, nullptr);
-  for (size_t i = 0; i < crash_after; ++i) reference->add_post(stream[i]);
-  expect_identical_answers(*recovered, *reference);
+  // Never-crashed reference: same seed corpus, same first K ingests.
+  Oracle reference(seed_docs());
+  for (size_t i = 0; i < crash_after; ++i) reference.add_post(stream[i]);
+  expect_identical_answers(*recovered, reference);
 
   // Recovery is stable: restoring again from the same files (the WAL now
   // holds the same K records) reproduces the same state.
-  auto again = ServingPipeline::restore(snap_path, {}, persist);
+  recovered.reset();
+  auto again = ShardedServing::restore(dir);
   ASSERT_NE(again, nullptr);
-  expect_identical_answers(*recovered, *again);
-
-  std::remove(snap_path.c_str());
-  std::remove(wal_path.c_str());
+  expect_identical_answers(*again, reference);
+  again.reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(KillSafety, CrashAtRandomizedPoints) {
@@ -174,32 +189,31 @@ TEST(KillSafety, TornWalTailIsTruncatedNeverReplayed) {
 }
 
 TEST(KillSafety, CrashBetweenSnapshotAndWalTruncation) {
-  // The save()-time crash window: snapshot renamed, WAL not yet reset.
-  // Replay must skip every record already baked into the snapshot.
+  // The save()-time crash window: snapshot and manifest committed, WAL and
+  // journal not yet reset. Replay must skip every record already baked
+  // into the snapshot.
   const std::vector<std::string> stream = ingest_stream();
-  std::string snap_path = tmp_path("snap_window");
-  std::string wal_path = tmp_path("wal_window");
-  write_base_snapshot(snap_path);
-  ServingOptions persist;
-  persist.persist.wal_path = wal_path;
+  std::string dir = tmp_path("state_window");
+  std::string wal_file = dir + "/shard-0/wal";
+  std::string journal_file = dir + "/ingest.order";
+  write_base_dir(dir);
 
   pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    auto serving = ServingPipeline::restore(snap_path, {}, persist);
+    auto serving = ShardedServing::restore(dir);
     if (serving == nullptr) _exit(42);
     for (size_t i = 0; i < 4; ++i) serving->add_post(stream[i]);
-    // Simulate the torn save: capture the WAL, save (which truncates it),
-    // then put the stale WAL back — the on-disk state of a process that
-    // died after the rename but before the ftruncate hit the disk.
-    std::ifstream is(wal_path, std::ios::binary);
-    std::string stale((std::istreambuf_iterator<char>(is)),
-                      std::istreambuf_iterator<char>());
-    is.close();
-    if (!serving->save(snap_path)) _exit(43);
-    std::ofstream os(wal_path, std::ios::binary | std::ios::trunc);
-    os << stale;
-    os.flush();
+    // Simulate the torn save: capture the logs, save (which truncates
+    // them), then put the stale logs back — the on-disk state of a
+    // process that died after the manifest commit but before the
+    // truncation hit the disk.
+    std::string stale_wal = slurp(wal_file);
+    std::string stale_journal = slurp(journal_file);
+    if (!serving->save(dir)) _exit(43);
+    if (!spew(wal_file, stale_wal) || !spew(journal_file, stale_journal)) {
+      _exit(44);
+    }
     _exit(kChildExitCode);
   }
   int status = 0;
@@ -207,19 +221,19 @@ TEST(KillSafety, CrashBetweenSnapshotAndWalTruncation) {
   ASSERT_TRUE(WIFEXITED(status));
   ASSERT_EQ(WEXITSTATUS(status), kChildExitCode);
 
-  auto recovered = ServingPipeline::restore(snap_path, {}, persist);
+  auto recovered = ShardedServing::restore(dir);
   ASSERT_NE(recovered, nullptr);
   // The four posts are in the snapshot; the stale WAL's copies of them
   // must be skipped, not published a second time.
   EXPECT_EQ(recovered->epoch(), 4u);
   EXPECT_EQ(recovered->num_docs(),
-            recovered->seed_docs() + recovered->epoch());
+            recovered->shard(0).seed_docs() + recovered->epoch());
 
-  auto reference = ServingPipeline::restore(snap_path);
-  ASSERT_NE(reference, nullptr);
-  expect_identical_answers(*recovered, *reference);
-  std::remove(snap_path.c_str());
-  std::remove(wal_path.c_str());
+  Oracle reference(seed_docs());
+  for (size_t i = 0; i < 4; ++i) reference.add_post(stream[i]);
+  expect_identical_answers(*recovered, reference);
+  recovered.reset();
+  std::filesystem::remove_all(dir);
 }
 
 // ==================================================== sharded deployments ====
@@ -239,19 +253,6 @@ std::string tmp_dir(const std::string& name) {
          std::to_string(static_cast<long>(::getpid()));
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-}
-
-bool spew(const std::string& path, const std::string& data) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os << data;
-  os.flush();
-  return static_cast<bool>(os);
-}
-
 /// All mutable files of a 4-shard persist directory, for capture/rollback.
 std::vector<std::string> shard_dir_files(const std::string& dir) {
   std::vector<std::string> files = {dir + "/MANIFEST", dir + "/ingest.order"};
@@ -264,10 +265,10 @@ std::vector<std::string> shard_dir_files(const std::string& dir) {
 
 /// Sharded vs unsharded bit-identity at quiescence (both sides joined).
 void expect_matches_pipeline(const ShardedServing& sharded,
-                             const ServingPipeline& reference) {
+                             const Oracle& reference) {
   ASSERT_EQ(sharded.num_docs(), reference.num_docs());
   ASSERT_EQ(sharded.epoch(), reference.epoch());
-  for (const Document& d : reference.quiescent().docs()) {
+  for (const Document& d : reference.docs()) {
     auto got = sharded.find_related(d.id(), 5);
     auto want = reference.find_related(d.id(), 5);
     ASSERT_EQ(got.results.size(), want.results.size()) << "query " << d.id();
@@ -328,7 +329,7 @@ void run_sharded_crash_trial(size_t crash_after) {
 
   // Unsharded reference at the same logical epoch — the bit-identity
   // anchor for both of them.
-  ServingPipeline unsharded(RelatedPostPipeline::build(seed_docs()));
+  Oracle unsharded(seed_docs());
   for (size_t i = 0; i < crash_after; ++i) unsharded.add_post(stream[i]);
   expect_matches_pipeline(*recovered, unsharded);
   expect_matches_pipeline(*reference, unsharded);
@@ -374,7 +375,7 @@ TEST(ShardedKillSafety, FreshlyCreatedDeploymentSurvivesCrashMidIngest) {
   ASSERT_NE(recovered, nullptr);
   EXPECT_EQ(recovered->epoch(), kIngests);
 
-  ServingPipeline unsharded(RelatedPostPipeline::build(seed_docs()));
+  Oracle unsharded(seed_docs());
   for (size_t i = 0; i < kIngests; ++i) unsharded.add_post(stream[i]);
   expect_matches_pipeline(*recovered, unsharded);
 }
@@ -424,7 +425,7 @@ TEST(ShardedKillSafety, CrashBetweenShardSnapshotRenames) {
          "must recover, not reject";
   EXPECT_EQ(recovered->epoch(), kIngests);
 
-  ServingPipeline unsharded(RelatedPostPipeline::build(seed_docs()));
+  Oracle unsharded(seed_docs());
   for (size_t i = 0; i < kIngests; ++i) unsharded.add_post(stream[i]);
   expect_matches_pipeline(*recovered, unsharded);
 
@@ -485,7 +486,7 @@ TEST(ShardedKillSafety, CrashBeforeReclusterManifestCommitLandsOnOldGeneration) 
   EXPECT_EQ(recovered->epoch(), kIngests);
 
   // Bit-identical to a never-crashed, never-reclustered deployment.
-  ServingPipeline unsharded(RelatedPostPipeline::build(seed_docs()));
+  Oracle unsharded(seed_docs());
   for (size_t i = 0; i < kIngests; ++i) unsharded.add_post(stream[i]);
   expect_matches_pipeline(*recovered, unsharded);
 
@@ -535,7 +536,7 @@ TEST(ShardedKillSafety, KillAfterReclusterSaveRestoresNewGeneration) {
   EXPECT_EQ(recovered->epoch(), kBefore + kAfter);
 
   // Never-crashed reference running the identical history.
-  ServingPipeline unsharded(RelatedPostPipeline::build(seed_docs()));
+  Oracle unsharded(seed_docs());
   for (size_t i = 0; i < kBefore; ++i) unsharded.add_post(stream[i]);
   ASSERT_EQ(unsharded.recluster(), 1u);
   for (size_t i = 0; i < kAfter; ++i) {

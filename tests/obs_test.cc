@@ -1,16 +1,18 @@
 // Tests for the observability layer (src/obs): histogram bucket
 // boundaries and quantile goldens, counter exactness under threads,
 // deterministic registry rendering, and the serving integration — query
-// metrics must actually advance when ServingPipeline serves queries.
+// metrics must actually advance when ShardedServing serves queries.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/serving.h"
+#include "core/sharded_serving.h"
+#include "datagen/post_generator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -250,13 +252,16 @@ TEST(ServingObservabilityTest, QueryAndIngestMetricsAdvance) {
   for (size_t i = 0; i < texts.size(); ++i) {
     docs.push_back(Document::analyze(static_cast<DocId>(i), texts[i]));
   }
-  ServingPipeline serving(RelatedPostPipeline::build(std::move(docs), {}));
+  auto built = ShardedServing::create(std::move(docs));
+  ShardedServing& serving = *built;
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  obs::Counter& queries =
-      reg.counter("ibseg_queries_total", "", {{"op", "find_related"}});
-  obs::Histogram& latency =
-      reg.histogram("ibseg_query_seconds", "", {{"op", "find_related"}});
+  obs::Counter& queries = reg.counter(
+      "ibseg_queries_total", "",
+      {{"op", "find_related"}, {"tenant", "default"}});
+  obs::Histogram& latency = reg.histogram(
+      "ibseg_query_seconds", "",
+      {{"op", "find_related"}, {"tenant", "default"}});
   obs::Counter& ingested = reg.counter("ibseg_ingested_posts_total", "");
   obs::Gauge& corpus = reg.gauge("ibseg_corpus_docs", "");
 
@@ -286,6 +291,105 @@ TEST(ServingObservabilityTest, QueryAndIngestMetricsAdvance) {
             std::string::npos);
   EXPECT_NE(text.find("ibseg_stage_seconds_count{stage=\"top-k\"}"),
             std::string::npos);
+}
+
+// Every served query lands in exactly one {op, tenant} series — cache
+// hits included — so two instances in one process never share a count.
+TEST(ServingObservabilityTest, QueriesAreCountedPerOpAndTenant) {
+  GeneratorOptions gen;
+  gen.num_posts = 16;
+  gen.seed = 5;
+  ServingOptions a_options;
+  a_options.tenant = "obs_a";
+  a_options.cache.capacity = 64;
+  ServingOptions b_options;
+  b_options.tenant = "obs_b";
+  auto a = ShardedServing::create(analyze_corpus(generate_corpus(gen)), {},
+                                  a_options);
+  auto b = ShardedServing::create(analyze_corpus(generate_corpus(gen)), {},
+                                  b_options);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  auto count = [&](const char* op, const char* tenant) {
+    return reg.counter("ibseg_queries_total", "",
+                       {{"op", op}, {"tenant", tenant}})
+        .value();
+  };
+  a->find_related(1, 3);
+  a->find_related(1, 3);  // a cache hit still counts
+  a->find_related_external(Document::analyze(1u << 30, "my printer jams"), 3);
+  b->find_related(2, 3);
+  EXPECT_EQ(count("find_related", "obs_a"), 2u);
+  EXPECT_EQ(count("find_related_external", "obs_a"), 1u);
+  EXPECT_EQ(count("find_related", "obs_b"), 1u);
+  EXPECT_EQ(count("find_related_external", "obs_b"), 0u);
+  EXPECT_EQ(reg.histogram("ibseg_query_seconds", "",
+                          {{"op", "find_related"}, {"tenant", "obs_a"}})
+                .count(),
+            2u);
+}
+
+/// A 2-shard, cache-off deployment over 64 posts with the tightest heaps,
+/// so MaxScore pruning engages on most queries.
+std::unique_ptr<ShardedServing> pruning_serving(const std::string& tenant) {
+  GeneratorOptions gen;
+  gen.num_posts = 64;
+  gen.posts_per_scenario = 4;
+  gen.seed = 17;
+  PipelineOptions tight;
+  tight.matcher.top_n_factor = 1;  // small heaps: pruning engages
+  ServingOptions options;
+  options.num_shards = 2;  // cache off (default capacity 0)
+  options.tenant = tenant;
+  return ShardedServing::create(analyze_corpus(generate_corpus(gen)), tight,
+                                options);
+}
+
+/// Units pruned so far, summed over the deployment's current shards.
+uint64_t shard_pruned(const ShardedServing& serving) {
+  uint64_t total = 0;
+  for (uint32_t s = 0; s < serving.num_shards(); ++s) {
+    total += serving.shard(s)
+                 .quiescent()
+                 .matcher()
+                 .work_counters()
+                 .units_pruned.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+// ibseg_pruned_docs_total exports the scatter legs' MaxScore work: across
+// a run of queries its delta is exactly the summed per-shard pruning.
+TEST(ServingObservabilityTest, PrunedDocsCounterTracksShardWork) {
+  auto serving = pruning_serving("obs_pruned");
+  obs::Counter& pruned = obs::MetricsRegistry::global().counter(
+      "ibseg_pruned_docs_total", "");
+  const uint64_t counter_before = pruned.value();
+  const uint64_t shards_before = shard_pruned(*serving);
+  for (DocId q = 0; q < 64; ++q) serving->find_related(q, 1);
+  const uint64_t shard_delta = shard_pruned(*serving) - shards_before;
+  EXPECT_GT(shard_delta, 0u) << "pruning never engaged; the test is vacuous";
+  EXPECT_EQ(pruned.value() - counter_before, shard_delta);
+}
+
+// A recluster swaps in new shards whose matchers count pruning from zero.
+// The exported counter keeps accumulating exactly their work: it neither
+// re-exports the retired shards' totals nor misses the new shards' work.
+TEST(ServingObservabilityTest, PrunedDocsCounterSurvivesRecluster) {
+  auto serving = pruning_serving("obs_pruned_recluster");
+  obs::Counter& pruned = obs::MetricsRegistry::global().counter(
+      "ibseg_pruned_docs_total", "");
+  for (DocId q = 0; q < 64; ++q) serving->find_related(q, 1);
+  ASSERT_GT(shard_pruned(*serving), 0u)
+      << "pruning never engaged before the swap";
+  ASSERT_EQ(serving->recluster(), 1u);
+  EXPECT_EQ(shard_pruned(*serving), 0u)
+      << "the new shards start counting at zero";
+
+  const uint64_t counter_before = pruned.value();
+  for (DocId q = 0; q < 64; ++q) serving->find_related(q, 1);
+  const uint64_t shard_delta = shard_pruned(*serving);
+  EXPECT_GT(shard_delta, 0u) << "pruning never engaged after the swap";
+  EXPECT_EQ(pruned.value() - counter_before, shard_delta);
 }
 
 }  // namespace

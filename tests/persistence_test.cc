@@ -1,7 +1,8 @@
 // Persistence tests (ctest label "storage"): the snapshot v2 binary
-// format, the ingest WAL, and ServingPipeline::save/restore. Crash
-// *injection* (fork + _exit mid-ingest) lives in kill_safety_test.cc;
-// this file covers the formats and the single-process recovery paths.
+// format, the ingest WAL, and the state-directory save/restore of a
+// one-shard ShardedServing. Crash *injection* (fork + _exit mid-ingest)
+// lives in kill_safety_test.cc; this file covers the formats and the
+// single-process recovery paths.
 
 #include <gtest/gtest.h>
 #include <pthread.h>
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -17,9 +19,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/serving.h"
+#include "core/sharded_serving.h"
 #include "datagen/post_generator.h"
-#include "storage/snapshot.h"
+#include "oracle.h"
 #include "storage/snapshot_v2.h"
 #include "storage/wal.h"
 #include "storage/wal_codec.h"
@@ -63,32 +65,49 @@ void write_file(const std::string& path, const std::string& data) {
 
 size_t file_size(const std::string& path) { return read_file(path).size(); }
 
-/// Fresh per-test file path under gtest's temp dir.
+/// Fresh per-test file (or state directory) path under gtest's temp dir.
 std::string tmp_path(const std::string& name) {
   std::string path = ::testing::TempDir() + "/ibseg_" + name;
-  std::remove(path.c_str());
+  std::filesystem::remove_all(path);
   return path;
 }
 
-/// Expects identical answers (same docs, same ranking) with scores equal
-/// to within floating-point noise — the tolerance the existing snapshot-v1
-/// matcher test uses for original-vs-rebuilt comparisons.
-void expect_same_answers(const ServingPipeline& a, const ServingPipeline& b,
+/// The one-shard serving facade over the seed corpus; `options` may name
+/// a state directory.
+std::unique_ptr<ShardedServing> seed_serving(size_t num_posts = 24,
+                                             ServingOptions options = {}) {
+  return ShardedServing::create(seed_docs(num_posts), {}, std::move(options));
+}
+
+/// Shard 0's snapshot inside a state directory written at `generation`.
+std::string shard_snapshot(const std::string& dir, uint64_t generation = 0) {
+  return dir + "/shard-0/" +
+         (generation == 0 ? std::string("snapshot.v2")
+                          : "snapshot.g" + std::to_string(generation) + ".v2");
+}
+
+/// Expects identical answers (same docs, same ranking) for every document
+/// of every shard, with scores equal to within `tolerance` (0 =
+/// bit-identical). `Reference` is another facade or the Oracle.
+template <typename Reference>
+void expect_same_answers(const ShardedServing& a, const Reference& b,
                          double tolerance) {
   ASSERT_EQ(a.num_docs(), b.num_docs());
-  for (const Document& d : a.quiescent().docs()) {
-    auto ra = a.find_related(d.id(), 5);
-    auto rb = b.find_related(d.id(), 5);
-    ASSERT_EQ(ra.results.size(), rb.results.size()) << "query " << d.id();
-    for (size_t i = 0; i < ra.results.size(); ++i) {
-      EXPECT_EQ(ra.results[i].doc, rb.results[i].doc)
-          << "query " << d.id() << " rank " << i;
-      if (tolerance == 0.0) {
-        EXPECT_EQ(ra.results[i].score, rb.results[i].score)
+  for (uint32_t s = 0; s < a.num_shards(); ++s) {
+    for (const Document& d : a.shard(s).quiescent().docs()) {
+      auto ra = a.find_related(d.id(), 5);
+      auto rb = b.find_related(d.id(), 5);
+      ASSERT_EQ(ra.results.size(), rb.results.size()) << "query " << d.id();
+      for (size_t i = 0; i < ra.results.size(); ++i) {
+        EXPECT_EQ(ra.results[i].doc, rb.results[i].doc)
             << "query " << d.id() << " rank " << i;
-      } else {
-        EXPECT_NEAR(ra.results[i].score, rb.results[i].score, tolerance)
-            << "query " << d.id() << " rank " << i;
+        if (tolerance == 0.0) {
+          EXPECT_EQ(ra.results[i].score, rb.results[i].score)
+              << "query " << d.id() << " rank " << i;
+        } else {
+          EXPECT_NEAR(ra.results[i].score, rb.results[i].score, tolerance)
+              << "query " << d.id() << " rank " << i;
+        }
       }
     }
   }
@@ -98,12 +117,13 @@ void expect_same_answers(const ServingPipeline& a, const ServingPipeline& b,
 
 TEST(SnapshotV2, SaveRestoreRoundTrip) {
   std::string path = tmp_path("snap_roundtrip");
-  ServingPipeline serving(build_seed_pipeline());
-  size_t seed = serving.seed_docs();
+  auto built = seed_serving();
+  ShardedServing& serving = *built;
+  size_t seed = serving.shard(0).seed_docs();
   for (const std::string& text : extra_posts()) serving.add_post(text);
   ASSERT_TRUE(serving.save(path));
 
-  auto snap = load_snapshot_v2_file(path);
+  auto snap = load_snapshot_v2_file(shard_snapshot(path));
   ASSERT_TRUE(snap.has_value());
   EXPECT_TRUE(snap->is_consistent());
   EXPECT_EQ(snap->doc_ids.size(), serving.num_docs());
@@ -118,30 +138,34 @@ TEST(SnapshotV2, SaveRestoreRoundTrip) {
   }
   EXPECT_EQ(snap->seed_labels.size(), seed_segments);
 
-  auto restored = ServingPipeline::restore(path);
+  auto restored = ShardedServing::restore(path);
   ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(restored->seed_docs(), seed);
+  EXPECT_EQ(restored->shard(0).seed_docs(), seed);
   EXPECT_EQ(restored->epoch(), serving.epoch());
   EXPECT_EQ(restored->num_docs(), serving.num_docs());
   EXPECT_GE(restored->next_id(), serving.next_id());
   expect_same_answers(serving, *restored, 1e-9);
-  std::remove(path.c_str());
+  restored.reset();
+  std::filesystem::remove_all(path);
 }
 
 TEST(SnapshotV2, RestoredPipelineKeepsServing) {
   std::string path = tmp_path("snap_keeps_serving");
-  ServingPipeline serving(build_seed_pipeline(12));
+  auto built = seed_serving(12);
+  ShardedServing& serving = *built;
   ASSERT_TRUE(serving.save(path));
-  auto restored = ServingPipeline::restore(path);
+  auto restored = ShardedServing::restore(path);
   ASSERT_NE(restored, nullptr);
   // Ids keep incrementing past the snapshot watermark; the invariant
   // num_docs == seed_docs + epoch survives the restart.
   DocId id = restored->add_post("the printer fails after the latest update");
   EXPECT_GE(id, serving.next_id());
-  EXPECT_EQ(restored->num_docs(), restored->seed_docs() + restored->epoch());
+  EXPECT_EQ(restored->num_docs(),
+            restored->shard(0).seed_docs() + restored->epoch());
   auto r = restored->find_related(id, 3);
   EXPECT_EQ(r.num_docs, restored->num_docs());
-  std::remove(path.c_str());
+  restored.reset();
+  std::filesystem::remove_all(path);
 }
 
 TEST(SnapshotV2, EveryPrefixIsRejected) {
@@ -179,14 +203,24 @@ TEST(SnapshotV2, SingleByteCorruptionIsRejected) {
   std::remove(path.c_str());
 }
 
-/// A pipeline one recluster into its life, with a non-trivial offline
+TEST(SnapshotV2, SaveFileIsAtomicAndLoadable) {
+  std::string path = tmp_path("snap_atomic");
+  ServingPipeline shard(build_seed_pipeline(6));
+  ASSERT_TRUE(shard.save(path));
+  ASSERT_TRUE(load_snapshot_v2_file(path).has_value());
+  // Unwritable target: reports failure, leaves the good file alone.
+  EXPECT_FALSE(shard.save("/nonexistent-ibseg-dir/snap"));
+  EXPECT_TRUE(load_snapshot_v2_file(path).has_value());
+  std::remove(path.c_str());
+}
+
+/// A deployment one recluster into its life, with a non-trivial offline
 /// section: pending pool, docs-since counter and post-recluster ingests
 /// all non-empty when saved.
-std::unique_ptr<ServingPipeline> build_generation_one_pipeline() {
+std::unique_ptr<ShardedServing> build_generation_one_pipeline() {
   ServingOptions options;
   options.recluster.pending_distance_threshold = 0.0;  // pool every ingest
-  auto serving =
-      std::make_unique<ServingPipeline>(build_seed_pipeline(), options);
+  auto serving = seed_serving(24, options);
   std::vector<std::string> posts = extra_posts();
   for (size_t i = 0; i < 4; ++i) serving->add_post(posts[i]);
   [[maybe_unused]] uint64_t gen = serving->recluster();
@@ -202,13 +236,13 @@ TEST(SnapshotV2, OfflineSectionRoundTripsAfterRecluster) {
   ASSERT_GT(serving->docs_since_recluster(), 0u);
   ASSERT_TRUE(serving->save(path));
 
-  auto snap = load_snapshot_v2_file(path);
+  auto snap = load_snapshot_v2_file(shard_snapshot(path, 1));
   ASSERT_TRUE(snap.has_value());
   EXPECT_TRUE(snap->is_consistent());
   EXPECT_EQ(snap->offline_generation, 1u);
-  EXPECT_EQ(snap->offline_docs, serving->offline_docs());
+  EXPECT_EQ(snap->offline_docs, serving->shard(0).offline_docs());
   EXPECT_GT(snap->offline_docs, snap->num_seed_docs);
-  EXPECT_EQ(snap->pending_pool, serving->pending_pool());
+  EXPECT_EQ(snap->pending_pool, serving->shard(0).pending_pool());
   EXPECT_EQ(snap->docs_since_recluster, serving->docs_since_recluster());
   ASSERT_EQ(snap->centroids.size(), static_cast<size_t>(snap->num_clusters));
   // offline_labels cover exactly the segments of the documents between the
@@ -223,14 +257,15 @@ TEST(SnapshotV2, OfflineSectionRoundTripsAfterRecluster) {
   // lives in recluster_differential_test.cc; this is the format check).
   ServingOptions options;
   options.recluster.pending_distance_threshold = 0.0;
-  auto restored = ServingPipeline::restore(path, {}, options);
+  auto restored = ShardedServing::restore(path, {}, options);
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->offline_generation(), 1u);
-  EXPECT_EQ(restored->offline_docs(), serving->offline_docs());
-  EXPECT_EQ(restored->pending_pool(), serving->pending_pool());
+  EXPECT_EQ(restored->shard(0).offline_docs(), serving->shard(0).offline_docs());
+  EXPECT_EQ(restored->shard(0).pending_pool(), serving->shard(0).pending_pool());
   EXPECT_EQ(restored->docs_since_recluster(), serving->docs_since_recluster());
   expect_same_answers(*serving, *restored, 0.0);
-  std::remove(path.c_str());
+  restored.reset();
+  std::filesystem::remove_all(path);
 }
 
 TEST(SnapshotV2, EveryPrefixIsRejectedAtGenerationOne) {
@@ -240,7 +275,7 @@ TEST(SnapshotV2, EveryPrefixIsRejectedAtGenerationOne) {
   std::string path = tmp_path("snap_offline_prefix");
   auto serving = build_generation_one_pipeline();
   ASSERT_TRUE(serving->save(path));
-  const std::string data = read_file(path);
+  const std::string data = read_file(shard_snapshot(path, 1));
   ASSERT_GT(data.size(), 16u);
   for (size_t len = 0; len < data.size(); ++len) {
     std::istringstream prefix(data.substr(0, len));
@@ -250,14 +285,14 @@ TEST(SnapshotV2, EveryPrefixIsRejectedAtGenerationOne) {
   auto snap = load_snapshot_v2(full);
   ASSERT_TRUE(snap.has_value());
   EXPECT_EQ(snap->offline_generation, 1u);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(path);
 }
 
 TEST(SnapshotV2, SingleByteCorruptionIsRejectedAtGenerationOne) {
   std::string path = tmp_path("snap_offline_bitflip");
   auto serving = build_generation_one_pipeline();
   ASSERT_TRUE(serving->save(path));
-  std::string data = read_file(path);
+  std::string data = read_file(shard_snapshot(path, 1));
   for (size_t pos = 0; pos < data.size(); pos += 13) {
     std::string corrupt = data;
     corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x40);
@@ -266,7 +301,7 @@ TEST(SnapshotV2, SingleByteCorruptionIsRejectedAtGenerationOne) {
   }
   std::istringstream padded(data + "x");
   EXPECT_FALSE(load_snapshot_v2(padded).has_value());
-  std::remove(path.c_str());
+  std::filesystem::remove_all(path);
 }
 
 TEST(SnapshotV2, InflatedLengthFieldsDoNotAllocate) {
@@ -302,35 +337,6 @@ TEST(SnapshotV2, InflatedLengthFieldsDoNotAllocate) {
                           u32le(0) + std::string(64, 'x'));
     EXPECT_FALSE(load_snapshot_v2(is).has_value());
   }
-}
-
-TEST(SnapshotV2, AnyLoaderFallsBackToV1) {
-  // A v1 text snapshot keeps loading through the sniffing loader.
-  RelatedPostPipeline pipeline = build_seed_pipeline(8);
-  PipelineSnapshot v1 = pipeline.snapshot();
-  std::string v1_path = tmp_path("snap_any_v1");
-  ASSERT_TRUE(save_snapshot_file(v1, v1_path));
-  auto via_any = load_snapshot_any_file(v1_path);
-  ASSERT_TRUE(via_any.has_value());
-  EXPECT_EQ(via_any->segment_labels, v1.segment_labels);
-  EXPECT_EQ(via_any->num_clusters, v1.num_clusters);
-
-  // And a v2 file yields its offline part through the same entry point.
-  std::string v2_path = tmp_path("snap_any_v2");
-  ServingPipeline serving(std::move(pipeline));
-  ASSERT_TRUE(serving.save(v2_path));
-  auto offline = load_snapshot_any_file(v2_path);
-  ASSERT_TRUE(offline.has_value());
-  EXPECT_TRUE(offline->is_consistent());
-  EXPECT_EQ(offline->segmentations.size(), serving.seed_docs());
-
-  // Garbage matches neither format.
-  std::string bad_path = tmp_path("snap_any_bad");
-  write_file(bad_path, "neither format");
-  EXPECT_FALSE(load_snapshot_any_file(bad_path).has_value());
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
-  std::remove(bad_path.c_str());
 }
 
 // --------------------------------------------------------------- WAL ----
@@ -590,69 +596,121 @@ TEST(Wal, CrcValidFrameBeyondATornGapIsNeverReplayed) {
 // ----------------------------------------------- serving + WAL wiring ----
 
 TEST(ServingPersistence, WalReplayRebuildsIdenticalState) {
-  std::string wal_path = tmp_path("serving_wal_replay");
+  std::string dir = tmp_path("serving_wal_replay");
   ServingOptions with_wal;
-  with_wal.persist.wal_path = wal_path;
+  with_wal.persist.shard_dir = dir;
   std::vector<std::string> extras = extra_posts();
 
-  auto original =
-      std::make_unique<ServingPipeline>(build_seed_pipeline(), with_wal);
+  auto original = seed_serving(24, with_wal);
+  ASSERT_TRUE(original->save(dir));  // the base the WAL tail replays onto
   for (const std::string& text : extras) original->add_post(text);
 
   // Reference: the same ingests with no persistence at all.
-  ServingPipeline reference(build_seed_pipeline());
+  Oracle reference(seed_docs());
   for (const std::string& text : extras) reference.add_post(text);
   expect_same_answers(*original, reference, 0.0);
 
-  // "Restart": a fresh pipeline over the same seed corpus plus the WAL.
+  // "Restart": the saved base plus the WAL tail.
   original.reset();
-  ServingPipeline recovered(build_seed_pipeline(), with_wal);
-  EXPECT_EQ(recovered.epoch(), extras.size());
-  EXPECT_EQ(recovered.num_docs(), recovered.seed_docs() + recovered.epoch());
-  expect_same_answers(recovered, reference, 0.0);
-  std::remove(wal_path.c_str());
+  auto recovered = ShardedServing::restore(dir);
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_EQ(recovered->epoch(), extras.size());
+  EXPECT_EQ(recovered->num_docs(),
+            recovered->shard(0).seed_docs() + recovered->epoch());
+  expect_same_answers(*recovered, reference, 0.0);
+  recovered.reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServingPersistence, SaveTruncatesWalAndRestoreSkipsDuplicates) {
-  std::string wal_path = tmp_path("serving_wal_dup");
-  std::string snap_path = tmp_path("serving_snap_dup");
+  std::string dir = tmp_path("serving_wal_dup");
   ServingOptions with_wal;
-  with_wal.persist.wal_path = wal_path;
+  with_wal.persist.shard_dir = dir;
   std::vector<std::string> extras = extra_posts();
+  const std::string wal_file = dir + "/shard-0/wal";
+  const std::string journal_file = dir + "/ingest.order";
 
-  auto serving =
-      std::make_unique<ServingPipeline>(build_seed_pipeline(), with_wal);
+  auto serving = seed_serving(24, with_wal);
   for (const std::string& text : extras) serving->add_post(text);
-  ASSERT_GT(file_size(wal_path), 0u);
-  const std::string wal_before_save = read_file(wal_path);
-  ASSERT_TRUE(serving->save(snap_path));
+  ASSERT_GT(file_size(wal_file), 0u);
+  const std::string wal_before_save = read_file(wal_file);
+  const std::string journal_before_save = read_file(journal_file);
+  ASSERT_TRUE(serving->save(dir));
   // save() bakes every logged record into the snapshot and empties the log.
-  EXPECT_EQ(file_size(wal_path), 0u);
+  EXPECT_EQ(file_size(wal_file), 0u);
   const uint64_t epoch_at_save = serving->epoch();
   serving.reset();
 
   // Crash window: snapshot renamed but the WAL truncation never happened.
   // Restore must skip the already-snapshotted records — no double publish.
-  write_file(wal_path, wal_before_save);
-  auto recovered = ServingPipeline::restore(snap_path, {}, with_wal);
+  write_file(wal_file, wal_before_save);
+  write_file(journal_file, journal_before_save);
+  auto recovered = ShardedServing::restore(dir);
   ASSERT_NE(recovered, nullptr);
   EXPECT_EQ(recovered->epoch(), epoch_at_save);
   EXPECT_EQ(recovered->num_docs(),
-            recovered->seed_docs() + recovered->epoch());
+            recovered->shard(0).seed_docs() + recovered->epoch());
 
-  ServingPipeline reference(build_seed_pipeline());
+  Oracle reference(seed_docs());
   for (const std::string& text : extras) reference.add_post(text);
   expect_same_answers(*recovered, reference, 1e-9);
-  std::remove(wal_path.c_str());
-  std::remove(snap_path.c_str());
+  recovered.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// A batch is acknowledged only after each of its posts is WAL-appended,
+// and the publication journal records the batch in request order
+// (docs/PROTOCOL.md §4.5). A restart from the directory therefore
+// replays batched and single ingests across shards in their original
+// publication order: same ids, same sequence, bit-identical answers.
+TEST(ServingPersistence, BatchedIngestReplaysInPublicationOrder) {
+  std::string dir = tmp_path("serving_batch_replay");
+  ServingOptions options;
+  options.num_shards = 2;
+  options.persist.shard_dir = dir;
+  std::vector<std::string> extras = extra_posts();
+  std::vector<std::string> batch(extras.begin(), extras.begin() + 4);
+
+  Oracle reference(seed_docs());
+  auto original = seed_serving(24, options);
+  ASSERT_NE(original, nullptr);
+  ASSERT_TRUE(original->save(dir));  // the base the WAL tail replays onto
+  std::vector<DocId> order = original->add_posts(batch);
+  ASSERT_EQ(order, reference.add_posts(batch));
+  for (size_t i = batch.size(); i < extras.size(); ++i) {
+    order.push_back(original->add_post(extras[i]));
+    ASSERT_EQ(order.back(), reference.add_post(extras[i]));
+  }
+  const uint64_t epoch = original->epoch();
+  const DocId next_id = original->next_id();
+  original.reset();
+
+  auto recovered = ShardedServing::restore(dir);
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_EQ(recovered->num_shards(), 2u);
+  EXPECT_EQ(recovered->epoch(), epoch);
+  EXPECT_EQ(recovered->next_id(), next_id);
+  // The recovered publication sequence, read back as replication frames.
+  ShardedServing::ShipSegment seg =
+      recovered->ship_segment(0, recovered->offline_generation(), 64, 1u << 20);
+  ASSERT_EQ(seg.status, ShardedServing::ShipSegment::Status::kOk);
+  std::vector<WalRecord> records;
+  wal_scan_frames(seg.raw.data(), seg.raw.size(), &records);
+  std::vector<DocId> replayed;
+  for (const WalRecord& rec : records) replayed.push_back(rec.id);
+  EXPECT_EQ(replayed, order);
+  expect_same_answers(*recovered, reference, 0.0);
+  recovered.reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServingPersistence, RestoreRejectsMissingOrCorruptSnapshot) {
-  EXPECT_EQ(ServingPipeline::restore(tmp_path("no_such_snapshot")), nullptr);
+  EXPECT_EQ(ShardedServing::restore(tmp_path("no_such_snapshot")), nullptr);
   std::string path = tmp_path("corrupt_snapshot");
-  write_file(path, "IBSGSNP2 but then nonsense");
-  EXPECT_EQ(ServingPipeline::restore(path), nullptr);
-  std::remove(path.c_str());
+  ASSERT_TRUE(seed_serving(6)->save(path));
+  write_file(shard_snapshot(path), "IBSGSNP2 but then nonsense");
+  EXPECT_EQ(ShardedServing::restore(path), nullptr);
+  std::filesystem::remove_all(path);
 }
 
 }  // namespace

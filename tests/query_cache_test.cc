@@ -216,10 +216,6 @@ TEST(QueryCacheFingerprint, SensitiveToEveryMatcherOptionsField) {
   o.scoring.lm_lambda = 0.3;
   EXPECT_NE(matcher_options_fingerprint(o), fp) << "scoring.lm_lambda";
 
-  o = base;
-  o.query_threads = 4;
-  EXPECT_NE(matcher_options_fingerprint(o), fp) << "query_threads";
-
   // exhaustive_fallback lives in what used to be tail padding (sizeof is
   // unchanged), so the layout watchdog below cannot see it — this
   // mutation case is its only guard.

@@ -2,8 +2,8 @@
 // "differential" + "recluster"): after a quiescent recluster(), the
 // serving state must be BIT-IDENTICAL — ranked lists AND scores,
 // operator== on the doubles — to a cold pipeline built from scratch over
-// the same corpus. The suite proves it for the unsharded ServingPipeline
-// and for ShardedServing at shard counts {1, 2, 4}, across interleaved
+// the same corpus (the Oracle, tests/oracle.h). The suite proves it for
+// ShardedServing at shard counts {1, 2, 4}, across interleaved
 // ingests before/after the epoch, cache on/off (with the
 // generation-keyed staleness guarantee), save/restore at generation > 0
 // including the restore-without-seed-dependency contract, plus a
@@ -17,7 +17,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
@@ -25,9 +25,9 @@
 #include <vector>
 
 #include "core/recluster.h"
-#include "core/serving.h"
 #include "core/sharded_serving.h"
 #include "datagen/post_generator.h"
+#include "oracle.h"
 
 namespace ibseg {
 namespace {
@@ -88,11 +88,10 @@ void expect_identical(const std::vector<ScoredDoc>& got,
 /// its ingest history in the epoch while the cold side was born with
 /// everything as seed — the identity claim is about the index, i.e. the
 /// rankings and scores.
-template <typename Serving>
-void expect_same_index(const Serving& got, const ServingPipeline& cold,
+void expect_same_index(const ShardedServing& got, const Oracle& cold,
                        const std::string& what) {
   ASSERT_EQ(got.num_docs(), cold.num_docs()) << what;
-  for (const Document& d : cold.quiescent().docs()) {
+  for (const Document& d : cold.docs()) {
     for (int k : {1, 3, 10}) {
       expect_identical(got.find_related(d.id(), k).results,
                        cold.find_related(d.id(), k).results,
@@ -102,7 +101,7 @@ void expect_same_index(const Serving& got, const ServingPipeline& cold,
   }
 }
 
-// ------------------------------------------ unsharded: swap == rebuild ----
+// --------------------------------------------- one shard: swap == rebuild ----
 
 TEST(ReclusterDifferential, QuiescentReclusterEqualsColdRebuild) {
   for (uint64_t seed : {11u, 407u}) {
@@ -110,7 +109,8 @@ TEST(ReclusterDifferential, QuiescentReclusterEqualsColdRebuild) {
     SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, seed));
     std::vector<std::string> tail = ingest_texts(kTail, seed + 1);
 
-    ServingPipeline serving(RelatedPostPipeline::build(analyze_corpus(corpus)));
+    auto built = ShardedServing::create(analyze_corpus(corpus));
+    ShardedServing& serving = *built;
     for (const std::string& text : tail) serving.add_post(text);
     ASSERT_EQ(serving.offline_generation(), 0u);
     ASSERT_EQ(serving.docs_since_recluster(), kTail);
@@ -121,12 +121,12 @@ TEST(ReclusterDifferential, QuiescentReclusterEqualsColdRebuild) {
     // publication history: epoch/num_docs unchanged, counters reset.
     EXPECT_EQ(serving.offline_generation(), 1u);
     EXPECT_EQ(serving.epoch(), kTail);
-    EXPECT_EQ(serving.num_docs(), serving.seed_docs() + serving.epoch());
-    EXPECT_EQ(serving.offline_docs(), kPosts + kTail);
+    EXPECT_EQ(serving.num_docs(), serving.shard(0).seed_docs() + serving.epoch());
+    EXPECT_EQ(serving.shard(0).offline_docs(), kPosts + kTail);
     EXPECT_EQ(serving.docs_since_recluster(), 0u);
     EXPECT_EQ(serving.pending_pool_size(), 0u);
 
-    ServingPipeline cold(RelatedPostPipeline::build(full_docs(corpus, tail)));
+    Oracle cold(full_docs(corpus, tail));
     expect_same_index(serving, cold, "post-recluster");
 
     // A second epoch over the same corpus is a fixed point.
@@ -140,7 +140,8 @@ TEST(ReclusterDifferential, IngestsAfterTheSwapStayIdentical) {
   std::vector<std::string> tail = ingest_texts(kTail, 20);
   std::vector<std::string> later = ingest_texts(4, 21);
 
-  ServingPipeline serving(RelatedPostPipeline::build(analyze_corpus(corpus)));
+  auto built = ShardedServing::create(analyze_corpus(corpus));
+  ShardedServing& serving = *built;
   for (const std::string& text : tail) serving.add_post(text);
   ASSERT_EQ(serving.recluster(), 1u);
   for (const std::string& text : later) serving.add_post(text);
@@ -148,7 +149,7 @@ TEST(ReclusterDifferential, IngestsAfterTheSwapStayIdentical) {
 
   // Reference: cold build over the reclustered coverage, then the same
   // post-swap ingests through the identical streaming path.
-  ServingPipeline cold(RelatedPostPipeline::build(full_docs(corpus, tail)));
+  Oracle cold(full_docs(corpus, tail));
   for (const std::string& text : later) cold.add_post(text);
   expect_same_index(serving, cold, "post-swap ingests");
 }
@@ -163,12 +164,12 @@ TEST(ReclusterDifferential, PendingPoolTracksThresholdAndDrainsAtSwap) {
   // joins the pool — in ingest order.
   ServingOptions options;
   options.recluster.pending_distance_threshold = 0.0;
-  ServingPipeline serving(RelatedPostPipeline::build(analyze_corpus(corpus)),
-                          options);
+  auto built = ShardedServing::create(analyze_corpus(corpus), {}, options);
+  ShardedServing& serving = *built;
   std::vector<DocId> ids;
   for (const std::string& text : tail) ids.push_back(serving.add_post(text));
   EXPECT_EQ(serving.pending_pool_size(), tail.size());
-  EXPECT_EQ(serving.pending_pool(), ids);
+  EXPECT_EQ(serving.shard(0).pending_pool(), ids);
 
   // The pool is a trigger signal, not an index partition: pooled posts
   // answer queries like any other document.
@@ -178,12 +179,12 @@ TEST(ReclusterDifferential, PendingPoolTracksThresholdAndDrainsAtSwap) {
   // The swap folds the pool into the new offline coverage and drains it.
   ASSERT_EQ(serving.recluster(), 1u);
   EXPECT_EQ(serving.pending_pool_size(), 0u);
-  EXPECT_TRUE(serving.pending_pool().empty());
+  EXPECT_TRUE(serving.shard(0).pending_pool().empty());
 
   // The default (infinite) threshold never pools.
-  ServingPipeline relaxed(RelatedPostPipeline::build(analyze_corpus(corpus)));
-  for (const std::string& text : tail) relaxed.add_post(text);
-  EXPECT_EQ(relaxed.pending_pool_size(), 0u);
+  auto relaxed = ShardedServing::create(analyze_corpus(corpus));
+  for (const std::string& text : tail) relaxed->add_post(text);
+  EXPECT_EQ(relaxed->pending_pool_size(), 0u);
 }
 
 // -------------------------------------------------------------- sharded ----
@@ -192,7 +193,7 @@ TEST(ReclusterDifferential, ShardedReclusterEqualsColdRebuildAtEveryCount) {
   SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 53));
   std::vector<std::string> tail = ingest_texts(kTail, 54);
   std::vector<std::string> later = ingest_texts(3, 55);
-  ServingPipeline cold(RelatedPostPipeline::build(full_docs(corpus, tail)));
+  Oracle cold(full_docs(corpus, tail));
 
   for (int shards : kShardCounts) {
     SCOPED_TRACE("shards " + std::to_string(shards));
@@ -213,8 +214,7 @@ TEST(ReclusterDifferential, ShardedReclusterEqualsColdRebuildAtEveryCount) {
     expect_same_index(*sharded, cold, "sharded post-recluster");
 
     // Life continues: further ingests on both sides stay identical.
-    ServingPipeline cold_plus(
-        RelatedPostPipeline::build(full_docs(corpus, tail)));
+    Oracle cold_plus(full_docs(corpus, tail));
     for (const std::string& text : later) {
       sharded->add_post(text);
       cold_plus.add_post(text);
@@ -250,7 +250,7 @@ TEST(ReclusterDifferential, CacheServesNoStaleGenerationHits) {
     // Every post-swap answer must come from the new index: bit-identical
     // to the cold rebuild even though epoch did not move (epoch-only
     // invalidation would have served the old generation from cache).
-    ServingPipeline cold(RelatedPostPipeline::build(full_docs(corpus, tail)));
+    Oracle cold(full_docs(corpus, tail));
     expect_same_index(*sharded, cold, "cached post-recluster");
     // And the new generation caches normally: a repeat pass hits again.
     uint64_t hits_mid = sharded->query_cache()->hits();
@@ -269,13 +269,14 @@ TEST(ReclusterDifferential, DivergenceBetweenReclustersIsBoundedAndRepaired) {
   SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 71));
   std::vector<std::string> tail = ingest_texts(12, 72);
 
-  ServingPipeline drifted(RelatedPostPipeline::build(analyze_corpus(corpus)));
+  auto built = ShardedServing::create(analyze_corpus(corpus));
+  ShardedServing& drifted = *built;
   for (const std::string& text : tail) drifted.add_post(text);
-  ServingPipeline ideal(RelatedPostPipeline::build(full_docs(corpus, tail)));
+  Oracle ideal(full_docs(corpus, tail));
 
   size_t queries = 0;
   double overlap_sum = 0.0;
-  for (const Document& d : ideal.quiescent().docs()) {
+  for (const Document& d : ideal.docs()) {
     auto want = ideal.find_related(d.id(), 5).results;
     auto got = drifted.find_related(d.id(), 5).results;
     if (want.empty() && got.empty()) continue;
@@ -311,15 +312,15 @@ TEST(ReclusterDifferential, RestoreWithoutSeedRebuildIsBitIdentical) {
   // silently resurrect generation 0. The snapshot carries the offline
   // state; restore must reproduce the post-recluster index exactly.
   std::string path = tmp_dir("snap_gen1");
-  std::remove(path.c_str());
+  std::filesystem::remove_all(path);
   SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 81));
   std::vector<std::string> tail = ingest_texts(kTail, 82);
   std::vector<std::string> later = ingest_texts(3, 83);
 
   ServingOptions options;
   options.recluster.pending_distance_threshold = 0.0;  // pool everything
-  ServingPipeline serving(RelatedPostPipeline::build(analyze_corpus(corpus)),
-                          options);
+  auto built = ShardedServing::create(analyze_corpus(corpus), {}, options);
+  ShardedServing& serving = *built;
   for (const std::string& text : tail) serving.add_post(text);
   ASSERT_EQ(serving.recluster(), 1u);
   // Two more ingests AFTER the swap: the snapshot's offline section and
@@ -328,17 +329,17 @@ TEST(ReclusterDifferential, RestoreWithoutSeedRebuildIsBitIdentical) {
   EXPECT_EQ(serving.pending_pool_size(), later.size());
   ASSERT_TRUE(serving.save(path));
 
-  auto restored = ServingPipeline::restore(path, {}, options);
+  auto restored = ShardedServing::restore(path, {}, options);
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->offline_generation(), 1u);
-  EXPECT_EQ(restored->offline_docs(), kPosts + kTail);
+  EXPECT_EQ(restored->shard(0).offline_docs(), kPosts + kTail);
   EXPECT_EQ(restored->epoch(), serving.epoch());
   EXPECT_EQ(restored->num_docs(), serving.num_docs());
   EXPECT_EQ(restored->docs_since_recluster(), serving.docs_since_recluster());
-  EXPECT_EQ(restored->pending_pool(), serving.pending_pool());
+  EXPECT_EQ(restored->shard(0).pending_pool(), serving.shard(0).pending_pool());
 
   ASSERT_EQ(restored->num_docs(), serving.num_docs());
-  for (const Document& d : serving.quiescent().docs()) {
+  for (const Document& d : serving.shard(0).quiescent().docs()) {
     for (int k : {1, 3, 10}) {
       expect_identical(restored->find_related(d.id(), k).results,
                        serving.find_related(d.id(), k).results,
@@ -350,7 +351,7 @@ TEST(ReclusterDifferential, RestoreWithoutSeedRebuildIsBitIdentical) {
   // The restored instance reclusters and keeps serving.
   EXPECT_EQ(restored->recluster(), 2u);
   EXPECT_EQ(restored->pending_pool_size(), 0u);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(path);
 }
 
 TEST(ReclusterDifferential, ShardedSaveRestoreRoundTripsGenerationOne) {
@@ -383,7 +384,7 @@ TEST(ReclusterDifferential, ShardedSaveRestoreRoundTripsGenerationOne) {
     EXPECT_EQ(restored->next_id(), next_at_save);
 
     // Reference: the cold offline coverage plus the post-swap ingests.
-    ServingPipeline cold(RelatedPostPipeline::build(full_docs(corpus, tail)));
+    Oracle cold(full_docs(corpus, tail));
     for (const std::string& text : later) cold.add_post(text);
     expect_same_index(*restored, cold, "restored generation 1");
 
@@ -395,13 +396,12 @@ TEST(ReclusterDifferential, ShardedSaveRestoreRoundTripsGenerationOne) {
 
     // And the restored deployment can run the NEXT epoch.
     EXPECT_EQ(restored->recluster(), 2u);
-    ServingPipeline cold2(RelatedPostPipeline::build(
-        full_docs(corpus, [&] {
-          std::vector<std::string> all = tail;
-          all.insert(all.end(), later.begin(), later.end());
-          all.insert(all.end(), more.begin(), more.end());
-          return all;
-        }())));
+    Oracle cold2(full_docs(corpus, [&] {
+      std::vector<std::string> all = tail;
+      all.insert(all.end(), later.begin(), later.end());
+      all.insert(all.end(), more.begin(), more.end());
+      return all;
+    }()));
     expect_same_index(*restored, cold2, "second epoch after restore");
   }
 }
@@ -411,7 +411,8 @@ TEST(ReclusterDifferential, ShardedSaveRestoreRoundTripsGenerationOne) {
 TEST(ReclusterWorkerPolicy, FiresOnDocsSinceTriggerAndResets) {
   SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 101));
   std::vector<std::string> tail = ingest_texts(6, 102);
-  ServingPipeline serving(RelatedPostPipeline::build(analyze_corpus(corpus)));
+  auto built = ShardedServing::create(analyze_corpus(corpus));
+  ShardedServing& serving = *built;
 
   ReclusterPolicy policy;
   policy.max_docs_since = 4;
@@ -419,7 +420,10 @@ TEST(ReclusterWorkerPolicy, FiresOnDocsSinceTriggerAndResets) {
   ReclusterWorker worker(serving, policy);
   EXPECT_TRUE(worker.enabled());
   worker.start();
-  for (const std::string& text : tail) serving.add_post(text);
+  // One batch: the worker may trip mid-batch, but recluster() captures
+  // the corpus under the publication lock the batch holds, so its cut
+  // always contains all six posts — the cold reference below.
+  serving.add_posts(tail);
 
   // The worker must notice 6 >= 4 and fire within a few poll intervals.
   for (int i = 0; i < 1000 && serving.offline_generation() == 0; ++i) {
@@ -431,13 +435,14 @@ TEST(ReclusterWorkerPolicy, FiresOnDocsSinceTriggerAndResets) {
   EXPECT_LT(serving.docs_since_recluster(), 4u);
 
   // Post-fire state is the usual identity.
-  ServingPipeline cold(RelatedPostPipeline::build(full_docs(corpus, tail)));
+  Oracle cold(full_docs(corpus, tail));
   expect_same_index(serving, cold, "worker-fired epoch");
 }
 
 TEST(ReclusterWorkerPolicy, DisabledPolicyNeverFiresAndStopIsIdempotent) {
   SyntheticCorpus corpus = generate_corpus(corpus_options(12, 111));
-  ServingPipeline serving(RelatedPostPipeline::build(analyze_corpus(corpus)));
+  auto built = ShardedServing::create(analyze_corpus(corpus));
+  ShardedServing& serving = *built;
   ReclusterPolicy policy;  // both triggers 0 = disabled
   policy.poll_interval_ms = 1;
   ReclusterWorker worker(serving, policy);
@@ -455,8 +460,8 @@ TEST(ReclusterWorkerPolicy, PendingPoolTriggerFires) {
   SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 121));
   ServingOptions options;
   options.recluster.pending_distance_threshold = 0.0;  // pool everything
-  ServingPipeline serving(RelatedPostPipeline::build(analyze_corpus(corpus)),
-                          options);
+  auto built = ShardedServing::create(analyze_corpus(corpus), {}, options);
+  ShardedServing& serving = *built;
   ReclusterPolicy policy;
   policy.max_pending = 3;
   policy.poll_interval_ms = 5;

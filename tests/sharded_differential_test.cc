@@ -1,26 +1,28 @@
 // Differential proof of the sharded serving layer: ShardedServing at ANY
 // shard count must answer every query bit-identically — ranked lists AND
 // scores, operator== on the doubles — to the single unpartitioned
-// ServingPipeline over the same corpus and publication history. The suite
+// pipeline (the Oracle, tests/oracle.h) over the same corpus and
+// publication history. The suite
 // runs shard counts {1, 2, 3, 8} against the unsharded reference across
 // fresh builds, interleaved online ingests, cache on/off, external
-// queries, and save/restore round-trips (including a restart mid-history
-// with further ingests on both sides afterwards). Registered under the
-// `differential` ctest label; scripts/reproduce.sh IBSEG_DIFF_CHECK=1
-// runs the label under TSan.
+// queries, unknown ids, and save/restore round-trips (including a restart
+// mid-history with further ingests on both sides afterwards, and a failed
+// save). Registered under the `differential` ctest label;
+// scripts/reproduce.sh IBSEG_DIFF_CHECK=1 runs the label under TSan.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/serving.h"
 #include "core/sharded_serving.h"
 #include "datagen/post_generator.h"
+#include "oracle.h"
 
 namespace ibseg {
 namespace {
@@ -38,6 +40,12 @@ GeneratorOptions corpus_options(size_t posts, uint64_t seed) {
 
 std::string tmp_dir(const std::string& name) {
   return ::testing::TempDir() + "/ibseg_shard_" + name;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(is)),
+                     std::istreambuf_iterator<char>());
 }
 
 /// Extra posts to ingest online, drawn from a differently seeded corpus so
@@ -64,15 +72,14 @@ void expect_identical(const std::vector<ScoredDoc>& got,
 
 /// Every in-corpus query at several k, plus coordinates: sharded answers
 /// must equal the unsharded reference exactly.
-void expect_equivalent(const ShardedServing& sharded,
-                       const ServingPipeline& reference,
+void expect_equivalent(const ShardedServing& sharded, const Oracle& reference,
                        const std::string& what) {
   ASSERT_EQ(sharded.num_docs(), reference.num_docs()) << what;
   ASSERT_EQ(sharded.epoch(), reference.epoch()) << what;
-  for (const Document& d : reference.quiescent().docs()) {
+  for (const Document& d : reference.docs()) {
     for (int k : {1, 3, 10}) {
-      ServingPipeline::QueryResult want = reference.find_related(d.id(), k);
-      ServingPipeline::QueryResult got = sharded.find_related(d.id(), k);
+      ShardedServing::QueryResult want = reference.find_related(d.id(), k);
+      ShardedServing::QueryResult got = sharded.find_related(d.id(), k);
       EXPECT_EQ(got.epoch, want.epoch) << what;
       EXPECT_EQ(got.num_docs, want.num_docs) << what;
       expect_identical(got.results, want.results,
@@ -94,8 +101,7 @@ ServingOptions sharded_options(int shards, size_t cache_capacity = 0) {
 TEST(ShardedDifferential, FreshBuildIdenticalAtEveryShardCount) {
   for (uint64_t seed : {5u, 902u}) {
     SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, seed));
-    ServingPipeline reference(RelatedPostPipeline::build(
-        analyze_corpus(corpus)));
+    Oracle reference(analyze_corpus(corpus));
     for (int shards : kShardCounts) {
       std::unique_ptr<ShardedServing> sharded = ShardedServing::create(
           analyze_corpus(corpus), {}, sharded_options(shards));
@@ -128,8 +134,7 @@ TEST(ShardedDifferential, InterleavedIngestsStayIdentical) {
   SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 44));
   std::vector<std::string> extra = ingest_texts(8, 4400);
   for (int shards : kShardCounts) {
-    ServingPipeline reference(
-        RelatedPostPipeline::build(analyze_corpus(corpus)));
+    Oracle reference(analyze_corpus(corpus));
     std::unique_ptr<ShardedServing> sharded = ShardedServing::create(
         analyze_corpus(corpus), {}, sharded_options(shards));
     ASSERT_NE(sharded, nullptr);
@@ -160,8 +165,7 @@ TEST(ShardedDifferential, CacheOnEqualsCacheOff) {
   SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 77));
   std::vector<std::string> extra = ingest_texts(4, 7700);
   for (int shards : {2, 8}) {
-    ServingPipeline reference(
-        RelatedPostPipeline::build(analyze_corpus(corpus)));
+    Oracle reference(analyze_corpus(corpus));
     std::unique_ptr<ShardedServing> cached = ShardedServing::create(
         analyze_corpus(corpus), {}, sharded_options(shards, 256));
     ASSERT_NE(cached, nullptr);
@@ -188,8 +192,7 @@ TEST(ShardedDifferential, CacheOnEqualsCacheOff) {
 TEST(ShardedDifferential, ExternalQueriesIdentical) {
   SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 13));
   std::vector<std::string> externals = ingest_texts(6, 1300);
-  ServingPipeline reference(
-      RelatedPostPipeline::build(analyze_corpus(corpus)));
+  Oracle reference(analyze_corpus(corpus));
   for (int shards : kShardCounts) {
     std::unique_ptr<ShardedServing> sharded = ShardedServing::create(
         analyze_corpus(corpus), {}, sharded_options(shards));
@@ -205,6 +208,49 @@ TEST(ShardedDifferential, ExternalQueriesIdentical) {
                        "external shards=" + std::to_string(shards) +
                            " query " + std::to_string(i));
     }
+  }
+}
+
+// --------------------------------------------------------- unknown ids ----
+
+// An id the corpus does not hold — reserved next but not yet published,
+// or far past the watermark — answers an empty list stamped with the
+// current coordinates, exactly like the single pipeline. The moment a
+// post publishes under that id the next query must see it: the cached
+// empty answer belongs to the previous epoch and may not be replayed.
+TEST(ShardedDifferential, UnknownIdsAnswerEmptyUntilPublished) {
+  SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 37));
+  std::vector<std::string> extra = ingest_texts(2, 3700);
+  for (int shards : kShardCounts) {
+    Oracle reference(analyze_corpus(corpus));
+    std::unique_ptr<ShardedServing> sharded = ShardedServing::create(
+        analyze_corpus(corpus), {}, sharded_options(shards, 64));
+    ASSERT_NE(sharded, nullptr);
+    std::string what = "unknown shards=" + std::to_string(shards);
+    for (const std::string& text : extra) {
+      const DocId next = sharded->next_id();
+      for (DocId unknown : {next, next + 1000}) {
+        // Twice: the second answer comes from the cache.
+        for (int round = 0; round < 2; ++round) {
+          ShardedServing::QueryResult want = reference.find_related(unknown, 5);
+          ShardedServing::QueryResult got = sharded->find_related(unknown, 5);
+          EXPECT_TRUE(want.results.empty()) << what << " id " << unknown;
+          EXPECT_TRUE(got.results.empty()) << what << " id " << unknown;
+          EXPECT_EQ(got.epoch, want.epoch) << what << " id " << unknown;
+          EXPECT_EQ(got.num_docs, want.num_docs) << what << " id " << unknown;
+        }
+      }
+      ASSERT_EQ(reference.add_post(text), next) << what;
+      ASSERT_EQ(sharded->add_post(text), next) << what;
+      ShardedServing::QueryResult want = reference.find_related(next, 5);
+      ShardedServing::QueryResult got = sharded->find_related(next, 5);
+      ASSERT_FALSE(want.results.empty()) << what << " id " << next;
+      EXPECT_EQ(got.epoch, want.epoch) << what;
+      EXPECT_EQ(got.num_docs, want.num_docs) << what;
+      expect_identical(got.results, want.results,
+                       what + " published id " + std::to_string(next));
+    }
+    EXPECT_GT(sharded->query_cache()->hits(), 0u) << what;
   }
 }
 
@@ -227,8 +273,7 @@ TEST(ShardedDifferential, PrunedShardsEqualExhaustiveUnsharded) {
   pruned_opt.matcher.top_n_factor = 1;  // tightest heaps, max pruning
   exhaustive_opt.matcher.top_n_factor = 1;
   for (int shards : kShardCounts) {
-    ServingPipeline reference(RelatedPostPipeline::build(
-        analyze_corpus(corpus), exhaustive_opt));
+    Oracle reference(analyze_corpus(corpus), exhaustive_opt);
     std::unique_ptr<ShardedServing> sharded = ShardedServing::create(
         analyze_corpus(corpus), pruned_opt, sharded_options(shards));
     ASSERT_NE(sharded, nullptr);
@@ -251,8 +296,7 @@ TEST(ShardedDifferential, ExhaustiveShardsEqualPrunedUnsharded) {
   SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 29));
   PipelineOptions exhaustive_opt;
   exhaustive_opt.matcher.exhaustive_fallback = true;
-  ServingPipeline reference(
-      RelatedPostPipeline::build(analyze_corpus(corpus)));  // pruned default
+  Oracle reference(analyze_corpus(corpus));  // pruned default
   for (int shards : {2, 8}) {
     std::unique_ptr<ShardedServing> sharded = ShardedServing::create(
         analyze_corpus(corpus), exhaustive_opt, sharded_options(shards));
@@ -272,8 +316,7 @@ TEST(ShardedDifferential, SaveRestoreRoundTripIdentical) {
   for (int shards : kShardCounts) {
     std::string what = "roundtrip shards=" + std::to_string(shards);
     std::string dir = tmp_dir("rt" + std::to_string(shards));
-    ServingPipeline reference(
-        RelatedPostPipeline::build(analyze_corpus(corpus)));
+    Oracle reference(analyze_corpus(corpus));
     ServingOptions options = sharded_options(shards);
     options.persist.shard_dir = dir;
     std::unique_ptr<ShardedServing> original =
@@ -313,8 +356,7 @@ TEST(ShardedDifferential, SaveRestoreRoundTripIdentical) {
 TEST(ShardedDifferential, RestoredCacheStillIdentical) {
   SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 23));
   std::string dir = tmp_dir("cache_rt");
-  ServingPipeline reference(
-      RelatedPostPipeline::build(analyze_corpus(corpus)));
+  Oracle reference(analyze_corpus(corpus));
   std::unique_ptr<ShardedServing> original =
       ShardedServing::create(analyze_corpus(corpus), {}, sharded_options(3));
   ASSERT_NE(original, nullptr);
@@ -327,6 +369,112 @@ TEST(ShardedDifferential, RestoredCacheStillIdentical) {
   expect_equivalent(*restored, reference, "restored cache cold");
   expect_equivalent(*restored, reference, "restored cache warm");
   EXPECT_GT(restored->query_cache()->hits(), 0u);
+}
+
+// The shard count is saved state: restore() reads it from the manifest
+// and ignores ServingOptions::num_shards (ibseg_cli passes --shards
+// through to --restore unchanged). A 3-shard directory restored under any
+// requested count is the 3-shard deployment — documents on their mod-3
+// hash shards, later ingests routed there — with the oracle's answers.
+TEST(ShardedDifferential, RestoreTakesShardCountFromManifest) {
+  SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 61));
+  std::vector<std::string> before = ingest_texts(4, 6100);
+  std::vector<std::string> after = ingest_texts(3, 6101);
+  std::string dir = tmp_dir("manifest_count");
+  Oracle reference(analyze_corpus(corpus));
+  {
+    ServingOptions options = sharded_options(3);
+    options.persist.shard_dir = dir;
+    std::unique_ptr<ShardedServing> original =
+        ShardedServing::create(analyze_corpus(corpus), {}, options);
+    ASSERT_NE(original, nullptr);
+    for (const std::string& text : before) {
+      reference.add_post(text);
+      original->add_post(text);
+    }
+    ASSERT_TRUE(original->save(dir));
+  }
+  std::unique_ptr<ShardedServing> restored;
+  for (int requested : {1, 8}) {
+    std::string what = "requested shards=" + std::to_string(requested);
+    restored.reset();
+    restored = ShardedServing::restore(dir, {}, sharded_options(requested));
+    ASSERT_NE(restored, nullptr) << what;
+    ASSERT_EQ(restored->num_shards(), 3u) << what;
+    for (uint32_t s = 0; s < 3; ++s) {
+      for (const Document& d : restored->shard(s).quiescent().docs()) {
+        EXPECT_EQ(ShardedServing::shard_of(d.id(), 3), s) << what;
+      }
+    }
+    expect_equivalent(*restored, reference, what);
+  }
+  // Ingests after the restore land on their mod-3 owner.
+  for (const std::string& text : after) {
+    DocId id = reference.add_post(text);
+    uint32_t owner = ShardedServing::shard_of(id, 3);
+    size_t owner_docs = restored->shard(owner).num_docs();
+    ASSERT_EQ(restored->add_post(text), id);
+    EXPECT_EQ(restored->shard(owner).num_docs(), owner_docs + 1);
+  }
+  expect_equivalent(*restored, reference, "post-restore ingests");
+}
+
+// A save that fails part-way returns false and leaves the previous commit
+// in force: here shard 1's directory is blocked after shard 0's snapshot
+// was already rewritten (the legal "snapshot ahead of manifest" state).
+// The manifest and the journal stay byte-identical, the directory still
+// restores to the full history, and the live deployment keeps serving
+// and saves again once the path is clear.
+TEST(ShardedDifferential, FailedSaveKeepsPreviousCommit) {
+  SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 89));
+  std::vector<std::string> before = ingest_texts(3, 8900);
+  std::vector<std::string> after = ingest_texts(4, 8901);
+  std::string dir = tmp_dir("failed_save");
+  std::string copy = tmp_dir("failed_save_copy");
+  std::filesystem::remove_all(copy);
+  Oracle reference(analyze_corpus(corpus));
+  ServingOptions options = sharded_options(3);
+  options.persist.shard_dir = dir;
+  std::unique_ptr<ShardedServing> sharded =
+      ShardedServing::create(analyze_corpus(corpus), {}, options);
+  ASSERT_NE(sharded, nullptr);
+  for (const std::string& text : before) {
+    reference.add_post(text);
+    sharded->add_post(text);
+  }
+  ASSERT_TRUE(sharded->save(dir));
+  for (const std::string& text : after) {
+    reference.add_post(text);
+    sharded->add_post(text);
+  }
+  const std::string manifest = read_file(dir + "/MANIFEST");
+  const std::string journal = read_file(dir + "/ingest.order");
+  ASSERT_FALSE(journal.empty());
+
+  const std::string blocked = dir + "/shard-1";
+  const std::string aside = blocked + ".aside";
+  ASSERT_EQ(std::rename(blocked.c_str(), aside.c_str()), 0);
+  { std::ofstream(blocked) << "not a directory"; }
+  EXPECT_FALSE(sharded->save(dir));
+  ASSERT_EQ(std::remove(blocked.c_str()), 0);
+  ASSERT_EQ(std::rename(aside.c_str(), blocked.c_str()), 0);
+  EXPECT_EQ(read_file(dir + "/MANIFEST"), manifest);
+  EXPECT_EQ(read_file(dir + "/ingest.order"), journal);
+  expect_equivalent(*sharded, reference, "live after failed save");
+
+  // Restored from a copy, so the live deployment keeps sole use of its
+  // logs.
+  std::filesystem::copy(dir, copy, std::filesystem::copy_options::recursive);
+  std::unique_ptr<ShardedServing> restored =
+      ShardedServing::restore(copy, {}, sharded_options(3));
+  ASSERT_NE(restored, nullptr);
+  expect_equivalent(*restored, reference, "restored after failed save");
+
+  ASSERT_TRUE(sharded->save(dir));
+  EXPECT_NE(read_file(dir + "/MANIFEST"), manifest);
+  EXPECT_TRUE(read_file(dir + "/ingest.order").empty());
+  restored.reset();
+  std::filesystem::remove_all(copy);
 }
 
 // ------------------------------------------------------- torn restores ----
@@ -371,8 +519,7 @@ TEST(ShardedDifferential, RestoreSurvivesSnapshotAheadOfManifest) {
   std::vector<std::string> extra = ingest_texts(6, 7100);
   std::string dir = tmp_dir("ahead");
   std::string dir2 = tmp_dir("ahead_late");
-  ServingPipeline reference(
-      RelatedPostPipeline::build(analyze_corpus(corpus)));
+  Oracle reference(analyze_corpus(corpus));
   ServingOptions options = sharded_options(4);
   options.persist.shard_dir = dir;
   std::unique_ptr<ShardedServing> original =

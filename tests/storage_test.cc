@@ -1,4 +1,5 @@
-// Unit tests for src/storage: corpus persistence and pipeline snapshots.
+// Unit tests for src/storage: corpus persistence and the in-memory
+// pipeline snapshot (the v2 file format is covered by persistence_test).
 
 #include <gtest/gtest.h>
 
@@ -272,29 +273,10 @@ TEST(Snapshot, RestoreReproducesClustering) {
   }
 }
 
-TEST(Snapshot, SaveLoadRoundTrip) {
-  Built b = build_pipeline_state();
-  PipelineSnapshot snap = make_snapshot(b.segs, b.clustering);
-  std::stringstream ss;
-  ASSERT_TRUE(save_snapshot(snap, ss));
-  auto loaded = load_snapshot(ss);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->num_clusters, snap.num_clusters);
-  EXPECT_EQ(loaded->segment_labels, snap.segment_labels);
-  ASSERT_EQ(loaded->segmentations.size(), snap.segmentations.size());
-  for (size_t d = 0; d < snap.segmentations.size(); ++d) {
-    EXPECT_EQ(loaded->segmentations[d], snap.segmentations[d]);
-  }
-}
-
 TEST(Snapshot, RestoredMatcherAnswersIdentically) {
   Built b = build_pipeline_state();
   PipelineSnapshot snap = make_snapshot(b.segs, b.clustering);
-  std::stringstream ss;
-  ASSERT_TRUE(save_snapshot(snap, ss));
-  auto loaded = load_snapshot(ss);
-  ASSERT_TRUE(loaded.has_value());
-  IntentionClustering restored = restore_clustering(b.docs, *loaded);
+  IntentionClustering restored = restore_clustering(b.docs, snap);
   Vocabulary v1;
   Vocabulary v2;
   auto original = IntentionMatcher::build(b.docs, b.clustering, v1);
@@ -311,20 +293,18 @@ TEST(Snapshot, RestoredMatcherAnswersIdentically) {
 }
 
 TEST(Snapshot, RejectsInconsistentInput) {
-  std::stringstream bad(
-      "IBSEG-SNAPSHOT v1\nclusters 2\ndocuments 1\nseg 3 1\nlabels 0 5\n");
-  EXPECT_FALSE(load_snapshot(bad).has_value());  // label 5 out of range
-  std::stringstream garbage("nope");
-  EXPECT_FALSE(load_snapshot(garbage).has_value());
-}
-
-TEST(Snapshot, RejectsTrailingGarbageOnNumericLines) {
-  std::stringstream seg_garbage(
-      "IBSEG-SNAPSHOT v1\nclusters 2\ndocuments 1\nseg 3 1 oops\nlabels 0 1\n");
-  EXPECT_FALSE(load_snapshot(seg_garbage).has_value());
-  std::stringstream label_garbage(
-      "IBSEG-SNAPSHOT v1\nclusters 2\ndocuments 1\nseg 3 1\nlabels 0 1 x\n");
-  EXPECT_FALSE(load_snapshot(label_garbage).has_value());
+  PipelineSnapshot bad;
+  bad.num_clusters = 2;
+  Segmentation s;
+  s.num_units = 3;
+  s.borders = {1};
+  bad.segmentations.push_back(s);
+  bad.segment_labels = {0, 5};
+  EXPECT_FALSE(bad.is_consistent());  // label 5 out of range
+  bad.segment_labels = {0};
+  EXPECT_FALSE(bad.is_consistent());  // one label for two segments
+  bad.segment_labels = {0, 1};
+  EXPECT_TRUE(bad.is_consistent());
 }
 
 // ------------------------------------------------- CRLF / truncation ----
@@ -364,53 +344,6 @@ TEST(CorpusIo, LoadPlainPostsCrlf) {
   EXPECT_EQ(posts[1], "second post");
 }
 
-TEST(Snapshot, LoadsCrlfFiles) {
-  Built b = build_pipeline_state();
-  PipelineSnapshot snap = make_snapshot(b.segs, b.clustering);
-  std::stringstream ss;
-  ASSERT_TRUE(save_snapshot(snap, ss));
-  std::stringstream crlf(to_crlf(ss.str()));
-  auto loaded = load_snapshot(crlf);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->num_clusters, snap.num_clusters);
-  EXPECT_EQ(loaded->segment_labels, snap.segment_labels);
-  ASSERT_EQ(loaded->segmentations.size(), snap.segmentations.size());
-  for (size_t d = 0; d < snap.segmentations.size(); ++d) {
-    EXPECT_EQ(loaded->segmentations[d], snap.segmentations[d]);
-  }
-}
-
-TEST(Snapshot, EveryPrefixOfTruncatedFileIsRejected) {
-  // Single-digit units/borders/labels so that chopping any byte changes a
-  // count some later validation checks — the v1 text format's detection
-  // limit (multi-digit values truncated mid-number are undetectable in
-  // v1; snapshot v2's CRC framing closes that hole).
-  PipelineSnapshot snap;
-  snap.num_clusters = 3;
-  for (int d = 0; d < 3; ++d) {
-    Segmentation s;
-    s.num_units = 6;
-    s.borders = {2, 4};
-    snap.segmentations.push_back(s);
-    snap.segment_labels.push_back(0);
-    snap.segment_labels.push_back(1);
-    snap.segment_labels.push_back(2);
-  }
-  ASSERT_TRUE(snap.is_consistent());
-  std::stringstream ss;
-  ASSERT_TRUE(save_snapshot(snap, ss));
-  const std::string data = ss.str();
-  // The final byte is the trailing newline: dropping only it still parses
-  // (getline tolerates a missing final terminator), so every *strictly
-  // shorter* prefix must be rejected.
-  for (size_t len = 0; len + 1 < data.size(); ++len) {
-    std::stringstream prefix(data.substr(0, len));
-    EXPECT_FALSE(load_snapshot(prefix).has_value()) << "prefix len " << len;
-  }
-  std::stringstream full(data);
-  EXPECT_TRUE(load_snapshot(full).has_value());
-}
-
 TEST(CorpusIo, TruncationPrefixesAreRejected) {
   GeneratorOptions gen;
   gen.num_posts = 4;
@@ -432,20 +365,6 @@ TEST(CorpusIo, TruncationPrefixesAreRejected) {
   }
   std::stringstream full(data);
   EXPECT_TRUE(load_corpus(full).has_value());
-}
-
-TEST(Snapshot, SaveFileIsAtomicAndLoadable) {
-  Built b = build_pipeline_state();
-  PipelineSnapshot snap = make_snapshot(b.segs, b.clustering);
-  std::string path = ::testing::TempDir() + "/ibseg_snapshot_v1_test";
-  ASSERT_TRUE(save_snapshot_file(snap, path));
-  auto loaded = load_snapshot_file(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->segment_labels, snap.segment_labels);
-  // Unwritable target: reports failure, leaves the good file alone.
-  EXPECT_FALSE(save_snapshot_file(snap, "/nonexistent-ibseg-dir/snap"));
-  EXPECT_TRUE(load_snapshot_file(path).has_value());
-  std::remove(path.c_str());
 }
 
 }  // namespace
