@@ -43,11 +43,6 @@
 //   ibseg_cli --shards=4 --save=state.d query posts.corpus 0 5
 //   ibseg_cli --restore=state.d query posts.corpus 0 5
 //
-// `--pruning=on|off` (default on) selects the MaxScore-pruned
-// per-intention path or the exhaustive historic one; rankings and scores
-// are bit-identical either way, so `off` is a baseline for benchmarking,
-// not a different answer.
-//
 // `--connect=HOST:PORT` turns the CLI into a thin network client speaking
 // the docs/PROTOCOL.md wire protocol against a running ibseg_server — no
 // corpus file is needed, the server owns the state:
@@ -85,7 +80,6 @@ size_t g_cache_capacity = 0;  // --cache[=N]: result-cache capacity, 0 = off
 std::string g_save_path;      // --save=DIR: write a state directory after
 std::string g_restore_path;   // --restore=DIR: serve from a state directory
 int g_num_shards = 1;         // --shards=N: hash-partitioned scatter-gather
-bool g_pruning = true;        // --pruning=off: exhaustive per-intention path
 std::string g_connect;        // --connect=HOST:PORT: thin network client
 std::string g_tenant;         // --tenant=NAME: bind the connection (TENANT_OPEN)
 
@@ -94,7 +88,7 @@ int usage() {
                "usage: ibseg_cli [--metrics[=json]] [--cache[=N]] "
                "[--shards=N]\n"
                "                 [--save=DIR] [--restore=DIR] "
-               "[--pruning=on|off] <command> ...\n"
+               "<command> ...\n"
                "  ibseg_cli generate <tech|travel|prog|health> <num-posts> <file>\n"
                "  ibseg_cli segment            (post on stdin)\n"
                "  ibseg_cli query <corpus-file> <doc-id> [k]\n"
@@ -113,10 +107,6 @@ int usage() {
                "                   docs/ARCHITECTURE.md)\n"
                "  --restore=DIR    serve from a state directory instead of\n"
                "                   recomputing the offline phase\n"
-               "  --pruning=on|off MaxScore pruned per-intention top-n (on,\n"
-               "                   the default) or the exhaustive historic\n"
-               "                   path; rankings are bit-identical either\n"
-               "                   way — off is a baseline, not a mode\n"
                "  --connect=H:P    thin client against a running\n"
                "                   ibseg_server (docs/PROTOCOL.md):\n"
                "                   query <doc-id> [k] | ask [k] | add |\n"
@@ -316,11 +306,9 @@ std::unique_ptr<ShardedServing> open_serving(const char* corpus_path,
   ServingOptions serving_options;
   serving_options.cache.capacity = g_cache_capacity;
   serving_options.num_shards = g_num_shards;
-  PipelineOptions build_options;
-  build_options.matcher.exhaustive_fallback = !g_pruning;
   if (!g_restore_path.empty()) {
-    auto serving = ShardedServing::restore(g_restore_path, build_options,
-                                           serving_options);
+    auto serving =
+        ShardedServing::restore(g_restore_path, {}, serving_options);
     if (serving == nullptr) {
       std::fprintf(stderr, "error: cannot restore state from %s\n",
                    g_restore_path.c_str());
@@ -334,8 +322,7 @@ std::unique_ptr<ShardedServing> open_serving(const char* corpus_path,
     std::fprintf(stderr, "error: cannot load corpus %s\n", corpus_path);
     return nullptr;
   }
-  auto serving =
-      ShardedServing::create(std::move(docs), build_options, serving_options);
+  auto serving = ShardedServing::create(std::move(docs), {}, serving_options);
   if (serving == nullptr) std::fprintf(stderr, "error: cannot build serving\n");
   return serving;
 }
@@ -456,15 +443,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[arg], "--tenant=", 9) == 0) {
       g_tenant = argv[arg] + 9;
       if (g_tenant.empty()) return usage();
-    } else if (std::strncmp(argv[arg], "--pruning=", 10) == 0) {
-      const char* value = argv[arg] + 10;
-      if (std::strcmp(value, "on") == 0) {
-        g_pruning = true;
-      } else if (std::strcmp(value, "off") == 0) {
-        g_pruning = false;
-      } else {
-        return usage();
-      }
     } else {
       return usage();
     }

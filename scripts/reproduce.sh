@@ -17,8 +17,8 @@
 #                           with a notice when doxygen is not installed.
 #   IBSEG_DIFF_CHECK=1      also run the differential suites (serving
 #                           answers — any shard count, cached or not,
-#                           pruned or exhaustive, across ingests, restores
-#                           and reclusters — equal the single-pipeline
+#                           kernel- or reference-scored, across ingests,
+#                           restores and reclusters — equal the single-pipeline
 #                           oracle bit for bit) plus the concurrency
 #                           stress suite under ThreadSanitizer — one
 #                           instrumented build.
@@ -214,14 +214,6 @@ for key in '"bench"' '"configs"' '"shards"' '"qps"' '"ingests"'; do
   fi
 done
 echo "BENCH_sharded_qps.json schema OK"
-for key in '"bench"' '"configs"' '"pruned"' '"qps"' '"units_scored"' \
-           '"units_pruned"' '"speedup_vs_exhaustive"'; do
-  if ! grep -q "${key}" BENCH_pruned_query_qps.json; then
-    echo "error: BENCH_pruned_query_qps.json missing key ${key}" >&2
-    exit 1
-  fi
-done
-echo "BENCH_pruned_query_qps.json schema OK"
 for key in '"bench"' '"configs"' '"clients"' '"qps"' '"p50_ms"' '"p95_ms"' \
            '"p99_ms"'; do
   if ! grep -q "${key}" BENCH_server_qps.json; then

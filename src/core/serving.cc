@@ -22,14 +22,8 @@ struct ServingMetrics {
   obs::Counter& posts_ingested;
   obs::Histogram& shared_lock_wait;
   obs::Histogram& exclusive_lock_wait;
-  obs::Gauge& corpus_docs;
-  obs::Gauge& index_segments;
-  obs::Gauge& postings_bytes;
-  obs::Counter& pruned_docs;
   obs::Gauge& snapshot_bytes;
   obs::Histogram& snapshot_save_seconds;
-  obs::Gauge& pending_pool_size;
-  obs::Gauge& offline_generation;
 
   static ServingMetrics& get() {
     static ServingMetrics* m = [] {
@@ -48,29 +42,11 @@ struct ServingMetrics {
                       "Time spent acquiring the serving reader/writer "
                       "lock, in seconds.",
                       {{"lock", "exclusive"}}),
-          r.gauge("ibseg_corpus_docs",
-                  "Documents in the serving corpus (seed + published)."),
-          r.gauge("ibseg_index_segments",
-                  "Segments indexed across all intention clusters."),
-          r.gauge("ibseg_postings_bytes",
-                  "Bytes of the sealed flat postings arenas (per-term "
-                  "metadata included) across all intention clusters."),
-          r.counter("ibseg_pruned_docs_total",
-                    "Per-intention candidate units rejected by the "
-                    "MaxScore upper-bound test — before their first "
-                    "contribution or mid-accumulation — instead of being "
-                    "fully scored."),
           r.gauge("ibseg_snapshot_bytes",
                   "Encoded size of the most recent snapshot v2 save."),
           r.histogram("ibseg_persist_seconds",
                       "Shard snapshot save latency, in seconds.",
                       {{"op", "save"}}),
-          r.gauge("ibseg_pending_pool_size",
-                  "Ingested documents currently in the outlier/pending "
-                  "pool (assignment distance above the serving "
-                  "threshold); drained at the next recluster."),
-          r.gauge("ibseg_offline_generation",
-                  "Offline generation: completed background reclusters."),
       };
     }();
     return *m;
@@ -121,25 +97,7 @@ ServingPipeline::ServingPipeline(RelatedPostPipeline pipeline,
   pending_pool_ = std::move(state.pending_pool);
   pending_size_.store(pending_pool_.size(), std::memory_order_relaxed);
   docs_since_.store(state.docs_since, std::memory_order_relaxed);
-  ServingMetrics& m = ServingMetrics::get();
-  m.corpus_docs.set(static_cast<double>(pipeline_.docs().size()));
-  m.index_segments.set(static_cast<double>(pipeline_.matcher().num_segments()));
-  m.postings_bytes.set(
-      static_cast<double>(pipeline_.matcher().postings_bytes()));
-  m.pending_pool_size.set(
-      static_cast<double>(pending_size_.load(std::memory_order_relaxed)));
-  m.offline_generation.set(
-      static_cast<double>(generation_.load(std::memory_order_relaxed)));
-}
-
-void ServingPipeline::sync_query_work_metrics() const {
-  uint64_t now = pipeline_.matcher().work_counters().units_pruned.load(
-      std::memory_order_relaxed);
-  uint64_t prev = pruned_exported_.load(std::memory_order_relaxed);
-  while (now > prev && !pruned_exported_.compare_exchange_weak(
-                           prev, now, std::memory_order_relaxed)) {
-  }
-  if (now > prev) ServingMetrics::get().pruned_docs.inc(now - prev);
+  ServingMetrics::get();  // register the serving catalog eagerly
 }
 
 bool ServingPipeline::save(const std::string& path) {
@@ -225,7 +183,6 @@ void ServingPipeline::publish_prepared(PreparedPost post) {
   if (dist > recluster_options_.pending_distance_threshold) {
     pending_pool_.push_back(id);
     pending_size_.store(pending_pool_.size(), std::memory_order_relaxed);
-    m.pending_pool_size.set(static_cast<double>(pending_pool_.size()));
   }
   epoch_.fetch_add(1, std::memory_order_relaxed);
   docs_since_.fetch_add(1, std::memory_order_relaxed);
@@ -238,10 +195,6 @@ void ServingPipeline::publish_prepared(PreparedPost post) {
                                          std::memory_order_relaxed)) {
   }
   m.posts_ingested.inc();
-  m.corpus_docs.set(static_cast<double>(pipeline_.docs().size()));
-  m.index_segments.set(static_cast<double>(pipeline_.matcher().num_segments()));
-  m.postings_bytes.set(
-      static_cast<double>(pipeline_.matcher().postings_bytes()));
 }
 
 std::vector<std::pair<int, TermVector>> ServingPipeline::doc_cluster_terms(
@@ -269,7 +222,6 @@ ServingPipeline::ShardMatch ServingPipeline::match_clusters(
   }
   out.epoch = epoch_.load(std::memory_order_relaxed);
   out.num_docs = pipeline_.docs().size();
-  sync_query_work_metrics();
   return out;
 }
 

@@ -196,8 +196,7 @@ class ServingPipeline {
   /// (stats[i] pairs with queries[i]; nullptr entries fall back to local
   /// statistics) — under a single shared-lock acquisition. Also reports
   /// the epoch/num_docs observed under that lock so the gather layer can
-  /// stamp its combined result, and exports the leg's pruning work to
-  /// ibseg_pruned_docs_total.
+  /// stamp its combined result.
   struct ShardMatch {
     std::vector<std::vector<ScoredDoc>> lists;  ///< parallel to queries
     uint64_t epoch = 0;
@@ -245,23 +244,11 @@ class ServingPipeline {
   ServingPipeline(RelatedPostPipeline pipeline, ReclusterOptions recluster,
                   RestoreState state);
 
-  /// Publishes the matcher's cumulative pruning counter into the
-  /// ibseg_pruned_docs_total serving counter (delta since the last sync,
-  /// CAS-guarded so concurrent legs never double-export). Must be called
-  /// under (at least) the shared lock. The ibseg_postings_bytes gauge, by
-  /// contrast, is refreshed at construction and publish time only
-  /// (reading arena sizes requires the exclusive lock the publisher
-  /// already holds).
-  void sync_query_work_metrics() const;
-
   mutable std::shared_mutex mu_;
   RelatedPostPipeline pipeline_;  ///< guarded by mu_
   const size_t seed_docs_;
   std::atomic<DocId> next_id_;
   std::atomic<uint64_t> epoch_{0};
-  /// Portion of the matcher's cumulative pruned-units counter already
-  /// exported to ibseg_pruned_docs_total (see sync_query_work_metrics).
-  mutable std::atomic<uint64_t> pruned_exported_{0};
   /// --- Incremental offline phase (docs/ARCHITECTURE.md §9). A recluster
   /// replaces the whole shard (adopt), so these only move forward here.
   std::atomic<uint64_t> generation_{0};

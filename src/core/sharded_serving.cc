@@ -121,6 +121,7 @@ std::unique_ptr<ShardedServing> ShardedServing::create(
                       pipeline_options, options, ns)) {
     return nullptr;
   }
+  s->refresh_corpus_gauges();
   s->gen_history_.push_back(GenSpan{0, 0});
   s->persist_dir_ = options.persist.shard_dir;
   s->wal_options_ = options.persist.wal;
@@ -282,9 +283,52 @@ bool ShardedServing::init_shards(
         "Scatter legs dispatched to this shard.", labels));
     shard_docs_.push_back(&r.gauge(
         "ibseg_shard_docs", "Documents resident on this shard.", labels));
-    shard_docs_.back()->set(static_cast<double>(shards_[s]->num_docs()));
   }
+  corpus_gauges_.docs = &r.gauge(
+      "ibseg_corpus_docs",
+      "Documents in the tenant's corpus (seed + published, all shards).",
+      tenant_only);
+  corpus_gauges_.segments = &r.gauge(
+      "ibseg_index_segments",
+      "Segments indexed across all intention clusters and shards.",
+      tenant_only);
+  corpus_gauges_.postings_bytes = &r.gauge(
+      "ibseg_postings_bytes",
+      "Bytes of the sealed flat postings arenas (per-term metadata "
+      "included) across all intention clusters and shards.",
+      tenant_only);
+  corpus_gauges_.pending_pool = &r.gauge(
+      "ibseg_pending_pool_size",
+      "Ingested documents currently in the outlier/pending pool "
+      "(assignment distance above the serving threshold), all shards; "
+      "drained at the next recluster.",
+      tenant_only);
+  corpus_gauges_.generation = &r.gauge(
+      "ibseg_offline_generation",
+      "Offline generation: completed background reclusters.", tenant_only);
   return true;
+}
+
+void ShardedServing::refresh_corpus_gauges() const {
+  size_t docs = 0;
+  size_t segments = 0;
+  size_t postings_bytes = 0;
+  size_t pending = 0;
+  for (uint32_t s = 0; s < num_shards(); ++s) {
+    const ServingPipeline& shard = *shards_[s];
+    const size_t shard_docs = shard.num_docs();
+    shard_docs_[s]->set(static_cast<double>(shard_docs));
+    docs += shard_docs;
+    segments += shard.quiescent().matcher().num_segments();
+    postings_bytes += shard.quiescent().matcher().postings_bytes();
+    pending += shard.pending_pool_size();
+  }
+  corpus_gauges_.docs->set(static_cast<double>(docs));
+  corpus_gauges_.segments->set(static_cast<double>(segments));
+  corpus_gauges_.postings_bytes->set(static_cast<double>(postings_bytes));
+  corpus_gauges_.pending_pool->set(static_cast<double>(pending));
+  corpus_gauges_.generation->set(
+      static_cast<double>(generation_.load(std::memory_order_relaxed)));
 }
 
 bool ShardedServing::open_persistence(bool fresh) {
@@ -534,7 +578,7 @@ void ShardedServing::publish_locked(uint32_t owner, PreparedPost post,
   pub_shard_pos_.push_back(shards_[owner]->num_docs());
   shards_[owner]->publish_prepared(std::move(post));
   publication_order_.push_back(id);
-  shard_docs_[owner]->set(static_cast<double>(shards_[owner]->num_docs()));
+  refresh_corpus_gauges();
 }
 
 DocId ShardedServing::add_post(std::string text) {
@@ -668,9 +712,7 @@ uint64_t ShardedServing::recluster() {
     // captured_pubs applied frames (ship_segment never lets frames cross
     // it), which reproduces this clustering bit-identically.
     gen_history_.push_back(GenSpan{captured_pubs, gen});
-    for (uint32_t s = 0; s < ns; ++s) {
-      shard_docs_[s]->set(static_cast<double>(shards_[s]->num_docs()));
-    }
+    refresh_corpus_gauges();
   }
   obs::Labels tenant_only{{"tenant", tenant_label_}};
   reg.counter("ibseg_recluster_total",
@@ -678,10 +720,6 @@ uint64_t ShardedServing::recluster() {
               "rebuild + atomic swap).",
               tenant_only)
       .inc();
-  reg.gauge("ibseg_offline_generation",
-            "Offline generation: completed background reclusters.",
-            tenant_only)
-      .set(static_cast<double>(gen));
   reg.gauge("ibseg_recluster_drift",
             "Centroid drift repaired by the last recluster: 1 - "
             "mean best-cosine alignment between the old and new "
@@ -988,6 +1026,7 @@ std::unique_ptr<ShardedServing> ShardedServing::restore(
   }
   DocId seen = sp->next_id_.load(std::memory_order_relaxed);
   sp->next_id_.store(std::max(seen, watermark), std::memory_order_relaxed);
+  sp->refresh_corpus_gauges();
   return sp;
 }
 

@@ -361,6 +361,14 @@ class ShardedServing {
 
   PreparedPost prepare(DocId id, std::string text) const;
 
+  /// Sets the tenant's corpus gauges (ibseg_corpus_docs,
+  /// ibseg_index_segments, ibseg_postings_bytes, ibseg_pending_pool_size,
+  /// ibseg_offline_generation — all {tenant}) and every ibseg_shard_docs
+  /// to the current shard set's totals. Caller holds publish_mu_
+  /// exclusively or owns the instance outright (create/restore), so no
+  /// shard publishes while it reads.
+  void refresh_corpus_gauges() const;
+
   /// Publication body shared by add_post/add_posts/restore replay; caller
   /// holds publish_mu_ exclusively. `log` false skips journal/WAL appends
   /// (restore replay — the records are already durable).
@@ -462,6 +470,15 @@ class ShardedServing {
   /// ibseg_shard_docs{shard,tenant}) + scatter/merge stage timers.
   std::vector<obs::Counter*> shard_queries_;
   std::vector<obs::Gauge*> shard_docs_;
+  /// The tenant's corpus gauges, refreshed by refresh_corpus_gauges().
+  struct CorpusGauges {
+    obs::Gauge* docs = nullptr;
+    obs::Gauge* segments = nullptr;
+    obs::Gauge* postings_bytes = nullptr;
+    obs::Gauge* pending_pool = nullptr;
+    obs::Gauge* generation = nullptr;
+  };
+  CorpusGauges corpus_gauges_;
   obs::Histogram* scatter_seconds_ = nullptr;
   obs::Histogram* merge_seconds_ = nullptr;
 };

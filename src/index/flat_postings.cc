@@ -16,46 +16,6 @@ namespace {
 /// inside uint64.
 constexpr double kMaxVarintTf = 4611686018427387904.0;  // 2^62
 
-/// Bounded LEB128 read: advances *p, fails on truncation or > 10 bytes.
-inline bool read_varint(const uint8_t** p, const uint8_t* end,
-                        uint64_t* value) {
-  uint64_t v = 0;
-  int shift = 0;
-  while (*p < end && shift < 64) {
-    uint8_t byte = **p;
-    ++*p;
-    v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      // Reject overlong encodings that would have shifted bits past 64.
-      if (shift == 63 && (byte & 0x7e) != 0) return false;
-      *value = v;
-      return true;
-    }
-    shift += 7;
-  }
-  return false;  // truncated or overlong
-}
-
-inline bool read_tf(const uint8_t** p, const uint8_t* end, double* tf) {
-  uint64_t v = 0;
-  if (!read_varint(p, end, &v)) return false;
-  if ((v & 1) != 0) {
-    uint64_t integral = v >> 1;
-    if (integral == 0) return false;  // tf 0 never appears in a posting
-    *tf = static_cast<double>(integral);
-    return true;
-  }
-  if (v != 0) return false;  // even tags other than the raw marker: invalid
-  if (end - *p < 8) return false;
-  uint64_t bits = 0;
-  std::memcpy(&bits, *p, 8);
-  *p += 8;
-  double d;
-  std::memcpy(&d, &bits, 8);
-  *tf = d;
-  return true;
-}
-
 }  // namespace
 
 void FlatPostings::append_varint(std::vector<uint8_t>* out, uint64_t value) {
@@ -124,10 +84,7 @@ bool FlatPostings::decode_run(const uint8_t* data, size_t size, uint32_t df,
 
 FlatPostings FlatPostings::seal(
     const std::vector<std::pair<TermId, const std::vector<Posting>*>>&
-        term_postings,
-    const std::vector<double>& unit_norms,
-    const std::vector<double>& unit_log_tf_sums,
-    const std::vector<double>& unit_lengths) {
+        term_postings) {
   FlatPostings flat;
   flat.meta_.reserve(term_postings.size());
   // Pre-size the arena roughly (2 bytes per posting is the floor); the
@@ -149,28 +106,6 @@ FlatPostings FlatPostings::seal(
       append_posting(&flat.arena_, p.unit, p.tf, prev, first);
       prev = p.unit;
       first = false;
-      // Bound inputs: each "max"/"min" is taken over the exact doubles the
-      // scoring expressions produce for this posting, so comparisons in
-      // the pruning path are between identical bit patterns.
-      double log_tf_plus1 = std::log(p.tf) + 1.0;
-      double norm = unit_norms[p.unit];
-      double weight = log_tf_plus1 / norm;
-      double len = unit_lengths[p.unit];
-      double tf_over_len = p.tf / std::max(len, 1e-9);
-      double log_tf_sum = unit_log_tf_sums[p.unit];
-      if (p.tf > meta.max_tf) meta.max_tf = p.tf;
-      if (meta.min_tf == 0.0 || p.tf < meta.min_tf) meta.min_tf = p.tf;
-      if (log_tf_plus1 > meta.max_log_tf_plus1) {
-        meta.max_log_tf_plus1 = log_tf_plus1;
-      }
-      if (weight > meta.max_weight) meta.max_weight = weight;
-      if (tf_over_len > meta.max_tf_over_len) {
-        meta.max_tf_over_len = tf_over_len;
-      }
-      if (meta.min_len == 0.0 || len < meta.min_len) meta.min_len = len;
-      if (meta.min_log_tf_sum == 0.0 || log_tf_sum < meta.min_log_tf_sum) {
-        meta.min_log_tf_sum = log_tf_sum;
-      }
     }
     meta.bytes = flat.arena_.size() - meta.offset;
     flat.meta_.emplace_back(term, meta);
@@ -188,56 +123,17 @@ const FlatTermMeta* FlatPostings::term_meta(TermId term) const {
   return &it->second;
 }
 
-uint32_t FlatPostings::decode_term(TermId term, std::vector<uint32_t>* units,
-                                   std::vector<double>* tfs) const {
-  const FlatTermMeta* meta = term_meta(term);
-  if (meta == nullptr) return 0;
-  units->reserve(units->size() + meta->df);
-  tfs->reserve(tfs->size() + meta->df);
-  Cursor c = cursor(term);
-  uint32_t unit = 0;
-  double tf = 0.0;
-  uint32_t n = 0;
-  while (c.next(&unit, &tf)) {
-    units->push_back(unit);
-    tfs->push_back(tf);
-    ++n;
-  }
-  assert(n == meta->df);  // sealed arenas always decode completely
-  return n;
-}
-
 FlatPostings::Cursor FlatPostings::cursor(TermId term) const {
-  Cursor c;
   const FlatTermMeta* meta = term_meta(term);
-  if (meta == nullptr) return c;
-  c.p_ = arena_.data() + meta->offset;
-  c.end_ = c.p_ + meta->bytes;
-  c.remaining_ = meta->df;
-  return c;
+  return meta == nullptr ? Cursor() : cursor(*meta);
 }
 
-bool FlatPostings::Cursor::next(uint32_t* unit, double* tf) {
-  if (remaining_ == 0) return false;
-  uint64_t delta = 0;
-  if (!read_varint(&p_, end_, &delta)) {
-    remaining_ = 0;  // corrupt arena: stop rather than over-read
-    assert(false && "flat postings arena corrupt (truncated varint)");
-    return false;
-  }
-  uint64_t u = first_ ? delta : static_cast<uint64_t>(prev_unit_) + delta;
-  double value = 0.0;
-  if (u > 0xffffffffull || !read_tf(&p_, end_, &value)) {
-    remaining_ = 0;
-    assert(false && "flat postings arena corrupt (bad posting)");
-    return false;
-  }
-  prev_unit_ = static_cast<uint32_t>(u);
-  first_ = false;
-  *unit = prev_unit_;
-  *tf = value;
-  --remaining_;
-  return true;
+FlatPostings::Cursor FlatPostings::cursor(const FlatTermMeta& meta) const {
+  Cursor c;
+  c.p_ = arena_.data() + meta.offset;
+  c.end_ = c.p_ + meta.bytes;
+  c.remaining_ = meta.df;
+  return c;
 }
 
 std::vector<uint8_t> FlatPostings::term_run_bytes(TermId term) const {

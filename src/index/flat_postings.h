@@ -1,8 +1,10 @@
 #ifndef IBSEG_INDEX_FLAT_POSTINGS_H_
 #define IBSEG_INDEX_FLAT_POSTINGS_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "text/vocabulary.h"
@@ -11,42 +13,13 @@ namespace ibseg {
 
 struct Posting;
 
-/// Per-term metadata of the sealed serving form, computed once at seal
-/// time. The max-*/min-* fields are the inputs of the MaxScore pruning
-/// bounds (see scoring.h and docs/ARCHITECTURE.md §7): every "max" is the
-/// exact floating-point maximum of the corresponding per-posting value the
-/// scoring functions compute — taken over the *same* expressions scoring
-/// evaluates, so `stored bound >= every actual contribution` holds as a
-/// statement about doubles, not reals. tests/flat_postings_test.cc checks
-/// the invariant exhaustively on small corpora.
+/// Per-term metadata of the sealed serving form: where the term's run lives
+/// in the arena and how many postings it holds. The query path needs
+/// nothing else: the dense scoring kernel (scoring.h) scores every posting.
 struct FlatTermMeta {
   uint32_t df = 0;          ///< postings count (|units| containing the term)
   uint64_t offset = 0;      ///< byte offset of the term's run in the arena
   uint64_t bytes = 0;       ///< encoded byte length of the run
-  double max_tf = 0.0;      ///< max term frequency over postings
-  /// min term frequency over postings. The pruned scorer requires
-  /// min_tf >= 1 for the paper function (it guarantees log(tf) + 1 >= 0,
-  /// i.e. every contribution is non-negative — the precondition of the
-  /// summed-bound slack argument); sub-unit tf routes to the exhaustive
-  /// path instead of risking an unsound bound.
-  double min_tf = 0.0;
-  /// max over postings of (log tf + 1) — each value computed by the same
-  /// std::log call scoring uses, so no monotonicity assumption on libm is
-  /// needed for the paper-scoring bound.
-  double max_log_tf_plus1 = 0.0;
-  /// max over postings of (log tf + 1) / unit_norm(unit) with the sealing
-  /// index's own (post-floor) norms — the exact per-posting Eq. 8 weight
-  /// of the local-statistics paper-scoring path.
-  double max_weight = 0.0;
-  /// min over postings of the unit's log-tf sum. Because the NU pivot
-  /// factor is >= (1 - kNormPivotSlope) = 0.25 (a power of two, so the
-  /// product rounds exactly), 0.25 * min_log_tf_sum lower-bounds every
-  /// posting unit's norm under ANY collection statistics — the
-  /// context-independent norm bound the sharded (global-stats) pruning
-  /// path needs.
-  double min_log_tf_sum = 0.0;
-  double min_len = 0.0;         ///< min unit length (BM25 bound input)
-  double max_tf_over_len = 0.0; ///< max of tf / max(len, 1e-9) (LM bound)
 };
 
 /// Counters reported by the bounded decoder (diagnostics and fuzzing).
@@ -74,20 +47,17 @@ class FlatPostings {
   /// Seals the serving form: one arena run per term in ascending TermId
   /// order. `postings_of(term)` must yield postings with strictly
   /// ascending unit ids (InvertedIndex appends units in insertion order).
-  /// `unit_norms` and `unit_log_tf_sums`/`unit_lengths` supply the
-  /// per-unit values the metadata maxima/minima are computed from.
   static FlatPostings seal(
       const std::vector<std::pair<TermId, const std::vector<Posting>*>>&
-          term_postings,
-      const std::vector<double>& unit_norms,
-      const std::vector<double>& unit_log_tf_sums,
-      const std::vector<double>& unit_lengths);
+          term_postings);
 
   /// Metadata for `term`; nullptr when the term is absent.
   const FlatTermMeta* term_meta(TermId term) const;
 
   /// Forward-only decoder over one term's run. Bounds-checked: next()
   /// never reads outside the term's [offset, offset + bytes) window.
+  /// next() is defined inline below: it is the scoring kernel's
+  /// per-posting step.
   class Cursor {
    public:
     Cursor() = default;
@@ -104,12 +74,16 @@ class FlatPostings {
     const uint8_t* end_ = nullptr;
     uint32_t remaining_ = 0;
     uint32_t prev_unit_ = 0;
-    bool first_ = true;
   };
 
   /// Decoder positioned at the start of `term`'s run (empty cursor when
   /// the term is absent).
   Cursor cursor(TermId term) const;
+
+  /// Decoder over the run `meta` describes; `meta` must come from this
+  /// object's term_meta() (saves the second lookup when the caller
+  /// already holds it).
+  Cursor cursor(const FlatTermMeta& meta) const;
 
   /// Number of distinct terms sealed.
   size_t num_terms() const { return meta_.size(); }
@@ -126,14 +100,6 @@ class FlatPostings {
   /// Raw arena bytes of one term's run (empty when absent) — seed material
   /// for the decoder fuzz target and the golden-encoding tests.
   std::vector<uint8_t> term_run_bytes(TermId term) const;
-
-  /// Decodes the whole run of `term` into parallel (unit, tf) arrays,
-  /// appending; returns the number of postings appended (0 when absent).
-  /// One tight decode pass — the pruned query path pre-decodes each
-  /// admitted term once and then works over plain arrays, keeping varint
-  /// branching out of its per-candidate loops.
-  uint32_t decode_term(TermId term, std::vector<uint32_t>* units,
-                       std::vector<double>* tfs) const;
 
   // --- Codec, exposed for tests and the fuzz target. -------------------
 
@@ -160,10 +126,92 @@ class FlatPostings {
                          FlatDecodeStats* stats = nullptr);
 
  private:
+  /// Bounded LEB128 read: advances *p, fails on truncation or > 10 bytes.
+  static bool read_varint(const uint8_t** p, const uint8_t* end,
+                          uint64_t* value);
+  /// Reads one tf field (either encoding branch), advancing *p.
+  static bool read_tf(const uint8_t** p, const uint8_t* end, double* tf);
+
   std::vector<uint8_t> arena_;
   /// (TermId, meta) sorted by TermId; lookups binary-search.
   std::vector<std::pair<TermId, FlatTermMeta>> meta_;
 };
+
+inline bool FlatPostings::read_varint(const uint8_t** p, const uint8_t* end,
+                                      uint64_t* value) {
+  uint64_t v = 0;
+  int shift = 0;
+  while (*p < end && shift < 64) {
+    uint8_t byte = **p;
+    ++*p;
+    v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      // Reject overlong encodings that would have shifted bits past 64.
+      if (shift == 63 && (byte & 0x7e) != 0) return false;
+      *value = v;
+      return true;
+    }
+    shift += 7;
+  }
+  return false;  // truncated or overlong
+}
+
+inline bool FlatPostings::read_tf(const uint8_t** p, const uint8_t* end,
+                                  double* tf) {
+  uint64_t v = 0;
+  if (!read_varint(p, end, &v)) return false;
+  if ((v & 1) != 0) {
+    uint64_t integral = v >> 1;
+    if (integral == 0) return false;  // tf 0 never appears in a posting
+    *tf = static_cast<double>(integral);
+    return true;
+  }
+  if (v != 0) return false;  // even tags other than the raw marker: invalid
+  if (end - *p < 8) return false;
+  uint64_t bits = 0;
+  std::memcpy(&bits, *p, 8);
+  *p += 8;
+  std::memcpy(tf, &bits, 8);
+  return true;
+}
+
+inline bool FlatPostings::Cursor::next(uint32_t* unit, double* tf) {
+  if (remaining_ == 0) return false;
+  // Fast path: a one-byte delta and a one-byte integral tf in [1, 63] —
+  // the common posting. It decodes exactly what the general path below
+  // would.
+  if (end_ - p_ >= 2 && ((p_[0] | p_[1]) & 0x80) == 0 && (p_[1] & 1) != 0 &&
+      p_[1] > 1) {
+    const uint64_t u = static_cast<uint64_t>(prev_unit_) + p_[0];
+    if (u <= 0xffffffffull) {
+      prev_unit_ = static_cast<uint32_t>(u);
+      *unit = prev_unit_;
+      *tf = static_cast<double>(p_[1] >> 1);
+      p_ += 2;
+      --remaining_;
+      return true;
+    }
+  }
+  uint64_t delta = 0;
+  if (!read_varint(&p_, end_, &delta)) {
+    remaining_ = 0;  // corrupt arena: stop rather than over-read
+    assert(false && "flat postings arena corrupt (truncated varint)");
+    return false;
+  }
+  // The first posting stores its raw unit id: prev_unit_ starts at 0.
+  const uint64_t u = static_cast<uint64_t>(prev_unit_) + delta;
+  double value = 0.0;
+  if (u > 0xffffffffull || !read_tf(&p_, end_, &value)) {
+    remaining_ = 0;
+    assert(false && "flat postings arena corrupt (bad posting)");
+    return false;
+  }
+  prev_unit_ = static_cast<uint32_t>(u);
+  *unit = prev_unit_;
+  *tf = value;
+  --remaining_;
+  return true;
+}
 
 }  // namespace ibseg
 

@@ -217,17 +217,15 @@ std::vector<ScoredDoc> IntentionMatcher::match_cluster_terms(
   const ClusterIndex& ci = indices_[static_cast<size_t>(cluster)];
 
   if (!options_.exhaustive_fallback) {
-    // MaxScore-pruned path: exclusion, threshold and (score desc, DocId
-    // asc) selection all happen inside score_units_maxscore, against the
-    // sealed flat postings. Bit-identical to the fallback below — the
+    // Dense kernel: exclusion, threshold and (score desc, DocId asc)
+    // selection all happen inside score_units_maxscore, against the sealed
+    // flat postings. Bit-identical to the reference path below — the
     // differential suite sweeps the equivalence.
-    PruneStats stats;
+    ScoreStats stats;
     std::vector<ScoredUnit> hits = score_units_maxscore(
         ci.index, terms, options_.scoring, global, ci.unit_doc, exclude,
         static_cast<size_t>(n), options_.score_threshold, &stats);
     work_->units_scored.fetch_add(stats.units_scored,
-                                  std::memory_order_relaxed);
-    work_->units_pruned.fetch_add(stats.units_abandoned,
                                   std::memory_order_relaxed);
     out.reserve(hits.size());
     for (const ScoredUnit& h : hits) {
@@ -236,10 +234,10 @@ std::vector<ScoredDoc> IntentionMatcher::match_cluster_terms(
     return out;
   }
 
-  PruneStats exhaustive_stats;
+  ScoreStats reference_stats;
   std::vector<ScoredUnit> hits = score_units_counted(
-      ci.index, terms, options_.scoring, global, &exhaustive_stats);
-  work_->units_scored.fetch_add(exhaustive_stats.units_scored,
+      ci.index, terms, options_.scoring, global, &reference_stats);
+  work_->units_scored.fetch_add(reference_stats.units_scored,
                                 std::memory_order_relaxed);
   // Exclude the query document's own segment(s).
   hits.erase(std::remove_if(hits.begin(), hits.end(),

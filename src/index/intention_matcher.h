@@ -44,11 +44,11 @@ struct MatcherOptions {
   /// query-likelihood language model are selectable, per the paper's
   /// "any text comparison may be employed", Sec. 7).
   ScoringOptions scoring;
-  /// Forces the historic exhaustive score-then-select per-intention path
-  /// instead of the MaxScore-pruned top-n (see score_units_maxscore).
-  /// Results are bit-identical either way — the differential suite proves
-  /// it — so this is an escape hatch and the honest baseline of
-  /// bench/pruned_query_qps, not a semantics switch.
+  /// Scores through the map-based reference (score_units_counted, then
+  /// exclude/threshold/sort here) instead of the dense kernel
+  /// (score_units_maxscore). Results are bit-identical either way; the
+  /// differential suites set it to reach the reference, and nothing else
+  /// should.
   bool exhaustive_fallback = false;
   // NOTE: when adding a field here, extend matcher_options_fingerprint()
   // (core/query_cache.h) — the static-coverage test in
@@ -57,12 +57,13 @@ struct MatcherOptions {
 
 /// Cumulative query-path work counters (one per matcher, fed by every
 /// match_cluster_terms call on any thread; relaxed atomics — these are
-/// monitoring data, not synchronization). The serving layer exports them
-/// as ibseg_pruned_docs_total.
+/// monitoring data, not synchronization).
 struct QueryWorkCounters {
-  /// Candidate units fully scored.
+  /// Candidate units scored (ScoreStats::units_scored, summed).
   std::atomic<uint64_t> units_scored{0};
-  /// Candidate units abandoned by the MaxScore upper-bound test.
+  /// Candidate units skipped without being scored. The dense kernel scores
+  /// every candidate, so this stays 0; it is kept because the served-path
+  /// benchmark reports it (index.units_pruned_per_query).
   std::atomic<uint64_t> units_pruned{0};
 };
 

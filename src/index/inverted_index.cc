@@ -49,9 +49,7 @@ void InvertedIndex::finalize() {
         min_norm_fraction * norm_sum / static_cast<double>(unit_norms_.size());
     for (double& n : unit_norms_) n = std::max(n, floor);
   }
-  // Seal the contiguous serving form. Norms are final (post-floor) at this
-  // point, so the per-term pruning metadata (max Eq. 8 weight etc.) is
-  // computed against exactly the values the query path will score with.
+  // Seal the contiguous serving form the query path reads.
   std::vector<std::pair<TermId, const std::vector<Posting>*>> term_postings;
   term_postings.reserve(postings_.size());
   for (const auto& [term, plist] : postings_) {
@@ -59,14 +57,7 @@ void InvertedIndex::finalize() {
   }
   std::sort(term_postings.begin(), term_postings.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<double> log_tf_sums(stats_.size());
-  std::vector<double> lengths(stats_.size());
-  for (size_t u = 0; u < stats_.size(); ++u) {
-    log_tf_sums[u] = stats_[u].log_tf_sum;
-    lengths[u] = stats_[u].length;
-  }
-  flat_ = FlatPostings::seal(term_postings, unit_norms_, log_tf_sums,
-                             lengths);
+  flat_ = FlatPostings::seal(term_postings);
   finalized_ = true;
 }
 

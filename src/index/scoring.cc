@@ -1,7 +1,7 @@
 #include "index/scoring.h"
 
 #include <algorithm>
-#include <bit>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -35,51 +35,37 @@ double global_unit_norm(const InvertedIndex& index, uint32_t unit,
   return norm;
 }
 
-// --- Bound slack ------------------------------------------------------
-//
-// Per-term bounds are exact fp maxima of the contribution expressions
-// (paper function, local stats) or conservative rearrangements whose only
-// error sources are a handful of correctly-vs-nearly-correctly rounded
-// ops (BM25's shared-tf numerator/denominator, the LM's libm log, the
-// sharded norm lower bound). kTermSlack (1e-11 relative) dwarfs those
-// few-ulp effects. Summed bounds additionally differ from the score's
-// left-to-right accumulation by fp re-association, which for NON-NEGATIVE
-// addends is bounded by ~T*eps relative; kSumSlack (1e-9) covers any
-// realistic term count. The pruned path refuses to run (falls back to
-// exhaustive scoring) whenever a contribution could be negative, so the
-// non-negativity precondition always holds when a bound is trusted.
-// Slack only weakens pruning — a too-large bound admits extra candidates
-// that full scoring then rejects; it can never drop a true result.
-constexpr double kTermSlack = 1.0 + 1e-11;
-constexpr double kSumSlack = 1.0 + 1e-9;
-
-inline double inflate_term(double x) {
-  return x >= 0.0 ? x * kTermSlack : 0.0;
-}
-
-inline double inflate_sum(double x) {
-  return x >= 0.0 ? x * kSumSlack : x;
-}
-
 // --- Scoring functions ------------------------------------------------
 //
 // One struct per ScoringFunction; each provides
 //   setup(term, f_q, meta, &t)  -> false to skip the term entirely
-//   contribution(t, unit, tf)   -> the per-posting score contribution,
+//   unit_input(unit)            -> the unit's operand of contribution():
+//                                  the part of the per-posting expression
+//                                  that depends on the unit alone
+//   contribution(t, in, tf)     -> the per-posting score contribution,
 //                                  spelled with EXACTLY the expressions
-//                                  (associativity included) the historic
-//                                  exhaustive path used — both the TAAT
-//                                  and the DAAT drivers below call this
-//                                  one function, which is what makes
-//                                  "pruned == exhaustive, bit for bit"
-//                                  a structural property
-//   bound(t, meta)              -> upper bound on contribution() over the
-//                                  term's postings (+inf = no pruning)
-//   prunable(meta)              -> whether bound() is sound for this term
+//                                  (associativity included) the scoring
+//                                  function defines
+// Both paths below — the map-based reference and the dense kernel — call
+// these same functions, which is what makes "kernel == reference, bit for
+// bit" a structural property.
+
+// log(tf) of the Eq. 8 weight: integral tf below kSmallTfLogs reads the
+// run-time-filled table, everything else calls std::log — the same double
+// either way (Differential.SmallTfLogTableEqualsRuntimeLog checks every
+// table entry).
+inline double log_tf(const double* table, double tf) {
+  if (tf >= 1.0 && tf < static_cast<double>(kSmallTfLogs)) {
+    const auto i = static_cast<uint32_t>(tf);
+    if (static_cast<double>(i) == tf) return table[i];
+  }
+  return std::log(tf);
+}
 
 struct PaperScorer {
   const InvertedIndex& index;
   const ClusterCollectionStats* global;
+  const double* logs = small_tf_log_table();
   struct Term {
     double f_q = 0.0;
     double pidf = 0.0;
@@ -95,35 +81,13 @@ struct PaperScorer {
     t->pidf = pidf;
     return true;
   }
-  double contribution(const Term& t, uint32_t unit, double tf) const {
-    double norm = global == nullptr
-                      ? index.unit_norm(unit)
-                      : global_unit_norm(index, unit, *global);
-    double w = (std::log(tf) + 1.0) / norm;
+  double unit_input(uint32_t unit) const {
+    return global == nullptr ? index.unit_norm(unit)
+                             : global_unit_norm(index, unit, *global);
+  }
+  double contribution(const Term& t, double norm, double tf) const {
+    double w = (log_tf(logs, tf) + 1.0) / norm;
     return t.f_q * w * t.pidf;
-  }
-  double bound(const Term& t, const FlatTermMeta& meta) const {
-    double w_ub;
-    if (global == nullptr) {
-      // Exact max of the very weights contribution() computes (sealed
-      // against the same post-floor norms): no slack needed, but the
-      // uniform inflate_term keeps the driver simple.
-      w_ub = meta.max_weight;
-    } else {
-      // Context-independent norm lower bound: NU >= 1 - kNormPivotSlope
-      // = 0.25, a power of two, so 0.25 * log_tf_sum is an exact product
-      // and pre_floor_unit_norm(unit) >= 0.25 * min_log_tf_sum holds as
-      // a statement about doubles for every posting unit.
-      double norm_lb = (1.0 - kNormPivotSlope) * meta.min_log_tf_sum;
-      if (global->norm_floor > norm_lb) norm_lb = global->norm_floor;
-      if (norm_lb <= 0.0) return std::numeric_limits<double>::infinity();
-      w_ub = meta.max_log_tf_plus1 / norm_lb;
-    }
-    return t.f_q * w_ub * t.pidf;
-  }
-  bool prunable(const FlatTermMeta& meta) const {
-    // tf >= 1 => log(tf) + 1 >= 1 > 0 => contributions non-negative.
-    return meta.min_tf >= 1.0;
   }
 };
 
@@ -145,28 +109,15 @@ struct Bm25Scorer {
     t->fi = f_q * idf;
     return true;
   }
-  double contribution(const Term& t, uint32_t unit, double tf) const {
+  /// K of the unit: the right operand of the tf-component denominator's
+  /// `tf + K`, evaluated exactly as that subexpression would be.
+  double unit_input(uint32_t unit) const {
     double len = index.unit_length(unit);
-    double tf_component =
-        (tf * (k1 + 1.0)) /
-        (tf + k1 * (1.0 - b + b * len / avg_len));
+    return k1 * (1.0 - b + b * len / avg_len);
+  }
+  double contribution(const Term& t, double k, double tf) const {
+    double tf_component = (tf * (k1 + 1.0)) / (tf + k);
     return t.fi * tf_component;
-  }
-  double bound(const Term& t, const FlatTermMeta& meta) const {
-    // tf*(k1+1)/(tf+K) is increasing in tf and decreasing in
-    // K = k1*(1-b+b*len/avg_len) (valid for k1 >= 0, 0 <= b <= 1 —
-    // prunable() gates on that), so max_tf with the min-length K is an
-    // upper bound up to a few ulp of cross-term rounding; kTermSlack
-    // absorbs those.
-    double k_lb = k1 * (1.0 - b + b * meta.min_len / avg_len);
-    double den_lb = meta.max_tf + k_lb;
-    if (den_lb <= 0.0) return std::numeric_limits<double>::infinity();
-    double tf_ub = (meta.max_tf * (k1 + 1.0)) / den_lb;
-    return t.fi * tf_ub;
-  }
-  bool prunable(const FlatTermMeta& meta) const {
-    (void)meta;
-    return k1 >= 0.0 && b >= 0.0 && b <= 1.0;
   }
 };
 
@@ -191,23 +142,13 @@ struct LmScorer {
     t->p_collection = p_collection;
     return true;
   }
-  double contribution(const Term& t, uint32_t unit, double tf) const {
-    double len = std::max(index.unit_length(unit), 1e-9);
+  double unit_input(uint32_t unit) const {
+    return std::max(index.unit_length(unit), 1e-9);
+  }
+  double contribution(const Term& t, double len, double tf) const {
     double p_unit = tf / len;
     return t.f_q * std::log(1.0 + ((1.0 - lambda) * p_unit) /
                                       (lambda * t.p_collection));
-  }
-  double bound(const Term& t, const FlatTermMeta& meta) const {
-    // max_tf_over_len is the exact fp max of the p_unit values
-    // contribution() computes (seal uses the same tf / max(len, 1e-9)
-    // expression); the chain through /, +, log is monotone up to libm's
-    // sub-ulp log error, which kTermSlack absorbs.
-    return t.f_q * std::log(1.0 + ((1.0 - lambda) * meta.max_tf_over_len) /
-                                      (lambda * t.p_collection));
-  }
-  bool prunable(const FlatTermMeta& meta) const {
-    (void)meta;
-    return true;  // log(1 + positive) > 0: contributions always positive
   }
 };
 
@@ -250,322 +191,128 @@ LmScorer make_scorer<LmScorer>(const InvertedIndex& index,
   return s;
 }
 
-// --- Exhaustive term-at-a-time driver ---------------------------------
+// --- Map-based reference ----------------------------------------------
 //
-// The historic scoring algorithm, now reading the sealed flat() serving
-// form (identical decoded postings in identical order, so identical
-// accumulation): every admitted term's full postings run folds into a
-// unit -> score map in query (TermId-ascending) order.
+// The historic term-at-a-time algorithm: every admitted term's postings
+// run folds into a unit -> score map in query (TermId-ascending) order.
 template <class Scorer>
-void accumulate_flat(const InvertedIndex& index, const TermVector& query,
-                     const Scorer& scorer,
-                     std::unordered_map<uint32_t, double>* acc,
-                     PruneStats* stats) {
+std::vector<ScoredUnit> score_units_reference(
+    const InvertedIndex& index, const TermVector& query,
+    const ScoringOptions& options, const ClusterCollectionStats* global,
+    ScoreStats* stats) {
+  Scorer scorer = make_scorer<Scorer>(index, options, global);
   const FlatPostings& flat = index.flat();
+  std::unordered_map<uint32_t, double> acc;
   for (const auto& [term, f_q] : query.entries()) {
     if (f_q <= 0.0) continue;
     const FlatTermMeta* meta = flat.term_meta(term);
     if (meta == nullptr) continue;
     typename Scorer::Term t;
     if (!scorer.setup(term, f_q, *meta, &t)) continue;
-    if (stats != nullptr) {
-      stats->postings_total += meta->df;
-      stats->postings_scored += meta->df;
-    }
-    FlatPostings::Cursor cur = flat.cursor(term);
+    FlatPostings::Cursor cur = flat.cursor(*meta);
     uint32_t unit = 0;
     double tf = 0.0;
     while (cur.next(&unit, &tf)) {
-      double c = scorer.contribution(t, unit, tf);
-      (*acc)[unit] += c;
+      acc[unit] += scorer.contribution(t, scorer.unit_input(unit), tf);
     }
   }
-}
-
-// Shared exclude/threshold/top-n selection over a fully-scored map — the
-// fallback arm of the pruned entry point. Mirrors the historic
-// match_cluster_terms pipeline exactly: drop exclude_doc's units, keep
-// positive scores (>= threshold in threshold mode), rank on
-// (score desc, doc asc), truncate to top_n only in top-n mode.
-std::vector<ScoredUnit> select_scored(
-    const std::unordered_map<uint32_t, double>& acc,
-    const std::vector<uint32_t>& unit_doc, uint32_t exclude_doc,
-    size_t top_n, double score_threshold, PruneStats* stats) {
   std::vector<ScoredUnit> hits;
   hits.reserve(acc.size());
   for (const auto& [unit, score] : acc) {
-    if (score <= 0.0) continue;
-    if (unit_doc[unit] == exclude_doc) continue;
-    if (score_threshold > 0.0 && score < score_threshold) continue;
-    hits.push_back(ScoredUnit{unit, score});
-  }
-  if (stats != nullptr) stats->units_scored += acc.size();
-  auto better = [&unit_doc](const ScoredUnit& a, const ScoredUnit& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return unit_doc[a.unit] < unit_doc[b.unit];
-  };
-  if (score_threshold <= 0.0 && hits.size() > top_n) {
-    std::partial_sort(hits.begin(),
-                      hits.begin() + static_cast<long>(top_n), hits.end(),
-                      better);
-    hits.resize(top_n);
-  } else {
-    std::sort(hits.begin(), hits.end(), better);
+    if (stats != nullptr && score != 0.0) ++stats->units_scored;
+    if (score > 0.0) hits.push_back(ScoredUnit{unit, score});
   }
   return hits;
 }
 
-// --- MaxScore document-at-a-time driver -------------------------------
+// --- Dense term-at-a-time kernel --------------------------------------
+//
+// The same accumulation as the reference with the map replaced by a dense
+// per-unit array (units are dense ids, and a query touches most of them)
+// and each unit's operand computed once per call instead of once per
+// posting. A unit's score is therefore the same additions, starting from
+// 0.0, of the same contribution() values in the same term order. The
+// selection pass keeps what the reference's filter + sort keeps: the
+// candidate order (score desc, doc asc) is total because a document has
+// at most one unit per cluster index.
 template <class Scorer>
-std::vector<ScoredUnit> maxscore_select(
-    const InvertedIndex& index, const TermVector& query,
-    const Scorer& scorer, const std::vector<uint32_t>& unit_doc,
-    uint32_t exclude_doc, size_t top_n, double score_threshold,
-    PruneStats* stats) {
-  const FlatPostings& flat = index.flat();
+std::vector<ScoredUnit> dense_select(
+    const InvertedIndex& index, const TermVector& query, const Scorer& scorer,
+    const std::vector<uint32_t>& unit_doc, uint32_t exclude_doc,
+    size_t top_n, double score_threshold, ScoreStats* stats) {
   const bool threshold_mode = score_threshold > 0.0;
-  struct TermState {
-    typename Scorer::Term term;
-    double bound = 0.0;  ///< inflated per-term contribution upper bound
-    uint32_t pos = 0;    ///< current index into punits/ptfs
-    uint32_t end = 0;    ///< one past the term's last posting
-  };
-  // All scratch the driver needs, reused across calls per thread: after
-  // the first few queries every buffer has reached its high-water
-  // capacity and the steady state allocates nothing — the TAAT driver's
-  // only allocation is its accumulator map, and the DAAT driver must not
-  // pay more than that per intention.
+  if (!threshold_mode && top_n == 0) return {};
+  // Per-thread workspace, reused across calls: once each array has
+  // reached its high-water size the kernel allocates only its result.
   struct Workspace {
-    std::vector<TermState> terms;
-    std::vector<uint32_t> punits;
-    std::vector<double> ptfs;
-    std::vector<double> suffix_bound;
-    std::vector<uint64_t> mask;
-    std::vector<uint32_t> js;
-    std::vector<double> sb;
+    std::vector<std::pair<typename Scorer::Term, const FlatTermMeta*>> terms;
+    std::vector<double> in;
+    std::vector<double> acc;
   };
   static thread_local Workspace ws;
-  std::vector<TermState>& terms = ws.terms;
-  std::vector<uint32_t>& punits = ws.punits;
-  std::vector<double>& ptfs = ws.ptfs;
+  const FlatPostings& flat = index.flat();
+  auto& terms = ws.terms;
   terms.clear();
-  punits.clear();
-  ptfs.clear();
-
-  // Gather admitted terms in query (TermId-ascending) order — the same
-  // admission rules, and therefore the same per-candidate accumulation
-  // order, as the exhaustive TAAT driver. Each term's run is pre-decoded
-  // once into shared parallel arrays (the same single decode pass the
-  // TAAT driver performs via its cursor), so the candidate loops below
-  // work over plain sorted uint32 arrays.
-  bool bounds_sound = true;
-  uint64_t admitted_postings = 0;
   for (const auto& [term, f_q] : query.entries()) {
     if (f_q <= 0.0) continue;
     const FlatTermMeta* meta = flat.term_meta(term);
     if (meta == nullptr) continue;
-    TermState ts;
-    if (!scorer.setup(term, f_q, *meta, &ts.term)) continue;
-    if (!scorer.prunable(*meta)) bounds_sound = false;
-    ts.bound = inflate_term(scorer.bound(ts.term, *meta));
-    ts.pos = static_cast<uint32_t>(punits.size());
-    uint32_t df = flat.decode_term(term, &punits, &ptfs);
-    if (df == 0) continue;
-    ts.end = ts.pos + df;
-    admitted_postings += df;
-    terms.push_back(std::move(ts));
+    typename Scorer::Term t;
+    if (scorer.setup(term, f_q, *meta, &t)) terms.emplace_back(t, meta);
   }
-  if (stats != nullptr) stats->postings_total += admitted_postings;
-  const size_t T = terms.size();
-  if (T == 0 || (!threshold_mode && top_n == 0)) return {};
-  if (!bounds_sound) {
-    // A term's bound is not provably conservative (e.g. sub-unit tf under
-    // the paper function): score everything, prune nothing. Same results
-    // by construction.
-    std::unordered_map<uint32_t, double> acc;
-    accumulate_flat(index, query, scorer, &acc, nullptr);
-    if (stats != nullptr) stats->postings_scored += admitted_postings;
-    return select_scored(acc, unit_doc, exclude_doc, top_n,
-                         score_threshold, stats);
-  }
+  if (terms.empty()) return {};
 
-  // suffix_bound[j]: inflated-bound sum of terms[j..T) — the most terms
-  // j.. can still add to a partial score (plus re-association slack,
-  // applied at each comparison via inflate_sum).
-  std::vector<double>& suffix_bound = ws.suffix_bound;
-  suffix_bound.assign(T + 1, 0.0);
-  for (size_t j = T; j-- > 0;) {
-    suffix_bound[j] = terms[j].bound + suffix_bound[j + 1];
-  }
-
-  // theta: the current entry bar as a (score, doc) pair. Top-n mode: the
-  // n-th best seen so far, active once the heap fills. Threshold mode:
-  // the static threshold with a never-matching doc so exact-equality
-  // candidates are kept (threshold semantics are score >= threshold).
-  double theta_score = threshold_mode ? score_threshold : 0.0;
-  uint32_t theta_doc =
-      threshold_mode ? std::numeric_limits<uint32_t>::max() : 0;
-  bool theta_active = threshold_mode;
-  // Even the sum of every term's bound cannot reach the static
-  // threshold: no unit anywhere can qualify.
-  if (theta_active && inflate_sum(suffix_bound[0]) < theta_score) {
-    return {};
-  }
-
-  // Candidate index: one bitmask word per unit, bit j = "terms[j]
-  // contains this unit". Terms beyond the low 62 bits share the
-  // overflow bit (63); their membership is re-checked per candidate by
-  // a forward scan, with suffix_bound[] (which covers ALL tail terms)
-  // as their conservative remaining-bound. Building the mask costs one
-  // sequential OR per admitted posting — far cheaper than the heap-based
-  // frontier it replaces, whose two heap operations per posting dominated
-  // the driver's profile at realistic densities (each unit here matches
-  // several query terms, so per-candidate costs amortize well).
-  constexpr size_t kTailStart = 62;
-  const uint32_t num_units = static_cast<uint32_t>(unit_doc.size());
-  std::vector<uint64_t>& mask = ws.mask;
-  mask.assign(num_units, 0);
-  for (size_t j = 0; j < T; ++j) {
-    const uint64_t bit = uint64_t{1} << std::min(j, kTailStart + 1);
-    const TermState& ts = terms[j];
-    for (uint32_t i = ts.pos; i < ts.end; ++i) mask[punits[i]] |= bit;
+  const auto num_units = static_cast<uint32_t>(index.num_units());
+  std::vector<double>& in = ws.in;
+  std::vector<double>& acc = ws.acc;
+  in.resize(num_units);
+  for (uint32_t u = 0; u < num_units; ++u) in[u] = scorer.unit_input(u);
+  acc.assign(num_units, 0.0);
+  for (const auto& [t, meta] : terms) {
+    FlatPostings::Cursor cur = flat.cursor(*meta);
+    uint32_t unit = 0;
+    double tf = 0.0;
+    while (cur.next(&unit, &tf)) {
+      acc[unit] += scorer.contribution(t, in[unit], tf);
+    }
   }
 
   auto better = [&unit_doc](const ScoredUnit& a, const ScoredUnit& b) {
     if (a.score != b.score) return a.score > b.score;
     return unit_doc[a.unit] < unit_doc[b.unit];
   };
-  std::vector<ScoredUnit> heap;  // worst-at-front (top-n mode)
-  std::vector<ScoredUnit> kept;  // threshold mode accumulator
-
-  // Document-at-a-time in ascending unit order (a dense scan of the mask
-  // array). Per candidate, the exact matched-term set is in hand, so the
-  // skip test compares theta against the sum of the MATCHED terms'
-  // bounds — strictly stronger than the classic essential/non-essential
-  // pivot (any candidate the pivot rule would never generate has a
-  // matched-bound sum below the non-essential prefix sum, and fails this
-  // test too). Contributions accumulate in ascending term-index = query
-  // (TermId-ascending) order over exactly the terms containing the
-  // candidate — the exhaustive TAAT accumulation order — so surviving
-  // scores are bit-identical; the skip/abandon tests use conservative
-  // upper bounds and can only reject, never alter.
-  //
-  // Visit order affects only which candidates get pruned (theta's growth
-  // trajectory), never correctness: a candidate rejected against the
-  // current theta loses against the final theta a fortiori.
-  std::vector<uint32_t>& js = ws.js;
-  std::vector<double>& sb = ws.sb;
-  for (uint32_t cand = 0; cand < num_units; ++cand) {
-    const uint64_t m = mask[cand];
-    if (m == 0) continue;
-    const uint32_t cand_doc = unit_doc[cand];
-    if (cand_doc == exclude_doc) continue;  // never a result; scans of its
-                                            // terms catch up lazily below
-    // Matched term indices, ascending (low 62 bits are exact; the
-    // overflow bit defers tail terms to the probe loop below).
-    js.clear();
-    uint64_t low = m & ((uint64_t{1} << (kTailStart + 1)) - 1);
-    while (low != 0) {
-      js.push_back(static_cast<uint32_t>(std::countr_zero(low)));
-      low &= low - 1;
-    }
-    const bool tail = T > kTailStart + 1 && (m >> (kTailStart + 1)) != 0;
-    // Per-candidate suffix bounds over the matched terms (addition-only,
-    // non-negative — the same re-association argument as suffix_bound).
-    sb.resize(js.size() + 1);
-    sb[js.size()] = tail ? suffix_bound[kTailStart + 1] : 0.0;
-    for (size_t i = js.size(); i-- > 0;) {
-      sb[i] = terms[js[i]].bound + sb[i + 1];
-    }
-
-    // Score in term order, abandoning as soon as the achieved prefix
-    // plus the remaining matched terms' bound sum cannot beat theta. The
-    // check before the first contribution is where a candidate matching
-    // only weak terms dies without a single scoring call.
-    double acc = 0.0;
-    bool abandoned = false;
-    for (size_t i = 0; i < js.size(); ++i) {
-      if (theta_active) {
-        double ub = inflate_sum(acc + sb[i]);
-        if (ub < theta_score ||
-            (ub == theta_score && cand_doc > theta_doc)) {
-          abandoned = true;
-          break;
-        }
-      }
-      TermState& ts = terms[js[i]];
-      while (ts.pos < ts.end && punits[ts.pos] < cand) ++ts.pos;
-      // The mask bit is exact for these terms: punits[ts.pos] == cand.
-      acc += scorer.contribution(ts.term, cand, ptfs[ts.pos]);
-      if (stats != nullptr) ++stats->postings_scored;
-    }
-    if (!abandoned && tail) {
-      for (size_t j = kTailStart + 1; j < T; ++j) {
-        if (theta_active) {
-          double ub = inflate_sum(acc + suffix_bound[j]);
-          if (ub < theta_score ||
-              (ub == theta_score && cand_doc > theta_doc)) {
-            abandoned = true;
-            break;
-          }
-        }
-        TermState& ts = terms[j];
-        while (ts.pos < ts.end && punits[ts.pos] < cand) ++ts.pos;
-        if (ts.pos < ts.end && punits[ts.pos] == cand) {
-          acc += scorer.contribution(ts.term, cand, ptfs[ts.pos]);
-          if (stats != nullptr) ++stats->postings_scored;
-        }
-      }
-    }
-    if (abandoned) {
-      if (stats != nullptr) ++stats->units_abandoned;
-      continue;
-    }
-    if (stats != nullptr) ++stats->units_scored;
-    if (acc <= 0.0) continue;  // exhaustive keeps positive scores only
+  // Top-n mode keeps a heap with the worst kept unit at the front. `bar`
+  // is the least score that can still be kept: the smallest positive
+  // double (scores must be positive), the threshold, or — once the heap
+  // is full — the heap's worst score, so most units fail one comparison.
+  std::vector<ScoredUnit> out;
+  double bar = threshold_mode ? score_threshold
+                              : std::numeric_limits<double>::denorm_min();
+  uint64_t scored = 0;
+  for (uint32_t u = 0; u < num_units; ++u) {
+    const double score = acc[u];
+    scored += score != 0.0;
+    if (!(score >= bar) || unit_doc[u] == exclude_doc) continue;
+    const ScoredUnit su{u, score};
     if (threshold_mode) {
-      if (acc >= score_threshold) kept.push_back(ScoredUnit{cand, acc});
+      out.push_back(su);
       continue;
     }
-    ScoredUnit su{cand, acc};
-    if (heap.size() < top_n) {
-      heap.push_back(su);
-      std::push_heap(heap.begin(), heap.end(), better);
-      if (heap.size() < top_n) continue;
-    } else if (better(su, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), better);
-      heap.back() = su;
-      std::push_heap(heap.begin(), heap.end(), better);
+    if (out.size() < top_n) {
+      out.push_back(su);
+      std::push_heap(out.begin(), out.end(), better);
+    } else if (better(su, out.front())) {
+      std::pop_heap(out.begin(), out.end(), better);
+      out.back() = su;
+      std::push_heap(out.begin(), out.end(), better);
     } else {
       continue;
     }
-    theta_score = heap.front().score;
-    theta_doc = unit_doc[heap.front().unit];
-    theta_active = true;
-    // Even the sum of every term's bound cannot reach theta: nothing
-    // still unvisited can enter the heap.
-    if (inflate_sum(suffix_bound[0]) < theta_score) break;
+    if (out.size() == top_n) bar = out.front().score;
   }
-  std::vector<ScoredUnit>& out = threshold_mode ? kept : heap;
+  if (stats != nullptr) stats->units_scored += scored;
   std::sort(out.begin(), out.end(), better);
-  return std::move(out);
-}
-
-template <class Scorer>
-std::vector<ScoredUnit> score_units_exhaustive(
-    const InvertedIndex& index, const TermVector& query,
-    const ScoringOptions& options, const ClusterCollectionStats* global,
-    PruneStats* stats) {
-  Scorer scorer = make_scorer<Scorer>(index, options, global);
-  std::unordered_map<uint32_t, double> acc;
-  accumulate_flat(index, query, scorer, &acc, stats);
-  std::vector<ScoredUnit> hits;
-  hits.reserve(acc.size());
-  for (const auto& [unit, score] : acc) {
-    if (score > 0.0) hits.push_back(ScoredUnit{unit, score});
-  }
-  if (stats != nullptr) stats->units_scored += acc.size();
-  return hits;
+  return out;
 }
 
 }  // namespace
@@ -573,19 +320,19 @@ std::vector<ScoredUnit> score_units_exhaustive(
 std::vector<ScoredUnit> score_units_counted(
     const InvertedIndex& index, const TermVector& query,
     const ScoringOptions& options, const ClusterCollectionStats* global,
-    PruneStats* stats) {
+    ScoreStats* stats) {
   obs::TraceScope score(obs::Stage::kScore);
   switch (options.function) {
     case ScoringFunction::kBm25:
-      return score_units_exhaustive<Bm25Scorer>(index, query, options,
+      return score_units_reference<Bm25Scorer>(index, query, options,
                                                 global, stats);
     case ScoringFunction::kQueryLikelihood:
-      return score_units_exhaustive<LmScorer>(index, query, options, global,
+      return score_units_reference<LmScorer>(index, query, options, global,
                                               stats);
     case ScoringFunction::kPaperTfIdf:
       break;
   }
-  return score_units_exhaustive<PaperScorer>(index, query, options, global,
+  return score_units_reference<PaperScorer>(index, query, options, global,
                                              stats);
 }
 
@@ -600,26 +347,38 @@ std::vector<ScoredUnit> score_units_maxscore(
     const InvertedIndex& index, const TermVector& query,
     const ScoringOptions& options, const ClusterCollectionStats* global,
     const std::vector<uint32_t>& unit_doc, uint32_t exclude_doc,
-    size_t top_n, double score_threshold, PruneStats* stats) {
+    size_t top_n, double score_threshold, ScoreStats* stats) {
   obs::TraceScope score(obs::Stage::kScore);
   switch (options.function) {
     case ScoringFunction::kBm25:
-      return maxscore_select(index, query,
-                             make_scorer<Bm25Scorer>(index, options, global),
-                             unit_doc, exclude_doc, top_n, score_threshold,
-                             stats);
+      return dense_select(index, query,
+                          make_scorer<Bm25Scorer>(index, options, global),
+                          unit_doc, exclude_doc, top_n, score_threshold,
+                          stats);
     case ScoringFunction::kQueryLikelihood:
-      return maxscore_select(index, query,
-                             make_scorer<LmScorer>(index, options, global),
-                             unit_doc, exclude_doc, top_n, score_threshold,
-                             stats);
+      return dense_select(index, query,
+                          make_scorer<LmScorer>(index, options, global),
+                          unit_doc, exclude_doc, top_n, score_threshold,
+                          stats);
     case ScoringFunction::kPaperTfIdf:
       break;
   }
-  return maxscore_select(index, query,
-                         make_scorer<PaperScorer>(index, options, global),
-                         unit_doc, exclude_doc, top_n, score_threshold,
-                         stats);
+  return dense_select(index, query,
+                      make_scorer<PaperScorer>(index, options, global),
+                      unit_doc, exclude_doc, top_n, score_threshold, stats);
+}
+
+const double* small_tf_log_table() {
+  static const std::array<double, kSmallTfLogs> table = [] {
+    std::array<double, kSmallTfLogs> t{};
+    for (uint32_t i = 1; i < kSmallTfLogs; ++i) {
+      // A volatile operand makes this a run-time std::log call.
+      volatile double tf = static_cast<double>(i);
+      t[i] = std::log(tf);
+    }
+    return t;
+  }();
+  return table.data();
 }
 
 void keep_top_n(std::vector<ScoredUnit>& hits, size_t n) {

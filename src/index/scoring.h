@@ -73,57 +73,64 @@ std::vector<ScoredUnit> score_units(const InvertedIndex& index,
 /// determinism) and truncates to `n`.
 void keep_top_n(std::vector<ScoredUnit>& hits, size_t n);
 
-/// Work counters of one scoring call (both paths fill them): how much of
-/// the postings data was actually evaluated. The pruned-query bench and
-/// the ibseg_pruned_docs_total serving counter read these.
-struct PruneStats {
-  uint64_t units_scored = 0;  ///< candidate units fully scored
-  /// Candidate units rejected by the MaxScore upper-bound test (always 0
-  /// on the exhaustive path) — either before their first contribution,
-  /// when the matched terms' summed bounds already cannot beat the
-  /// running threshold, or mid-accumulation. Compare units_scored across
-  /// the two paths for the full savings picture.
-  uint64_t units_abandoned = 0;
-  uint64_t postings_scored = 0;  ///< per-(term, unit) contributions computed
-  uint64_t postings_total = 0;   ///< postings of the admitted query terms
+/// Work counter of one scoring call, filled by both scoring paths. The
+/// serving layer folds it into QueryWorkCounters::units_scored.
+struct ScoreStats {
+  /// Units whose accumulated score is nonzero (in practice: units matching
+  /// at least one admitted query term), counted before exclusion and
+  /// selection.
+  uint64_t units_scored = 0;
 };
 
-/// Exhaustive scoring with work counters (see score_units for semantics).
+/// Exhaustive map-based scoring with a work counter (see score_units for
+/// semantics) — the reference the dense kernel is checked against.
 std::vector<ScoredUnit> score_units_counted(
     const InvertedIndex& index, const TermVector& query,
     const ScoringOptions& options, const ClusterCollectionStats* global,
-    PruneStats* stats);
+    ScoreStats* stats);
 
-/// MaxScore-pruned replacement for the score → exclude → threshold →
-/// select pipeline of IntentionMatcher::match_cluster_terms. Scores
-/// `query` against `index`'s sealed flat postings document-at-a-time,
-/// skipping candidates whose per-term upper bounds (FlatTermMeta maxima,
-/// see flat_postings.h) prove they cannot enter the result:
+/// The per-intention score → exclude → threshold → select step of
+/// IntentionMatcher::match_cluster_terms, as one dense term-at-a-time
+/// kernel over `index`'s sealed flat postings. Per call it fills a
+/// thread-local per-unit array with each unit's scoring operand (the
+/// Eq. 7/8 norm, BM25's length factor or the LM's clamped length), walks
+/// every admitted query term's postings in TermId order adding each
+/// contribution into a thread-local accumulator indexed by unit, then
+/// selects in one pass over the accumulator:
 ///
-///  * score_threshold <= 0 (top-n mode): returns the top `top_n` units
-///    with positive score under (score desc, unit_doc[unit] asc) — the
-///    PR-3 tie-order contract — among units whose doc != exclude_doc.
-///  * score_threshold > 0 (threshold mode): returns EVERY such unit with
+///  * score_threshold <= 0 (top-n mode): the top `top_n` units with
+///    positive score under (score desc, unit_doc[unit] asc) — the
+///    tie-order contract — among units whose doc != exclude_doc.
+///  * score_threshold > 0 (threshold mode): EVERY such unit with
 ///    score >= score_threshold (top_n is ignored, matching the matcher's
 ///    keep-all threshold semantics).
 ///
 /// Results are sorted by (score desc, doc asc) and are bit-identical —
-/// scores included — to what the exhaustive path selects, because a
-/// surviving candidate's score is accumulated over the same terms in the
-/// same (TermId-ascending) order with the same arithmetic, and the skip
-/// tests use conservative upper bounds (exact fp maxima plus a relative
-/// slack covering fp re-association, so a bound failure can only admit
-/// extra candidates, never drop a true one). Queries whose per-term
-/// bounds are not provably sound (sub-unit tf with the paper function,
-/// out-of-range BM25 parameters) are scored exhaustively inside this
-/// call — same results, no pruning. `global` selects the sharded
-/// (cross-shard statistics) arithmetic exactly as in score_units.
-/// tests/differential_test.cc sweeps this equivalence.
+/// scores included — to score_units_counted followed by the matcher's
+/// exclude/threshold/top-n selection: each unit's score is the same
+/// sequence of the same double operations (same contribution function,
+/// same TermId-ascending accumulation order, starting from 0.0), and the
+/// selection keeps the same set under a total order. `global` selects the
+/// sharded (cross-shard statistics) arithmetic exactly as in score_units.
+/// tests/differential_test.cc sweeps this equivalence. The work arrays
+/// are per thread, so concurrent calls (scatter legs) share nothing. (The
+/// name predates the kernel: nothing is pruned.)
 std::vector<ScoredUnit> score_units_maxscore(
     const InvertedIndex& index, const TermVector& query,
     const ScoringOptions& options, const ClusterCollectionStats* global,
     const std::vector<uint32_t>& unit_doc, uint32_t exclude_doc,
-    size_t top_n, double score_threshold, PruneStats* stats = nullptr);
+    size_t top_n, double score_threshold, ScoreStats* stats = nullptr);
+
+/// Size of small_tf_log_table(): it covers integral tf in [1, 256).
+inline constexpr uint32_t kSmallTfLogs = 256;
+
+/// log(tf) for every integral tf in [1, kSmallTfLogs), indexed by tf
+/// (entry 0 is unused). The paper weight reads it instead of calling
+/// std::log for such tf (tf = 1 is most postings). The entries are filled
+/// once, at run time, by std::log itself, never by compile-time constant
+/// folding (whose rounding need not match libm's), so a lookup returns
+/// exactly the double the call would.
+const double* small_tf_log_table();
 
 }  // namespace ibseg
 

@@ -1,8 +1,8 @@
-// Differential harness for the cached, pruned and scattered query paths.
-// The serving-layer result cache, the MaxScore-pruned per-intention
-// selection and the concurrent scatter legs are only shippable because
-// each is provably identical —
-// ranked lists AND scores, bit for bit — to the uncached, exhaustive
+// Differential harness for the cached, kernel-scored and scattered query
+// paths. The serving-layer result cache, the dense per-intention scoring
+// kernel and the concurrent scatter legs are only shippable because each
+// is provably identical —
+// ranked lists AND scores, bit for bit — to the uncached, map-scored
 // reference execution (the Oracle, tests/oracle.h). These tests are
 // property-style: seeded random corpora from src/datagen, every document
 // as the reference query, multiple k, with interleaved ingests exercising
@@ -12,13 +12,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <memory>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/sharded_serving.h"
 #include "datagen/post_generator.h"
+#include "index/collection_stats.h"
+#include "index/inverted_index.h"
+#include "index/scoring.h"
 #include "oracle.h"
 #include "storage/snapshot.h"
 #include "util/thread_pool.h"
@@ -50,8 +61,8 @@ struct SharedOffline {
     snapshot = offline.snapshot();
   }
 
-  /// Variant with full control of the matcher options (the pruned vs
-  /// exhaustive sweeps mutate top_n_factor / score_threshold /
+  /// Variant with full control of the matcher options (the kernel vs
+  /// reference sweeps mutate top_n_factor / score_threshold /
   /// exhaustive_fallback).
   RelatedPostPipeline pipeline_with(const MatcherOptions& matcher) const {
     PipelineOptions options;
@@ -222,16 +233,16 @@ TEST(Differential, EqualScoreTiesOrderByDocId) {
   EXPECT_GT(tie_runs, 0u);
 }
 
-// ------------------------------------- pruned vs exhaustive selection ----
+// ------------------------------------- kernel vs reference selection ----
 
-// MaxScore pruning (score_units_maxscore, the default per-intention path)
-// must be indistinguishable — bit for bit — from the historic exhaustive
-// score-then-select path it replaced. The sweep crosses random corpora,
-// every document as the query, k below/at/above the per-intention list
-// length, top_n_factor (which sets n = factor*k and therefore where the
-// selection boundary falls), and all three scoring functions. Any
-// divergence — a doc admitted by one path and pruned by the other, or a
-// score differing in the last ulp — fails.
+// The dense kernel (score_units_maxscore, the default per-intention path)
+// must be indistinguishable — bit for bit — from the map-based reference
+// path (exhaustive_fallback). The sweep crosses random corpora, every
+// document as the query, k below/at/above the per-intention list length,
+// top_n_factor (which sets n = factor*k and therefore where the selection
+// boundary falls), and all three scoring functions. Any divergence — a
+// doc kept by one path and not the other, or a score differing in the
+// last ulp — fails.
 TEST(Differential, PrunedVsExhaustiveSweep) {
   for (uint64_t seed : {11u, 777u}) {
     SharedOffline offline(kPosts, seed);
@@ -247,9 +258,9 @@ TEST(Differential, PrunedVsExhaustiveSweep) {
         RelatedPostPipeline p = offline.pipeline_with(pruned);
         RelatedPostPipeline e = offline.pipeline_with(exhaustive);
         for (DocId q = 0; q < kPosts; ++q) {
-          // k sweep: tiny heaps (max pruning pressure), mid, the corpus
-          // size, and k far beyond the corpus (pruning must degrade to
-          // keep-everything without dropping a single positive score).
+          // k sweep: tiny heaps, mid, the corpus size, and k far beyond
+          // the corpus (selection must keep everything without dropping
+          // a single positive score).
           for (int k : {1, 5, 10, 50, 1000}) {
             expect_identical(
                 p.find_related(q, k), e.find_related(q, k),
@@ -266,8 +277,8 @@ TEST(Differential, PrunedVsExhaustiveSweep) {
 
 // Threshold mode (score_threshold > 0 replaces the per-intention top-n
 // with keep-everything-above-the-bar) flows through a different selection
-// rule in the pruned path: a static theta with keep-on-equality. Both
-// paths must keep the exact same set.
+// rule in the kernel: keep-on-equality against a static bar. Both paths
+// must keep the exact same set.
 TEST(Differential, PrunedVsExhaustiveThresholdMode) {
   SharedOffline offline(kPosts, 11);
   for (double threshold : {0.01, 0.2, 1.0}) {
@@ -287,11 +298,11 @@ TEST(Differential, PrunedVsExhaustiveThresholdMode) {
   }
 }
 
-// Pruning must stay exact across interleaved ingests: every add_post
-// re-seals the flat postings and refreshes the per-term bounds, and a
-// stale bound (too small after a new high-tf posting) would silently
-// drop documents. Ingest into both pipelines in lockstep and compare the
-// full query sweep after every post.
+// The kernel must stay exact across interleaved ingests: every add_post
+// re-seals the flat postings and changes the unit norms, and a kernel
+// reading a stale arena or stale per-unit operands would drift. Ingest
+// into both pipelines in lockstep and compare the full query sweep after
+// every post.
 TEST(Differential, PrunedVsExhaustiveAcrossInterleavedIngests) {
   SharedOffline offline(kPosts, 777);
   MatcherOptions pruned;
@@ -328,9 +339,9 @@ TEST(Differential, PrunedVsExhaustiveAcrossInterleavedIngests) {
   }
 }
 
-// Selection-boundary ties are where a pruning bug hides best: when the
-// heap is full and a candidate's upper bound EQUALS the current worst
-// score, skipping is only correct for larger DocIds. Duplicated post
+// Selection-boundary ties are where a selection bug hides best: when the
+// heap is full and a candidate's score EQUALS the current worst kept
+// score, it may only displace it with a smaller DocId. Duplicated post
 // texts force exact score ties straddling the per-intention boundary
 // (n = factor*k), and the per-intention lists of both paths must agree
 // element-for-element — order included.
@@ -372,7 +383,7 @@ TEST(Differential, PrunedTieOrderAtSelectionBoundary) {
           if (got[i].score == got[i - 1].score) {
             ++tie_runs;
             EXPECT_LT(got[i - 1].doc, got[i].doc)
-                << "pruned equal-score run out of DocId order (cluster " << c
+                << "kernel equal-score run out of DocId order (cluster " << c
                 << " n " << n << ")";
           }
         }
@@ -382,30 +393,293 @@ TEST(Differential, PrunedTieOrderAtSelectionBoundary) {
   EXPECT_GT(tie_runs, 0u);  // the duplicates must actually have tied
 }
 
-// The pruned path must report work honestly: across the sweep it scores
-// at most as many units as the exhaustive path (it is a pruning, not a
-// rescoring), and on at least one query it must actually abandon or skip
-// something — otherwise the MaxScore machinery is dead code.
-TEST(Differential, PrunedPathDoesStrictlyLessWork) {
-  SharedOffline offline(kPosts, 11);
-  MatcherOptions pruned;
-  pruned.top_n_factor = 1;
-  MatcherOptions exhaustive = pruned;
-  exhaustive.exhaustive_fallback = true;
-  RelatedPostPipeline p = offline.pipeline_with(pruned);
-  RelatedPostPipeline e = offline.pipeline_with(exhaustive);
-  for (DocId q = 0; q < kPosts; ++q) {
-    expect_identical(p.find_related(q, 1), e.find_related(q, 1),
-                     "work-check q " + std::to_string(q));
+// ------------------------------------------ kernel vs map reference ----
+
+// The tf values whose encoding or log path differs: 1 (most real
+// postings), 2, the last (255) and first-past (256) log-table entries,
+// 300, sub-unit and non-integral tf (raw-bits escape; 0.1 also makes the
+// paper weight negative), and 2^63 — integral, but past the varint range,
+// so it takes the raw-bits escape too.
+constexpr double kEdgeTfs[] = {1.0, 2.0,  255.0, 256.0,
+                               300.0, 0.1, 2.5,  9223372036854775808.0};
+
+TermVector edge_bag(std::mt19937& rng) {
+  std::uniform_int_distribution<int> num_terms(1, 6);
+  std::uniform_int_distribution<TermId> term(0, 11);
+  std::uniform_int_distribution<size_t> tf(0, std::size(kEdgeTfs) - 1);
+  TermVector v;
+  for (int i = num_terms(rng); i > 0; --i) {
+    TermId t = term(rng);
+    if (v.weight(t) == 0.0) v.add(t, kEdgeTfs[tf(rng)]);
   }
-  uint64_t pruned_scored =
-      p.matcher().work_counters().units_scored.load(std::memory_order_relaxed);
-  uint64_t exhaustive_scored =
-      e.matcher().work_counters().units_scored.load(std::memory_order_relaxed);
-  EXPECT_LE(pruned_scored, exhaustive_scored);
-  EXPECT_LT(pruned_scored, exhaustive_scored)
-      << "MaxScore never skipped a unit across " << kPosts
-      << " k=1 queries — pruning is not engaging";
+  return v;
+}
+
+// The matcher's reference selection: map-based scores, then exclude,
+// threshold, (score desc, doc asc) order and the top-n cut.
+std::vector<ScoredUnit> reference_select(
+    const InvertedIndex& index, const TermVector& query,
+    const ScoringOptions& options, const ClusterCollectionStats* global,
+    const std::vector<uint32_t>& unit_doc, uint32_t exclude, size_t n,
+    double threshold, ScoreStats* stats) {
+  std::vector<ScoredUnit> hits =
+      score_units_counted(index, query, options, global, stats);
+  std::erase_if(hits, [&](const ScoredUnit& h) {
+    return unit_doc[h.unit] == exclude ||
+           (threshold > 0.0 && h.score < threshold);
+  });
+  std::sort(hits.begin(), hits.end(),
+            [&](const ScoredUnit& a, const ScoredUnit& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return unit_doc[a.unit] < unit_doc[b.unit];
+            });
+  if (threshold <= 0.0 && hits.size() > n) hits.resize(n);
+  return hits;
+}
+
+// score_units_maxscore against reference_select, compared as bit patterns,
+// on bags built from the edge tf values: all three scoring functions, top-n
+// and threshold mode, local and cross-shard statistics (a board that also
+// holds units living on another shard), with and without an excluded doc.
+// Duplicate units force exact score ties, and doc ids run against unit ids
+// so the tie order is the DocId order, not the insertion order.
+TEST(Differential, KernelBitExactAgainstMapReference) {
+  std::mt19937 rng(2024);
+  std::vector<TermVector> units;
+  for (int u = 0; u < 40; ++u) {
+    units.push_back(edge_bag(rng));
+    if (u % 8 == 0) units.push_back(units.back());
+  }
+  InvertedIndex index;
+  for (const TermVector& v : units) index.add_unit(v);
+  index.finalize();
+  std::vector<uint32_t> unit_doc(units.size());
+  for (size_t u = 0; u < units.size(); ++u) {
+    unit_doc[u] = static_cast<uint32_t>(5000 - 3 * u);
+  }
+  GlobalIndexStats board(1, index.min_norm_fraction);
+  for (const TermVector& v : units) board.append(0, v, false);
+  for (int u = 0; u < 25; ++u) board.append(0, edge_bag(rng), false);
+  board.refresh(0);
+  std::shared_ptr<const ClusterCollectionStats> global = board.cluster(0);
+
+  std::vector<TermVector> queries;
+  for (int q = 0; q < 8; ++q) queries.push_back(edge_bag(rng));
+  queries.back().add(99, 1.0);  // a term no unit holds
+
+  size_t compared = 0;
+  for (ScoringFunction fn :
+       {ScoringFunction::kPaperTfIdf, ScoringFunction::kBm25,
+        ScoringFunction::kQueryLikelihood}) {
+    ScoringOptions options;
+    options.function = fn;
+    for (const ClusterCollectionStats* stats : {
+             static_cast<const ClusterCollectionStats*>(nullptr),
+             global.get()}) {
+      for (const TermVector& query : queries) {
+        std::vector<ScoredUnit> all = reference_select(
+            index, query, options, stats, unit_doc, IntentionMatcher::kNoDocId,
+            units.size(), 0.0, nullptr);
+        // Thresholds: keep every positive score; and exactly the third
+        // best score, so keep-on-equality is exercised.
+        std::vector<double> thresholds = {0.0, 1e-300};
+        if (all.size() >= 3) thresholds.push_back(all[2].score);
+        for (uint32_t exclude : {IntentionMatcher::kNoDocId, unit_doc[8]}) {
+          for (double threshold : thresholds) {
+            for (size_t n : {size_t{1}, size_t{3}, size_t{10}, size_t{100}}) {
+              ScoreStats want_stats;
+              ScoreStats got_stats;
+              std::vector<ScoredUnit> want =
+                  reference_select(index, query, options, stats, unit_doc,
+                                   exclude, n, threshold, &want_stats);
+              std::vector<ScoredUnit> got = score_units_maxscore(
+                  index, query, options, stats, unit_doc, exclude, n,
+                  threshold, &got_stats);
+              const std::string what =
+                  "fn " + std::to_string(static_cast<int>(fn)) +
+                  (stats != nullptr ? " global" : " local") + " exclude " +
+                  std::to_string(exclude) + " threshold " +
+                  std::to_string(threshold) + " n " + std::to_string(n);
+              EXPECT_EQ(got_stats.units_scored, want_stats.units_scored)
+                  << what;
+              ASSERT_EQ(got.size(), want.size()) << what;
+              for (size_t i = 0; i < want.size(); ++i) {
+                EXPECT_EQ(got[i].unit, want[i].unit) << what << " rank " << i;
+                EXPECT_EQ(std::bit_cast<uint64_t>(got[i].score),
+                          std::bit_cast<uint64_t>(want[i].score))
+                    << what << " rank " << i;
+              }
+              compared += want.size();
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000u);  // the sweep must compare real hits
+}
+
+// A finalized index over edge bags, its doc ids running against its unit
+// ids.
+struct EdgeBoard {
+  InvertedIndex index;
+  std::vector<uint32_t> unit_doc;
+};
+
+std::vector<std::unique_ptr<EdgeBoard>> edge_boards(
+    std::mt19937& rng, std::initializer_list<int> sizes) {
+  std::vector<std::unique_ptr<EdgeBoard>> boards;
+  for (int size : sizes) {
+    auto board = std::make_unique<EdgeBoard>();
+    for (int u = 0; u < size; ++u) {
+      board->index.add_unit(edge_bag(rng));
+      board->unit_doc.push_back(static_cast<uint32_t>(9000 - 2 * u));
+    }
+    board->index.finalize();
+    boards.push_back(std::move(board));
+  }
+  return boards;
+}
+
+// Ranks at which `got` and `want` differ in unit or in score bits; each
+// rank one list lacks counts as a difference.
+size_t bit_differences(const std::vector<ScoredUnit>& got,
+                       const std::vector<ScoredUnit>& want) {
+  size_t diffs = std::max(got.size(), want.size()) -
+                 std::min(got.size(), want.size());
+  for (size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    diffs += got[i].unit != want[i].unit ||
+             std::bit_cast<uint64_t>(got[i].score) !=
+                 std::bit_cast<uint64_t>(want[i].score);
+  }
+  return diffs;
+}
+
+// The kernel's per-thread arrays outlive a call. On one thread, calls that
+// alternate between boards of different sizes — and between two boards of
+// the same size but different postings — must each answer as if the
+// arrays were fresh: no score, unit operand or admitted term of an earlier
+// call may leak into a later one.
+TEST(Differential, KernelWorkspaceReusedAcrossIndexSizes) {
+  std::mt19937 rng(77);
+  const auto boards = edge_boards(rng, {60, 4, 60, 1, 23});
+  std::vector<TermVector> queries;
+  for (int q = 0; q < 10; ++q) queries.push_back(edge_bag(rng));
+
+  size_t compared = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (const TermVector& query : queries) {
+      for (ScoringFunction fn :
+           {ScoringFunction::kPaperTfIdf, ScoringFunction::kBm25,
+            ScoringFunction::kQueryLikelihood}) {
+        ScoringOptions options;
+        options.function = fn;
+        for (size_t b = 0; b < boards.size(); ++b) {
+          const EdgeBoard& board = *boards[b];
+          for (double threshold : {0.0, 1e-300}) {
+            std::vector<ScoredUnit> want = reference_select(
+                board.index, query, options, nullptr, board.unit_doc,
+                IntentionMatcher::kNoDocId, 5, threshold, nullptr);
+            std::vector<ScoredUnit> got = score_units_maxscore(
+                board.index, query, options, nullptr, board.unit_doc,
+                IntentionMatcher::kNoDocId, 5, threshold);
+            EXPECT_EQ(bit_differences(got, want), 0u)
+                << "round " << round << " fn " << static_cast<int>(fn)
+                << " board " << b << " threshold " << threshold;
+            compared += want.size();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 500u);  // the sweep must compare real hits
+}
+
+// Scatter legs call the kernel from several pool threads at once. Four
+// threads, each sweeping the same boards, queries and scoring functions
+// in its own order under local and cross-shard statistics, must each
+// reproduce the serially computed reference bit for bit.
+TEST(Differential, KernelConcurrentCallsMatchSerialReference) {
+  std::mt19937 rng(91);
+  const auto boards = edge_boards(rng, {50, 7, 31});
+  GlobalIndexStats stats_board(1, boards[0]->index.min_norm_fraction);
+  for (int u = 0; u < 90; ++u) stats_board.append(0, edge_bag(rng), false);
+  stats_board.refresh(0);
+  std::shared_ptr<const ClusterCollectionStats> global =
+      stats_board.cluster(0);
+  std::vector<TermVector> queries;
+  for (int q = 0; q < 6; ++q) queries.push_back(edge_bag(rng));
+
+  struct Call {
+    const EdgeBoard* board;
+    const TermVector* query;
+    ScoringOptions options;
+    const ClusterCollectionStats* global;
+    double threshold;
+    std::vector<ScoredUnit> want;
+  };
+  std::vector<Call> calls;
+  size_t compared = 0;
+  for (const auto& board : boards) {
+    for (const TermVector& query : queries) {
+      for (ScoringFunction fn :
+           {ScoringFunction::kPaperTfIdf, ScoringFunction::kBm25,
+            ScoringFunction::kQueryLikelihood}) {
+        for (const ClusterCollectionStats* stats : {
+                 static_cast<const ClusterCollectionStats*>(nullptr),
+                 global.get()}) {
+          for (double threshold : {0.0, 1e-300}) {
+            Call call{board.get(), &query, {}, stats, threshold, {}};
+            call.options.function = fn;
+            call.want = reference_select(
+                board->index, query, call.options, stats, board->unit_doc,
+                IntentionMatcher::kNoDocId, 4, threshold, nullptr);
+            compared += call.want.size();
+            calls.push_back(std::move(call));
+          }
+        }
+      }
+    }
+  }
+  ASSERT_GT(compared, 300u);  // the sweep must compare real hits
+
+  constexpr int kThreads = 4;
+  std::atomic<size_t> diffs{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&calls, &diffs, t] {
+      std::vector<size_t> order(calls.size());
+      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::shuffle(order.begin(), order.end(),
+                   std::mt19937(static_cast<uint32_t>(t)));
+      for (int rep = 0; rep < 5; ++rep) {
+        for (size_t i : order) {
+          const Call& call = calls[i];
+          diffs += bit_differences(
+              score_units_maxscore(call.board->index, *call.query,
+                                   call.options, call.global,
+                                   call.board->unit_doc,
+                                   IntentionMatcher::kNoDocId, 4,
+                                   call.threshold),
+              call.want);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(diffs.load(), 0u);
+}
+
+// The paper weight reads log(tf) from a table for small integral tf. Each
+// entry must be the very double a run-time std::log call returns.
+TEST(Differential, SmallTfLogTableEqualsRuntimeLog) {
+  const double* table = small_tf_log_table();
+  for (uint32_t i = 1; i < kSmallTfLogs; ++i) {
+    volatile double tf = static_cast<double>(i);  // defeat constant folding
+    const double want = std::log(tf);
+    EXPECT_EQ(std::bit_cast<uint64_t>(table[i]), std::bit_cast<uint64_t>(want))
+        << "tf " << i;
+  }
 }
 
 }  // namespace

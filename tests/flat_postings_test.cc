@@ -6,17 +6,11 @@
 //  * decoder hardening — delta-0, unit overflow, tf-0, overlong varints,
 //    trailing bytes and inflated df are all rejected, and an inflated df
 //    cannot over-reserve (the allocation-bomb guard);
-//  * bound invariants — every FlatTermMeta max/min field bounds the exact
-//    per-posting doubles the scoring expressions compute, checked
-//    exhaustively on randomized corpora (the soundness precondition of
-//    the MaxScore pruning bounds);
 //  * seal/rebuild — finalize() after an ingest re-seals an arena that
 //    matches a from-scratch index built over the same units, byte for
 //    byte.
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -98,6 +92,35 @@ TEST(FlatPostingsCodec, RandomRunsRoundTripBitExactly) {
     }
     EXPECT_EQ(stats.postings, postings.size());
     EXPECT_EQ(stats.bytes, bytes.size());
+  }
+}
+
+// The query path's Cursor (with its one-byte fast path) must decode a
+// sealed run to exactly what the bounded decoder reads from the same bytes.
+TEST(FlatPostingsCodec, SealedCursorRoundTripsBitExactly) {
+  std::mt19937 rng(7);
+  for (int iter = 0; iter < 200; ++iter) {
+    std::vector<Posting> postings = random_postings(rng);
+    if (iter % 2 == 0) {
+      // Dense units: mostly one-byte deltas, as in a real cluster index.
+      uint32_t unit = static_cast<uint32_t>(rng() % 300);
+      for (Posting& p : postings) {
+        p.unit = unit;
+        unit += 1 + static_cast<uint32_t>(rng() % 200);
+      }
+    }
+    FlatPostings flat = FlatPostings::seal({{TermId{5}, &postings}});
+    FlatPostings::Cursor cur = flat.cursor(5);
+    uint32_t unit = 0;
+    double tf = 0.0;
+    for (const Posting& want : postings) {
+      ASSERT_TRUE(cur.next(&unit, &tf)) << "iter " << iter;
+      EXPECT_EQ(unit, want.unit) << "iter " << iter;
+      EXPECT_EQ(std::bit_cast<uint64_t>(tf), std::bit_cast<uint64_t>(want.tf))
+          << "iter " << iter;
+    }
+    EXPECT_FALSE(cur.next(&unit, &tf)) << "iter " << iter;
+    EXPECT_TRUE(cur.done());
   }
 }
 
@@ -218,7 +241,7 @@ TEST(FlatPostingsCodec, InflatedDfCannotOverReserve) {
   EXPECT_LE(decoded.capacity(), 16u);
 }
 
-// --- Bound invariants --------------------------------------------------
+// --- Seal / rebuild ----------------------------------------------------
 
 TermVector make_unit(std::mt19937& rng, int vocab_size) {
   std::uniform_int_distribution<int> nterms_dist(1, 8);
@@ -232,71 +255,6 @@ TermVector make_unit(std::mt19937& rng, int vocab_size) {
   }
   return v;
 }
-
-TEST(FlatTermMetaBounds, HoldForEveryPostingOnRandomCorpora) {
-  std::mt19937 rng(99);
-  for (int iter = 0; iter < 40; ++iter) {
-    InvertedIndex index;
-    int units = 2 + static_cast<int>(rng() % 50);
-    for (int u = 0; u < units; ++u) index.add_unit(make_unit(rng, 25));
-    index.finalize();
-    const FlatPostings& flat = index.flat();
-    for (TermId term = 0; term < 25; ++term) {
-      const FlatTermMeta* meta = flat.term_meta(term);
-      if (meta == nullptr) {
-        EXPECT_EQ(index.df(term), 0u);
-        continue;
-      }
-      EXPECT_EQ(meta->df, index.df(term));
-      FlatPostings::Cursor cur = flat.cursor(term);
-      uint32_t unit = 0;
-      double tf = 0.0;
-      uint32_t count = 0;
-      while (cur.next(&unit, &tf)) {
-        ++count;
-        // Each comparison is against the exact double the scoring
-        // expressions compute — the invariant the MaxScore bounds rely
-        // on (flat_postings.h).
-        double log_tf_plus1 = std::log(tf) + 1.0;
-        double norm = index.unit_norm(unit);
-        double weight = log_tf_plus1 / norm;
-        double len = index.unit_length(unit);
-        double tf_over_len = tf / std::max(len, 1e-9);
-        EXPECT_LE(tf, meta->max_tf);
-        EXPECT_GE(tf, meta->min_tf);
-        EXPECT_LE(log_tf_plus1, meta->max_log_tf_plus1);
-        EXPECT_LE(weight, meta->max_weight);
-        EXPECT_LE(tf_over_len, meta->max_tf_over_len);
-        EXPECT_GE(len, meta->min_len);
-        EXPECT_GE(index.unit_log_tf_sum(unit), meta->min_log_tf_sum);
-      }
-      EXPECT_EQ(count, meta->df);
-    }
-  }
-}
-
-TEST(FlatTermMetaBounds, MaximaAreAttained) {
-  // The maxima are exact maxima (not inflated): some posting attains each.
-  InvertedIndex index;
-  TermVector a;
-  a.add(1, 2.0);
-  a.add(2, 5.0);
-  TermVector b;
-  b.add(1, 7.0);
-  index.add_unit(a);
-  index.add_unit(b);
-  index.finalize();
-  const FlatTermMeta* meta = index.flat().term_meta(1);
-  ASSERT_NE(meta, nullptr);
-  EXPECT_EQ(meta->max_tf, 7.0);
-  EXPECT_EQ(meta->min_tf, 2.0);
-  EXPECT_EQ(meta->max_log_tf_plus1, std::log(7.0) + 1.0);
-  double expected_w1 = (std::log(2.0) + 1.0) / index.unit_norm(0);
-  double expected_w2 = (std::log(7.0) + 1.0) / index.unit_norm(1);
-  EXPECT_EQ(meta->max_weight, std::max(expected_w1, expected_w2));
-}
-
-// --- Seal / rebuild ----------------------------------------------------
 
 TEST(FlatPostingsSeal, IngestAfterFinalizeResealsIdenticalToFreshBuild) {
   std::mt19937 rng(4242);
@@ -328,12 +286,6 @@ TEST(FlatPostingsSeal, IngestAfterFinalizeResealsIdenticalToFreshBuild) {
     ASSERT_EQ(mi == nullptr, mf == nullptr);
     if (mi == nullptr) continue;
     EXPECT_EQ(mi->df, mf->df);
-    EXPECT_EQ(std::bit_cast<uint64_t>(mi->max_weight),
-              std::bit_cast<uint64_t>(mf->max_weight));
-    EXPECT_EQ(std::bit_cast<uint64_t>(mi->max_log_tf_plus1),
-              std::bit_cast<uint64_t>(mf->max_log_tf_plus1));
-    EXPECT_EQ(std::bit_cast<uint64_t>(mi->min_log_tf_sum),
-              std::bit_cast<uint64_t>(mf->min_log_tf_sum));
   }
   EXPECT_EQ(incremental.flat().total_bytes(), fresh.flat().total_bytes());
 }

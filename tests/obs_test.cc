@@ -263,7 +263,8 @@ TEST(ServingObservabilityTest, QueryAndIngestMetricsAdvance) {
       "ibseg_query_seconds", "",
       {{"op", "find_related"}, {"tenant", "default"}});
   obs::Counter& ingested = reg.counter("ibseg_ingested_posts_total", "");
-  obs::Gauge& corpus = reg.gauge("ibseg_corpus_docs", "");
+  obs::Gauge& corpus =
+      reg.gauge("ibseg_corpus_docs", "", {{"tenant", "default"}});
 
   uint64_t queries_before = queries.value();
   uint64_t latency_before = latency.count();
@@ -279,7 +280,7 @@ TEST(ServingObservabilityTest, QueryAndIngestMetricsAdvance) {
       "New post about fan noise and overheating during long builds. "
       "Looking for cooling advice and compiler tips.");
   EXPECT_EQ(ingested.value(), ingested_before + 1);
-  // The corpus gauge reflects the serving pipeline that ingested last.
+  // The tenant's corpus gauge counts every shard's documents.
   EXPECT_DOUBLE_EQ(corpus.value(), static_cast<double>(serving.num_docs()));
 
   // The stage histograms exist in the exposition (registered as a catalog,
@@ -328,68 +329,87 @@ TEST(ServingObservabilityTest, QueriesAreCountedPerOpAndTenant) {
             2u);
 }
 
-/// A 2-shard, cache-off deployment over 64 posts with the tightest heaps,
-/// so MaxScore pruning engages on most queries.
-std::unique_ptr<ShardedServing> pruning_serving(const std::string& tenant) {
-  GeneratorOptions gen;
-  gen.num_posts = 64;
-  gen.posts_per_scenario = 4;
-  gen.seed = 17;
-  PipelineOptions tight;
-  tight.matcher.top_n_factor = 1;  // small heaps: pruning engages
-  ServingOptions options;
-  options.num_shards = 2;  // cache off (default capacity 0)
-  options.tenant = tenant;
-  return ShardedServing::create(analyze_corpus(generate_corpus(gen)), tight,
-                                options);
-}
-
-/// Units pruned so far, summed over the deployment's current shards.
-uint64_t shard_pruned(const ShardedServing& serving) {
-  uint64_t total = 0;
+/// The {tenant} corpus gauges must equal the tenant's true totals summed
+/// over its shards — not the last shard that published, and not another
+/// tenant's values.
+void expect_corpus_gauges(const ShardedServing& serving,
+                          const std::string& tenant, size_t docs,
+                          const std::string& when) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  auto gauge = [&](const char* name) {
+    return reg.gauge(name, "", {{"tenant", tenant}}).value();
+  };
+  size_t segments = 0;
+  size_t postings_bytes = 0;
   for (uint32_t s = 0; s < serving.num_shards(); ++s) {
-    total += serving.shard(s)
-                 .quiescent()
-                 .matcher()
-                 .work_counters()
-                 .units_pruned.load(std::memory_order_relaxed);
+    const IntentionMatcher& m = serving.shard(s).quiescent().matcher();
+    segments += m.num_segments();
+    postings_bytes += m.postings_bytes();
   }
-  return total;
+  const std::string what = tenant + " " + when;
+  ASSERT_EQ(serving.num_docs(), docs) << what;
+  EXPECT_EQ(gauge("ibseg_corpus_docs"), static_cast<double>(docs)) << what;
+  EXPECT_EQ(gauge("ibseg_index_segments"), static_cast<double>(segments))
+      << what;
+  EXPECT_EQ(gauge("ibseg_postings_bytes"),
+            static_cast<double>(postings_bytes))
+      << what;
+  EXPECT_EQ(gauge("ibseg_pending_pool_size"),
+            static_cast<double>(serving.pending_pool_size()))
+      << what;
+  EXPECT_EQ(gauge("ibseg_offline_generation"),
+            static_cast<double>(serving.offline_generation()))
+      << what;
 }
 
-// ibseg_pruned_docs_total exports the scatter legs' MaxScore work: across
-// a run of queries its delta is exactly the summed per-shard pruning.
-TEST(ServingObservabilityTest, PrunedDocsCounterTracksShardWork) {
-  auto serving = pruning_serving("obs_pruned");
-  obs::Counter& pruned = obs::MetricsRegistry::global().counter(
-      "ibseg_pruned_docs_total", "");
-  const uint64_t counter_before = pruned.value();
-  const uint64_t shards_before = shard_pruned(*serving);
-  for (DocId q = 0; q < 64; ++q) serving->find_related(q, 1);
-  const uint64_t shard_delta = shard_pruned(*serving) - shards_before;
-  EXPECT_GT(shard_delta, 0u) << "pruning never engaged; the test is vacuous";
-  EXPECT_EQ(pruned.value() - counter_before, shard_delta);
-}
+// Two tenants of different sizes, two shards each, ingesting in turn, then
+// one recluster of one tenant: after every step each tenant's gauges are
+// its own totals.
+TEST(ServingObservabilityTest, CorpusGaugesAreTenantTotals) {
+  ServingOptions a_options;
+  a_options.num_shards = 2;
+  a_options.tenant = "gauges_a";
+  // Threshold 0: every ingest with a nonzero assignment distance enters
+  // the pending pool, so the pool gauge is exercised.
+  a_options.recluster.pending_distance_threshold = 0.0;
+  ServingOptions b_options = a_options;
+  b_options.tenant = "gauges_b";
+  GeneratorOptions gen;
+  gen.num_posts = 24;
+  gen.seed = 3;
+  auto a = ShardedServing::create(analyze_corpus(generate_corpus(gen)), {},
+                                  a_options);
+  gen.num_posts = 16;
+  gen.seed = 4;
+  auto b = ShardedServing::create(analyze_corpus(generate_corpus(gen)), {},
+                                  b_options);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  size_t a_docs = 24;
+  size_t b_docs = 16;
+  expect_corpus_gauges(*a, "gauges_a", a_docs, "after create");
+  expect_corpus_gauges(*b, "gauges_b", b_docs, "after create");
 
-// A recluster swaps in new shards whose matchers count pruning from zero.
-// The exported counter keeps accumulating exactly their work: it neither
-// re-exports the retired shards' totals nor misses the new shards' work.
-TEST(ServingObservabilityTest, PrunedDocsCounterSurvivesRecluster) {
-  auto serving = pruning_serving("obs_pruned_recluster");
-  obs::Counter& pruned = obs::MetricsRegistry::global().counter(
-      "ibseg_pruned_docs_total", "");
-  for (DocId q = 0; q < 64; ++q) serving->find_related(q, 1);
-  ASSERT_GT(shard_pruned(*serving), 0u)
-      << "pruning never engaged before the swap";
-  ASSERT_EQ(serving->recluster(), 1u);
-  EXPECT_EQ(shard_pruned(*serving), 0u)
-      << "the new shards start counting at zero";
+  gen.num_posts = 6;
+  gen.seed = 5;
+  SyntheticCorpus extra = generate_corpus(gen);
+  for (size_t i = 0; i < extra.posts.size(); ++i) {
+    const bool to_b = i % 3 == 2;
+    (to_b ? *b : *a).add_post(extra.posts[i].text);
+    ++(to_b ? b_docs : a_docs);
+    const std::string when = "after ingest " + std::to_string(i);
+    expect_corpus_gauges(*a, "gauges_a", a_docs, when);
+    expect_corpus_gauges(*b, "gauges_b", b_docs, when);
+  }
+  EXPECT_GT(a->pending_pool_size(), 0u) << "the pool gauge is never nonzero";
 
-  const uint64_t counter_before = pruned.value();
-  for (DocId q = 0; q < 64; ++q) serving->find_related(q, 1);
-  const uint64_t shard_delta = shard_pruned(*serving);
-  EXPECT_GT(shard_delta, 0u) << "pruning never engaged after the swap";
-  EXPECT_EQ(pruned.value() - counter_before, shard_delta);
+  ASSERT_EQ(a->recluster(), 1u);
+  expect_corpus_gauges(*a, "gauges_a", a_docs, "after recluster");
+  expect_corpus_gauges(*b, "gauges_b", b_docs, "after recluster");
+  b->add_post(extra.posts[0].text);
+  ++b_docs;
+  expect_corpus_gauges(*a, "gauges_a", a_docs, "after the last ingest");
+  expect_corpus_gauges(*b, "gauges_b", b_docs, "after the last ingest");
 }
 
 }  // namespace
