@@ -12,12 +12,15 @@
 //                     including WAL replay of a tail of post-save ingests.
 //
 // Also reported: ingest latency with the WAL off / fsync=none /
-// fsync=every-append, isolating the durability tax on add_post.
+// fsync=every-append, isolating the durability tax on add_post, and the
+// per-post latency of add_posts batches at fsync=every-append (a batch
+// logs with one journal append and one append per touched shard WAL).
 //
 // Results print as a table and are recorded in BENCH_persist_restore.json
 // (current working directory, like the other reproduce.sh outputs).
 // IBSEG_BENCH_SCALE scales the corpus.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -61,6 +64,24 @@ double ingest_latency(const SyntheticCorpus& corpus,
   return texts.empty() ? 0.0
                        : watch.elapsed_seconds() /
                              static_cast<double>(texts.size());
+}
+
+/// Mean per-post latency (seconds) of add_posts over `texts` in batches
+/// of `batch` posts.
+double batch_ingest_latency(const SyntheticCorpus& corpus,
+                            const std::vector<std::string>& texts,
+                            const ServingOptions& options, size_t batch) {
+  auto serving = ShardedServing::create(analyze_corpus(corpus), {}, options);
+  if (serving == nullptr || texts.empty()) return 0.0;
+  std::vector<std::vector<std::string>> batches;
+  for (size_t i = 0; i < texts.size(); i += batch) {
+    batches.emplace_back(texts.begin() + static_cast<long>(i),
+                         texts.begin() + static_cast<long>(
+                                             std::min(i + batch, texts.size())));
+  }
+  Stopwatch watch;
+  for (std::vector<std::string>& b : batches) serving->add_posts(std::move(b));
+  return watch.elapsed_seconds() / static_cast<double>(texts.size());
 }
 
 int run() {
@@ -125,8 +146,14 @@ int run() {
   const double ingest_off = ingest_latency(corpus, tail_texts, no_wal);
   const double ingest_nosync = ingest_latency(corpus, tail_texts, wal_nosync);
   const double ingest_sync = ingest_latency(corpus, tail_texts, wal_sync);
+  constexpr size_t kBatch = 8;
+  ServingOptions wal_batch = wal_sync;
+  wal_batch.persist.shard_dir = tmp_dir("persist.batch.d");
+  const double ingest_batch_sync =
+      batch_ingest_latency(corpus, tail_texts, wal_batch, kBatch);
   std::filesystem::remove_all(wal_nosync.persist.shard_dir);
   std::filesystem::remove_all(wal_sync.persist.shard_dir);
+  std::filesystem::remove_all(wal_batch.persist.shard_dir);
 
   const double speedup =
       restore_sec > 0.0 ? cold_build_sec / restore_sec : 0.0;
@@ -145,6 +172,9 @@ int run() {
   table.add_row({"add_post, no WAL (ms)", fmt(ingest_off * 1e3, 3)});
   table.add_row({"add_post, WAL fsync=none (ms)", fmt(ingest_nosync * 1e3, 3)});
   table.add_row({"add_post, WAL fsync=every (ms)", fmt(ingest_sync * 1e3, 3)});
+  table.add_row({"add_posts x" + std::to_string(kBatch) +
+                     ", WAL fsync=every (ms/post)",
+                 fmt(ingest_batch_sync * 1e3, 3)});
   std::printf("persist_restore: crash-safe persistence cost/payoff\n");
   table.print(std::cout);
 
@@ -162,7 +192,10 @@ int run() {
     std::fprintf(out, "  \"ingest_ms_no_wal\": %.6f,\n", ingest_off * 1e3);
     std::fprintf(out, "  \"ingest_ms_wal_nosync\": %.6f,\n",
                  ingest_nosync * 1e3);
-    std::fprintf(out, "  \"ingest_ms_wal_fsync\": %.6f\n", ingest_sync * 1e3);
+    std::fprintf(out, "  \"ingest_ms_wal_fsync\": %.6f,\n", ingest_sync * 1e3);
+    std::fprintf(out, "  \"ingest_ms_batch_wal_fsync\": %.6f,\n",
+                 ingest_batch_sync * 1e3);
+    std::fprintf(out, "  \"ingest_batch_posts\": %zu\n", kBatch);
     std::fprintf(out, "}\n");
     std::fclose(out);
     std::printf("wrote BENCH_persist_restore.json\n");

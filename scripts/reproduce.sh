@@ -29,8 +29,9 @@
 #                           build; the plain builds of both labels already
 #                           ran with the normal test step.
 #   IBSEG_FUZZ_CHECK=1      also run the fuzz targets (snapshot loader, WAL
-#                           replay, text unescaping, flat-postings decoder,
-#                           wire-frame codec — tests/fuzz/) for 30
+#                           replay, text unescaping, flat-postings seal +
+#                           dense kernel vs reference, wire-frame codec —
+#                           tests/fuzz/) for 30
 #                           seconds each under AddressSanitizer. The short
 #                           2s smoke of the same targets runs with the
 #                           normal test step (ctest label "fuzz");
@@ -200,7 +201,8 @@ echo "== bench JSON schema check =="
 # The QPS benches must have produced machine-readable results with the
 # fields the dashboards consume; a silent format drift fails here.
 for key in '"bench"' '"cold_build_sec"' '"snapshot_save_sec"' \
-           '"warm_restore_sec"' '"snapshot_bytes"'; do
+           '"warm_restore_sec"' '"snapshot_bytes"' \
+           '"ingest_ms_batch_wal_fsync"'; do
   if ! grep -q "${key}" BENCH_persist_restore.json; then
     echo "error: BENCH_persist_restore.json missing key ${key}" >&2
     exit 1

@@ -22,8 +22,6 @@
 
 namespace ibseg {
 
-class ThreadPool;  // util/thread_pool.h
-
 /// Durability configuration for the serving layer (see
 /// ShardedServing::save/restore and docs/ARCHITECTURE.md §5).
 struct ServingPersistOptions {
@@ -81,12 +79,6 @@ struct ServingOptions {
   /// collide in the process-wide registry and gauges clobber each other.
   /// Empty means "default".
   std::string tenant;
-  /// Scatter thread pool to share with other ShardedServing instances
-  /// (not owned; must outlive the serving object). When null, a sharded
-  /// instance owns a private pool sized to its shard count. Sharing is
-  /// safe because scatter legs are leaf tasks — they never wait on another
-  /// TaskGroup in the same pool (util/thread_pool.h).
-  ThreadPool* scatter_pool = nullptr;
 };
 
 /// One shard of a ShardedServing deployment: a RelatedPostPipeline slice
@@ -96,8 +88,8 @@ struct ServingOptions {
 /// the primitives below:
 ///
 ///  * match_clusters and doc_cluster_terms run under the shared lock. The
-///    wrapped pipeline's query path is strictly const, so any number of
-///    scatter legs proceed concurrently.
+///    wrapped pipeline's query path is strictly const, so the legs of
+///    any number of concurrent queries proceed concurrently.
 ///  * publish_prepared takes the exclusive lock only for index publication
 ///    of an already analyzed and segmented post.
 ///

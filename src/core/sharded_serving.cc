@@ -14,6 +14,7 @@
 #include "storage/wal_codec.h"
 #include "text/term_vector.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace ibseg {
 namespace {
@@ -241,10 +242,6 @@ bool ShardedServing::init_shards(
   if (options.cache.capacity > 0) {
     cache_ = std::make_unique<QueryCache>(options.cache);
   }
-  shared_pool_ = options.scatter_pool;
-  if (num_shards > 1 && shared_pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(num_shards);
-  }
   tenant_label_ = options.tenant.empty() ? "default" : options.tenant;
 
   // Every per-instance series carries the tenant label: the registry is
@@ -294,7 +291,7 @@ bool ShardedServing::init_shards(
       tenant_only);
   corpus_gauges_.postings_bytes = &r.gauge(
       "ibseg_postings_bytes",
-      "Bytes of the sealed flat postings arenas (per-term metadata "
+      "Bytes of the sealed flat postings runs (per-term metadata "
       "included) across all intention clusters and shards.",
       tenant_only);
   corpus_gauges_.pending_pool = &r.gauge(
@@ -422,23 +419,17 @@ ShardedServing::QueryResult ShardedServing::scatter_gather(
     views.push_back(stats_->cluster(cluster));
   }
 
+  // The legs run one after another on the calling thread. Concurrency
+  // comes from concurrent queries (the server's workers); handing a leg to
+  // another thread costs a queue round trip and a wake-up, which at this
+  // index size outweighs the leg itself.
   const uint32_t ns = num_shards();
   std::vector<ServingPipeline::ShardMatch> legs(ns);
   {
     Stopwatch watch;
-    auto leg = [&](uint32_t s) {
+    for (uint32_t s = 0; s < ns; ++s) {
       legs[s] = shards_[s]->match_clusters(queries, exclude, n, views);
       shard_queries_[s]->inc();
-    };
-    ThreadPool* pool = scatter_pool();
-    if (pool != nullptr && ns > 1) {
-      TaskGroup group(*pool);
-      for (uint32_t s = 0; s < ns; ++s) {
-        group.run([&leg, s] { leg(s); });
-      }
-      group.wait();
-    } else {
-      for (uint32_t s = 0; s < ns; ++s) leg(s);
     }
     scatter_seconds_->observe(watch.elapsed_seconds());
   }
@@ -565,50 +556,70 @@ PreparedPost ShardedServing::prepare(DocId id, std::string text) const {
   return post;
 }
 
-void ShardedServing::publish_locked(uint32_t owner, PreparedPost post,
-                                    bool log, const std::string& text) {
-  DocId id = post.doc.id();
-  if (log && journal_ != nullptr) {
-    // Journal first (global order), then the owner's WAL (payload), then
-    // the index publish — so on replay a journal entry without WAL data
-    // means "never published" and is skipped, never guessed at.
-    journal_->append(WalRecord{id, std::string()});
-    wals_[owner]->append(WalRecord{id, text});
+bool ShardedServing::log_locked(std::vector<WalRecord> records) {
+  if (journal_ == nullptr || records.empty()) return true;
+  // Journal first (global order), then the owners' WALs (payloads), then
+  // the index publish — so on replay a journal entry without WAL data
+  // means "never published" and is skipped, never guessed at.
+  const uint32_t ns = num_shards();
+  std::vector<WalRecord> entries;
+  std::vector<std::vector<WalRecord>> payloads(ns);
+  entries.reserve(records.size());
+  for (WalRecord& rec : records) {
+    entries.push_back(WalRecord{rec.id, std::string()});
+    payloads[shard_of(rec.id, ns)].push_back(std::move(rec));
   }
+  const uint64_t journal_size = journal_->size();
+  std::vector<uint64_t> wal_sizes(ns);
+  for (uint32_t s = 0; s < ns; ++s) wal_sizes[s] = wals_[s]->size();
+  bool ok = journal_->append_batch(entries);
+  for (uint32_t s = 0; ok && s < ns; ++s) {
+    if (!payloads[s].empty()) ok = wals_[s]->append_batch(payloads[s]);
+  }
+  if (ok) return true;
+  // The failed append cut its own file back; cut back the ones before it.
+  if (journal_->size() != journal_size) journal_->truncate(journal_size);
+  for (uint32_t s = 0; s < ns; ++s) {
+    if (wals_[s]->size() != wal_sizes[s]) wals_[s]->truncate(wal_sizes[s]);
+  }
+  return false;
+}
+
+void ShardedServing::publish_locked(uint32_t owner, PreparedPost post) {
+  DocId id = post.doc.id();
   pub_shard_pos_.push_back(shards_[owner]->num_docs());
   shards_[owner]->publish_prepared(std::move(post));
   publication_order_.push_back(id);
   refresh_corpus_gauges();
 }
 
-DocId ShardedServing::add_post(std::string text) {
-  DocId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  uint32_t owner = shard_of(id, num_shards());
-  std::string logged = journal_ != nullptr ? text : std::string();
-  PreparedPost post = prepare(id, std::move(text));
-  std::unique_lock<std::shared_mutex> lock(publish_mu_);
-  publish_locked(owner, std::move(post), /*log=*/true, logged);
-  return id;
+std::optional<DocId> ShardedServing::add_post(std::string text) {
+  std::vector<std::string> texts;
+  texts.push_back(std::move(text));
+  std::optional<std::vector<DocId>> ids = add_posts(std::move(texts));
+  if (!ids.has_value()) return std::nullopt;
+  return ids->front();
 }
 
-std::vector<DocId> ShardedServing::add_posts(std::vector<std::string> texts) {
+std::optional<std::vector<DocId>> ShardedServing::add_posts(
+    std::vector<std::string> texts) {
   std::vector<DocId> ids;
   std::vector<PreparedPost> prepared;
-  std::vector<std::string> logged;
+  std::vector<WalRecord> logged;
   ids.reserve(texts.size());
   prepared.reserve(texts.size());
-  if (journal_ != nullptr) logged.reserve(texts.size());
+  const bool logging = journal_ != nullptr;
+  if (logging) logged.reserve(texts.size());
   for (std::string& text : texts) {
     DocId id = next_id_.fetch_add(1, std::memory_order_relaxed);
     ids.push_back(id);
-    if (journal_ != nullptr) logged.push_back(text);
+    if (logging) logged.push_back(WalRecord{id, text});
     prepared.push_back(prepare(id, std::move(text)));
   }
   std::unique_lock<std::shared_mutex> lock(publish_mu_);
+  if (!log_locked(std::move(logged))) return std::nullopt;
   for (size_t i = 0; i < prepared.size(); ++i) {
-    publish_locked(shard_of(ids[i], num_shards()), std::move(prepared[i]),
-                   /*log=*/true,
-                   journal_ != nullptr ? logged[i] : std::string());
+    publish_locked(shard_of(ids[i], num_shards()), std::move(prepared[i]));
   }
   return ids;
 }
@@ -1012,7 +1023,7 @@ std::unique_ptr<ShardedServing> ShardedServing::restore(
       Vocabulary scratch;
       post.seg = sp->segmenter_.segment(post.doc, scratch);
     }
-    sp->publish_locked(s, std::move(post), /*log=*/false, std::string());
+    sp->publish_locked(s, std::move(post));
     published.insert(id);
     watermark = std::max(watermark, id + 1);
     return 0;
@@ -1116,16 +1127,20 @@ bool ShardedServing::apply_shipped(uint64_t base_seq,
     prepared.push_back(prepare(rec.id, rec.text));
   }
   std::unique_lock<std::shared_mutex> lock(publish_mu_);
-  for (size_t i = 0; i < records.size(); ++i) {
-    const uint64_t seq = base_seq + i;
-    const uint64_t pubs = publication_order_.size();
-    if (seq < pubs) {
-      // Duplicate delivery (a retried segment) — legal, but only of the
-      // same history.
-      if (publication_order_[seq] != records[i].id) return false;
-      continue;
-    }
-    if (seq > pubs) return false;  // gap: applying would reorder history
+  const uint64_t pubs = publication_order_.size();
+  if (base_seq > pubs) return false;  // gap: applying would reorder history
+  // Records before the local epoch are a duplicate delivery (a retried
+  // segment) — legal, but only of the same history.
+  const size_t dups =
+      static_cast<size_t>(std::min<uint64_t>(pubs - base_seq, records.size()));
+  for (size_t i = 0; i < dups; ++i) {
+    if (publication_order_[base_seq + i] != records[i].id) return false;
+  }
+  if (!log_locked(std::vector<WalRecord>(records.begin() + dups,
+                                         records.end()))) {
+    return false;
+  }
+  for (size_t i = dups; i < records.size(); ++i) {
     const DocId id = records[i].id;
     // Watermark before publish: the leader reserved this id, and any local
     // id reservation at or below it would collide after promotion.
@@ -1134,8 +1149,7 @@ bool ShardedServing::apply_shipped(uint64_t base_seq,
            !next_id_.compare_exchange_weak(seen, id + 1,
                                            std::memory_order_relaxed)) {
     }
-    publish_locked(shard_of(id, num_shards()), std::move(prepared[i]),
-                   /*log=*/true, records[i].text);
+    publish_locked(shard_of(id, num_shards()), std::move(prepared[i]));
   }
   return true;
 }
@@ -1180,6 +1194,7 @@ bool ShardedServing::catch_up_from_dir(const std::string& leader_dir) {
       std::max(next_id_.load(std::memory_order_relaxed), m->next_id);
   std::unordered_set<DocId> published(publication_order_.begin(),
                                       publication_order_.end());
+  bool logged = true;
   auto apply = [&](DocId id, bool required) -> bool {
     const uint32_t s = shard_of(id, ns);
     auto it = wal_text[s].find(id);
@@ -1188,7 +1203,11 @@ bool ShardedServing::catch_up_from_dir(const std::string& leader_dir) {
     post.doc = Document::analyze(id, it->second);
     Vocabulary scratch;
     post.seg = segmenter_.segment(post.doc, scratch);
-    publish_locked(s, std::move(post), /*log=*/true, it->second);
+    if (!log_locked({WalRecord{id, it->second}})) {
+      logged = false;
+      return false;
+    }
+    publish_locked(s, std::move(post));
     published.insert(id);
     watermark = std::max(watermark, id + 1);
     return true;
@@ -1207,6 +1226,7 @@ bool ShardedServing::catch_up_from_dir(const std::string& leader_dir) {
   for (const WalRecord& rec : journal_recs) {
     if (published.count(rec.id) != 0) continue;
     apply(rec.id, /*required=*/false);
+    if (!logged) return false;
   }
   DocId seen = next_id_.load(std::memory_order_relaxed);
   next_id_.store(std::max(seen, watermark), std::memory_order_relaxed);

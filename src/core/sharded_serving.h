@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <utility>
@@ -14,7 +15,6 @@
 #include "index/collection_stats.h"
 #include "obs/metrics.h"
 #include "storage/shard_manifest.h"
-#include "util/thread_pool.h"
 
 /// \file
 /// ShardedServing: the serving facade — N >= 1 ServingPipeline shards
@@ -60,9 +60,10 @@ namespace ibseg {
 ///     and segmentation (the expensive part of an ingest) stay parallel,
 ///     and queries never take the global lock.
 ///
-/// Scatter-gather. A query resolves its per-cluster term bags once, fans
-/// them out to all shards (each evaluates Algorithm 1's candidate list
-/// over its slice under its own shared lock), then merges: per cluster,
+/// Scatter-gather. A query resolves its per-cluster term bags once, runs
+/// them against every shard in turn on the calling thread (each leg
+/// evaluates Algorithm 1's candidate list over its slice under the
+/// shard's shared lock), then merges: per cluster,
 /// the shard lists are concatenated, re-sorted by the deterministic
 /// (score desc, DocId asc) rule and cut to n. Within one cluster a
 /// document has at most one refined segment, so that ordering is total
@@ -163,18 +164,24 @@ class ShardedServing {
 
   /// Ingests one post into its hash-owner shard; returns the reserved id.
   /// Analysis/segmentation run lock-free; the publication (journal + WAL
-  /// append + index publish) is serialized globally.
-  DocId add_post(std::string text);
+  /// append + index publish) is serialized globally. add_posts of one
+  /// post: nullopt when the post could not be logged.
+  std::optional<DocId> add_post(std::string text);
 
   /// Batched ingestion. Every post is analyzed lock-free, then the batch
-  /// is published in request order inside one publication-lock section:
-  /// its posts take consecutive publication sequence numbers (no
+  /// is logged and published in request order inside one publication-lock
+  /// section: its posts take consecutive publication sequence numbers (no
   /// concurrent add_post lands between them) and the call returns — the
-  /// acknowledgement — only after all of them are published. Publication
-  /// is NOT atomic towards queries: each post publishes under its own
-  /// shard's lock and queries never take the publication lock, so a
-  /// concurrent query may observe a prefix of the batch.
-  std::vector<DocId> add_posts(std::vector<std::string> texts);
+  /// acknowledgement — only after all of them are published. Logging is
+  /// one journal append for the batch, then one WAL append per touched
+  /// shard (one fsync per file under WalFsync::kEveryAppend), and it is
+  /// all or nothing: when any append fails, every log file is cut back to
+  /// its length before the call, nothing is published, and the call
+  /// returns nullopt (the reserved ids are burned). Publication is NOT
+  /// atomic towards queries: each post publishes under its own shard's
+  /// lock and queries never take the publication lock, so a concurrent
+  /// query may observe a prefix of the batch.
+  std::optional<std::vector<DocId>> add_posts(std::vector<std::string> texts);
 
   /// One background re-clustering epoch across the whole deployment,
   /// synchronous on the calling thread (core/recluster.h provides the
@@ -274,8 +281,9 @@ class ShardedServing {
   /// skipped (duplicate delivery is legal); a sequence gap fails — applying
   /// past one would reorder publication. Persistence-enabled followers
   /// journal applied frames exactly like local ingests, so a follower
-  /// restart (and promotion) recovers from its own directory. Returns
-  /// false on gap or id mismatch (divergent histories).
+  /// restart (and promotion) recovers from its own directory; a segment
+  /// whose logging fails is applied not at all (add_posts' rule). Returns
+  /// false on gap, id mismatch (divergent histories) or a failed log.
   bool apply_shipped(uint64_t base_seq,
                      const std::vector<WalRecord>& records);
 
@@ -287,9 +295,10 @@ class ShardedServing {
   /// leader ingest is on disk by write-ahead order, so after this returns
   /// true the promoted instance has lost none of them; journal entries
   /// without a durable WAL payload were never acknowledged and are
-  /// skipped. Returns false on lineage mismatch or a manifest-committed
-  /// publication whose payload is unrecoverable (the follower is too
-  /// stale to promote from tails alone — re-bootstrap instead). The
+  /// skipped. Returns false on lineage mismatch, a failed log append, or
+  /// a manifest-committed publication whose payload is unrecoverable (the
+  /// follower is too stale to promote from tails alone — re-bootstrap
+  /// instead). The
   /// caller must have stopped applying shipped segments first.
   bool catch_up_from_dir(const std::string& leader_dir);
 
@@ -337,7 +346,7 @@ class ShardedServing {
       const std::vector<ServingPipeline::RestoreState>* shard_states) const;
 
   /// Shared construction tail: build_shard_set + member assignment +
-  /// cache/pool/metric registration.
+  /// cache/metric registration.
   bool init_shards(std::vector<Document> docs,
                    std::vector<Segmentation> segmentations,
                    const IntentionClustering& clustering,
@@ -369,11 +378,19 @@ class ShardedServing {
   /// shard publishes while it reads.
   void refresh_corpus_gauges() const;
 
-  /// Publication body shared by add_post/add_posts/restore replay; caller
-  /// holds publish_mu_ exclusively. `log` false skips journal/WAL appends
-  /// (restore replay — the records are already durable).
-  void publish_locked(uint32_t owner, PreparedPost post, bool log,
-                      const std::string& text);
+  /// Write-ahead logs one ingest call's publications (`records` in
+  /// publication order), all or nothing: the journal entries (ids) in one
+  /// append, then each touched shard's WAL records in one append,
+  /// ascending shard order. On any failure every file the call wrote is
+  /// cut back to its length before the call and false is returned; the
+  /// caller then publishes none of them. True without writing when
+  /// persistence is off. Caller holds publish_mu_ exclusively.
+  bool log_locked(std::vector<WalRecord> records);
+
+  /// Publication body shared by every ingest path and restore replay;
+  /// caller holds publish_mu_ exclusively and has logged the post first
+  /// (log_locked), or is replaying one that is already durable.
+  void publish_locked(uint32_t owner, PreparedPost post);
 
   std::vector<std::unique_ptr<ServingPipeline>> shards_;
   std::shared_ptr<Vocabulary> vocab_;
@@ -444,17 +461,6 @@ class ShardedServing {
   /// Result cache above the scatter layer (combined-epoch invalidation).
   mutable std::unique_ptr<QueryCache> cache_;
   uint64_t matcher_fingerprint_ = 0;
-
-  /// Scatter fan-out pool. Either owned (pool_, created when sharded and
-  /// no shared pool was supplied) or borrowed from ServingOptions::
-  /// scatter_pool (shared_pool_, multi-tenant deployments — the registry
-  /// owns one pool for every tenant). scatter_pool() picks whichever is
-  /// set; nullptr when one shard and no injection.
-  std::unique_ptr<ThreadPool> pool_;
-  ThreadPool* shared_pool_ = nullptr;
-  ThreadPool* scatter_pool() const {
-    return shared_pool_ != nullptr ? shared_pool_ : pool_.get();
-  }
 
   /// Tenant (instance) label from ServingOptions::tenant — stamped onto
   /// every per-instance metric so coexisting instances never collide in

@@ -33,15 +33,6 @@ std::unique_ptr<TenantRegistry> TenantRegistry::open(
   }
 
   std::unique_ptr<TenantRegistry> reg(new TenantRegistry());
-  size_t pool_threads = options.scatter_threads != 0
-                            ? options.scatter_threads
-                            : (options.serving.num_shards > 1
-                                   ? static_cast<size_t>(
-                                         options.serving.num_shards)
-                                   : 0);
-  if (pool_threads > 1) {
-    reg->pool_ = std::make_unique<ThreadPool>(pool_threads);
-  }
 
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
   for (const std::string& name : names) {
@@ -51,7 +42,6 @@ std::unique_ptr<TenantRegistry> TenantRegistry::open(
     ServingOptions serving = options.serving;
     serving.tenant = name;
     serving.persist.shard_dir = t.dir;
-    serving.scatter_pool = reg->pool_.get();
 
     bool restorable =
         !t.dir.empty() &&

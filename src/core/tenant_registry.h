@@ -10,22 +10,21 @@
 
 #include "core/sharded_serving.h"
 #include "obs/metrics.h"
-#include "util/thread_pool.h"
 
 /// \file
 /// TenantRegistry: N fully isolated ShardedServing corpora (one per forum
 /// / tenant) behind one process (docs/ARCHITECTURE.md §11). Each tenant
 /// owns its documents, vocabulary, statistics board, query cache,
-/// snapshots, WALs and offline generation; tenants share only the scatter
-/// thread pool and the process-wide metrics registry (where every
-/// per-instance series carries a `tenant` label). The network front-end
+/// snapshots, WALs and offline generation; tenants share only the
+/// process-wide metrics registry (where every per-instance series carries
+/// a `tenant` label) and the threads that call them. The network front-end
 /// (net/server.h) routes connection-bound requests here.
 
 namespace ibseg {
 
 /// Configuration of a multi-tenant deployment. `serving` is a template:
 /// the registry stamps the per-tenant fields (tenant label, persist
-/// directory, shared scatter pool) onto a copy for each tenant, so cache
+/// directory) onto a copy for each tenant, so cache
 /// capacity / shard count / recluster policy apply uniformly.
 struct TenantRegistryOptions {
   /// Root of the durable state tree. Each tenant persists under
@@ -38,10 +37,6 @@ struct TenantRegistryOptions {
   PipelineOptions pipeline;
   /// Per-tenant serving template (see above).
   ServingOptions serving;
-  /// Threads in the shared scatter pool. 0 sizes it to
-  /// serving.num_shards; the pool is only created when the resulting size
-  /// is > 1 (single-shard tenants scatter inline).
-  size_t scatter_threads = 0;
 };
 
 /// Owns the tenant set. The set is fixed at open() — lookups after that
@@ -122,9 +117,6 @@ class TenantRegistry {
   /// this after each ingest). Unknown names are ignored.
   void refresh_doc_gauge(const std::string& name);
 
-  /// The shared scatter pool (nullptr when every tenant is single-shard).
-  ThreadPool* scatter_pool() const { return pool_.get(); }
-
  private:
   TenantRegistry() = default;
 
@@ -135,10 +127,6 @@ class TenantRegistry {
     obs::Gauge* docs = nullptr;        ///< ibseg_tenant_docs
   };
 
-  /// Declared before tenants_ on purpose: members destroy in reverse
-  /// order, and every serving object borrows this pool, so it must
-  /// outlive them all.
-  std::unique_ptr<ThreadPool> pool_;
   /// Immutable after open() — that immutability is the thread-safety
   /// contract for find()/state_dir()/names().
   std::map<std::string, Tenant> tenants_;

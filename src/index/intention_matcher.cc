@@ -218,11 +218,11 @@ std::vector<ScoredDoc> IntentionMatcher::match_cluster_terms(
 
   if (!options_.exhaustive_fallback) {
     // Dense kernel: exclusion, threshold and (score desc, DocId asc)
-    // selection all happen inside score_units_maxscore, against the sealed
+    // selection all happen inside score_units_dense, against the sealed
     // flat postings. Bit-identical to the reference path below — the
     // differential suite sweeps the equivalence.
     ScoreStats stats;
-    std::vector<ScoredUnit> hits = score_units_maxscore(
+    std::vector<ScoredUnit> hits = score_units_dense(
         ci.index, terms, options_.scoring, global, ci.unit_doc, exclude,
         static_cast<size_t>(n), options_.score_threshold, &stats);
     work_->units_scored.fetch_add(stats.units_scored,

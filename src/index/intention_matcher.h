@@ -46,7 +46,7 @@ struct MatcherOptions {
   ScoringOptions scoring;
   /// Scores through the map-based reference (score_units_counted, then
   /// exclude/threshold/sort here) instead of the dense kernel
-  /// (score_units_maxscore). Results are bit-identical either way; the
+  /// (score_units_dense). Results are bit-identical either way; the
   /// differential suites set it to reach the reference, and nothing else
   /// should.
   bool exhaustive_fallback = false;
@@ -191,7 +191,7 @@ class IntentionMatcher {
   /// Total number of indexed segments (diagnostics).
   size_t num_segments() const { return total_segments_; }
 
-  /// Bytes of the sealed flat postings arenas across all cluster indices
+  /// Bytes of the sealed flat postings runs across all cluster indices
   /// (metadata tables included) — the ibseg_postings_bytes gauge input.
   /// Requires every index finalized (always true outside build/ingest).
   size_t postings_bytes() const {

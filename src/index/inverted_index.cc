@@ -58,7 +58,27 @@ void InvertedIndex::finalize() {
   std::sort(term_postings.begin(), term_postings.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   flat_ = FlatPostings::seal(term_postings);
+  cache_operands(nullptr);
   finalized_ = true;
+}
+
+std::shared_ptr<const UnitOperands> InvertedIndex::cached_operands(
+    const UnitOperands::Key& key) const {
+  std::lock_guard<std::mutex> lock(operands_.mu);
+  if (operands_.entry == nullptr || operands_.entry->key != key) {
+    return nullptr;
+  }
+  return operands_.entry;
+}
+
+void InvertedIndex::cache_operands(
+    std::shared_ptr<const UnitOperands> operands) const {
+  // Declared before the lock, so a replaced entry that was the last
+  // reference is freed after the lock is released.
+  std::shared_ptr<const UnitOperands> old;
+  std::lock_guard<std::mutex> lock(operands_.mu);
+  old = std::move(operands_.entry);
+  operands_.entry = std::move(operands);
 }
 
 const std::vector<Posting>& InvertedIndex::postings(TermId term) const {

@@ -1,8 +1,11 @@
 #ifndef IBSEG_INDEX_INVERTED_INDEX_H_
 #define IBSEG_INDEX_INVERTED_INDEX_H_
 
+#include <array>
 #include <cassert>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -13,11 +16,17 @@
 
 namespace ibseg {
 
-/// A posting: a unit (segment or whole document, depending on which matcher
-/// owns the index) and the term frequency within it.
-struct Posting {
-  uint32_t unit = 0;
-  double tf = 0.0;
+/// Per-unit operands of the dense scoring kernel (scoring.h) under one
+/// scorer and one set of collection statistics, filled by the kernel and
+/// cached on the index they were computed from.
+struct UnitOperands {
+  /// The scorer and the bit patterns of every collection input its
+  /// operands read. Over one finalized index, equal keys mean equal
+  /// operands.
+  using Key = std::array<uint64_t, 4>;
+  Key key{};
+  std::vector<double> in;   ///< each unit's operand of contribution()
+  std::vector<double> one;  ///< each unit's tf = 1 form of it
 };
 
 /// Full-text inverted index over "units". The intention matcher builds one
@@ -42,11 +51,11 @@ class InvertedIndex {
 
   /// Postings for `term` (empty when absent). Requires finalize(). This is
   /// the node-heavy *build* form; the query path reads the sealed flat()
-  /// serving form instead (identical decoded values, contiguous layout).
+  /// serving form instead (the same values, split into contiguous runs).
   const std::vector<Posting>& postings(TermId term) const;
 
-  /// The sealed, arena-backed serving form of the postings (flat_postings.h):
-  /// rebuilt by every finalize(), so it can never lag the build form —
+  /// The sealed serving form of the postings (flat_postings.h): rebuilt
+  /// by every finalize(), so it can never lag the build form —
   /// add_unit() un-finalizes the index and querying re-requires finalize().
   /// Requires finalize().
   const FlatPostings& flat() const {
@@ -101,6 +110,17 @@ class InvertedIndex {
     return stats_[unit].unique_terms;
   }
 
+  /// The scoring kernel's operands cached under `key`; nullptr when the
+  /// cache holds none or another key's. finalize() empties the cache, so a
+  /// hit always describes the current units. Thread-safe.
+  std::shared_ptr<const UnitOperands> cached_operands(
+      const UnitOperands::Key& key) const;
+
+  /// Replaces the cached operands (one entry per index). Thread-safe:
+  /// concurrent scoring calls may fill it at once; each keeps the entry
+  /// it computed for the length of its call.
+  void cache_operands(std::shared_ptr<const UnitOperands> operands) const;
+
   /// Pivot slope b of NU (alias of the shared kNormPivotSlope).
   static constexpr double kPivotSlope = kNormPivotSlope;
 
@@ -121,6 +141,21 @@ class InvertedIndex {
   double avg_length_ = 0.0;
   double collection_length_ = 0.0;
   bool finalized_ = false;
+
+  /// One cached UnitOperands entry. A copied index starts with an empty
+  /// cache (the mutex is not copyable, and the entry is cheap to rebuild).
+  struct OperandCache {
+    OperandCache() = default;
+    OperandCache(const OperandCache&) {}
+    OperandCache& operator=(const OperandCache&) {
+      std::lock_guard<std::mutex> lock(mu);
+      entry.reset();
+      return *this;
+    }
+    std::mutex mu;
+    std::shared_ptr<const UnitOperands> entry;
+  };
+  mutable OperandCache operands_;
 };
 
 }  // namespace ibseg

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -39,16 +41,23 @@ double global_unit_norm(const InvertedIndex& index, uint32_t unit,
 //
 // One struct per ScoringFunction; each provides
 //   setup(term, f_q, meta, &t)  -> false to skip the term entirely
-//   unit_input(unit)            -> the unit's operand of contribution():
-//                                  the part of the per-posting expression
-//                                  that depends on the unit alone
-//   contribution(t, in, tf)     -> the per-posting score contribution,
-//                                  spelled with EXACTLY the expressions
-//                                  (associativity included) the scoring
-//                                  function defines
-// Both paths below — the map-based reference and the dense kernel — call
-// these same functions, which is what makes "kernel == reference, bit for
-// bit" a structural property.
+//   operand_key()               -> the scorer and the bits of every
+//                                  collection input unit_input() reads
+//                                  (the UnitOperands cache key)
+//   unit_input(unit)            -> the unit's operand: the part of the
+//                                  per-posting expression that depends on
+//                                  the unit alone
+//   tf_part(tf, in)             -> the part that depends on the posting
+//                                  (tf and the unit's operand) alone
+//   combine(t, part)            -> the contribution of a posting to its
+//                                  unit's score
+// so one posting contributes combine(t, tf_part(tf, unit_input(unit))),
+// spelled with EXACTLY the expressions (associativity included) the
+// scoring function defines. A tf = 1 posting's tf_part(1.0, in) is a
+// function of its unit alone; the kernel computes it once per unit (the
+// tf = 1 form) by this same call. The map-based reference and the dense
+// kernel both compose these same functions, which is what makes "kernel
+// == reference, bit for bit" a structural property.
 
 // log(tf) of the Eq. 8 weight: integral tf below kSmallTfLogs reads the
 // run-time-filled table, everything else calls std::log — the same double
@@ -61,6 +70,8 @@ inline double log_tf(const double* table, double tf) {
   }
   return std::log(tf);
 }
+
+inline uint64_t bits(double v) { return std::bit_cast<uint64_t>(v); }
 
 struct PaperScorer {
   const InvertedIndex& index;
@@ -81,14 +92,21 @@ struct PaperScorer {
     t->pidf = pidf;
     return true;
   }
+  /// Local norms are the index's own (reset with it by finalize());
+  /// global ones read the snapshot's NU average and floor.
+  UnitOperands::Key operand_key() const {
+    if (global == nullptr) return {0, 0, 0, 0};
+    return {0, 1, bits(global->avg_unique_terms), bits(global->norm_floor)};
+  }
   double unit_input(uint32_t unit) const {
     return global == nullptr ? index.unit_norm(unit)
                              : global_unit_norm(index, unit, *global);
   }
-  double contribution(const Term& t, double norm, double tf) const {
-    double w = (log_tf(logs, tf) + 1.0) / norm;
-    return t.f_q * w * t.pidf;
+  /// The Eq. 8 weight w.
+  double tf_part(double tf, double norm) const {
+    return (log_tf(logs, tf) + 1.0) / norm;
   }
+  double combine(const Term& t, double w) const { return t.f_q * w * t.pidf; }
 };
 
 struct Bm25Scorer {
@@ -109,14 +127,20 @@ struct Bm25Scorer {
     t->fi = f_q * idf;
     return true;
   }
+  UnitOperands::Key operand_key() const {
+    return {1, bits(k1), bits(b), bits(avg_len)};
+  }
   /// K of the unit: the right operand of the tf-component denominator's
   /// `tf + K`, evaluated exactly as that subexpression would be.
   double unit_input(uint32_t unit) const {
     double len = index.unit_length(unit);
     return k1 * (1.0 - b + b * len / avg_len);
   }
-  double contribution(const Term& t, double k, double tf) const {
-    double tf_component = (tf * (k1 + 1.0)) / (tf + k);
+  /// The tf component.
+  double tf_part(double tf, double k) const {
+    return (tf * (k1 + 1.0)) / (tf + k);
+  }
+  double combine(const Term& t, double tf_component) const {
     return t.fi * tf_component;
   }
 };
@@ -142,11 +166,14 @@ struct LmScorer {
     t->p_collection = p_collection;
     return true;
   }
+  /// The clamped length reads no collection statistics.
+  UnitOperands::Key operand_key() const { return {2, 0, 0, 0}; }
   double unit_input(uint32_t unit) const {
     return std::max(index.unit_length(unit), 1e-9);
   }
-  double contribution(const Term& t, double len, double tf) const {
-    double p_unit = tf / len;
+  /// The unit model's p(t | u).
+  double tf_part(double tf, double len) const { return tf / len; }
+  double combine(const Term& t, double p_unit) const {
     return t.f_q * std::log(1.0 + ((1.0 - lambda) * p_unit) /
                                       (lambda * t.p_collection));
   }
@@ -194,7 +221,8 @@ LmScorer make_scorer<LmScorer>(const InvertedIndex& index,
 // --- Map-based reference ----------------------------------------------
 //
 // The historic term-at-a-time algorithm: every admitted term's postings
-// run folds into a unit -> score map in query (TermId-ascending) order.
+// (both runs, a tf = 1 posting with tf 1.0) fold into a unit -> score map
+// in query (TermId-ascending) order, each contribution evaluated in full.
 template <class Scorer>
 std::vector<ScoredUnit> score_units_reference(
     const InvertedIndex& index, const TermVector& query,
@@ -203,18 +231,19 @@ std::vector<ScoredUnit> score_units_reference(
   Scorer scorer = make_scorer<Scorer>(index, options, global);
   const FlatPostings& flat = index.flat();
   std::unordered_map<uint32_t, double> acc;
+  auto add = [&](const typename Scorer::Term& t, uint32_t unit, double tf) {
+    acc[unit] +=
+        scorer.combine(t, scorer.tf_part(tf, scorer.unit_input(unit)));
+  };
   for (const auto& [term, f_q] : query.entries()) {
     if (f_q <= 0.0) continue;
     const FlatTermMeta* meta = flat.term_meta(term);
     if (meta == nullptr) continue;
     typename Scorer::Term t;
     if (!scorer.setup(term, f_q, *meta, &t)) continue;
-    FlatPostings::Cursor cur = flat.cursor(*meta);
-    uint32_t unit = 0;
-    double tf = 0.0;
-    while (cur.next(&unit, &tf)) {
-      acc[unit] += scorer.contribution(t, scorer.unit_input(unit), tf);
-    }
+    const TermRuns runs = flat.runs(*meta);
+    for (uint32_t unit : runs.ones) add(t, unit, 1.0);
+    for (const Posting& p : runs.tfs) add(t, p.unit, p.tf);
   }
   std::vector<ScoredUnit> hits;
   hits.reserve(acc.size());
@@ -226,15 +255,40 @@ std::vector<ScoredUnit> score_units_reference(
 }
 
 // --- Dense term-at-a-time kernel --------------------------------------
-//
+
+// The units' operands and tf = 1 forms under `scorer`: the index's cached
+// entry when its key matches, else computed now and cached. Concurrent
+// callers that miss together each compute the same values; the last one
+// stored stays.
+template <class Scorer>
+std::shared_ptr<const UnitOperands> unit_operands(const InvertedIndex& index,
+                                                  const Scorer& scorer) {
+  const UnitOperands::Key key = scorer.operand_key();
+  if (auto cached = index.cached_operands(key)) return cached;
+  auto ops = std::make_shared<UnitOperands>();
+  ops->key = key;
+  const auto num_units = static_cast<uint32_t>(index.num_units());
+  ops->in.resize(num_units);
+  ops->one.resize(num_units);
+  for (uint32_t u = 0; u < num_units; ++u) {
+    ops->in[u] = scorer.unit_input(u);
+    ops->one[u] = scorer.tf_part(1.0, ops->in[u]);
+  }
+  index.cache_operands(ops);
+  return ops;
+}
+
 // The same accumulation as the reference with the map replaced by a dense
 // per-unit array (units are dense ids, and a query touches most of them)
-// and each unit's operand computed once per call instead of once per
-// posting. A unit's score is therefore the same additions, starting from
-// 0.0, of the same contribution() values in the same term order. The
-// selection pass keeps what the reference's filter + sort keeps: the
-// candidate order (score desc, doc asc) is total because a document has
-// at most one unit per cluster index.
+// and each unit's operand and tf = 1 form read from the per-snapshot
+// cache instead of being recomputed per posting. A unit's score is
+// therefore the same additions, starting from 0.0, of the same
+// contribution values in the same term order (a unit has at most one
+// posting per term, so reading a term's tf = 1 run before its other run
+// reorders nothing within a unit). The selection pass keeps what the
+// reference's filter + sort keeps: the candidate order (score desc, doc
+// asc) is total because a document has at most one unit per cluster
+// index.
 template <class Scorer>
 std::vector<ScoredUnit> dense_select(
     const InvertedIndex& index, const TermVector& query, const Scorer& scorer,
@@ -246,7 +300,6 @@ std::vector<ScoredUnit> dense_select(
   // reached its high-water size the kernel allocates only its result.
   struct Workspace {
     std::vector<std::pair<typename Scorer::Term, const FlatTermMeta*>> terms;
-    std::vector<double> in;
     std::vector<double> acc;
   };
   static thread_local Workspace ws;
@@ -263,17 +316,17 @@ std::vector<ScoredUnit> dense_select(
   if (terms.empty()) return {};
 
   const auto num_units = static_cast<uint32_t>(index.num_units());
-  std::vector<double>& in = ws.in;
+  const std::shared_ptr<const UnitOperands> ops =
+      unit_operands(index, scorer);
+  const double* in = ops->in.data();
+  const double* one = ops->one.data();
   std::vector<double>& acc = ws.acc;
-  in.resize(num_units);
-  for (uint32_t u = 0; u < num_units; ++u) in[u] = scorer.unit_input(u);
   acc.assign(num_units, 0.0);
   for (const auto& [t, meta] : terms) {
-    FlatPostings::Cursor cur = flat.cursor(*meta);
-    uint32_t unit = 0;
-    double tf = 0.0;
-    while (cur.next(&unit, &tf)) {
-      acc[unit] += scorer.contribution(t, in[unit], tf);
+    const TermRuns runs = flat.runs(*meta);
+    for (uint32_t unit : runs.ones) acc[unit] += scorer.combine(t, one[unit]);
+    for (const Posting& p : runs.tfs) {
+      acc[p.unit] += scorer.combine(t, scorer.tf_part(p.tf, in[p.unit]));
     }
   }
 
@@ -343,7 +396,7 @@ std::vector<ScoredUnit> score_units(const InvertedIndex& index,
   return score_units_counted(index, query, options, global, nullptr);
 }
 
-std::vector<ScoredUnit> score_units_maxscore(
+std::vector<ScoredUnit> score_units_dense(
     const InvertedIndex& index, const TermVector& query,
     const ScoringOptions& options, const ClusterCollectionStats* global,
     const std::vector<uint32_t>& unit_doc, uint32_t exclude_doc,

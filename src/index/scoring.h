@@ -91,12 +91,16 @@ std::vector<ScoredUnit> score_units_counted(
 
 /// The per-intention score → exclude → threshold → select step of
 /// IntentionMatcher::match_cluster_terms, as one dense term-at-a-time
-/// kernel over `index`'s sealed flat postings. Per call it fills a
-/// thread-local per-unit array with each unit's scoring operand (the
-/// Eq. 7/8 norm, BM25's length factor or the LM's clamped length), walks
-/// every admitted query term's postings in TermId order adding each
-/// contribution into a thread-local accumulator indexed by unit, then
-/// selects in one pass over the accumulator:
+/// kernel over `index`'s sealed flat postings. Each unit's scoring operand
+/// (the Eq. 7/8 norm, BM25's length factor K or the LM's clamped length)
+/// and its tf = 1 form are computed once per (index, scorer, collection
+/// statistics) and cached on the index until the next finalize() or a
+/// call with other statistics (a publish swapped the snapshot). Per call
+/// the kernel walks every admitted query term's two runs in TermId order,
+/// adding each contribution into a thread-local accumulator indexed by
+/// unit — a tf = 1 posting reads its unit's precomputed tf = 1 form, any
+/// other posting evaluates the tf-dependent part in full — then selects
+/// in one pass over the accumulator:
 ///
 ///  * score_threshold <= 0 (top-n mode): the top `top_n` units with
 ///    positive score under (score desc, unit_doc[unit] asc) — the
@@ -108,14 +112,15 @@ std::vector<ScoredUnit> score_units_counted(
 /// Results are sorted by (score desc, doc asc) and are bit-identical —
 /// scores included — to score_units_counted followed by the matcher's
 /// exclude/threshold/top-n selection: each unit's score is the same
-/// sequence of the same double operations (same contribution function,
-/// same TermId-ascending accumulation order, starting from 0.0), and the
+/// sequence of the same double operations (the tf = 1 form is the
+/// tf-dependent part evaluated at tf = 1.0 by the same function, the
+/// accumulation runs in the same TermId-ascending order from 0.0), and the
 /// selection keeps the same set under a total order. `global` selects the
 /// sharded (cross-shard statistics) arithmetic exactly as in score_units.
-/// tests/differential_test.cc sweeps this equivalence. The work arrays
-/// are per thread, so concurrent calls (scatter legs) share nothing. (The
-/// name predates the kernel: nothing is pruned.)
-std::vector<ScoredUnit> score_units_maxscore(
+/// tests/differential_test.cc sweeps this equivalence. The accumulator is
+/// per thread and the operand cache is filled under a lock, so concurrent
+/// calls (the scatter legs of concurrent queries) are race-free.
+std::vector<ScoredUnit> score_units_dense(
     const InvertedIndex& index, const TermVector& query,
     const ScoringOptions& options, const ClusterCollectionStats* global,
     const std::vector<uint32_t>& unit_doc, uint32_t exclude_doc,
@@ -126,10 +131,10 @@ inline constexpr uint32_t kSmallTfLogs = 256;
 
 /// log(tf) for every integral tf in [1, kSmallTfLogs), indexed by tf
 /// (entry 0 is unused). The paper weight reads it instead of calling
-/// std::log for such tf (tf = 1 is most postings). The entries are filled
-/// once, at run time, by std::log itself, never by compile-time constant
-/// folding (whose rounding need not match libm's), so a lookup returns
-/// exactly the double the call would.
+/// std::log for such tf. The entries are filled once, at run time, by
+/// std::log itself, never by compile-time constant folding (whose rounding
+/// need not match libm's), so a lookup returns exactly the double the call
+/// would.
 const double* small_tf_log_table();
 
 }  // namespace ibseg

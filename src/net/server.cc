@@ -865,6 +865,11 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
     *type = MsgType::kError;
     encode_error({ErrCode::kBadRequest, message}, payload);
   };
+  // The journal or a WAL append failed: the posts were not published.
+  auto ingest_failed = [&] {
+    *type = MsgType::kError;
+    encode_error({ErrCode::kInternal, "ingest could not be logged"}, payload);
+  };
 
   switch (work.type) {
     case MsgType::kPing: {
@@ -941,9 +946,10 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
       if (!decode_add_post(work.payload, &req) || req.text.empty()) {
         return bad_request("malformed or empty add_post payload");
       }
-      DocId id = work.backend->add_post(std::move(req.text));
+      std::optional<DocId> id = work.backend->add_post(std::move(req.text));
+      if (!id.has_value()) return ingest_failed();
       *type = MsgType::kAdded;
-      encode_added({{id}}, payload);
+      encode_added({{*id}}, payload);
       return;
     }
     case MsgType::kAddPosts: {
@@ -961,9 +967,11 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
       for (const std::string& text : req.texts) {
         if (text.empty()) return bad_request("empty post in batch");
       }
-      std::vector<DocId> ids = work.backend->add_posts(std::move(req.texts));
+      std::optional<std::vector<DocId>> ids =
+          work.backend->add_posts(std::move(req.texts));
+      if (!ids.has_value()) return ingest_failed();
       *type = MsgType::kAdded;
-      encode_added({std::move(ids)}, payload);
+      encode_added({std::move(*ids)}, payload);
       return;
     }
     case MsgType::kSave: {

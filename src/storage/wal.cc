@@ -99,52 +99,71 @@ std::unique_ptr<IngestWal> IngestWal::open(const std::string& path,
     ::close(fd);
     return nullptr;
   }
-  return std::unique_ptr<IngestWal>(new IngestWal(fd, path, options));
+  return std::unique_ptr<IngestWal>(new IngestWal(fd, path, options, pos));
 }
 
 IngestWal::~IngestWal() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-bool IngestWal::write_frame(const WalRecord& record) {
+bool IngestWal::append_frames(const WalRecord* records, size_t count) {
+  if (broken_) return false;
+  const uint64_t start = size_;
+  const size_t unsynced = unsynced_;
+  bool ok = true;
   std::string frame;
-  wal_encode_frame(record, &frame);
-  // One write(2) for the whole frame: a process kill between appends can
-  // only tear the record currently being written, never an earlier one.
-  if (!write_fully(fd_, frame.data(), frame.size())) return false;
-  ++appended_;
-  ++unsynced_;
-  return true;
-}
-
-bool IngestWal::maybe_sync() {
-  switch (options_.fsync) {
-    case WalFsync::kNone:
-      return true;
-    case WalFsync::kEveryAppend:
-      return sync();
-    case WalFsync::kEveryN:
-      if (unsynced_ >= options_.fsync_every_n) return sync();
-      return true;
+  for (size_t i = 0; ok && i < count; ++i) {
+    frame.clear();
+    wal_encode_frame(records[i], &frame);
+    // One write(2) for the whole frame: a process kill between appends
+    // can only tear the record currently being written, never an earlier
+    // one.
+    ok = write_fully(fd_, frame.data(), frame.size());
+    if (ok) size_ += frame.size();
   }
-  return true;
+  if (ok) {
+    unsynced_ += count;
+    // One durability decision per call; kEveryAppend syncs once for a
+    // batch (it is acknowledged as a whole, so per-record syncs buy
+    // nothing).
+    if (options_.fsync == WalFsync::kEveryAppend && count > 0) {
+      ok = sync();
+    } else if (options_.fsync == WalFsync::kEveryN &&
+               unsynced_ >= options_.fsync_every_n) {
+      ok = sync();
+    }
+  }
+  if (ok) {
+    appended_ += count;
+    return true;
+  }
+  // A failed write may have left a partial frame behind, and a failed
+  // fsync leaves frames the caller will not acknowledge: cut both back.
+  unsynced_ = unsynced;
+  truncate(start);
+  return false;
 }
 
 bool IngestWal::append(const WalRecord& record) {
-  return write_frame(record) && maybe_sync();
+  return append_frames(&record, 1);
 }
 
 bool IngestWal::append_batch(const std::vector<WalRecord>& records) {
-  for (const WalRecord& record : records) {
-    if (!write_frame(record)) return false;
+  return append_frames(records.data(), records.size());
+}
+
+bool IngestWal::truncate(uint64_t size) {
+  if (broken_) return false;
+  const bool durable = options_.fsync != WalFsync::kNone;
+  // lseek as well: the file offset sits wherever a failed write left it.
+  if (::ftruncate(fd_, static_cast<off_t>(size)) != 0 ||
+      ::lseek(fd_, static_cast<off_t>(size), SEEK_SET) < 0 ||
+      (durable && ::fsync(fd_) != 0)) {
+    broken_ = true;
+    return false;
   }
-  // One durability decision per batch; kEveryAppend still syncs once here
-  // (the batch is acknowledged as a whole, so per-record syncs buy
-  // nothing).
-  if (options_.fsync == WalFsync::kEveryAppend && !records.empty()) {
-    return sync();
-  }
-  return maybe_sync();
+  size_ = size;
+  return true;
 }
 
 bool IngestWal::sync() {
@@ -181,7 +200,9 @@ bool IngestWal::reset() {
   }
   ::close(fd_);
   fd_ = nfd;
+  size_ = 0;
   unsynced_ = 0;
+  broken_ = false;
   return true;
 }
 

@@ -46,6 +46,12 @@ struct WalOptions {
 /// to fail recovery. Appends go through a single full-frame write(2), so a
 /// process kill between appends can only ever tear the final record.
 ///
+/// An append call is all or nothing: when a write or fsync fails (ENOSPC,
+/// EIO, EFBIG past RLIMIT_FSIZE, a short write), the file is cut back to
+/// its length before the call, so a partial frame can never strand the
+/// records appended after it (replay stops at the first bad frame). A log
+/// that cannot be cut back refuses every append until reset().
+///
 /// Not thread-safe: the serving layer serializes append()/reset() under
 /// its exclusive publication lock (which also makes WAL order identical to
 /// publication order — the property replay correctness rests on).
@@ -71,12 +77,24 @@ class IngestWal {
   IngestWal& operator=(const IngestWal&) = delete;
 
   /// Appends one record (one write(2) of the whole frame), then applies
-  /// the fsync policy. Returns false on write failure.
+  /// the fsync policy. Returns false, with the file cut back to its length
+  /// before the call, on a write or fsync failure.
   bool append(const WalRecord& record);
 
   /// Appends a batch with at most one policy-driven fsync at the end —
-  /// batched ingests pay one durability wait, not one per post.
+  /// batched ingests pay one durability wait, not one per post. All or
+  /// nothing, like append().
   bool append_batch(const std::vector<WalRecord>& records);
+
+  /// Length of the log in bytes: the end of the last appended frame.
+  uint64_t size() const { return size_; }
+
+  /// Cuts the log back to `size` bytes, a length size() reported earlier
+  /// (a caller undoing appends that succeeded, because a sibling log's
+  /// append in the same ingest call failed). Under a durable fsync policy
+  /// the cut is fsync'd too. Returns false — and the log refuses appends
+  /// until reset() — when the cut fails.
+  bool truncate(uint64_t size);
 
   /// Forces an fsync regardless of policy.
   bool sync();
@@ -90,23 +108,28 @@ class IngestWal {
   /// boundary would replay resurrected records as current.
   bool reset();
 
-  /// Records appended through this handle (excludes replayed ones).
+  /// Records appended through this handle by calls that succeeded
+  /// (excludes replayed ones; truncate() does not subtract).
   uint64_t appended() const { return appended_; }
 
   const std::string& path() const { return path_; }
 
  private:
-  IngestWal(int fd, std::string path, const WalOptions& options)
-      : fd_(fd), path_(std::move(path)), options_(options) {}
+  IngestWal(int fd, std::string path, const WalOptions& options,
+            uint64_t size)
+      : fd_(fd), path_(std::move(path)), options_(options), size_(size) {}
 
-  bool write_frame(const WalRecord& record);
-  bool maybe_sync();
+  /// The body of append()/append_batch(): writes `count` frames, applies
+  /// the fsync policy once, cuts back on failure.
+  bool append_frames(const WalRecord* records, size_t count);
 
   int fd_ = -1;
   std::string path_;
   WalOptions options_;
+  uint64_t size_ = 0;
   uint64_t appended_ = 0;
   size_t unsynced_ = 0;  ///< appends since the last fsync (kEveryN)
+  bool broken_ = false;  ///< a cut back failed; appends refused
 };
 
 }  // namespace ibseg

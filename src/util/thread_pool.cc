@@ -57,23 +57,6 @@ void ThreadPool::parallel_for(size_t count,
   wait_idle();
 }
 
-void TaskGroup::run(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    ++pending_;
-  }
-  pool_.submit([this, task = std::move(task)] {
-    task();
-    std::unique_lock<std::mutex> lock(mu_);
-    if (--pending_ == 0) done_.notify_all();
-  });
-}
-
-void TaskGroup::wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_.wait(lock, [this] { return pending_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

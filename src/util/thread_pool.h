@@ -48,40 +48,6 @@ class ThreadPool {
   bool shutting_down_ = false;
 };
 
-/// Completion tracking for one caller's tasks on a shared pool.
-/// ThreadPool::wait_idle() is global — it blocks until EVERY submitted
-/// task is done, so two threads fanning work out over the same pool would
-/// wait on each other's tasks. A TaskGroup counts only the tasks submitted
-/// through it: wait() returns as soon as this group's tasks finish,
-/// regardless of what else is queued. This is what lets many concurrent
-/// queries share one matcher-owned pool (see IntentionMatcher).
-///
-/// Tasks must not themselves wait() on another group running in the same
-/// pool (a worker blocked in wait() cannot execute the tasks it is
-/// waiting for — classic nested fork/join deadlock on a fixed-size pool).
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Joins outstanding tasks — a group never outlives its work.
-  ~TaskGroup() { wait(); }
-
-  /// Submits `task` to the pool, tracked by this group.
-  void run(std::function<void()> task);
-
-  /// Blocks until every task run() through this group has finished.
-  void wait();
-
- private:
-  ThreadPool& pool_;
-  std::mutex mu_;
-  std::condition_variable done_;
-  size_t pending_ = 0;
-};
-
 }  // namespace ibseg
 
 #endif  // IBSEG_UTIL_THREAD_POOL_H_

@@ -144,9 +144,9 @@ TEST(ServingFacade, SingleThreadedIngestMatchesPipelineSemantics) {
   ShardedServing& serving = *built;
   std::vector<std::string> texts = make_ingest_texts(3);
   DocId first = serving.next_id();
-  DocId a = serving.add_post(texts[0]);
+  DocId a = serving.add_post(texts[0]).value();
   EXPECT_EQ(a, first);
-  auto ids = serving.add_posts({texts[1], texts[2]});
+  std::vector<DocId> ids = serving.add_posts({texts[1], texts[2]}).value();
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_EQ(ids[0], first + 1);
   EXPECT_EQ(ids[1], first + 2);
@@ -350,7 +350,7 @@ TEST(ConcurrencyStress, BatchedIngestTakesConsecutiveSequenceNumbers) {
       for (size_t b = 0; b < kBatches; ++b) {
         std::vector<std::string> batch(texts.begin() + b * kBatch,
                                        texts.begin() + (b + 1) * kBatch);
-        batch_ids[b] = serving.add_posts(std::move(batch));
+        batch_ids[b] = serving.add_posts(std::move(batch)).value();
         // Acknowledged together: every id is in the sequence on return.
         std::vector<DocId> seq = published_ids();
         std::set<DocId> present(seq.begin(), seq.end());
@@ -521,14 +521,15 @@ TEST(ConcurrencyStress, ConcurrentWorkloadReachesDeterministicFinalState) {
 
 // ----------------------------------------- pruned path under mutation ----
 
-// MaxScore pruning reads the sealed flat arena and its per-term bounds;
-// every ingest re-seals the touched cluster indices before the epoch
+// The dense kernel reads the sealed flat postings and per-unit operands
+// cached per statistics snapshot; every ingest re-seals the touched
+// cluster indices (emptying their operand caches) before the epoch
 // publishes. This hammer is the regression against a stale-seal reuse: a
 // writer ingests each text TWICE in a row, and immediately after the
 // pair publishes, querying the second copy must surface the first — a
-// near-duplicate is related by construction, so a pruned path still
-// serving the pre-ingest arena (whose bounds don't know the new unit)
-// would return it missing. Readers hammer the pruned path throughout,
+// near-duplicate is related by construction, so a kernel still serving
+// the pre-ingest runs (or operands sized for them) would return it
+// missing. Readers hammer the kernel throughout,
 // checking the snapshot invariants under TSan; afterwards the quiescent
 // corpus must answer every query bit-identically to an exhaustive-path
 // pipeline replaying the same history.
@@ -548,12 +549,12 @@ TEST(ConcurrencyStress, PrunedPathStaysFreshAcrossIngestReseals) {
     ScopedThreads threads;
     threads.spawn([&] {
       for (size_t i = 0; i < kPairs; ++i) {
-        DocId a = serving.add_post(texts[i]);
-        DocId b = serving.add_post(texts[i]);
+        DocId a = serving.add_post(texts[i]).value();
+        DocId b = serving.add_post(texts[i]).value();
         ASSERT_EQ(b, a + 1);
-        // The epoch bump for `b` is published, so the re-sealed arena
+        // The epoch bump for `b` is published, so the re-sealed runs
         // must already serve both copies: the duplicate is the strongest
-        // possible match and may not be pruned away.
+        // possible match.
         auto r = serving.find_related(b, 5);
         bool found_twin = false;
         for (const ScoredDoc& sd : r.results) found_twin |= (sd.doc == a);
@@ -603,6 +604,72 @@ TEST(ConcurrencyStress, PrunedPathStaysFreshAcrossIngestReseals) {
     auto want = reference.find_related(q, 5);
     auto got = serving.find_related(q, 5);
     EXPECT_EQ(got.epoch, want.epoch) << "q " << q;
+    ASSERT_EQ(got.results.size(), want.results.size()) << "q " << q;
+    for (size_t i = 0; i < want.results.size(); ++i) {
+      EXPECT_EQ(got.results[i].doc, want.results[i].doc) << "q " << q;
+      EXPECT_EQ(got.results[i].score, want.results[i].score) << "q " << q;
+    }
+  }
+}
+
+// ------------------------------------------- operand cache under publish ----
+
+// Each shard's cluster indices cache their units' scoring operands per
+// cross-shard statistics snapshot. Readers querying a 2-shard deployment
+// fill those caches from several threads at once, while a writer's
+// publications re-finalize one shard's indices (emptying their caches)
+// and swap the snapshot every shard's cached operands were computed
+// under, so readers keep missing, refilling and racing each other. Under
+// TSan this is the proof the cache fill is race-free; afterwards every
+// query must equal an oracle that replayed the same publications.
+TEST(ConcurrencyStress, OperandCacheFillRacesPublishesOnTwoShards) {
+  constexpr size_t kIngests = 8;
+  constexpr size_t kReaders = 3;
+  constexpr size_t kQueriesPerReader = 40;
+  ServingOptions options;
+  options.num_shards = 2;
+  options.tenant = "operand_cache";
+  auto built = make_serving(24, options);
+  ShardedServing& serving = *built;
+  const DocId seed_next_id = serving.next_id();
+  const size_t seed_total =
+      serving.shard(0).seed_docs() + serving.shard(1).seed_docs();
+  std::vector<std::string> texts = make_ingest_texts(kIngests);
+
+  std::atomic<size_t> violations{0};
+  std::vector<std::string> first_violation(kReaders);
+  {
+    ScopedThreads threads;
+    threads.spawn([&] {
+      for (const std::string& text : texts) serving.add_post(text);
+    });
+    for (size_t t = 0; t < kReaders; ++t) {
+      threads.spawn([&, t] {
+        Rng rng(7100 + t);
+        for (size_t q = 0; q < kQueriesPerReader; ++q) {
+          DocId query = static_cast<DocId>(rng.next_below(24));
+          std::string why = check_snapshot_result(
+              serving.find_related(query, 5), seed_total, seed_next_id,
+              kIngests);
+          if (!why.empty()) {
+            if (violations.fetch_add(1) == 0) first_violation[t] = why;
+            return;
+          }
+        }
+      });
+    }
+  }
+  ASSERT_EQ(violations.load(), 0u)
+      << "first violation: "
+      << *std::find_if(first_violation.begin(), first_violation.end(),
+                       [](const std::string& s) { return !s.empty(); });
+
+  Oracle reference(make_docs(24));
+  for (const std::string& text : texts) reference.add_post(text);
+  ASSERT_EQ(reference.num_docs(), serving.num_docs());
+  for (DocId q = 0; q < seed_next_id + kIngests; ++q) {
+    auto want = reference.find_related(q, 5);
+    auto got = serving.find_related(q, 5);
     ASSERT_EQ(got.results.size(), want.results.size()) << "q " << q;
     for (size_t i = 0; i < want.results.size(); ++i) {
       EXPECT_EQ(got.results[i].doc, want.results[i].doc) << "q " << q;

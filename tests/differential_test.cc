@@ -1,7 +1,7 @@
 // Differential harness for the cached, kernel-scored and scattered query
 // paths. The serving-layer result cache, the dense per-intention scoring
-// kernel and the concurrent scatter legs are only shippable because each
-// is provably identical —
+// kernel and the scatter legs of concurrent queries are only shippable
+// because each is provably identical —
 // ranked lists AND scores, bit for bit — to the uncached, map-scored
 // reference execution (the Oracle, tests/oracle.h). These tests are
 // property-style: seeded random corpora from src/datagen, every document
@@ -32,7 +32,6 @@
 #include "index/scoring.h"
 #include "oracle.h"
 #include "storage/snapshot.h"
-#include "util/thread_pool.h"
 
 namespace ibseg {
 namespace {
@@ -130,7 +129,7 @@ TEST(Differential, CachedVsUncachedIdenticalAcrossInterleavedIngests) {
   EXPECT_GT(cached.query_cache()->hits(), 0u);
   for (size_t i = 0; i < ingest_corpus.posts.size(); ++i) {
     DocId a = uncached.add_post(ingest_corpus.posts[i].text);
-    DocId b = cached.add_post(ingest_corpus.posts[i].text);
+    DocId b = cached.add_post(ingest_corpus.posts[i].text).value();
     ASSERT_EQ(a, b);
     compare_all("after ingest " + std::to_string(i));
   }
@@ -139,50 +138,72 @@ TEST(Differential, CachedVsUncachedIdenticalAcrossInterleavedIngests) {
   EXPECT_GT(cached.query_cache()->evictions(), 0u);
 }
 
-// ------------------------------------------- serial vs parallel legs ----
+// ------------------------------------------------- concurrent queries ----
 
-// The query path's parallelism is the scatter pool: a sharded query runs
-// its per-shard legs concurrently, then merges them. The merge must not
-// depend on how the legs were scheduled — queued one at a time on a
-// single worker, one worker per shard (the facade's own pool), or a wide
-// pool shared with other instances all reproduce the oracle bit for bit.
-TEST(Differential, SerialVsParallelRankingsIdentical) {
-  ThreadPool single_worker(1);
-  ThreadPool wide(8);
+// A sharded query runs its legs on the calling thread; concurrency comes
+// from concurrent callers, whose legs then score the same shard indices at
+// once (and fill their per-snapshot operand caches together). Four threads
+// querying a 2-shard and an 8-shard deployment over the same corpus, each
+// in its own order, must all reproduce the oracle bit for bit.
+TEST(Differential, ConcurrentQueriesOnTwoAndEightShardsMatchOracle) {
   for (uint64_t seed : {11u, 777u}) {
     SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, seed));
     Oracle reference(analyze_corpus(corpus));
+    std::vector<std::unique_ptr<ShardedServing>> deployments;
     for (int shards : {2, 8}) {
-      struct Variant {
-        const char* name;
-        ThreadPool* pool;
-        std::unique_ptr<ShardedServing> serving;
-      };
-      Variant variants[] = {{"serial", &single_worker, nullptr},
-                            {"owned", nullptr, nullptr},
-                            {"wide", &wide, nullptr}};
-      for (Variant& v : variants) {
-        ServingOptions options;
-        options.num_shards = shards;
-        options.scatter_pool = v.pool;
-        options.tenant = std::string("legs_") + v.name;
-        v.serving =
-            ShardedServing::create(analyze_corpus(corpus), {}, options);
-        ASSERT_NE(v.serving, nullptr);
-      }
-      for (DocId q = 0; q < kPosts; ++q) {
-        for (int k : {1, 3, 10}) {
-          auto want = reference.find_related(q, k).results;
-          for (const Variant& v : variants) {
-            expect_identical(v.serving->find_related(q, k).results, want,
-                             "seed " + std::to_string(seed) + " shards " +
-                                 std::to_string(shards) + " " + v.name +
-                                 " q " + std::to_string(q) + " k " +
-                                 std::to_string(k));
-          }
-        }
+      ServingOptions options;
+      options.num_shards = shards;
+      options.tenant = "concurrent_" + std::to_string(shards);
+      deployments.push_back(
+          ShardedServing::create(analyze_corpus(corpus), {}, options));
+      ASSERT_NE(deployments.back(), nullptr);
+    }
+    struct Call {
+      DocId q;
+      int k;
+      std::vector<ScoredDoc> want;
+    };
+    std::vector<Call> calls;
+    for (DocId q = 0; q < kPosts; ++q) {
+      for (int k : {1, 3, 10}) {
+        calls.push_back(Call{q, k, reference.find_related(q, k).results});
       }
     }
+
+    constexpr int kThreads = 4;
+    std::atomic<size_t> mismatches{0};
+    std::atomic<size_t> compared{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<size_t> order(calls.size());
+        for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+        std::shuffle(order.begin(), order.end(),
+                     std::mt19937(static_cast<uint32_t>(seed + t)));
+        for (int rep = 0; rep < 3; ++rep) {
+          for (size_t i : order) {
+            const Call& call = calls[i];
+            for (size_t d = 0; d < deployments.size(); ++d) {
+              // Half the threads ask the 8-shard deployment first.
+              const auto& serving = deployments[(d + t) % deployments.size()];
+              const std::vector<ScoredDoc> got =
+                  serving->find_related(call.q, call.k).results;
+              bool same = got.size() == call.want.size();
+              for (size_t r = 0; same && r < got.size(); ++r) {
+                same = got[r].doc == call.want[r].doc &&
+                       std::bit_cast<uint64_t>(got[r].score) ==
+                           std::bit_cast<uint64_t>(call.want[r].score);
+              }
+              mismatches += !same;
+              compared += got.size();
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(mismatches.load(), 0u) << "seed " << seed;
+    EXPECT_GT(compared.load(), 1000u);  // real hits were compared
   }
 }
 
@@ -235,7 +256,7 @@ TEST(Differential, EqualScoreTiesOrderByDocId) {
 
 // ------------------------------------- kernel vs reference selection ----
 
-// The dense kernel (score_units_maxscore, the default per-intention path)
+// The dense kernel (score_units_dense, the default per-intention path)
 // must be indistinguishable — bit for bit — from the map-based reference
 // path (exhaustive_fallback). The sweep crosses random corpora, every
 // document as the query, k below/at/above the per-intention list length,
@@ -300,7 +321,7 @@ TEST(Differential, PrunedVsExhaustiveThresholdMode) {
 
 // The kernel must stay exact across interleaved ingests: every add_post
 // re-seals the flat postings and changes the unit norms, and a kernel
-// reading a stale arena or stale per-unit operands would drift. Ingest
+// reading stale runs or stale per-unit operands would drift. Ingest
 // into both pipelines in lockstep and compare the full query sweep after
 // every post.
 TEST(Differential, PrunedVsExhaustiveAcrossInterleavedIngests) {
@@ -395,11 +416,10 @@ TEST(Differential, PrunedTieOrderAtSelectionBoundary) {
 
 // ------------------------------------------ kernel vs map reference ----
 
-// The tf values whose encoding or log path differs: 1 (most real
-// postings), 2, the last (255) and first-past (256) log-table entries,
-// 300, sub-unit and non-integral tf (raw-bits escape; 0.1 also makes the
-// paper weight negative), and 2^63 — integral, but past the varint range,
-// so it takes the raw-bits escape too.
+// The tf values whose run or log path differs: 1 (most real postings,
+// the unit-id run), 2, the last (255) and first-past (256) log-table
+// entries, 300, sub-unit and non-integral tf (0.1 also makes the paper
+// weight negative), and 2^63 — integral, but far past the table.
 constexpr double kEdgeTfs[] = {1.0, 2.0,  255.0, 256.0,
                                300.0, 0.1, 2.5,  9223372036854775808.0};
 
@@ -437,7 +457,21 @@ std::vector<ScoredUnit> reference_select(
   return hits;
 }
 
-// score_units_maxscore against reference_select, compared as bit patterns,
+// Ranks at which `got` and `want` differ in unit or in score bits; each
+// rank one list lacks counts as a difference.
+size_t bit_differences(const std::vector<ScoredUnit>& got,
+                       const std::vector<ScoredUnit>& want) {
+  size_t diffs = std::max(got.size(), want.size()) -
+                 std::min(got.size(), want.size());
+  for (size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    diffs += got[i].unit != want[i].unit ||
+             std::bit_cast<uint64_t>(got[i].score) !=
+                 std::bit_cast<uint64_t>(want[i].score);
+  }
+  return diffs;
+}
+
+// score_units_dense against reference_select, compared as bit patterns,
 // on bags built from the edge tf values: all three scoring functions, top-n
 // and threshold mode, local and cross-shard statistics (a board that also
 // holds units living on another shard), with and without an excluded doc.
@@ -492,7 +526,7 @@ TEST(Differential, KernelBitExactAgainstMapReference) {
               std::vector<ScoredUnit> want =
                   reference_select(index, query, options, stats, unit_doc,
                                    exclude, n, threshold, &want_stats);
-              std::vector<ScoredUnit> got = score_units_maxscore(
+              std::vector<ScoredUnit> got = score_units_dense(
                   index, query, options, stats, unit_doc, exclude, n,
                   threshold, &got_stats);
               const std::string what =
@@ -517,6 +551,66 @@ TEST(Differential, KernelBitExactAgainstMapReference) {
     }
   }
   EXPECT_GT(compared, 1000u);  // the sweep must compare real hits
+
+  // The kernel caches each unit's operands per (index, scorer, statistics)
+  // in one slot per index, and must notice every change to either side.
+  // Each call below is checked against the reference computed fresh; the
+  // calls run in an order where a stale entry would be the one cached.
+  size_t reused = 0;
+  auto check = [&](ScoringFunction fn, const ClusterCollectionStats* stats,
+                   const std::string& what) {
+    ScoringOptions options;
+    options.function = fn;
+    for (const TermVector& query : queries) {
+      for (double threshold : {0.0, 1e-300}) {
+        std::vector<ScoredUnit> want = reference_select(
+            index, query, options, stats, unit_doc,
+            IntentionMatcher::kNoDocId, 10, threshold, nullptr);
+        std::vector<ScoredUnit> got = score_units_dense(
+            index, query, options, stats, unit_doc,
+            IntentionMatcher::kNoDocId, 10, threshold);
+        EXPECT_EQ(bit_differences(got, want), 0u)
+            << what << " fn " << static_cast<int>(fn) << " threshold "
+            << threshold;
+        reused += want.size();
+      }
+    }
+  };
+  const ScoringFunction kScorers[] = {ScoringFunction::kPaperTfIdf,
+                                      ScoringFunction::kBm25,
+                                      ScoringFunction::kQueryLikelihood};
+  // Snapshots A and B hold as many units as each other (the index's
+  // units plus 25 others each), with different statistics: A, B, A.
+  GlobalIndexStats board_b(1, index.min_norm_fraction);
+  for (const TermVector& v : units) board_b.append(0, v, false);
+  for (int u = 0; u < 25; ++u) board_b.append(0, edge_bag(rng), false);
+  board_b.refresh(0);
+  std::shared_ptr<const ClusterCollectionStats> global_b = board_b.cluster(0);
+  ASSERT_EQ(global_b->num_units, global->num_units);
+  ASSERT_NE(global_b->norm_floor, global->norm_floor);
+  for (ScoringFunction fn : kScorers) {
+    check(fn, global.get(), "snapshot A");
+    check(fn, global_b.get(), "snapshot B");
+    check(fn, global.get(), "snapshot A again");
+  }
+  // An ingest re-finalizes the index while the call's key stays the one
+  // cached (the LM's operands read no statistics at all).
+  check(ScoringFunction::kPaperTfIdf, global.get(), "snapshot A");
+  index.add_unit(edge_bag(rng));
+  index.finalize();
+  unit_doc.push_back(17);
+  check(ScoringFunction::kPaperTfIdf, global.get(), "snapshot A after ingest");
+  for (ScoringFunction fn : kScorers) check(fn, nullptr, "local after ingest");
+  // A publish on another shard swaps the snapshot under an unchanged
+  // index.
+  board.append(0, edge_bag(rng));
+  std::shared_ptr<const ClusterCollectionStats> swapped = board.cluster(0);
+  ASSERT_NE(swapped.get(), global.get());
+  for (ScoringFunction fn : kScorers) {
+    check(fn, global.get(), "snapshot A before the swap");
+    check(fn, swapped.get(), "swapped snapshot");
+  }
+  EXPECT_GT(reused, 1000u);
 }
 
 // A finalized index over edge bags, its doc ids running against its unit
@@ -541,25 +635,12 @@ std::vector<std::unique_ptr<EdgeBoard>> edge_boards(
   return boards;
 }
 
-// Ranks at which `got` and `want` differ in unit or in score bits; each
-// rank one list lacks counts as a difference.
-size_t bit_differences(const std::vector<ScoredUnit>& got,
-                       const std::vector<ScoredUnit>& want) {
-  size_t diffs = std::max(got.size(), want.size()) -
-                 std::min(got.size(), want.size());
-  for (size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
-    diffs += got[i].unit != want[i].unit ||
-             std::bit_cast<uint64_t>(got[i].score) !=
-                 std::bit_cast<uint64_t>(want[i].score);
-  }
-  return diffs;
-}
-
-// The kernel's per-thread arrays outlive a call. On one thread, calls that
-// alternate between boards of different sizes — and between two boards of
-// the same size but different postings — must each answer as if the
-// arrays were fresh: no score, unit operand or admitted term of an earlier
-// call may leak into a later one.
+// The kernel's per-thread workspace (accumulator, admitted terms) outlives
+// a call, and each board caches its own unit operands. On one thread,
+// calls that alternate between boards of different sizes — and between
+// two boards of the same size but different postings — must each answer
+// as if nothing were kept: no score, unit operand or admitted term of an
+// earlier call may leak into a later one.
 TEST(Differential, KernelWorkspaceReusedAcrossIndexSizes) {
   std::mt19937 rng(77);
   const auto boards = edge_boards(rng, {60, 4, 60, 1, 23});
@@ -580,7 +661,7 @@ TEST(Differential, KernelWorkspaceReusedAcrossIndexSizes) {
             std::vector<ScoredUnit> want = reference_select(
                 board.index, query, options, nullptr, board.unit_doc,
                 IntentionMatcher::kNoDocId, 5, threshold, nullptr);
-            std::vector<ScoredUnit> got = score_units_maxscore(
+            std::vector<ScoredUnit> got = score_units_dense(
                 board.index, query, options, nullptr, board.unit_doc,
                 IntentionMatcher::kNoDocId, 5, threshold);
             EXPECT_EQ(bit_differences(got, want), 0u)
@@ -595,10 +676,11 @@ TEST(Differential, KernelWorkspaceReusedAcrossIndexSizes) {
   EXPECT_GT(compared, 500u);  // the sweep must compare real hits
 }
 
-// Scatter legs call the kernel from several pool threads at once. Four
-// threads, each sweeping the same boards, queries and scoring functions
-// in its own order under local and cross-shard statistics, must each
-// reproduce the serially computed reference bit for bit.
+// The scatter legs of concurrent queries call the kernel from several
+// threads at once, on the same indices. Four threads, each sweeping the
+// same boards, queries and scoring functions in its own order under local
+// and cross-shard statistics, must each reproduce the serially computed
+// reference bit for bit.
 TEST(Differential, KernelConcurrentCallsMatchSerialReference) {
   std::mt19937 rng(91);
   const auto boards = edge_boards(rng, {50, 7, 31});
@@ -656,7 +738,7 @@ TEST(Differential, KernelConcurrentCallsMatchSerialReference) {
         for (size_t i : order) {
           const Call& call = calls[i];
           diffs += bit_differences(
-              score_units_maxscore(call.board->index, *call.query,
+              score_units_dense(call.board->index, *call.query,
                                    call.options, call.global,
                                    call.board->unit_doc,
                                    IntentionMatcher::kNoDocId, 4,

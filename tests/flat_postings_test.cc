@@ -1,18 +1,18 @@
 // Tests for the sealed flat postings serving form (index/flat_postings.h):
 //
-//  * codec property tests — random postings lists round-trip bit-exactly
-//    through append_posting/decode_run, every strict byte prefix of a
-//    valid run is rejected, and golden byte sequences pin the wire format;
-//  * decoder hardening — delta-0, unit overflow, tf-0, overlong varints,
-//    trailing bytes and inflated df are all rejected, and an inflated df
-//    cannot over-reserve (the allocation-bomb guard);
-//  * seal/rebuild — finalize() after an ingest re-seals an arena that
-//    matches a from-scratch index built over the same units, byte for
-//    byte.
+//  * run layout — random postings lists seal into a tf = 1 unit-id run and
+//    an other-tf (unit, tf) run per term that, merged by unit, read back
+//    exactly the sealed list (tf compared as bit patterns), and a golden
+//    case pins offsets, counts and the byte footprint;
+//  * seal/rebuild — finalize() after an ingest re-seals runs that match a
+//    from-scratch index built over the same units, entry for entry.
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,23 +24,10 @@
 namespace ibseg {
 namespace {
 
-// Encodes a whole postings list the way seal() does.
-std::vector<uint8_t> encode_run(const std::vector<Posting>& postings) {
-  std::vector<uint8_t> out;
-  uint32_t prev = 0;
-  bool first = true;
-  for (const Posting& p : postings) {
-    FlatPostings::append_posting(&out, p.unit, p.tf, prev, first);
-    prev = p.unit;
-    first = false;
-  }
-  return out;
-}
-
 std::vector<Posting> random_postings(std::mt19937& rng) {
   std::uniform_int_distribution<int> len_dist(1, 40);
   std::uniform_int_distribution<uint32_t> gap_dist(1, 1u << 20);
-  std::uniform_int_distribution<int> kind_dist(0, 4);
+  std::uniform_int_distribution<int> kind_dist(0, 7);
   std::uniform_real_distribution<double> frac_dist(1e-9, 1e9);
   int len = len_dist(rng);
   std::vector<Posting> postings;
@@ -51,19 +38,22 @@ std::vector<Posting> random_postings(std::mt19937& rng) {
     double tf = 0.0;
     switch (kind_dist(rng)) {
       case 0:
-        tf = static_cast<double>(1 + (rng() % 100));  // small integral
+        tf = static_cast<double>(2 + (rng() % 100));  // small integral
         break;
       case 1:
-        tf = 9.007199254740992e15;  // 2^53: integral, varint fast path
+        tf = 1.8446744073709552e19;  // 2^64
         break;
       case 2:
-        tf = 1.8446744073709552e19;  // 2^64 > 2^62: raw-bits branch
-        break;
-      case 3:
         tf = frac_dist(rng);  // almost surely non-integral
         break;
+      case 3:
+        tf = 0x1.5p-1040;  // subnormal
+        break;
+      case 4:
+        tf = std::nextafter(1.0, 2.0);  // one ulp away from the tf = 1 run
+        break;
       default:
-        tf = 0x1.5p-1040;  // subnormal: raw-bits branch must be exact
+        tf = 1.0;  // the common posting
         break;
     }
     postings.push_back(Posting{static_cast<uint32_t>(unit), tf});
@@ -71,174 +61,103 @@ std::vector<Posting> random_postings(std::mt19937& rng) {
   return postings;
 }
 
-TEST(FlatPostingsCodec, RandomRunsRoundTripBitExactly) {
-  std::mt19937 rng(20260808);
-  for (int iter = 0; iter < 300; ++iter) {
-    std::vector<Posting> postings = random_postings(rng);
-    std::vector<uint8_t> bytes = encode_run(postings);
-    std::vector<Posting> decoded;
-    FlatDecodeStats stats;
-    ASSERT_TRUE(FlatPostings::decode_run(
-        bytes.data(), bytes.size(), static_cast<uint32_t>(postings.size()),
-        &decoded, &stats));
-    ASSERT_EQ(decoded.size(), postings.size());
-    for (size_t i = 0; i < postings.size(); ++i) {
-      EXPECT_EQ(decoded[i].unit, postings[i].unit);
-      // Bit-exact, not approximately equal: the pruning identity contract
-      // needs decode(encode(tf)) == tf for every double.
-      EXPECT_EQ(std::bit_cast<uint64_t>(decoded[i].tf),
-                std::bit_cast<uint64_t>(postings[i].tf))
-          << "posting " << i << " tf " << postings[i].tf;
+// `runs` merged back by unit: the tf = 1 run's units with tf 1.0, the
+// other run's (unit, tf) as stored.
+std::vector<Posting> merged(const TermRuns& runs) {
+  std::vector<Posting> out;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < runs.ones.size() || j < runs.tfs.size()) {
+    if (j == runs.tfs.size() ||
+        (i < runs.ones.size() && runs.ones[i] < runs.tfs[j].unit)) {
+      out.push_back(Posting{runs.ones[i++], 1.0});
+    } else {
+      out.push_back(runs.tfs[j++]);
     }
-    EXPECT_EQ(stats.postings, postings.size());
-    EXPECT_EQ(stats.bytes, bytes.size());
   }
+  return out;
 }
 
-// The query path's Cursor (with its one-byte fast path) must decode a
-// sealed run to exactly what the bounded decoder reads from the same bytes.
-TEST(FlatPostingsCodec, SealedCursorRoundTripsBitExactly) {
+// Every term of a multi-term seal reads back exactly its own list: tf = 1
+// postings (and only they) in the unit-id run, every other tf bit for bit
+// in the (unit, tf) run, both in ascending unit order.
+TEST(FlatPostingsRuns, RandomListsScanBackBitExactly) {
   std::mt19937 rng(7);
   for (int iter = 0; iter < 200; ++iter) {
-    std::vector<Posting> postings = random_postings(rng);
-    if (iter % 2 == 0) {
-      // Dense units: mostly one-byte deltas, as in a real cluster index.
-      uint32_t unit = static_cast<uint32_t>(rng() % 300);
-      for (Posting& p : postings) {
-        p.unit = unit;
-        unit += 1 + static_cast<uint32_t>(rng() % 200);
+    std::vector<std::vector<Posting>> lists;
+    std::vector<std::pair<TermId, const std::vector<Posting>*>> terms;
+    const int num_terms = 1 + static_cast<int>(rng() % 5);
+    lists.reserve(static_cast<size_t>(num_terms));
+    for (int t = 0; t < num_terms; ++t) {
+      lists.push_back(random_postings(rng));
+      terms.emplace_back(static_cast<TermId>(3 * t + 1), &lists.back());
+    }
+    FlatPostings flat = FlatPostings::seal(terms);
+    ASSERT_EQ(flat.num_terms(), lists.size());
+    for (const auto& [term, list] : terms) {
+      const FlatTermMeta* meta = flat.term_meta(term);
+      ASSERT_NE(meta, nullptr) << "iter " << iter;
+      EXPECT_EQ(meta->df, list->size());
+      const TermRuns runs = flat.runs(*meta);
+      for (uint32_t i = 1; i < runs.ones.size(); ++i) {
+        EXPECT_LT(runs.ones[i - 1], runs.ones[i]) << "iter " << iter;
+      }
+      for (const Posting& p : runs.tfs) {
+        EXPECT_NE(p.tf, 1.0) << "iter " << iter;
+      }
+      const std::vector<Posting> got = merged(runs);
+      ASSERT_EQ(got.size(), list->size()) << "iter " << iter;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].unit, (*list)[i].unit) << "iter " << iter;
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[i].tf),
+                  std::bit_cast<uint64_t>((*list)[i].tf))
+            << "iter " << iter << " posting " << i;
       }
     }
-    FlatPostings flat = FlatPostings::seal({{TermId{5}, &postings}});
-    FlatPostings::Cursor cur = flat.cursor(5);
-    uint32_t unit = 0;
-    double tf = 0.0;
-    for (const Posting& want : postings) {
-      ASSERT_TRUE(cur.next(&unit, &tf)) << "iter " << iter;
-      EXPECT_EQ(unit, want.unit) << "iter " << iter;
-      EXPECT_EQ(std::bit_cast<uint64_t>(tf), std::bit_cast<uint64_t>(want.tf))
-          << "iter " << iter;
-    }
-    EXPECT_FALSE(cur.next(&unit, &tf)) << "iter " << iter;
-    EXPECT_TRUE(cur.done());
+    EXPECT_EQ(flat.term_meta(0), nullptr);  // between the sealed terms
+    EXPECT_TRUE(flat.runs(TermId{0}).ones.empty());
+    EXPECT_TRUE(flat.runs(TermId{0}).tfs.empty());
   }
 }
 
-TEST(FlatPostingsCodec, EveryStrictPrefixIsRejected) {
-  std::mt19937 rng(7);
-  for (int iter = 0; iter < 25; ++iter) {
-    std::vector<Posting> postings = random_postings(rng);
-    std::vector<uint8_t> bytes = encode_run(postings);
-    for (size_t cut = 0; cut < bytes.size(); ++cut) {
-      std::vector<Posting> decoded;
-      EXPECT_FALSE(FlatPostings::decode_run(
-          bytes.data(), cut, static_cast<uint32_t>(postings.size()),
-          &decoded))
-          << "prefix of length " << cut << " of " << bytes.size()
-          << " must not decode";
-    }
-  }
-}
+TEST(FlatPostingsRuns, GoldenLayout) {
+  const std::vector<Posting> a{{2, 1.0}, {5, 3.0}, {9, 1.0}};
+  const std::vector<Posting> b{{0, 2.5}, {4, 1.0}};
+  const std::vector<Posting> none;
+  FlatPostings flat = FlatPostings::seal({{7, &a}, {8, &none}, {12, &b}});
+  ASSERT_EQ(flat.num_terms(), 2u);  // an empty list seals nothing
 
-TEST(FlatPostingsCodec, GoldenEncodings) {
-  // unit 5, tf 3 (first): varint(5), varint(3 << 1 | 1).
-  std::vector<uint8_t> out;
-  FlatPostings::append_posting(&out, 5, 3.0, 0, /*first=*/true);
-  EXPECT_EQ(out, (std::vector<uint8_t>{0x05, 0x07}));
+  const FlatTermMeta* ma = flat.term_meta(7);
+  ASSERT_NE(ma, nullptr);
+  EXPECT_EQ(ma->df, 3u);
+  EXPECT_EQ(ma->ones, 2u);
+  EXPECT_EQ(ma->ones_offset, 0u);
+  EXPECT_EQ(ma->tfs_offset, 0u);
+  const FlatTermMeta* mb = flat.term_meta(12);
+  ASSERT_NE(mb, nullptr);
+  EXPECT_EQ(mb->df, 2u);
+  EXPECT_EQ(mb->ones, 1u);
+  EXPECT_EQ(mb->ones_offset, 2u);
+  EXPECT_EQ(mb->tfs_offset, 1u);
+  EXPECT_EQ(flat.term_meta(8), nullptr);
 
-  // unit 133 after 5: delta 128 = [0x80, 0x01]; tf 1 -> varint(3).
-  out.clear();
-  FlatPostings::append_posting(&out, 133, 1.0, 5, /*first=*/false);
-  EXPECT_EQ(out, (std::vector<uint8_t>{0x80, 0x01, 0x03}));
+  const TermRuns ra = flat.runs(TermId{7});
+  EXPECT_EQ(std::vector<uint32_t>(ra.ones.begin(), ra.ones.end()),
+            (std::vector<uint32_t>{2, 9}));
+  ASSERT_EQ(ra.tfs.size(), 1u);
+  EXPECT_EQ(ra.tfs[0].unit, 5u);
+  EXPECT_EQ(ra.tfs[0].tf, 3.0);
+  const TermRuns rb = flat.runs(TermId{12});
+  EXPECT_EQ(std::vector<uint32_t>(rb.ones.begin(), rb.ones.end()),
+            (std::vector<uint32_t>{4}));
+  ASSERT_EQ(rb.tfs.size(), 1u);
+  EXPECT_EQ(rb.tfs[0].unit, 0u);
+  EXPECT_EQ(rb.tfs[0].tf, 2.5);
 
-  // Non-integral tf 2.5: raw-bits escape varint(0) + LE bits of 2.5
-  // (0x4004000000000000).
-  out.clear();
-  FlatPostings::append_posting(&out, 9, 2.5, 0, /*first=*/true);
-  EXPECT_EQ(out, (std::vector<uint8_t>{0x09, 0x00, 0x00, 0x00, 0x00, 0x00,
-                                       0x00, 0x00, 0x04, 0x40}));
-
-  // All three decode back.
-  std::vector<Posting> list{{5, 3.0}, {133, 1.0}};
-  std::vector<uint8_t> bytes = encode_run(list);
-  EXPECT_EQ(bytes,
-            (std::vector<uint8_t>{0x05, 0x07, 0x80, 0x01, 0x03}));
-  std::vector<Posting> decoded;
-  ASSERT_TRUE(FlatPostings::decode_run(bytes.data(), bytes.size(), 2,
-                                       &decoded));
-  EXPECT_EQ(decoded[1].unit, 133u);
-  EXPECT_EQ(decoded[1].tf, 1.0);
-}
-
-TEST(FlatPostingsCodec, RejectsMalformedRuns) {
-  std::vector<Posting> decoded;
-
-  // Zero delta on a non-first posting (units must strictly ascend).
-  std::vector<uint8_t> zero_delta{0x05, 0x03, 0x00, 0x03};
-  EXPECT_FALSE(FlatPostings::decode_run(zero_delta.data(), zero_delta.size(),
-                                        2, &decoded));
-
-  // First unit id past 2^32 - 1.
-  std::vector<uint8_t> big_unit;
-  FlatPostings::append_varint(&big_unit, 0x100000000ull);
-  big_unit.push_back(0x03);
-  decoded.clear();
-  EXPECT_FALSE(FlatPostings::decode_run(big_unit.data(), big_unit.size(), 1,
-                                        &decoded));
-
-  // Delta pushing the cumulative unit past 2^32 - 1.
-  std::vector<uint8_t> overflow;
-  FlatPostings::append_varint(&overflow, 0xffffffffull);
-  overflow.push_back(0x03);
-  FlatPostings::append_varint(&overflow, 1);
-  overflow.push_back(0x03);
-  decoded.clear();
-  EXPECT_FALSE(FlatPostings::decode_run(overflow.data(), overflow.size(), 2,
-                                        &decoded));
-
-  // Integral tf 0 (encoded varint 1) never appears in a sealed run.
-  std::vector<uint8_t> zero_tf{0x05, 0x01};
-  decoded.clear();
-  EXPECT_FALSE(FlatPostings::decode_run(zero_tf.data(), zero_tf.size(), 1,
-                                        &decoded));
-
-  // Raw-bits escape with fewer than 8 payload bytes.
-  std::vector<uint8_t> short_raw{0x05, 0x00, 0x01, 0x02};
-  decoded.clear();
-  EXPECT_FALSE(FlatPostings::decode_run(short_raw.data(), short_raw.size(),
-                                        1, &decoded));
-
-  // Overlong varint: ten continuation-heavy bytes shifting data past bit
-  // 63.
-  std::vector<uint8_t> overlong(9, 0xff);
-  overlong.push_back(0x7f);
-  overlong.push_back(0x03);
-  decoded.clear();
-  EXPECT_FALSE(FlatPostings::decode_run(overlong.data(), overlong.size(), 1,
-                                        &decoded));
-
-  // Trailing bytes after the df-th posting.
-  std::vector<uint8_t> trailing{0x05, 0x07, 0xab};
-  decoded.clear();
-  EXPECT_FALSE(FlatPostings::decode_run(trailing.data(), trailing.size(), 1,
-                                        &decoded));
-
-  // df larger than the buffer could possibly hold.
-  std::vector<uint8_t> tiny{0x05, 0x07};
-  decoded.clear();
-  EXPECT_FALSE(FlatPostings::decode_run(tiny.data(), tiny.size(), 1000000,
-                                        &decoded));
-}
-
-TEST(FlatPostingsCodec, InflatedDfCannotOverReserve) {
-  // A lying df of 2^32 - 1 against a 2-byte buffer must fail without
-  // reserving gigabytes: the guard reserves from the byte budget
-  // (size / 2 + 1 postings at most).
-  std::vector<uint8_t> tiny{0x05, 0x07};
-  std::vector<Posting> decoded;
-  EXPECT_FALSE(FlatPostings::decode_run(tiny.data(), tiny.size(),
-                                        0xffffffffu, &decoded));
-  EXPECT_LE(decoded.capacity(), 16u);
+  // Three unit ids, two (unit, tf) pairs, two metadata entries.
+  EXPECT_EQ(flat.total_bytes(),
+            3 * sizeof(uint32_t) + 2 * sizeof(Posting) +
+                2 * (sizeof(TermId) + sizeof(FlatTermMeta)));
 }
 
 // --- Seal / rebuild ----------------------------------------------------
@@ -265,7 +184,7 @@ TEST(FlatPostingsSeal, IngestAfterFinalizeResealsIdenticalToFreshBuild) {
   InvertedIndex incremental;
   for (int u = 0; u < 20; ++u) incremental.add_unit(units[u]);
   incremental.finalize();
-  size_t sealed_once = incremental.flat().arena_bytes();
+  size_t sealed_once = incremental.flat().total_bytes();
   for (int u = 20; u < 30; ++u) incremental.add_unit(units[u]);
   incremental.finalize();
 
@@ -275,19 +194,31 @@ TEST(FlatPostingsSeal, IngestAfterFinalizeResealsIdenticalToFreshBuild) {
   fresh.finalize();
 
   ASSERT_EQ(incremental.flat().num_terms(), fresh.flat().num_terms());
-  EXPECT_EQ(incremental.flat().arena_bytes(), fresh.flat().arena_bytes());
-  EXPECT_GT(incremental.flat().arena_bytes(), sealed_once);
+  EXPECT_EQ(incremental.flat().total_bytes(), fresh.flat().total_bytes());
+  EXPECT_GT(incremental.flat().total_bytes(), sealed_once);
+  size_t ones = 0;
   for (TermId term = 0; term < 20; ++term) {
-    EXPECT_EQ(incremental.flat().term_run_bytes(term),
-              fresh.flat().term_run_bytes(term))
-        << "term " << term;
     const FlatTermMeta* mi = incremental.flat().term_meta(term);
     const FlatTermMeta* mf = fresh.flat().term_meta(term);
     ASSERT_EQ(mi == nullptr, mf == nullptr);
     if (mi == nullptr) continue;
     EXPECT_EQ(mi->df, mf->df);
+    EXPECT_EQ(mi->ones, mf->ones);
+    const TermRuns ri = incremental.flat().runs(*mi);
+    const TermRuns rf = fresh.flat().runs(*mf);
+    EXPECT_TRUE(std::equal(ri.ones.begin(), ri.ones.end(), rf.ones.begin(),
+                           rf.ones.end()))
+        << "term " << term;
+    const std::vector<Posting> gi = merged(ri);
+    const std::vector<Posting> gf = merged(rf);
+    ASSERT_EQ(gi.size(), gf.size()) << "term " << term;
+    for (size_t i = 0; i < gi.size(); ++i) {
+      EXPECT_EQ(gi[i].unit, gf[i].unit) << "term " << term;
+      EXPECT_EQ(gi[i].tf, gf[i].tf) << "term " << term;
+    }
+    ones += mi->ones;
   }
-  EXPECT_EQ(incremental.flat().total_bytes(), fresh.flat().total_bytes());
+  EXPECT_GT(ones, 0u);  // the tf = 1 run must have been exercised
 }
 
 }  // namespace

@@ -1,131 +1,192 @@
-// Fuzz target: FlatPostings::decode_run (index/flat_postings.h), the
-// bounded decoder over the sealed serving arena — the one codec surface
-// that walks untrusted varint bytes (a snapshot-restored arena is disk
-// bytes). Contract under ANY input: never crash, never read outside
-// [data, data+size), never allocate more postings than the byte budget
-// allows (an inflated df against a short buffer must not over-reserve),
-// and anything it accepts must semantically round-trip — re-encoding the
-// decoded postings and decoding again reproduces bit-identical (unit, tf)
-// pairs. (Byte-level re-encode equality is asserted only for canonical
-// encoder output; the decoder deliberately also accepts a raw-escape tf
-// that the encoder would have packed as a varint.)
+// Fuzz target: the sealed flat postings (index/flat_postings.h) and the
+// dense scoring kernel that reads them (score_units_dense, index/scoring.h).
+// The input bytes describe arbitrary postings — small integral tf, tf
+// exactly 1, and raw IEEE-754 bit patterns (subnormals, huge values,
+// infinities, NaNs) — which are indexed, finalized and sealed. Contract
+// under ANY input: never crash; each term's two sealed runs read back, in
+// unit order, exactly the postings the build form holds (tf compared as
+// bit patterns, tf = 1 postings and only they in the unit-id run); and
+// for every scoring function, local and cross-shard statistics, top-n and
+// threshold mode, the kernel's answer equals the map-based reference's
+// bit for bit.
 //
-// Input layout: first 4 bytes little-endian = the claimed df (the
-// attacker-controlled count a corrupt snapshot would carry), remainder =
-// the run bytes. Seeds are REAL sealed runs: a small deterministic
-// corpus is indexed, finalized, and each term's arena window is emitted
-// with its true df.
+// Input layout, repeated until the bytes run out: a control byte (low 4
+// bits = term id, top bit = the unit ends after this posting) and a tf
+// byte s: s < 0x80 -> tf 1, s < 0xc0 -> tf (s & 0x3f) + 2, else the next
+// 8 bytes are the tf's little-endian bit pattern.
 
 #include "fuzz_driver.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "index/collection_stats.h"
 #include "index/flat_postings.h"
 #include "index/inverted_index.h"
+#include "index/scoring.h"
 
 namespace {
 
-bool identical(const std::vector<ibseg::Posting>& a,
-               const std::vector<ibseg::Posting>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].unit != b[i].unit) return false;
-    // Bit comparison: -0.0 vs 0.0 and NaN payloads must round-trip too.
-    if (std::memcmp(&a[i].tf, &b[i].tf, sizeof(double)) != 0) return false;
+constexpr ibseg::TermId kTerms = 16;
+constexpr size_t kMaxUnits = 200;
+
+std::vector<ibseg::TermVector> parse_units(const uint8_t* data,
+                                           size_t size) {
+  std::vector<ibseg::TermVector> units(1);
+  size_t pos = 0;
+  while (pos + 2 <= size && units.size() <= kMaxUnits) {
+    const uint8_t control = data[pos];
+    const uint8_t s = data[pos + 1];
+    pos += 2;
+    double tf = 1.0;
+    if (s >= 0xc0) {
+      if (size - pos < 8) break;
+      uint64_t raw = 0;
+      for (int i = 0; i < 8; ++i) {
+        raw |= static_cast<uint64_t>(data[pos + i]) << (8 * i);
+      }
+      pos += 8;
+      tf = std::bit_cast<double>(raw);
+    } else if (s >= 0x80) {
+      tf = static_cast<double>(s & 0x3f) + 2.0;
+    }
+    const ibseg::TermId term = control & (kTerms - 1);
+    ibseg::TermVector& unit = units.back();
+    if (unit.entries().count(term) == 0) unit.add(term, tf);
+    if ((control & 0x80) != 0) units.emplace_back();
   }
-  return true;
+  return units;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// The matcher's reference selection: map-based scores, then exclude,
+// threshold, (score desc, doc asc) order and the top-n cut.
+std::vector<ibseg::ScoredUnit> reference_select(
+    const ibseg::InvertedIndex& index, const ibseg::TermVector& query,
+    const ibseg::ScoringOptions& options,
+    const ibseg::ClusterCollectionStats* global,
+    const std::vector<uint32_t>& unit_doc, size_t n, double threshold) {
+  std::vector<ibseg::ScoredUnit> hits =
+      ibseg::score_units_counted(index, query, options, global, nullptr);
+  std::erase_if(hits, [&](const ibseg::ScoredUnit& h) {
+    return threshold > 0.0 && h.score < threshold;
+  });
+  std::sort(hits.begin(), hits.end(),
+            [&](const ibseg::ScoredUnit& a, const ibseg::ScoredUnit& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return unit_doc[a.unit] < unit_doc[b.unit];
+            });
+  if (threshold <= 0.0 && hits.size() > n) hits.resize(n);
+  return hits;
 }
 
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
-  if (size < 4) return 0;
-  uint32_t df = 0;
-  std::memcpy(&df, data, 4);
-  const uint8_t* run = data + 4;
-  size_t run_size = size - 4;
-
-  std::vector<ibseg::Posting> out;
-  ibseg::FlatDecodeStats stats;
-  bool ok = ibseg::FlatPostings::decode_run(run, run_size, df, &out, &stats);
-
-  // Allocation guard: decoded postings (and the reserve behind them) are
-  // bounded by the byte budget — a posting costs at least 2 bytes — and
-  // by df, no matter what the header claims.
-  if (out.size() > run_size / 2 + 1) std::abort();
-  if (out.size() > df) std::abort();
-  // reserve() may round up a little, but the order of magnitude must be
-  // the byte budget, never the claimed df.
-  if (out.capacity() > 2 * (run_size / 2 + 1) + 16) std::abort();
-  if (!ok) return 0;
-
-  // Accepted input: exactly df postings, every byte consumed.
-  if (out.size() != df || stats.postings != df || stats.bytes != run_size) {
-    std::abort();
+  const std::vector<ibseg::TermVector> units = parse_units(data, size);
+  ibseg::InvertedIndex index;
+  ibseg::GlobalIndexStats board(1, index.min_norm_fraction);
+  std::vector<uint32_t> unit_doc;
+  for (const ibseg::TermVector& unit : units) {
+    index.add_unit(unit);
+    board.append(0, unit, /*refresh_now=*/false);
+    unit_doc.push_back(static_cast<uint32_t>(100000 - 7 * unit_doc.size()));
   }
-  // Semantic round-trip: re-encode, decode again, compare bit-for-bit.
-  std::vector<uint8_t> reencoded;
-  uint32_t prev = 0;
-  bool first = true;
-  for (const ibseg::Posting& p : out) {
-    ibseg::FlatPostings::append_posting(&reencoded, p.unit, p.tf, prev,
-                                        first);
-    prev = p.unit;
-    first = false;
+  // The board also holds units of a second (absent) shard.
+  board.append(0, units.front(), /*refresh_now=*/false);
+  board.refresh(0);
+  index.finalize();
+  const ibseg::FlatPostings& flat = index.flat();
+
+  // Scan: each term's runs, merged by unit, are its build-form postings.
+  for (ibseg::TermId term = 0; term < kTerms; ++term) {
+    const std::vector<ibseg::Posting>& want = index.postings(term);
+    const ibseg::TermRuns runs = flat.runs(term);
+    if (runs.ones.size() + runs.tfs.size() != want.size()) std::abort();
+    size_t i = 0;
+    size_t j = 0;
+    for (const ibseg::Posting& p : want) {
+      if (p.tf == 1.0) {
+        if (i == runs.ones.size() || runs.ones[i++] != p.unit) std::abort();
+      } else {
+        if (j == runs.tfs.size()) std::abort();
+        const ibseg::Posting& got = runs.tfs[j++];
+        if (got.unit != p.unit || !same_bits(got.tf, p.tf)) std::abort();
+      }
+    }
   }
-  std::vector<ibseg::Posting> again;
-  if (!ibseg::FlatPostings::decode_run(reencoded.data(), reencoded.size(),
-                                       df, &again)) {
-    std::abort();
+
+  // Score: the kernel equals the reference, bit for bit.
+  const std::shared_ptr<const ibseg::ClusterCollectionStats> global =
+      board.cluster(0);
+  const ibseg::TermVector* queries[] = {&units.front(),
+                                        &units[units.size() / 2],
+                                        &units.back()};
+  for (ibseg::ScoringFunction fn :
+       {ibseg::ScoringFunction::kPaperTfIdf, ibseg::ScoringFunction::kBm25,
+        ibseg::ScoringFunction::kQueryLikelihood}) {
+    ibseg::ScoringOptions options;
+    options.function = fn;
+    for (const ibseg::ClusterCollectionStats* stats :
+         {static_cast<const ibseg::ClusterCollectionStats*>(nullptr),
+          global.get()}) {
+      for (const ibseg::TermVector* query : queries) {
+        for (double threshold : {0.0, 1e-300}) {
+          const std::vector<ibseg::ScoredUnit> want = reference_select(
+              index, *query, options, stats, unit_doc, 5, threshold);
+          const std::vector<ibseg::ScoredUnit> got = ibseg::score_units_dense(
+              index, *query, options, stats, unit_doc,
+              /*exclude_doc=*/0xffffffffu, 5, threshold);
+          if (got.size() != want.size()) std::abort();
+          for (size_t r = 0; r < got.size(); ++r) {
+            if (got[r].unit != want[r].unit ||
+                !same_bits(got[r].score, want[r].score)) {
+              std::abort();
+            }
+          }
+        }
+      }
+    }
   }
-  if (!identical(out, again)) std::abort();
   return 0;
 }
 
 std::vector<std::string> fuzz_seed_inputs() {
-  // Real sealed runs: deterministic multi-unit index with repeated terms
-  // (multi-byte deltas, tf > 1) and one fractional tf to seed the
-  // raw-escape branch.
-  ibseg::InvertedIndex index;
-  for (uint32_t u = 0; u < 40; ++u) {
-    ibseg::TermVector unit;
-    unit.add(static_cast<ibseg::TermId>(u % 7), 1.0 + (u % 3));
-    unit.add(static_cast<ibseg::TermId>(200 + u / 4), 1.0);
-    if (u % 5 == 0) unit.add(static_cast<ibseg::TermId>(999), 2.0);
-    index.add_unit(unit);
-  }
-  {
-    ibseg::TermVector frac;
-    frac.add(static_cast<ibseg::TermId>(999), 0.5);  // raw-bits tf branch
-    index.add_unit(frac);
-  }
-  index.finalize();
-  const ibseg::FlatPostings& flat = index.flat();
-
   std::vector<std::string> seeds;
-  for (ibseg::TermId t : {static_cast<ibseg::TermId>(0),
-                          static_cast<ibseg::TermId>(3),
-                          static_cast<ibseg::TermId>(200),
-                          static_cast<ibseg::TermId>(999)}) {
-    const ibseg::FlatTermMeta* meta = flat.term_meta(t);
-    if (meta == nullptr) continue;
-    std::vector<uint8_t> run = flat.term_run_bytes(t);
-    std::string seed;
-    uint32_t df = meta->df;
-    seed.append(reinterpret_cast<const char*>(&df), 4);
-    seed.append(reinterpret_cast<const char*>(run.data()), run.size());
-    seeds.push_back(std::move(seed));
+  // Mostly tf = 1 over shared terms, some small integral tf, units of one
+  // to four postings: the shape of a real cluster index.
+  std::string real;
+  for (uint8_t u = 0; u < 40; ++u) {
+    const int postings = 1 + u % 4;
+    for (int p = 0; p < postings; ++p) {
+      uint8_t control = static_cast<uint8_t>((u * 3 + p * 5) % kTerms);
+      if (p == postings - 1) control |= 0x80;
+      real.push_back(static_cast<char>(control));
+      real.push_back(static_cast<char>((u + p) % 5 == 0 ? 0x81 : 0x10));
+    }
   }
-  // Hostile header: huge df over a tiny valid run (over-reserve probe).
-  std::string bomb;
-  uint32_t huge = 0xffffffffu;
-  bomb.append(reinterpret_cast<const char*>(&huge), 4);
-  bomb.push_back('\x05');
-  bomb.push_back('\x07');
-  seeds.push_back(std::move(bomb));
-  seeds.push_back(std::string(4, '\0'));  // df 0, empty run: valid
+  seeds.push_back(real);
+  // Raw tf bit patterns: 0.5, a subnormal, 2^64 and +infinity.
+  std::string raw;
+  for (double tf : {0.5, 0x1.5p-1040, 1.8446744073709552e19,
+                    std::bit_cast<double>(0x7ff0000000000000ull)}) {
+    raw.push_back('\x83');
+    raw.push_back('\xc0');
+    const uint64_t bits = std::bit_cast<uint64_t>(tf);
+    for (int i = 0; i < 8; ++i) {
+      raw.push_back(static_cast<char>(bits >> (8 * i)));
+    }
+    raw.push_back('\x83');
+    raw.push_back('\x00');
+  }
+  seeds.push_back(raw);
+  seeds.push_back(std::string());  // one empty unit
   return seeds;
 }

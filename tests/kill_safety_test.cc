@@ -13,9 +13,12 @@
 // tail, which replay truncates.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -28,6 +31,7 @@
 #include "datagen/post_generator.h"
 #include "oracle.h"
 #include "storage/snapshot_v2.h"
+#include "storage/wal_codec.h"
 
 namespace ibseg {
 namespace {
@@ -188,6 +192,75 @@ TEST(KillSafety, TornWalTailIsTruncatedNeverReplayed) {
   run_crash_trial(2, std::string("\xff\x00\x00\x00\x01\x02\x03\x04", 8));
 }
 
+// A WAL append that fails (here: EFBIG, the file-size limit cutting the
+// frame short) must leave no trace. The child lowers RLIMIT_FSIZE to just
+// past the WAL's size, so the journal entry of the next post fits but its
+// WAL frame is written only in part: add_post must fail without
+// publishing, and both files must be cut back to their lengths before the
+// call — a partial frame left behind would make replay drop every later
+// record. With the limit raised again, the next post is acknowledged.
+// The parent restores: the failed post is absent, the later one present.
+TEST(KillSafety, FailedWalAppendIsNeitherPublishedNorRestored) {
+  const std::vector<std::string> stream = ingest_stream();
+  std::string dir = tmp_path("efbig");
+  const std::string wal_file = dir + "/shard-0/wal";
+  const std::string journal_file = dir + "/ingest.order";
+  write_base_dir(dir);
+  DocId first = 0;
+  {
+    auto probe = ShardedServing::restore(dir);
+    ASSERT_NE(probe, nullptr);
+    first = probe->next_id();
+  }
+
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0) << "fork failed";
+  if (pid == 0) {
+    // ---- child: each failed check exits with its own code.
+    auto serving = ShardedServing::restore(dir);
+    if (serving == nullptr) _exit(40);
+    if (serving->add_post(stream[0]) != first) _exit(41);
+    if (serving->add_post(stream[1]) != first + 1) _exit(42);
+    const uintmax_t wal_size = std::filesystem::file_size(wal_file);
+    const uintmax_t journal_size = std::filesystem::file_size(journal_file);
+    const uint64_t epoch = serving->epoch();
+    std::signal(SIGXFSZ, SIG_IGN);  // EFBIG instead of death
+    rlimit old_limit{};
+    if (getrlimit(RLIMIT_FSIZE, &old_limit) != 0) _exit(43);
+    rlimit low = old_limit;
+    low.rlim_cur = static_cast<rlim_t>(wal_size + 16);
+    if (setrlimit(RLIMIT_FSIZE, &low) != 0) _exit(44);
+    if (serving->add_post(stream[2]).has_value()) _exit(45);
+    if (serving->epoch() != epoch) _exit(46);
+    for (const Document& d : serving->shard(0).quiescent().docs()) {
+      if (d.id() == first + 2) _exit(47);
+    }
+    if (std::filesystem::file_size(wal_file) != wal_size) _exit(48);
+    if (std::filesystem::file_size(journal_file) != journal_size) _exit(49);
+    if (setrlimit(RLIMIT_FSIZE, &old_limit) != 0) _exit(50);
+    if (serving->add_post(stream[3]) != first + 3) _exit(51);
+    _exit(kChildExitCode);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), kChildExitCode);
+
+  auto recovered = ShardedServing::restore(dir);
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_EQ(recovered->epoch(), 3u);
+  Oracle reference(seed_docs());
+  reference.publish(first, stream[0]);
+  reference.publish(first + 1, stream[1]);
+  reference.publish(first + 3, stream[3]);
+  expect_identical_answers(*recovered, reference);
+  for (const Document& d : recovered->shard(0).quiescent().docs()) {
+    EXPECT_NE(d.id(), first + 2) << "the failed post was restored";
+  }
+  recovered.reset();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(KillSafety, CrashBetweenSnapshotAndWalTruncation) {
   // The save()-time crash window: snapshot and manifest committed, WAL and
   // journal not yet reset. Replay must skip every record already baked
@@ -340,6 +413,120 @@ TEST(ShardedKillSafety, FourShardCrashMidIngestRecoversBitIdentical) {
     SCOPED_TRACE("crash after " + std::to_string(k) + " ingests");
     run_sharded_crash_trial(k);
   }
+}
+
+// add_posts' all-or-nothing rule across files. A batch spread over two
+// shards is logged journal first, then each touched shard's WAL in shard
+// order. A forked child sets RLIMIT_FSIZE so the journal and the lower
+// shard's WAL take the batch's records but the higher shard's WAL does
+// not: the call must fail, publish none of the batch, and cut every file
+// back to its length before the call — the ones whose appends succeeded
+// too. A batch added after the limit is raised is acknowledged; the
+// parent restores it, and nothing of the failed batch.
+TEST(ShardedKillSafety, FailedBatchAppendPublishesNoneOfTheBatch) {
+  const std::vector<std::string> stream = ingest_stream();
+  std::string dir = tmp_dir("efbig_batch");
+  std::filesystem::remove_all(dir);
+  write_base_shard_dir(dir);
+  DocId first = 0;
+  {
+    auto probe = ShardedServing::restore(dir);
+    ASSERT_NE(probe, nullptr);
+    first = probe->next_id();
+  }
+  // The failed batch: the shortest prefix of the stream whose ids reach a
+  // second shard. Its posts in the higher shard carry every text of the
+  // batch, so that shard's WAL is the one past the limit.
+  auto owner = [&](size_t i) {
+    return ShardedServing::shard_of(first + static_cast<DocId>(i), kShards);
+  };
+  size_t n = 1;
+  while (n < stream.size() && owner(n) == owner(0)) ++n;
+  ++n;
+  ASSERT_LE(n + 2, stream.size()) << "stream too short for two batches";
+  const uint32_t high = std::max(owner(0), owner(n - 1));
+  std::string all;
+  for (size_t i = 0; i < n; ++i) all += " " + stream[i];
+  std::vector<std::string> failed(stream.begin(), stream.begin() + n);
+  for (size_t i = 0; i < n; ++i) {
+    if (owner(i) == high) failed[i] += all;
+  }
+
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0) << "fork failed";
+  if (pid == 0) {
+    // ---- child: each failed check exits with its own code.
+    auto serving = ShardedServing::restore(dir);
+    if (serving == nullptr) _exit(40);
+    if (serving->next_id() != first) _exit(41);
+    // files[0] is the journal, files[1 + s] shard s's WAL; `grown` holds
+    // the sizes a successful call would leave.
+    std::vector<std::string> files = {dir + "/ingest.order"};
+    for (uint32_t s = 0; s < kShards; ++s) {
+      files.push_back(dir + "/shard-" + std::to_string(s) + "/wal");
+    }
+    std::vector<uintmax_t> sizes;
+    for (const std::string& f : files) {
+      sizes.push_back(std::filesystem::file_size(f));
+    }
+    std::vector<uintmax_t> grown = sizes;
+    for (size_t i = 0; i < n; ++i) {
+      const DocId id = first + static_cast<DocId>(i);
+      std::string entry;
+      wal_encode_frame(WalRecord{id, std::string()}, &entry);
+      grown[0] += entry.size();
+      std::string payload;
+      wal_encode_frame(WalRecord{id, failed[i]}, &payload);
+      grown[1 + owner(i)] += payload.size();
+    }
+    uintmax_t limit = 0;
+    for (size_t f = 0; f < files.size(); ++f) {
+      if (f != 1 + high) limit = std::max(limit, grown[f]);
+    }
+    if (grown[1 + high] <= limit) _exit(42);
+    const uint64_t epoch = serving->epoch();
+    std::signal(SIGXFSZ, SIG_IGN);  // EFBIG instead of death
+    rlimit old_limit{};
+    if (getrlimit(RLIMIT_FSIZE, &old_limit) != 0) _exit(43);
+    rlimit low = old_limit;
+    low.rlim_cur = static_cast<rlim_t>(limit);
+    if (setrlimit(RLIMIT_FSIZE, &low) != 0) _exit(44);
+    if (serving->add_posts(failed).has_value()) _exit(45);
+    if (serving->epoch() != epoch) _exit(46);
+    for (uint32_t s = 0; s < kShards; ++s) {
+      for (const Document& d : serving->shard(s).quiescent().docs()) {
+        if (d.id() >= first && d.id() < first + n) _exit(47);
+      }
+    }
+    for (size_t f = 0; f < files.size(); ++f) {
+      if (std::filesystem::file_size(files[f]) != sizes[f]) _exit(48);
+    }
+    if (setrlimit(RLIMIT_FSIZE, &old_limit) != 0) _exit(49);
+    const std::vector<DocId> later = {first + static_cast<DocId>(n),
+                                      first + static_cast<DocId>(n + 1)};
+    if (serving->add_posts({stream[n], stream[n + 1]}) != later) _exit(50);
+    _exit(kChildExitCode);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), kChildExitCode);
+
+  auto recovered = ShardedServing::restore(dir);
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_EQ(recovered->epoch(), 2u);
+  for (uint32_t s = 0; s < kShards; ++s) {
+    for (const Document& d : recovered->shard(s).quiescent().docs()) {
+      EXPECT_FALSE(d.id() >= first && d.id() < first + n)
+          << "post " << d.id() << " of the failed batch was restored";
+    }
+  }
+  Oracle reference(seed_docs());
+  reference.publish(first + static_cast<DocId>(n), stream[n]);
+  reference.publish(first + static_cast<DocId>(n + 1), stream[n + 1]);
+  expect_matches_pipeline(*recovered, reference);
+  recovered.reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardedKillSafety, FreshlyCreatedDeploymentSurvivesCrashMidIngest) {

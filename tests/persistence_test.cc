@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 #include <pthread.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <csignal>
@@ -158,7 +161,8 @@ TEST(SnapshotV2, RestoredPipelineKeepsServing) {
   ASSERT_NE(restored, nullptr);
   // Ids keep incrementing past the snapshot watermark; the invariant
   // num_docs == seed_docs + epoch survives the restart.
-  DocId id = restored->add_post("the printer fails after the latest update");
+  DocId id =
+      restored->add_post("the printer fails after the latest update").value();
   EXPECT_GE(id, serving.next_id());
   EXPECT_EQ(restored->num_docs(),
             restored->shard(0).seed_docs() + restored->epoch());
@@ -593,6 +597,97 @@ TEST(Wal, CrcValidFrameBeyondATornGapIsNeverReplayed) {
   std::remove(path.c_str());
 }
 
+TEST(Wal, TruncateCutsBackToAnEarlierSize) {
+  // An ingest whose later log append fails undoes the appends that
+  // already succeeded with truncate(size()): the records past the cut are
+  // gone on replay, and the next append continues from the cut.
+  std::string path = tmp_path("wal_truncate");
+  {
+    std::vector<WalRecord> replayed;
+    auto wal = IngestWal::open(path, WalOptions{}, &replayed);
+    ASSERT_NE(wal, nullptr);
+    ASSERT_TRUE(wal->append({1, "record before the cut"}));
+    const uint64_t cut = wal->size();
+    EXPECT_EQ(cut, file_size(path));
+    const std::vector<WalRecord> undone = {{2, "undone record"},
+                                           {3, "undone record too"}};
+    ASSERT_TRUE(wal->append_batch(undone));
+    ASSERT_GT(wal->size(), cut);
+    ASSERT_TRUE(wal->truncate(cut));
+    EXPECT_EQ(wal->size(), cut);
+    EXPECT_EQ(file_size(path), cut);
+    ASSERT_TRUE(wal->append({4, "record after the cut"}));
+    EXPECT_EQ(wal->size(), file_size(path));
+  }
+  std::vector<WalRecord> replayed;
+  auto wal = IngestWal::open(path, WalOptions{}, &replayed);
+  ASSERT_NE(wal, nullptr);
+  ASSERT_EQ(replayed.size(), 2u);
+  EXPECT_EQ(replayed[0].id, 1u);
+  EXPECT_EQ(replayed[0].text, "record before the cut");
+  EXPECT_EQ(replayed[1].id, 4u);
+  EXPECT_EQ(replayed[1].text, "record after the cut");
+  wal.reset();
+  std::remove(path.c_str());
+}
+
+TEST(Wal, FailedBatchAppendIsCutBackWhole) {
+  // append_batch is all or nothing. A forked child, ignoring SIGXFSZ so an
+  // oversized write fails with EFBIG instead of killing it, sets
+  // RLIMIT_FSIZE so the batch's first frame fits and its second is
+  // written only in part: the call fails and the file is cut back to its
+  // length before the call — the complete first frame too, since the
+  // batch is not acknowledged. With the limit raised again the next
+  // append succeeds, and replay sees exactly the acknowledged records.
+  constexpr int kChildOk = 2;
+  std::string path = tmp_path("wal_efbig");
+  const WalRecord before{1, "acknowledged before the limit"};
+  const std::vector<WalRecord> batch = {
+      {2, "first frame of the failed batch"},
+      {3, "second frame of the failed batch, written only in part"}};
+  const WalRecord after{4, "acknowledged after the limit is raised"};
+
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0) << "fork failed";
+  if (pid == 0) {
+    // ---- child: each failed check exits with its own code.
+    std::vector<WalRecord> replayed;
+    auto wal = IngestWal::open(path, WalOptions{}, &replayed);
+    if (wal == nullptr) _exit(40);
+    if (!wal->append(before)) _exit(41);
+    const uint64_t size = wal->size();
+    std::string first_frame;
+    wal_encode_frame(batch[0], &first_frame);
+    std::signal(SIGXFSZ, SIG_IGN);
+    rlimit old_limit{};
+    if (getrlimit(RLIMIT_FSIZE, &old_limit) != 0) _exit(42);
+    rlimit low = old_limit;
+    low.rlim_cur = static_cast<rlim_t>(size + first_frame.size() + 4);
+    if (setrlimit(RLIMIT_FSIZE, &low) != 0) _exit(43);
+    if (wal->append_batch(batch)) _exit(44);
+    if (wal->size() != size || file_size(path) != size) _exit(45);
+    if (wal->appended() != 1) _exit(46);
+    if (setrlimit(RLIMIT_FSIZE, &old_limit) != 0) _exit(47);
+    if (!wal->append(after)) _exit(48);
+    _exit(kChildOk);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), kChildOk);
+
+  std::vector<WalRecord> replayed;
+  auto wal = IngestWal::open(path, WalOptions{}, &replayed);
+  ASSERT_NE(wal, nullptr);
+  ASSERT_EQ(replayed.size(), 2u);
+  EXPECT_EQ(replayed[0].id, before.id);
+  EXPECT_EQ(replayed[0].text, before.text);
+  EXPECT_EQ(replayed[1].id, after.id);
+  EXPECT_EQ(replayed[1].text, after.text);
+  wal.reset();
+  std::remove(path.c_str());
+}
+
 // ----------------------------------------------- serving + WAL wiring ----
 
 TEST(ServingPersistence, WalReplayRebuildsIdenticalState) {
@@ -675,10 +770,10 @@ TEST(ServingPersistence, BatchedIngestReplaysInPublicationOrder) {
   auto original = seed_serving(24, options);
   ASSERT_NE(original, nullptr);
   ASSERT_TRUE(original->save(dir));  // the base the WAL tail replays onto
-  std::vector<DocId> order = original->add_posts(batch);
+  std::vector<DocId> order = original->add_posts(batch).value();
   ASSERT_EQ(order, reference.add_posts(batch));
   for (size_t i = batch.size(); i < extras.size(); ++i) {
-    order.push_back(original->add_post(extras[i]));
+    order.push_back(original->add_post(extras[i]).value());
     ASSERT_EQ(order.back(), reference.add_post(extras[i]));
   }
   const uint64_t epoch = original->epoch();

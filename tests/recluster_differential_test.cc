@@ -167,7 +167,9 @@ TEST(ReclusterDifferential, PendingPoolTracksThresholdAndDrainsAtSwap) {
   auto built = ShardedServing::create(analyze_corpus(corpus), {}, options);
   ShardedServing& serving = *built;
   std::vector<DocId> ids;
-  for (const std::string& text : tail) ids.push_back(serving.add_post(text));
+  for (const std::string& text : tail) {
+    ids.push_back(serving.add_post(text).value());
+  }
   EXPECT_EQ(serving.pending_pool_size(), tail.size());
   EXPECT_EQ(serving.shard(0).pending_pool(), ids);
 

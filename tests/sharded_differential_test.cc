@@ -141,7 +141,7 @@ TEST(ShardedDifferential, InterleavedIngestsStayIdentical) {
     std::string what = "interleaved shards=" + std::to_string(shards);
     for (size_t i = 0; i < extra.size(); ++i) {
       DocId want_id = reference.add_post(extra[i]);
-      DocId got_id = sharded->add_post(extra[i]);
+      DocId got_id = sharded->add_post(extra[i]).value();
       ASSERT_EQ(got_id, want_id) << what;
       // Query between every ingest — each publication must be visible and
       // identically scored immediately.
@@ -153,7 +153,7 @@ TEST(ShardedDifferential, InterleavedIngestsStayIdentical) {
     // Batched ingest too: one lock section, same ids, same answers.
     std::vector<std::string> batch = ingest_texts(4, 4401);
     std::vector<DocId> want_ids = reference.add_posts(batch);
-    std::vector<DocId> got_ids = sharded->add_posts(batch);
+    std::vector<DocId> got_ids = sharded->add_posts(batch).value();
     ASSERT_EQ(got_ids, want_ids) << what;
     expect_equivalent(*sharded, reference, what + " after batch");
   }
@@ -256,21 +256,19 @@ TEST(ShardedDifferential, UnknownIdsAnswerEmptyUntilPublished) {
 
 // -------------------------------------------------- sharded x pruned ----
 
-// MaxScore pruning composes with sharding: each shard prunes its own
-// per-intention lists against shard-local heaps, and the scatter-gather
-// merge must still reproduce the unpartitioned exhaustive reference bit
-// for bit. The shard boundary is where a bound bug would surface — a
-// shard's per-term maxima differ from the global index's, so a pruned
-// shard answer that merely "looks right" locally can lose a doc that the
-// full index would have kept. Crossed with interleaved ingests, which
-// re-seal every touched shard's flat postings.
+// The dense kernel composes with sharding: each shard selects its own
+// per-intention lists with shard-local heaps, and the scatter-gather
+// merge must still reproduce the unpartitioned map-based reference bit
+// for bit. Crossed with interleaved ingests, which re-seal every touched
+// shard's flat postings and swap the cross-shard statistics snapshot
+// every shard's cached unit operands were computed under.
 TEST(ShardedDifferential, PrunedShardsEqualExhaustiveUnsharded) {
   SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 83));
   std::vector<std::string> extra = ingest_texts(6, 8300);
   PipelineOptions exhaustive_opt;
   exhaustive_opt.matcher.exhaustive_fallback = true;
-  PipelineOptions pruned_opt;  // default: MaxScore path
-  pruned_opt.matcher.top_n_factor = 1;  // tightest heaps, max pruning
+  PipelineOptions pruned_opt;  // default: the dense kernel
+  pruned_opt.matcher.top_n_factor = 1;  // tightest heaps
   exhaustive_opt.matcher.top_n_factor = 1;
   for (int shards : kShardCounts) {
     Oracle reference(analyze_corpus(corpus), exhaustive_opt);
@@ -281,7 +279,7 @@ TEST(ShardedDifferential, PrunedShardsEqualExhaustiveUnsharded) {
     expect_equivalent(*sharded, reference, what + " fresh");
     for (size_t i = 0; i < extra.size(); ++i) {
       DocId want_id = reference.add_post(extra[i]);
-      DocId got_id = sharded->add_post(extra[i]);
+      DocId got_id = sharded->add_post(extra[i]).value();
       ASSERT_EQ(got_id, want_id) << what;
       expect_equivalent(*sharded, reference,
                         what + " after ingest " + std::to_string(i));
