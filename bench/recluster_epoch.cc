@@ -1,6 +1,6 @@
 // Operational cost of one background re-clustering epoch
 // (docs/ARCHITECTURE.md §9): what a deployment pays to run recluster()
-// and what happens to reads while it runs. Three measurements:
+// and what happens to reads while it runs. Four measurements:
 //
 //   1. recluster latency — wall time of one recluster() over a seed
 //      corpus plus a streamed ingest tail (capture + shadow offline
@@ -12,14 +12,25 @@
 //      reader thread while recluster() runs on the main thread, versus
 //      the same reader loop quiescent. Readers keep serving the old
 //      generation for the whole shadow build; only the final swap takes
-//      the exclusive lock, so the dip should be modest.
+//      the exclusive lock, so the dip should be modest. The same reader
+//      also records its slowest single query in both phases: the stall
+//      the swap's exclusive section costs one query,
+//   4. memory growth — peak resident memory (VmHWM) after recluster()
+//      minus resident memory (VmRSS) just before it, from
+//      /proc/self/status: what the epoch holds beside the live
+//      generation. VmHWM is the process's lifetime peak, so the figure
+//      is an upper bound when corpus construction peaked higher; it
+//      reads 0 where /proc/self/status is unavailable.
 //
 // Results print as a table and are recorded in BENCH_recluster.json
 // (current working directory, like the other reproduce.sh outputs, which
 // schema-checks the keys). IBSEG_BENCH_SCALE scales the corpus.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -40,12 +51,29 @@ std::string fmt(double v, int precision) {
 }
 
 /// One pass of the reader loop: top-5 queries round-robin over the
-/// corpus. Returns the number of queries issued.
-uint64_t reader_pass(const ShardedServing& serving, size_t num_docs) {
+/// corpus. Returns the number of queries issued; raises `*slowest_ms` to
+/// the slowest single query of the pass.
+uint64_t reader_pass(const ShardedServing& serving, size_t num_docs,
+                     double* slowest_ms) {
   for (size_t q = 0; q < num_docs; ++q) {
+    Stopwatch query_watch;
     serving.find_related(static_cast<DocId>(q), 5);
+    *slowest_ms = std::max(*slowest_ms, query_watch.elapsed_millis());
   }
   return num_docs;
+}
+
+/// A memory line of /proc/self/status ("VmRSS", "VmHWM") in MiB, or -1
+/// when the file or the line is unavailable.
+double proc_status_mib(const std::string& key) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.compare(0, key.size() + 1, key + ":") == 0) {
+      return std::strtod(line.c_str() + key.size() + 1, nullptr) / 1024.0;
+    }
+  }
+  return -1.0;
 }
 
 int run() {
@@ -72,9 +100,11 @@ int run() {
 
   // 1. Quiescent read throughput (same loop the dip measurement runs).
   uint64_t quiescent_queries = 0;
+  double max_query_quiescent_ms = 0.0;
   Stopwatch quiescent_watch;
   while (quiescent_watch.elapsed_seconds() < 0.25) {
-    quiescent_queries += reader_pass(serving, num_docs);
+    quiescent_queries +=
+        reader_pass(serving, num_docs, &max_query_quiescent_ms);
   }
   const double qps_quiescent =
       static_cast<double>(quiescent_queries) /
@@ -85,19 +115,25 @@ int run() {
   // window over its wall time is the during-swap QPS.
   std::atomic<uint64_t> reader_queries{0};
   std::atomic<bool> stop{false};
+  double max_query_stall_ms = 0.0;  // written by the reader until join()
   std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      reader_pass(serving, num_docs);
+      reader_pass(serving, num_docs, &max_query_stall_ms);
       reader_queries.fetch_add(num_docs, std::memory_order_relaxed);
     }
   });
+  const double rss_before_mib = proc_status_mib("VmRSS");
   const uint64_t before_swap = reader_queries.load();
   Stopwatch recluster_watch;
   const uint64_t generation = serving.recluster();
   const double recluster_sec = recluster_watch.elapsed_seconds();
   const uint64_t during_swap = reader_queries.load() - before_swap;
+  const double hwm_after_mib = proc_status_mib("VmHWM");
   stop.store(true);
   reader.join();
+  const double rss_growth_mib = rss_before_mib >= 0.0 && hwm_after_mib >= 0.0
+                                    ? hwm_after_mib - rss_before_mib
+                                    : 0.0;
 
   const size_t pending_after = serving.pending_pool_size();
   const uint64_t docs_since_after = serving.docs_since_recluster();
@@ -122,6 +158,11 @@ int run() {
   table.add_row({"QPS quiescent", fmt(qps_quiescent, 1)});
   table.add_row({"QPS during swap", fmt(qps_during_swap, 1)});
   table.add_row({"QPS dip fraction", fmt(dip_fraction, 3)});
+  table.add_row({"slowest query quiescent (ms)",
+                 fmt(max_query_quiescent_ms, 3)});
+  table.add_row({"slowest query during epoch (ms)",
+                 fmt(max_query_stall_ms, 3)});
+  table.add_row({"RSS growth (MiB)", fmt(rss_growth_mib, 1)});
   std::printf("recluster_epoch: background re-clustering cost\n");
   table.print(std::cout);
 
@@ -150,7 +191,12 @@ int run() {
     std::fprintf(out, "  \"recluster_sec\": %.6f,\n", recluster_sec);
     std::fprintf(out, "  \"qps_quiescent\": %.1f,\n", qps_quiescent);
     std::fprintf(out, "  \"qps_during_swap\": %.1f,\n", qps_during_swap);
-    std::fprintf(out, "  \"qps_dip_fraction\": %.4f\n", dip_fraction);
+    std::fprintf(out, "  \"qps_dip_fraction\": %.4f,\n", dip_fraction);
+    std::fprintf(out, "  \"max_query_quiescent_ms\": %.3f,\n",
+                 max_query_quiescent_ms);
+    std::fprintf(out, "  \"max_query_stall_ms\": %.3f,\n",
+                 max_query_stall_ms);
+    std::fprintf(out, "  \"rss_growth_mib\": %.1f\n", rss_growth_mib);
     std::fprintf(out, "}\n");
     std::fclose(out);
     std::printf("wrote BENCH_recluster.json\n");

@@ -97,6 +97,9 @@ ServingPipeline::ServingPipeline(RelatedPostPipeline pipeline,
   pending_pool_ = std::move(state.pending_pool);
   pending_size_.store(pending_pool_.size(), std::memory_order_relaxed);
   docs_since_.store(state.docs_since, std::memory_order_relaxed);
+  size_t bytes = 0;
+  for (const Document& d : pipeline_.docs()) bytes += d.footprint_bytes();
+  analysis_bytes_.store(bytes, std::memory_order_relaxed);
   ServingMetrics::get();  // register the serving catalog eagerly
 }
 
@@ -175,6 +178,8 @@ void ServingPipeline::publish_prepared(PreparedPost post) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   lock_wait.stop();
   DocId id = post.doc.id();
+  analysis_bytes_.fetch_add(post.doc.footprint_bytes(),
+                            std::memory_order_relaxed);
   double dist = 0.0;
   {
     obs::TraceScope publish(obs::Stage::kIndexPublish);

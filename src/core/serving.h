@@ -145,6 +145,13 @@ class ServingPipeline {
     return docs_since_.load(std::memory_order_relaxed);
   }
 
+  /// Bytes of this shard's document analyses: the running total of
+  /// Document::footprint_bytes over its documents, summed at construction
+  /// and grown by each publication (lock-free; gauge input).
+  size_t analysis_bytes() const {
+    return analysis_bytes_.load(std::memory_order_relaxed);
+  }
+
   /// Copy of the pending pool (diagnostics/persistence/tests).
   std::vector<DocId> pending_pool() const {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -254,6 +261,7 @@ class ServingPipeline {
   std::atomic<size_t> pending_size_{0};
   /// Documents ingested since the offline state was last (re)computed.
   std::atomic<uint64_t> docs_since_{0};
+  std::atomic<size_t> analysis_bytes_{0};
   const ReclusterOptions recluster_options_;
 };
 

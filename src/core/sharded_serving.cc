@@ -7,6 +7,7 @@
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -303,6 +304,11 @@ bool ShardedServing::init_shards(
   corpus_gauges_.generation = &r.gauge(
       "ibseg_offline_generation",
       "Offline generation: completed background reclusters.", tenant_only);
+  corpus_gauges_.analysis_bytes = &r.gauge(
+      "ibseg_analysis_bytes",
+      "Bytes of the tenant's document analyses (text, tokens, tags, "
+      "sentences, CM profiles), all shards; each analysis counted once.",
+      tenant_only);
   return true;
 }
 
@@ -311,6 +317,7 @@ void ShardedServing::refresh_corpus_gauges() const {
   size_t segments = 0;
   size_t postings_bytes = 0;
   size_t pending = 0;
+  size_t analysis_bytes = 0;
   for (uint32_t s = 0; s < num_shards(); ++s) {
     const ServingPipeline& shard = *shards_[s];
     const size_t shard_docs = shard.num_docs();
@@ -319,6 +326,7 @@ void ShardedServing::refresh_corpus_gauges() const {
     segments += shard.quiescent().matcher().num_segments();
     postings_bytes += shard.quiescent().matcher().postings_bytes();
     pending += shard.pending_pool_size();
+    analysis_bytes += shard.analysis_bytes();
   }
   corpus_gauges_.docs->set(static_cast<double>(docs));
   corpus_gauges_.segments->set(static_cast<double>(segments));
@@ -326,6 +334,7 @@ void ShardedServing::refresh_corpus_gauges() const {
   corpus_gauges_.pending_pool->set(static_cast<double>(pending));
   corpus_gauges_.generation->set(
       static_cast<double>(generation_.load(std::memory_order_relaxed)));
+  corpus_gauges_.analysis_bytes->set(static_cast<double>(analysis_bytes));
 }
 
 bool ShardedServing::open_persistence(bool fresh) {
@@ -631,10 +640,13 @@ uint64_t ShardedServing::recluster() {
   const uint32_t ns = num_shards();
 
   // Phase 1 — capture a consistent global cut under publish_mu_ shared:
-  // ingests (exclusive) are blocked for the duration of the copy, queries
-  // are not. Shard corpora are append-only in publication order, so the
-  // global order (seed_order_ then publication_order_) walks each shard's
-  // docs front to back with a plain per-shard cursor — no id lookup maps.
+  // ingests (exclusive) are blocked for the duration of the capture,
+  // queries are not. A captured document shares the live one's immutable
+  // analysis (a pointer copy), so the shadow generation built from it
+  // holds no second copy of the corpus. Shard corpora are append-only in
+  // publication order, so the global order (seed_order_ then
+  // publication_order_) walks each shard's docs front to back with a
+  // plain per-shard cursor — no id lookup maps.
   std::vector<Document> docs;
   std::vector<Segmentation> segs;
   std::vector<size_t> captured_per_shard(ns, 0);
@@ -693,9 +705,16 @@ uint64_t ShardedServing::recluster() {
   // Phase 3 — catch-up + swap under recluster_mu_ exclusive (queries
   // drain and block) then publish_mu_ exclusive (ingests block):
   // publications that landed during the shadow build are replayed into
-  // the new shard set through the deterministic publish path — copied
-  // from the OLD shards' tails, again by cursor — then every
-  // generation-scoped member swaps in one block.
+  // the new shard set through the deterministic publish path — taken
+  // from the OLD shards' tails, again by cursor, sharing their analyses —
+  // then every generation-scoped member swaps in one block. The old
+  // generation moves into these locals and is freed only after both
+  // locks are released, so no query or ingest waits for its destructors.
+  // Destruction runs in reverse declaration order: the old shards first,
+  // then the statistics board their stats sink points at.
+  std::unique_ptr<GlobalIndexStats> retired_stats;
+  std::shared_ptr<Vocabulary> retired_vocab;
+  std::vector<std::unique_ptr<ServingPipeline>> retired_shards;
   uint64_t gen = 0;
   {
     std::unique_lock<std::shared_mutex> gen_lock(recluster_mu_);
@@ -711,9 +730,9 @@ uint64_t ShardedServing::recluster() {
       post.seg = q.segmentations()[d];
       set.shards[s]->publish_prepared(std::move(post));
     }
-    shards_ = std::move(set.shards);
-    vocab_ = std::move(set.vocab);
-    stats_ = std::move(set.stats);
+    retired_shards = std::exchange(shards_, std::move(set.shards));
+    retired_vocab = std::exchange(vocab_, std::move(set.vocab));
+    retired_stats = std::exchange(stats_, std::move(set.stats));
     centroids_ = std::move(set.centroids);
     num_clusters_ = set.num_clusters;
     offline_pubs_ = captured_pubs;

@@ -372,10 +372,10 @@ class ShardedServing {
 
   /// Sets the tenant's corpus gauges (ibseg_corpus_docs,
   /// ibseg_index_segments, ibseg_postings_bytes, ibseg_pending_pool_size,
-  /// ibseg_offline_generation — all {tenant}) and every ibseg_shard_docs
-  /// to the current shard set's totals. Caller holds publish_mu_
-  /// exclusively or owns the instance outright (create/restore), so no
-  /// shard publishes while it reads.
+  /// ibseg_offline_generation, ibseg_analysis_bytes — all {tenant}) and
+  /// every ibseg_shard_docs to the current shard set's totals. Caller
+  /// holds publish_mu_ exclusively or owns the instance outright
+  /// (create/restore), so no shard publishes while it reads.
   void refresh_corpus_gauges() const;
 
   /// Write-ahead logs one ingest call's publications (`records` in
@@ -483,6 +483,7 @@ class ShardedServing {
     obs::Gauge* postings_bytes = nullptr;
     obs::Gauge* pending_pool = nullptr;
     obs::Gauge* generation = nullptr;
+    obs::Gauge* analysis_bytes = nullptr;
   };
   CorpusGauges corpus_gauges_;
   obs::Histogram* scatter_seconds_ = nullptr;

@@ -16,7 +16,7 @@ int sentence_style(const std::vector<Token>& tokens,
   for (size_t i = s.token_end; i > s.token_begin; --i) {
     const Token& t = tokens[i - 1];
     if (t.kind != TokenKind::kPunctuation) break;
-    if (t.text == "?") return 0;
+    if (t.lower == "?") return 0;
   }
   // Opens with a wh-word, or with aux/modal inversion ("Do you know...",
   // "Can I...", "Would it...").

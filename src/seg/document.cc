@@ -1,31 +1,72 @@
 #include "seg/document.h"
 
 #include <cassert>
+#include <utility>
 
 #include "nlp/cm_annotator.h"
 #include "nlp/pos_tagger.h"
 #include "obs/trace.h"
 
 namespace ibseg {
+namespace {
+
+/// Heap bytes of a vector's allocation.
+template <typename T>
+size_t capacity_bytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+/// Heap bytes of a string: 0 while it fits the inline (small-string)
+/// buffer, its allocation otherwise.
+size_t capacity_bytes(const std::string& s) {
+  constexpr size_t kInlineChars = std::string().capacity();
+  return s.capacity() > kInlineChars ? s.capacity() + 1 : 0;
+}
+
+}  // namespace
+
+const std::shared_ptr<const Document::Analysis>& Document::empty_analysis() {
+  static const std::shared_ptr<const Analysis> kEmpty =
+      std::make_shared<const Analysis>();
+  return kEmpty;
+}
+
+Document::Document() : a_(empty_analysis()) {}
+
+Document::Document(Document&& other) noexcept
+    : a_(std::exchange(other.a_, empty_analysis())) {}
+
+Document& Document::operator=(Document&& other) noexcept {
+  a_.swap(other.a_);
+  return *this;
+}
 
 Document Document::analyze(DocId id, std::string text) {
   // The one place every document flows through — corpus load, ingest
   // prepare, external queries — so this scope IS the "analyze" stage.
   obs::TraceScope analyze_stage(obs::Stage::kAnalyze);
-  Document d;
-  d.id_ = id;
-  d.text_ = std::move(text);
-  d.tokens_ = tokenize(d.text_);
-  d.tags_ = tag_tokens(d.tokens_);
-  d.sentences_ = split_sentences(d.tokens_, d.text_);
-  d.unit_profiles_ = annotate_sentences(d.tokens_, d.tags_, d.sentences_);
+  auto a = std::make_shared<Analysis>();
+  a->id = id;
+  a->text = std::move(text);
+  a->tokens = tokenize(a->text);
+  a->tags = tag_tokens(a->tokens);
+  a->sentences = split_sentences(a->tokens, a->text);
+  a->unit_profiles = annotate_sentences(a->tokens, a->tags, a->sentences);
 
-  d.prefix_profiles_.resize(d.sentences_.size() + 1);
-  for (size_t i = 0; i < d.sentences_.size(); ++i) {
-    d.prefix_profiles_[i + 1] = d.prefix_profiles_[i];
-    d.prefix_profiles_[i + 1].merge(d.unit_profiles_[i]);
+  a->prefix_profiles.resize(a->sentences.size() + 1);
+  for (size_t i = 0; i < a->sentences.size(); ++i) {
+    a->prefix_profiles[i + 1] = a->prefix_profiles[i];
+    a->prefix_profiles[i + 1].merge(a->unit_profiles[i]);
   }
-  return d;
+
+  size_t bytes = sizeof(Analysis) + capacity_bytes(a->text) +
+                 capacity_bytes(a->tokens) + capacity_bytes(a->tags) +
+                 capacity_bytes(a->sentences) +
+                 capacity_bytes(a->unit_profiles) +
+                 capacity_bytes(a->prefix_profiles);
+  for (const Token& t : a->tokens) bytes += capacity_bytes(t.lower);
+  a->footprint_bytes = bytes;
+  return Document(std::move(a));
 }
 
 CmProfile Document::range_profile(size_t begin, size_t end) const {
@@ -33,7 +74,8 @@ CmProfile Document::range_profile(size_t begin, size_t end) const {
   CmProfile p;
   for (size_t i = 0; i < p.counts.size(); ++i) {
     p.counts[i] =
-        prefix_profiles_[end].counts[i] - prefix_profiles_[begin].counts[i];
+        a_->prefix_profiles[end].counts[i] -
+        a_->prefix_profiles[begin].counts[i];
     // Floating-point subtraction can leave tiny negatives; clamp.
     if (p.counts[i] < 0.0) p.counts[i] = 0.0;
   }
@@ -43,16 +85,16 @@ CmProfile Document::range_profile(size_t begin, size_t end) const {
 size_t Document::border_char_offset(size_t u) const {
   assert(u <= num_units());
   if (num_units() == 0) return 0;
-  if (u == num_units()) return sentences_.back().char_end;
-  return sentences_[u].char_begin;
+  if (u == num_units()) return a_->sentences.back().char_end;
+  return a_->sentences[u].char_begin;
 }
 
 std::string_view Document::range_text(size_t begin, size_t end) const {
   assert(begin <= end && end <= num_units());
   if (begin == end) return {};
-  size_t b = sentences_[begin].char_begin;
-  size_t e = sentences_[end - 1].char_end;
-  return std::string_view(text_).substr(b, e - b);
+  size_t b = a_->sentences[begin].char_begin;
+  size_t e = a_->sentences[end - 1].char_end;
+  return std::string_view(a_->text).substr(b, e - b);
 }
 
 }  // namespace ibseg

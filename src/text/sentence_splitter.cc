@@ -20,7 +20,7 @@ bool is_abbreviation(const std::string& lower) {
 
 bool is_terminator(const Token& t) {
   return t.kind == TokenKind::kPunctuation &&
-         (t.text == "." || t.text == "!" || t.text == "?");
+         (t.lower == "." || t.lower == "!" || t.lower == "?");
 }
 
 // True when a newline separates the spans [prev.end, next.begin).
@@ -54,7 +54,7 @@ std::vector<Sentence> split_sentences(const std::vector<Token>& tokens,
   for (size_t i = 0; i < tokens.size(); ++i) {
     const Token& t = tokens[i];
     if (is_terminator(t)) {
-      if (t.text == "." && i > 0 && tokens[i - 1].is_word() &&
+      if (t.lower == "." && i > 0 && tokens[i - 1].is_word() &&
           is_abbreviation(tokens[i - 1].lower)) {
         continue;  // "e.g." — not a boundary
       }

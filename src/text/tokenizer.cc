@@ -22,8 +22,7 @@ constexpr std::array<std::string_view, 6> kApostropheClitics = {
 Token make_token(std::string_view text, size_t begin, size_t end,
                  TokenKind kind) {
   Token t;
-  t.text = std::string(text.substr(begin, end - begin));
-  t.lower = to_lower(t.text);
+  t.lower = to_lower(text.substr(begin, end - begin));
   t.kind = kind;
   t.begin = begin;
   t.end = end;

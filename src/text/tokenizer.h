@@ -15,11 +15,12 @@ enum class TokenKind {
   kPunctuation,  // single punctuation character
 };
 
-/// One token of a document, carrying both surface forms and the character
-/// span in the cleaned source text (the paper's annotation tool measures
-/// border agreement in character offsets, so spans must be exact).
+/// One token of a document: its lowercased form and its character span in
+/// the cleaned source text (the paper's annotation tool measures border
+/// agreement in character offsets, so spans must be exact). The surface
+/// form is not stored: it is `text.substr(begin, end - begin)` of the
+/// tokenized text, and for punctuation it equals `lower`.
 struct Token {
-  std::string text;    ///< Surface form as it appears in the source.
   std::string lower;   ///< ASCII-lowercased form.
   TokenKind kind = TokenKind::kWord;
   size_t begin = 0;    ///< Byte offset of the first character.

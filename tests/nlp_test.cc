@@ -205,6 +205,9 @@ TEST(CmAnnotator, InterrogativeStyle) {
   EXPECT_DOUBLE_EQ(q.count(CmKind::kStyle, 0), 1.0);
   CmProfile wh = profile_of("What should I do about it?");
   EXPECT_DOUBLE_EQ(wh.count(CmKind::kStyle, 0), 1.0);
+  // Declarative word order: only the final '?' marks the question.
+  CmProfile marked = profile_of("The printer prints blank pages?");
+  EXPECT_DOUBLE_EQ(marked.count(CmKind::kStyle, 0), 1.0);
 }
 
 TEST(CmAnnotator, NegativeStyle) {

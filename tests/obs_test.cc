@@ -341,10 +341,12 @@ void expect_corpus_gauges(const ShardedServing& serving,
   };
   size_t segments = 0;
   size_t postings_bytes = 0;
+  size_t analysis_bytes = 0;
   for (uint32_t s = 0; s < serving.num_shards(); ++s) {
-    const IntentionMatcher& m = serving.shard(s).quiescent().matcher();
-    segments += m.num_segments();
-    postings_bytes += m.postings_bytes();
+    const RelatedPostPipeline& p = serving.shard(s).quiescent();
+    segments += p.matcher().num_segments();
+    postings_bytes += p.matcher().postings_bytes();
+    for (const Document& d : p.docs()) analysis_bytes += d.footprint_bytes();
   }
   const std::string what = tenant + " " + when;
   ASSERT_EQ(serving.num_docs(), docs) << what;
@@ -359,6 +361,8 @@ void expect_corpus_gauges(const ShardedServing& serving,
       << what;
   EXPECT_EQ(gauge("ibseg_offline_generation"),
             static_cast<double>(serving.offline_generation()))
+      << what;
+  EXPECT_EQ(gauge("ibseg_analysis_bytes"), static_cast<double>(analysis_bytes))
       << what;
 }
 
@@ -403,8 +407,14 @@ TEST(ServingObservabilityTest, CorpusGaugesAreTenantTotals) {
   }
   EXPECT_GT(a->pending_pool_size(), 0u) << "the pool gauge is never nonzero";
 
+  // The new generation shares the old one's analyses: same bytes.
+  obs::Gauge& a_analysis = obs::MetricsRegistry::global().gauge(
+      "ibseg_analysis_bytes", "", {{"tenant", "gauges_a"}});
+  const double analysis_before = a_analysis.value();
+  EXPECT_GT(analysis_before, 0.0);
   ASSERT_EQ(a->recluster(), 1u);
   expect_corpus_gauges(*a, "gauges_a", a_docs, "after recluster");
+  EXPECT_EQ(a_analysis.value(), analysis_before);
   expect_corpus_gauges(*b, "gauges_b", b_docs, "after recluster");
   b->add_post(extra.posts[0].text);
   ++b_docs;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "seg/border_strategies.h"
 #include "seg/coherence.h"
 #include "seg/diversity.h"
@@ -101,6 +104,47 @@ TEST(Document, RangeText) {
 TEST(Document, EmptyDocument) {
   Document d = Document::analyze(0, "");
   EXPECT_EQ(d.num_units(), 0u);
+}
+
+TEST(Document, CopiesShareOneAnalysis) {
+  Document d = Document::analyze(3, kThreeIntentPost);
+  Document copy = d;
+  Document assigned;
+  assigned = d;
+  for (const Document* c : {&copy, &assigned}) {
+    EXPECT_EQ(c->id(), 3u);
+    EXPECT_EQ(c->text().data(), d.text().data());
+    EXPECT_EQ(c->tokens().data(), d.tokens().data());
+    EXPECT_EQ(c->sentences().data(), d.sentences().data());
+    EXPECT_EQ(c->footprint_bytes(), d.footprint_bytes());
+  }
+  // The payload holds at least its text, tokens and two profiles per unit.
+  EXPECT_GE(d.footprint_bytes(),
+            d.text().size() + d.tokens().size() * sizeof(Token) +
+                2 * d.num_units() * sizeof(CmProfile));
+  // A move hands the payload over and leaves the source empty.
+  Document moved = std::move(copy);
+  EXPECT_EQ(moved.tokens().data(), d.tokens().data());
+  EXPECT_EQ(copy.num_units(), 0u);
+  EXPECT_TRUE(copy.text().empty());
+}
+
+TEST(Document, DefaultIsEmptyAndCopyable) {
+  Document d;
+  EXPECT_EQ(d.id(), 0u);
+  EXPECT_TRUE(d.text().empty());
+  EXPECT_TRUE(d.tokens().empty());
+  EXPECT_TRUE(d.tags().empty());
+  EXPECT_EQ(d.num_units(), 0u);
+  EXPECT_EQ(d.border_char_offset(0), 0u);
+  EXPECT_TRUE(d.range_text(0, 0).empty());
+  Document copy = d;
+  EXPECT_EQ(copy.num_units(), 0u);
+  EXPECT_EQ(copy.footprint_bytes(), d.footprint_bytes());
+  std::vector<Document> slots(3);
+  slots[1] = Document::analyze(1, "One two. Three four.");
+  EXPECT_EQ(slots[0].num_units(), 0u);
+  EXPECT_EQ(slots[1].num_units(), 2u);
 }
 
 // ------------------------------------------------------------ diversity ----

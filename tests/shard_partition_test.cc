@@ -1,7 +1,8 @@
 // Property suite for the sharded-serving building blocks that everything
 // else leans on: the stable hash partitioner (core/sharded_serving.h
 // shard_of), the shard-manifest commit record (storage/shard_manifest.h),
-// and the id-aware make_snapshot overload that shard slices depend on.
+// the id-aware make_snapshot overload that shard slices depend on, and
+// the shared document analyses a recluster's new generation reuses.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/sharded_serving.h"
@@ -215,6 +217,47 @@ TEST(ShardSnapshot, NonContiguousIdsKeepTheirLabels) {
   ASSERT_TRUE(got.is_consistent());
   EXPECT_EQ(got.num_clusters, want.num_clusters);
   EXPECT_EQ(got.segment_labels, want.segment_labels);
+}
+
+// ------------------------------------------------------ shared analyses ----
+
+TEST(ShardedRecluster, NewGenerationSharesTheDocumentAnalyses) {
+  // A recluster captures the live documents and builds a new generation
+  // from them; the capture must share each document's analysis, not copy
+  // it, so the epoch never holds the corpus twice.
+  GeneratorOptions gen;
+  gen.num_posts = 24;
+  gen.seed = 9;
+  ServingOptions options;
+  options.num_shards = 2;
+  auto serving =
+      ShardedServing::create(analyze_corpus(generate_corpus(gen)), {}, options);
+  ASSERT_NE(serving, nullptr);
+  ASSERT_TRUE(
+      serving->add_post("My laptop will not boot. I tried safe mode.")
+          .has_value());
+  std::unordered_map<DocId, Document> before;
+  for (uint32_t s = 0; s < serving->num_shards(); ++s) {
+    for (const Document& d : serving->shard(s).quiescent().docs()) {
+      before.emplace(d.id(), d);
+    }
+  }
+  ASSERT_EQ(before.size(), 25u);
+
+  ASSERT_EQ(serving->recluster(), 1u);
+  size_t checked = 0;
+  for (uint32_t s = 0; s < serving->num_shards(); ++s) {
+    for (const Document& d : serving->shard(s).quiescent().docs()) {
+      auto it = before.find(d.id());
+      ASSERT_NE(it, before.end()) << d.id();
+      const Document& old = it->second;
+      EXPECT_EQ(d.text().data(), old.text().data()) << d.id();
+      EXPECT_EQ(d.tokens().data(), old.tokens().data()) << d.id();
+      EXPECT_EQ(d.sentences().data(), old.sentences().data()) << d.id();
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, before.size());
 }
 
 }  // namespace
