@@ -13,8 +13,9 @@
 //
 // Also reported: ingest latency with the WAL off / fsync=none /
 // fsync=every-append, isolating the durability tax on add_post, and the
-// per-post latency of add_posts batches at fsync=every-append (a batch
-// logs with one journal append and one append per touched shard WAL).
+// per-post latency of add_posts batches at fsync=every-append. Every
+// ingest call, single post or batch, is one append to the state
+// directory's one ingest log, so fsync=every pays one fsync per call.
 //
 // Results print as a table and are recorded in BENCH_persist_restore.json
 // (current working directory, like the other reproduce.sh outputs).

@@ -33,8 +33,8 @@
 // results are bit-identical at any N.
 //
 // Persistence flags (see docs/ARCHITECTURE.md §5): `--save=DIR` writes the
-// complete serving state as a state directory (per-shard snapshot v2 +
-// WAL, publication journal, manifest) after the command, and
+// complete serving state as a state directory (per-shard snapshot v2,
+// manifest, ingest log) after the command, and
 // `--restore=DIR` serves from such a directory instead of recomputing the
 // offline phase (the corpus file is then only consulted for scenario
 // annotation; the shard count comes from the directory) — together the
@@ -102,8 +102,8 @@ int usage() {
                "  --shards=N       serve through N hash-partitioned shards\n"
                "                   (default 1; bit-identical at any N)\n"
                "  --save=DIR       after serving, persist the full state as\n"
-               "                   a state directory (per-shard snapshot v2\n"
-               "                   + WAL, journal, manifest; see\n"
+               "                   a state directory (per-shard snapshot v2,\n"
+               "                   manifest, ingest log; see\n"
                "                   docs/ARCHITECTURE.md)\n"
                "  --restore=DIR    serve from a state directory instead of\n"
                "                   recomputing the offline phase\n"

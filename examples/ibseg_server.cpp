@@ -13,7 +13,7 @@
 //                        --restore, which reads the shard count from the
 //                        manifest)
 //   --state=DIR          durable state directory: enables the SAVE
-//                        command, attaches per-shard WALs so every
+//                        command, attaches the ingest log so every
 //                        acknowledged ADD_POST is durable, and saves on
 //                        drain. With --restore they are usually the same
 //                        directory.
@@ -58,7 +58,8 @@
 //                        directory). Bootstraps from that directory if it
 //                        holds committed state, otherwise fetches the
 //                        leader's snapshot over the wire; then tails the
-//                        leader's WAL, applying segments until drained.
+//                        leader's publications, applying segments until
+//                        drained.
 //                        The server runs read-only: ADD_POST/ADD_POSTS/
 //                        RECLUSTER answer ERROR/UNSUPPORTED.
 //   --replica-id=NAME    stable name for the lag gauges (default the
@@ -279,9 +280,9 @@ int main(int argc, char** argv) {
   }
 
   serving_options.num_shards = num_shards;
-  // --state wires sharded persistence: per-shard WALs absorb every
-  // acknowledged ingest the moment it publishes, making ADD_POST acks
-  // durable even before the drain-time snapshot.
+  // --state wires sharded persistence: the ingest log absorbs every
+  // acknowledged ingest before it publishes, making ADD_POST acks durable
+  // even before the drain-time snapshot.
   serving_options.persist.shard_dir = server_options.state_dir;
 
   std::unique_ptr<ShardedServing> backend;

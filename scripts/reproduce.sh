@@ -23,11 +23,13 @@
 #                           stress suite under ThreadSanitizer — one
 #                           instrumented build.
 #   IBSEG_PERSIST_CHECK=1   also run the persistence suites (snapshot v2 +
-#                           WAL formats, "storage") and the crash-injection
-#                           suite (fork + _exit mid-ingest, "killsafety")
-#                           under AddressSanitizer — one instrumented
-#                           build; the plain builds of both labels already
-#                           ran with the normal test step.
+#                           ingest log formats, "storage"), the
+#                           crash-injection suite (fork + _exit
+#                           mid-ingest, "killsafety") and the replication
+#                           suite, whose crash promotion parses a dead
+#                           leader's ingest log ("replication"), plainly
+#                           and under AddressSanitizer — one
+#                           instrumented build.
 #   IBSEG_FUZZ_CHECK=1      also run the fuzz targets (snapshot loader, WAL
 #                           replay, text unescaping, flat-postings seal +
 #                           dense kernel vs reference, wire-frame codec —
@@ -110,13 +112,16 @@ fi
 
 if [ "${IBSEG_PERSIST_CHECK:-0}" = "1" ]; then
   echo "== persistence + crash injection (IBSEG_PERSIST_CHECK=1) =="
-  # Plain run of both labels (fast; also covered by the full ctest above,
+  # Plain run of the labels (fast; also covered by the full ctest above,
   # repeated here so a persistence regression is named explicitly) ...
-  ctest --test-dir build -L 'storage|killsafety' --output-on-failure
+  ctest --test-dir build -L 'storage|killsafety|replication' \
+    --output-on-failure
   # ... then the same labels under ASan: the recovery paths shuffle raw
   # buffers (CRC frames, torn tails) and fork children that die by _exit,
+  # and the Promotion.* crash trials parse the dead leader's log —
   # exactly where a heap overflow would otherwise hide.
-  IBSEG_SAN_LABELS="storage|killsafety" scripts/check_sanitizers.sh address
+  IBSEG_SAN_LABELS="storage|killsafety|replication" \
+    scripts/check_sanitizers.sh address
 fi
 
 if [ "${IBSEG_FUZZ_CHECK:-0}" = "1" ]; then

@@ -25,13 +25,13 @@ namespace ibseg {
 /// Durability configuration for the serving layer (see
 /// ShardedServing::save/restore and docs/ARCHITECTURE.md §5).
 struct ServingPersistOptions {
-  /// fsync policy for WAL and journal appends (WalFsync::kEveryAppend by
+  /// fsync policy for ingest log appends (WalFsync::kEveryAppend by
   /// default — strongest; see the fsync policy table in
   /// docs/ARCHITECTURE.md).
   WalOptions wal;
-  /// Root directory of the deployment's durable state (per-shard WALs,
-  /// publication journal, snapshots + manifest on save). Empty (the
-  /// default) disables persistence.
+  /// Root directory of the deployment's durable state (the ingest log,
+  /// per-shard snapshots + manifest on save). Empty (the default)
+  /// disables persistence.
   std::string shard_dir;
 };
 
@@ -84,7 +84,7 @@ struct ServingOptions {
 /// One shard of a ShardedServing deployment: a RelatedPostPipeline slice
 /// behind a reader/writer lock. The scatter-gather layer owns everything
 /// deployment-wide — id reservation, analysis, publication order, the
-/// result cache, WAL + journal, recluster — and drives each shard through
+/// result cache, ingest log, recluster — and drives each shard through
 /// the primitives below:
 ///
 ///  * match_clusters and doc_cluster_terms run under the shared lock. The

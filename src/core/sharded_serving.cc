@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -33,11 +33,48 @@ std::string shard_snapshot_path(const std::string& dir, uint32_t s,
   if (gen == 0) return shard_subdir(dir, s) + "/snapshot.v2";
   return shard_subdir(dir, s) + "/snapshot.g" + std::to_string(gen) + ".v2";
 }
-std::string shard_wal_file(const std::string& dir, uint32_t s) {
-  return shard_subdir(dir, s) + "/wal";
+
+/// The logs of the earlier per-shard layout, which split the ingest log
+/// into a publication journal (ids) and one WAL per shard (texts).
+std::vector<std::string> legacy_logs(const std::string& dir,
+                                     uint32_t num_shards) {
+  std::vector<std::string> logs = {dir + "/ingest.order"};
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    logs.push_back(shard_subdir(dir, s) + "/wal");
+  }
+  return logs;
 }
-std::string journal_path(const std::string& dir) {
-  return dir + "/ingest.order";
+
+/// True when `dir` still holds records in a legacy log. A drained
+/// directory has them empty (its last save reset them); records there are
+/// acknowledged ingests of a crashed deployment, which this layout does
+/// not read, so restore and promotion refuse the directory instead of
+/// coming back without them.
+bool has_legacy_log_records(const std::string& dir, uint32_t num_shards) {
+  for (const std::string& path : legacy_logs(dir, num_shards)) {
+    std::error_code ec;
+    const uintmax_t size = std::filesystem::file_size(path, ec);
+    if (!ec && size > 0) return true;
+  }
+  return false;
+}
+
+/// A state directory's durable publication sequence: the manifest's
+/// publication order, then every logged record the manifest does not
+/// list, in log order (records a committed save already holds — left by a
+/// crash before the log reset — dedup away, as would a seed id). `*at`
+/// maps each logged id to its index in `log`.
+std::vector<DocId> durable_order(const ShardManifest& m,
+                                 const std::vector<WalRecord>& log,
+                                 std::unordered_map<DocId, size_t>* at) {
+  std::vector<DocId> order = m.publication_order;
+  std::unordered_set<DocId> listed(m.seed_order.begin(), m.seed_order.end());
+  listed.insert(order.begin(), order.end());
+  for (size_t i = 0; i < log.size(); ++i) {
+    at->emplace(log[i].id, i);
+    if (listed.insert(log[i].id).second) order.push_back(log[i].id);
+  }
+  return order;
 }
 
 /// One refined segment's term bag, interned into `vocab` — byte-for-byte
@@ -127,8 +164,17 @@ std::unique_ptr<ShardedServing> ShardedServing::create(
   s->gen_history_.push_back(GenSpan{0, 0});
   s->persist_dir_ = options.persist.shard_dir;
   s->wal_options_ = options.persist.wal;
-  if (!s->persist_dir_.empty() && !s->open_persistence(/*fresh=*/true)) {
-    return nullptr;
+  if (!s->persist_dir_.empty()) {
+    // A fresh deployment: whatever an earlier one logged there is stale,
+    // in this layout's log or in the legacy ones.
+    std::error_code ec;
+    for (const std::string& path : legacy_logs(s->persist_dir_, ns)) {
+      std::filesystem::remove(path, ec);
+    }
+    std::vector<WalRecord> stale;
+    if (!s->open_log(&stale) || (!stale.empty() && !s->log_->reset())) {
+      return nullptr;
+    }
   }
   return s;
 }
@@ -337,29 +383,12 @@ void ShardedServing::refresh_corpus_gauges() const {
   corpus_gauges_.analysis_bytes->set(static_cast<double>(analysis_bytes));
 }
 
-bool ShardedServing::open_persistence(bool fresh) {
+bool ShardedServing::open_log(std::vector<WalRecord>* replayed) {
   std::error_code ec;
   std::filesystem::create_directories(persist_dir_, ec);
   if (ec) return false;
-  for (uint32_t s = 0; s < num_shards(); ++s) {
-    std::filesystem::create_directories(shard_subdir(persist_dir_, s), ec);
-    if (ec) return false;
-  }
-  std::vector<WalRecord> discard;
-  journal_ = IngestWal::open(journal_path(persist_dir_), wal_options_,
-                             &discard);
-  if (journal_ == nullptr) return false;
-  if (fresh && !discard.empty() && !journal_->reset()) return false;
-  wals_.clear();
-  for (uint32_t s = 0; s < num_shards(); ++s) {
-    discard.clear();
-    std::unique_ptr<IngestWal> wal = IngestWal::open(
-        shard_wal_file(persist_dir_, s), wal_options_, &discard);
-    if (wal == nullptr) return false;
-    if (fresh && !discard.empty() && !wal->reset()) return false;
-    wals_.push_back(std::move(wal));
-  }
-  return true;
+  log_ = IngestWal::open(persist_dir_ + "/wal", wal_options_, replayed);
+  return log_ != nullptr;
 }
 
 uint64_t ShardedServing::epoch_unlocked() const {
@@ -565,33 +594,8 @@ PreparedPost ShardedServing::prepare(DocId id, std::string text) const {
   return post;
 }
 
-bool ShardedServing::log_locked(std::vector<WalRecord> records) {
-  if (journal_ == nullptr || records.empty()) return true;
-  // Journal first (global order), then the owners' WALs (payloads), then
-  // the index publish — so on replay a journal entry without WAL data
-  // means "never published" and is skipped, never guessed at.
-  const uint32_t ns = num_shards();
-  std::vector<WalRecord> entries;
-  std::vector<std::vector<WalRecord>> payloads(ns);
-  entries.reserve(records.size());
-  for (WalRecord& rec : records) {
-    entries.push_back(WalRecord{rec.id, std::string()});
-    payloads[shard_of(rec.id, ns)].push_back(std::move(rec));
-  }
-  const uint64_t journal_size = journal_->size();
-  std::vector<uint64_t> wal_sizes(ns);
-  for (uint32_t s = 0; s < ns; ++s) wal_sizes[s] = wals_[s]->size();
-  bool ok = journal_->append_batch(entries);
-  for (uint32_t s = 0; ok && s < ns; ++s) {
-    if (!payloads[s].empty()) ok = wals_[s]->append_batch(payloads[s]);
-  }
-  if (ok) return true;
-  // The failed append cut its own file back; cut back the ones before it.
-  if (journal_->size() != journal_size) journal_->truncate(journal_size);
-  for (uint32_t s = 0; s < ns; ++s) {
-    if (wals_[s]->size() != wal_sizes[s]) wals_[s]->truncate(wal_sizes[s]);
-  }
-  return false;
+bool ShardedServing::log_locked(const std::vector<WalRecord>& records) {
+  return log_ == nullptr || log_->append_batch(records);
 }
 
 void ShardedServing::publish_locked(uint32_t owner, PreparedPost post) {
@@ -617,7 +621,7 @@ std::optional<std::vector<DocId>> ShardedServing::add_posts(
   std::vector<WalRecord> logged;
   ids.reserve(texts.size());
   prepared.reserve(texts.size());
-  const bool logging = journal_ != nullptr;
+  const bool logging = log_ != nullptr;
   if (logging) logged.reserve(texts.size());
   for (std::string& text : texts) {
     DocId id = next_id_.fetch_add(1, std::memory_order_relaxed);
@@ -626,7 +630,7 @@ std::optional<std::vector<DocId>> ShardedServing::add_posts(
     prepared.push_back(prepare(id, std::move(text)));
   }
   std::unique_lock<std::shared_mutex> lock(publish_mu_);
-  if (!log_locked(std::move(logged))) return std::nullopt;
+  if (!log_locked(logged)) return std::nullopt;
   for (size_t i = 0; i < prepared.size(); ++i) {
     publish_locked(shard_of(ids[i], num_shards()), std::move(prepared[i]));
   }
@@ -798,12 +802,9 @@ bool ShardedServing::save(const std::string& dir) {
   // manifest (new snapshots are "ahead" — the legal direction); after it,
   // from the new one.
   if (!save_shard_manifest_file(m, dir + "/MANIFEST")) return false;
-  // Logged records are now baked into the snapshots; truncate AFTER the
+  // Logged records are now baked into the snapshots; reset AFTER the
   // commit so a crash in between merely replays-and-dedups.
-  if (journal_ != nullptr && dir == persist_dir_) {
-    for (auto& wal : wals_) wal->reset();
-    journal_->reset();
-  }
+  if (log_ != nullptr && dir == persist_dir_) log_->reset();
   // Post-commit garbage collection: earlier generations' snapshot files
   // are unreachable now (the manifest names this generation) — deleting
   // them is safe at any point after the commit, and a crash mid-sweep
@@ -843,7 +844,9 @@ std::unique_ptr<ShardedServing> ShardedServing::restore(
     ServingOptions options) {
   std::optional<ShardManifest> m =
       load_shard_manifest_file(dir + "/MANIFEST");
-  if (!m.has_value()) return nullptr;
+  if (!m.has_value() || has_legacy_log_records(dir, m->num_shards)) {
+    return nullptr;
+  }
   const uint32_t ns = m->num_shards;
   const uint64_t gen = m->generation;
   const size_t offline_pubs = static_cast<size_t>(m->offline_publications);
@@ -988,20 +991,11 @@ std::unique_ptr<ShardedServing> ShardedServing::restore(
   sp->persist_dir_ = dir;
   sp->wal_options_ = options.persist.wal;
 
-  // Open journal + WALs with replay (torn tails are truncated by open).
-  std::vector<WalRecord> journal_recs;
-  sp->journal_ =
-      IngestWal::open(journal_path(dir), sp->wal_options_, &journal_recs);
-  if (sp->journal_ == nullptr) return nullptr;
-  std::vector<std::unordered_map<DocId, std::string>> wal_text(ns);
-  for (uint32_t s = 0; s < ns; ++s) {
-    std::vector<WalRecord> recs;
-    std::unique_ptr<IngestWal> wal =
-        IngestWal::open(shard_wal_file(dir, s), sp->wal_options_, &recs);
-    if (wal == nullptr) return nullptr;
-    for (WalRecord& rec : recs) wal_text[s][rec.id] = std::move(rec.text);
-    sp->wals_.push_back(std::move(wal));
-  }
+  // Open the ingest log with replay (a torn tail is truncated by open).
+  std::vector<WalRecord> logged;
+  if (!sp->open_log(&logged)) return nullptr;
+  std::unordered_map<DocId, size_t> logged_at;
+  const std::vector<DocId> order = durable_order(*m, logged, &logged_at);
   // Snapshot tails: ingested documents baked into each shard snapshot
   // BEYOND its offline coverage, with their stored segmentations. (The
   // offline slice itself was consumed by the cold rebuild above.)
@@ -1012,23 +1006,19 @@ std::unique_ptr<ShardedServing> ShardedServing::restore(
     }
   }
 
-  // Replay every NOT-offline-covered publication in the recorded global
-  // order (the first offline_publications entries were restored with the
-  // offline corpus above). Manifest-listed publications are committed
-  // state: each must exist in its shard's snapshot tail or WAL, anything
-  // else is a torn directory. Journal entries beyond the manifest are the
-  // crash tail: already-published ids dedup away, ids with no durable
-  // payload were never published and are dropped (write-ahead order
-  // guarantees no later entry could have been). Replaying through
+  // Replay every NOT-offline-covered publication of the durable sequence
+  // (the first offline_publications entries were restored with the
+  // offline corpus above), each from its shard's snapshot tail or else
+  // from the log. Manifest-listed publications are committed state: one
+  // found in neither is a torn directory. Replaying through
   // publish_prepared also re-derives each shard's pending pool and
   // docs-since-recluster counter: every pool member is a post-recluster
   // ingest, so the replayed tail contains exactly the pool the save saw
-  // plus whatever journal-tail survivors joined it.
+  // plus whatever log-tail survivors joined it.
   DocId watermark = m->next_id;
-  std::unordered_set<DocId> published(offline_order.begin(),
-                                      offline_order.end());
-  auto replay_one = [&](DocId id) -> int {
-    uint32_t s = shard_of(id, ns);
+  for (size_t i = offline_pubs; i < order.size(); ++i) {
+    const DocId id = order[i];
+    const uint32_t s = shard_of(id, ns);
     PreparedPost post;
     auto tail = tail_pos[s].find(id);
     if (tail != tail_pos[s].end()) {
@@ -1036,23 +1026,12 @@ std::unique_ptr<ShardedServing> ShardedServing::restore(
       post.doc = Document::analyze(id, std::move(snaps[s].doc_texts[d]));
       post.seg = std::move(snaps[s].segmentations[d]);
     } else {
-      auto walled = wal_text[s].find(id);
-      if (walled == wal_text[s].end()) return -1;
-      post.doc = Document::analyze(id, std::move(walled->second));
-      Vocabulary scratch;
-      post.seg = sp->segmenter_.segment(post.doc, scratch);
+      auto log = logged_at.find(id);
+      if (log == logged_at.end()) return nullptr;
+      post = sp->prepare(id, std::move(logged[log->second].text));
     }
     sp->publish_locked(s, std::move(post));
-    published.insert(id);
     watermark = std::max(watermark, id + 1);
-    return 0;
-  };
-  for (size_t i = offline_pubs; i < m->publication_order.size(); ++i) {
-    if (replay_one(m->publication_order[i]) != 0) return nullptr;
-  }
-  for (const WalRecord& rec : journal_recs) {
-    if (published.count(rec.id) != 0) continue;
-    replay_one(rec.id);  // -1 = journaled but never published; skip
   }
   DocId seen = sp->next_id_.load(std::memory_order_relaxed);
   sp->next_id_.store(std::max(seen, watermark), std::memory_order_relaxed);
@@ -1176,79 +1155,52 @@ bool ShardedServing::apply_shipped(uint64_t base_seq,
 bool ShardedServing::catch_up_from_dir(const std::string& leader_dir) {
   std::optional<ShardManifest> m =
       load_shard_manifest_file(leader_dir + "/MANIFEST");
-  if (!m.has_value() || m->num_shards != num_shards()) return false;
-  const uint32_t ns = num_shards();
-  // Scan the dead leader's logs read-only: promotion must not mutate the
+  if (!m.has_value() || m->num_shards != num_shards() ||
+      has_legacy_log_records(leader_dir, m->num_shards)) {
+    return false;
+  }
+  // Scan the dead leader's log read-only: promotion must not mutate the
   // leader directory (forensics, or a second promotion attempt, may still
-  // need it). Torn tails are tolerated exactly like IngestWal::open — the
-  // scan stops at the first invalid frame. A missing file is an empty
-  // tail (the leader may have reset it at its last save).
-  auto read_tail = [](const std::string& path, std::vector<WalRecord>* out) {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) return;
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    const std::string data = ss.str();
-    wal_scan_frames(data.data(), data.size(), out);
-  };
-  std::vector<WalRecord> journal_recs;
-  read_tail(journal_path(leader_dir), &journal_recs);
-  std::vector<std::unordered_map<DocId, std::string>> wal_text(ns);
-  for (uint32_t s = 0; s < ns; ++s) {
-    std::vector<WalRecord> recs;
-    read_tail(shard_wal_file(leader_dir, s), &recs);
-    for (WalRecord& rec : recs) wal_text[s][rec.id] = std::move(rec.text);
+  // need it). A torn tail is tolerated exactly like IngestWal::open — the
+  // scan stops at the first invalid frame. A missing log is an empty tail
+  // (the leader may have reset it at its last save).
+  std::vector<WalRecord> logged;
+  {
+    std::ifstream is(leader_dir + "/wal", std::ios::binary);
+    const std::string data((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
+    wal_scan_frames(data.data(), data.size(), &logged);
   }
+  std::unordered_map<DocId, size_t> logged_at;
+  const std::vector<DocId> order = durable_order(*m, logged, &logged_at);
 
-  std::unique_lock<std::shared_mutex> lock(publish_mu_);
-  // Lineage checks: same seed order, and my applied history must replay a
-  // prefix of the leader's committed history.
-  if (seed_order_ != m->seed_order) return false;
-  const uint64_t my_pubs = publication_order_.size();
-  const uint64_t m_pubs = m->publication_order.size();
-  for (uint64_t seq = 0; seq < std::min(my_pubs, m_pubs); ++seq) {
-    if (publication_order_[seq] != m->publication_order[seq]) return false;
-  }
-  DocId watermark =
-      std::max(next_id_.load(std::memory_order_relaxed), m->next_id);
-  std::unordered_set<DocId> published(publication_order_.begin(),
-                                      publication_order_.end());
-  bool logged = true;
-  auto apply = [&](DocId id, bool required) -> bool {
-    const uint32_t s = shard_of(id, ns);
-    auto it = wal_text[s].find(id);
-    if (it == wal_text[s].end()) return !required;
-    PreparedPost post;
-    post.doc = Document::analyze(id, it->second);
-    Vocabulary scratch;
-    post.seg = segmenter_.segment(post.doc, scratch);
-    if (!log_locked({WalRecord{id, it->second}})) {
-      logged = false;
+  // Lineage checks: same seed order, and my applied history must be a
+  // prefix of the leader's durable one.
+  uint64_t applied = 0;
+  {
+    std::shared_lock<std::shared_mutex> lock(publish_mu_);
+    applied = publication_order_.size();
+    if (seed_order_ != m->seed_order || applied > order.size() ||
+        !std::equal(publication_order_.begin(), publication_order_.end(),
+                    order.begin())) {
       return false;
     }
-    publish_locked(s, std::move(post));
-    published.insert(id);
-    watermark = std::max(watermark, id + 1);
-    return true;
-  };
-  // Manifest-committed publications beyond my epoch are required: their
-  // payloads must still be in the leader's WAL tail (a committed save
-  // since would have advanced the manifest past them). If one is missing
-  // the follower lags a save boundary and must re-bootstrap, not promote.
-  for (uint64_t seq = my_pubs; seq < m_pubs; ++seq) {
-    if (!apply(m->publication_order[seq], /*required=*/true)) return false;
   }
-  // Journal tail beyond the manifest: already-applied ids dedup away;
-  // journaled-without-payload means the leader crashed before the WAL
-  // append — by write-ahead order it was never published, never
-  // acknowledged, and is dropped (mirrors restore()).
-  for (const WalRecord& rec : journal_recs) {
-    if (published.count(rec.id) != 0) continue;
-    apply(rec.id, /*required=*/false);
-    if (!logged) return false;
+  // Every leader publication past my epoch needs its text from the log.
+  // A manifest-committed one the log no longer holds means a save reset
+  // the log since: this follower lags a save boundary and must
+  // re-bootstrap, not promote. apply_shipped re-checks the cursor under
+  // the exclusive lock, so a publication racing in fails the call rather
+  // than reorder history.
+  std::vector<WalRecord> tail;
+  for (uint64_t seq = applied; seq < order.size(); ++seq) {
+    auto it = logged_at.find(order[seq]);
+    if (it == logged_at.end()) return false;
+    tail.push_back(std::move(logged[it->second]));
   }
+  if (!apply_shipped(applied, tail)) return false;
   DocId seen = next_id_.load(std::memory_order_relaxed);
-  next_id_.store(std::max(seen, watermark), std::memory_order_relaxed);
+  next_id_.store(std::max(seen, m->next_id), std::memory_order_relaxed);
   return true;
 }
 

@@ -20,7 +20,7 @@
 /// ShardedServing: the serving facade — N >= 1 ServingPipeline shards
 /// behind hash partitioning and scatter-gather, bit-identical to the
 /// unpartitioned pipeline at any shard count, with per-shard crash-safe
-/// persistence (docs/ARCHITECTURE.md §3, §6). The network front-end
+/// persistence (docs/ARCHITECTURE.md §3, §5, §6). The network front-end
 /// (net/server.h), the tenant registry, replicas and the CLI all serve
 /// through this class.
 
@@ -89,13 +89,13 @@ namespace ibseg {
 ///
 /// Persistence. save(dir) writes one snapshot-v2 per shard
 /// (dir/shard-<i>/snapshot.v2) and then commits dir/MANIFEST atomically
-/// (storage/shard_manifest.h); per-shard WALs (dir/shard-<i>/wal) and the
-/// publication-order journal (dir/ingest.order) absorb ingests between
-/// saves and are truncated after the manifest commit. restore(dir)
-/// rebuilds the global offline state from the shard slices, replays every
-/// publication in the recorded global order, and rejects torn directories
-/// (a shard snapshot shorter than its manifest entry, or a
-/// manifest-listed document missing from snapshot+WAL).
+/// (storage/shard_manifest.h). One ingest log (dir/wal) absorbs ingests
+/// between saves: (id, text) frames in publication order, byte for byte
+/// the frames ship_segment() builds, emptied after the manifest commit.
+/// restore(dir) rebuilds the global offline state from the shard slices,
+/// replays every publication in the recorded global order, and rejects
+/// torn directories (a shard snapshot shorter than its manifest entry, or
+/// a manifest-listed document missing from snapshot and log).
 class ShardedServing {
  public:
   /// The stable partition function: FNV-1a over the id's 4 little-endian
@@ -106,23 +106,26 @@ class ShardedServing {
   /// Builds a sharded deployment over `docs` (moved in). Shard count
   /// comes from options.num_shards (<= 1 means one shard — still exact,
   /// still scatter-gather, useful as the differential baseline). When
-  /// options.persist.shard_dir is set, per-shard WALs and the publication
-  /// journal are created under it (fresh — create() truncates any
-  /// leftovers; restore() is the recovery path). Returns nullptr only
-  /// when persistence directories cannot be created.
+  /// options.persist.shard_dir is set, the ingest log is created under it
+  /// (fresh — create() empties any leftover log; restore() is the
+  /// recovery path). Returns nullptr only when the directory or its log
+  /// cannot be created.
   static std::unique_ptr<ShardedServing> create(
       std::vector<Document> docs, const PipelineOptions& pipeline_options = {},
       ServingOptions options = {});
 
-  /// Warm restart from a directory written by save() (+ any WAL/journal
+  /// Warm restart from a directory written by save() (+ the ingest log's
   /// tail since). The shard count is read from the manifest;
   /// options.num_shards is ignored. Returns nullptr when the manifest or
   /// any shard snapshot is missing/corrupt, when a shard snapshot holds
   /// fewer documents than its manifest entry committed (stale snapshot —
   /// a torn directory, since snapshots are renamed before the manifest),
-  /// or when a manifest-listed publication is found in neither its
-  /// shard's snapshot nor its WAL. The restored instance reaches the
-  /// exact pre-crash combined epoch with bit-identical query results.
+  /// when a manifest-listed publication is found in neither its shard's
+  /// snapshot nor the log, or when the directory's earlier-layout logs
+  /// (ingest.order, shard-<i>/wal) still hold records — a crashed
+  /// deployment of the per-shard layout, to be drained by the binary
+  /// that wrote it. The restored instance reaches the exact pre-crash
+  /// combined epoch with bit-identical query results.
   static std::unique_ptr<ShardedServing> restore(
       const std::string& dir, const PipelineOptions& pipeline_options = {},
       ServingOptions options = {});
@@ -131,7 +134,7 @@ class ShardedServing {
   ShardedServing& operator=(const ShardedServing&) = delete;
 
   /// Persists every shard's snapshot, then commits the manifest (the
-  /// atomic commit point), then truncates WALs + journal — in that order,
+  /// atomic commit point), then empties the ingest log — in that order,
   /// so a crash anywhere leaves a restorable directory (see
   /// storage/shard_manifest.h for the window-by-window analysis). Runs
   /// under the global publication lock. Returns false with the previous
@@ -163,9 +166,9 @@ class ShardedServing {
   QueryResult find_related_external(const Document& doc, int k) const;
 
   /// Ingests one post into its hash-owner shard; returns the reserved id.
-  /// Analysis/segmentation run lock-free; the publication (journal + WAL
-  /// append + index publish) is serialized globally. add_posts of one
-  /// post: nullopt when the post could not be logged.
+  /// Analysis/segmentation run lock-free; the publication (log append +
+  /// index publish) is serialized globally. add_posts of one post:
+  /// nullopt when the post could not be logged.
   std::optional<DocId> add_post(std::string text);
 
   /// Batched ingestion. Every post is analyzed lock-free, then the batch
@@ -173,11 +176,11 @@ class ShardedServing {
   /// section: its posts take consecutive publication sequence numbers (no
   /// concurrent add_post lands between them) and the call returns — the
   /// acknowledgement — only after all of them are published. Logging is
-  /// one journal append for the batch, then one WAL append per touched
-  /// shard (one fsync per file under WalFsync::kEveryAppend), and it is
-  /// all or nothing: when any append fails, every log file is cut back to
-  /// its length before the call, nothing is published, and the call
-  /// returns nullopt (the reserved ids are burned). Publication is NOT
+  /// one log append for the batch, whatever shards it touches (one fsync
+  /// under WalFsync::kEveryAppend), and it is all or nothing: when the
+  /// append fails, the log is cut back to its length before the call,
+  /// nothing is published, and the call returns nullopt (the reserved ids
+  /// are burned). Publication is NOT
   /// atomic towards queries: each post publishes under its own shard's
   /// lock and queries never take the publication lock, so a concurrent
   /// query may observe a prefix of the batch.
@@ -231,17 +234,18 @@ class ShardedServing {
   // --- Replication (docs/ARCHITECTURE.md §10) -----------------------------
   //
   // The leader's publication sequence IS its replication log: seq n is the
-  // n-th entry of publication_order_, WAL order == publication order (PR 4),
-  // and replay through the publish path is deterministic (PR 5) — so a
-  // follower that applies shipped frames in sequence is bit-identical to
-  // the leader at every frame boundary, by construction. Because each
-  // shard retains its documents (and their texts) in memory, frames are
-  // reconstructed on demand from the live shards — no separate ship buffer,
-  // no WAL-file retention requirement on the leader.
+  // n-th entry of publication_order_, the ingest log holds the sequence
+  // since the last save frame for frame, and replay through the publish
+  // path is deterministic — so a follower that applies shipped frames in
+  // sequence is bit-identical to the leader at every frame boundary, by
+  // construction. Because each shard retains its documents (and their
+  // texts) in memory, frames are reconstructed on demand from the live
+  // shards — no separate ship buffer, no log-file retention requirement
+  // on the leader.
 
   /// One shippable cut of the publication sequence, in WAL frame encoding
-  /// (storage/wal_codec.h — byte-identical to what the leader's own WAL
-  /// appends carry).
+  /// (storage/wal_codec.h — byte-identical to what the leader's own ingest
+  /// log appends carry).
   struct ShipSegment {
     enum class Status {
       kOk,              ///< frames returned (possibly zero when caught up)
@@ -280,26 +284,28 @@ class ShardedServing {
   /// Records at sequences already applied are checked for id agreement and
   /// skipped (duplicate delivery is legal); a sequence gap fails — applying
   /// past one would reorder publication. Persistence-enabled followers
-  /// journal applied frames exactly like local ingests, so a follower
+  /// log applied frames exactly like local ingests, so a follower
   /// restart (and promotion) recovers from its own directory; a segment
   /// whose logging fails is applied not at all (add_posts' rule). Returns
   /// false on gap, id mismatch (divergent histories) or a failed log.
   bool apply_shipped(uint64_t base_seq,
                      const std::vector<WalRecord>& records);
 
-  /// Crash promotion: drains the dead leader's on-disk tail (journal +
-  /// per-shard WALs under leader_dir, scanned read-only — torn tails are
-  /// tolerated, the files are never modified) into this instance, which
-  /// must be a caught-up follower of the same lineage (same seed order,
-  /// publication history a prefix-compatible replay). Every acknowledged
-  /// leader ingest is on disk by write-ahead order, so after this returns
-  /// true the promoted instance has lost none of them; journal entries
-  /// without a durable WAL payload were never acknowledged and are
-  /// skipped. Returns false on lineage mismatch, a failed log append, or
-  /// a manifest-committed publication whose payload is unrecoverable (the
-  /// follower is too stale to promote from tails alone — re-bootstrap
-  /// instead). The
-  /// caller must have stopped applying shipped segments first.
+  /// Crash promotion: drains the dead leader's on-disk tail (the ingest
+  /// log under leader_dir, scanned read-only — a torn tail is tolerated,
+  /// the file is never modified) into this instance, which must be a
+  /// follower of the same lineage (same seed order, publication history a
+  /// prefix of the leader's). The leader's durable sequence is its
+  /// manifest's publication order followed by every logged record the
+  /// manifest does not list; the part past this instance's epoch is
+  /// applied through apply_shipped(). Every acknowledged leader ingest is
+  /// on disk by write-ahead order, so after this returns true the
+  /// promoted instance has lost none of them. Returns false on lineage
+  /// mismatch, a failed log append, a manifest-committed publication
+  /// whose text the log no longer holds (the follower is too stale to
+  /// promote from the tail alone — re-bootstrap instead), or earlier-layout
+  /// logs holding records (as restore()). The caller must have stopped
+  /// applying shipped segments first.
   bool catch_up_from_dir(const std::string& leader_dir);
 
   /// Shard access for tests/diagnostics.
@@ -355,9 +361,9 @@ class ShardedServing {
                    const std::vector<ServingPipeline::RestoreState>*
                        shard_states = nullptr);
 
-  /// Opens (or creates) WALs + journal under persist_dir_. When `fresh`,
-  /// existing contents are truncated (create() path).
-  bool open_persistence(bool fresh);
+  /// Opens (or creates) the ingest log persist_dir_/wal, its complete
+  /// records landing in `*replayed`.
+  bool open_log(std::vector<WalRecord>* replayed);
 
   QueryResult scatter_gather(
       const std::vector<std::pair<int, TermVector>>& queries, DocId exclude,
@@ -379,13 +385,10 @@ class ShardedServing {
   void refresh_corpus_gauges() const;
 
   /// Write-ahead logs one ingest call's publications (`records` in
-  /// publication order), all or nothing: the journal entries (ids) in one
-  /// append, then each touched shard's WAL records in one append,
-  /// ascending shard order. On any failure every file the call wrote is
-  /// cut back to its length before the call and false is returned; the
-  /// caller then publishes none of them. True without writing when
+  /// publication order) in one all-or-nothing append; on failure the
+  /// caller publishes none of them. True without writing when
   /// persistence is off. Caller holds publish_mu_ exclusively.
-  bool log_locked(std::vector<WalRecord> records);
+  bool log_locked(const std::vector<WalRecord>& records);
 
   /// Publication body shared by every ingest path and restore replay;
   /// caller holds publish_mu_ exclusively and has logged the post first
@@ -423,9 +426,8 @@ class ShardedServing {
   uint64_t offline_pubs_ = 0;
 
   /// Global publication order lock: exclusive for publications and save()
-  /// (board order == vocabulary order == journal order == publication
-  /// order), shared for external-query vocabulary lookups. Queries never
-  /// take it.
+  /// (board order == vocabulary order == log order == publication order),
+  /// shared for external-query vocabulary lookups. Queries never take it.
   mutable std::shared_mutex publish_mu_;
   std::vector<DocId> seed_order_;         ///< immutable after construction
   std::vector<DocId> publication_order_;  ///< guarded by publish_mu_
@@ -455,8 +457,7 @@ class ShardedServing {
   /// Persistence (empty dir = disabled).
   std::string persist_dir_;
   WalOptions wal_options_;
-  std::vector<std::unique_ptr<IngestWal>> wals_;  ///< guarded by publish_mu_
-  std::unique_ptr<IngestWal> journal_;            ///< guarded by publish_mu_
+  std::unique_ptr<IngestWal> log_;  ///< guarded by publish_mu_
 
   /// Result cache above the scatter layer (combined-epoch invalidation).
   mutable std::unique_ptr<QueryCache> cache_;

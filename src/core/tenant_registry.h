@@ -15,7 +15,7 @@
 /// TenantRegistry: N fully isolated ShardedServing corpora (one per forum
 /// / tenant) behind one process (docs/ARCHITECTURE.md §11). Each tenant
 /// owns its documents, vocabulary, statistics board, query cache,
-/// snapshots, WALs and offline generation; tenants share only the
+/// snapshots, ingest log and offline generation; tenants share only the
 /// process-wide metrics registry (where every per-instance series carries
 /// a `tenant` label) and the threads that call them. The network front-end
 /// (net/server.h) routes connection-bound requests here.
@@ -28,7 +28,7 @@ namespace ibseg {
 /// capacity / shard count / recluster policy apply uniformly.
 struct TenantRegistryOptions {
   /// Root of the durable state tree. Each tenant persists under
-  /// `<state_root>/tenant-<name>/` (its own snapshots + WALs + MANIFEST —
+  /// `<state_root>/tenant-<name>/` (its own snapshots + log + MANIFEST —
   /// there is no cross-tenant commit point, by design: tenants are
   /// independent failure domains). Empty disables persistence for every
   /// tenant.

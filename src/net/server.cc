@@ -865,7 +865,7 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
     *type = MsgType::kError;
     encode_error({ErrCode::kBadRequest, message}, payload);
   };
-  // The journal or a WAL append failed: the posts were not published.
+  // The ingest log append failed: the posts were not published.
   auto ingest_failed = [&] {
     *type = MsgType::kError;
     encode_error({ErrCode::kInternal, "ingest could not be logged"}, payload);
@@ -1101,7 +1101,7 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
         return;
       }
       // Save first: the listing must describe a committed, self-contained
-      // state (shard WALs truncated, manifest covering every publication),
+      // state (ingest log truncated, manifest covering every publication),
       // so a bootstrap that fetches exactly the listed files restores to a
       // clean frame boundary.
       if (!work.backend->save(work.state_dir)) {

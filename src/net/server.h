@@ -69,7 +69,7 @@ struct ServerOptions {
 
   /// Directory the SAVE command persists to, and the drain path's final
   /// publication barrier (ShardedServing::save: snapshot every shard,
-  /// commit the manifest, truncate the WALs). Empty disables SAVE
+  /// commit the manifest, truncate the ingest log). Empty disables SAVE
   /// (answered with ERROR/UNSUPPORTED) and skips the save-on-drain.
   std::string state_dir;
 

@@ -27,8 +27,8 @@ struct ReplicaOptions {
 
   /// The replica's own state directory — REQUIRED. Bootstrap restores
   /// from it when it holds a committed manifest, and fetches the leader's
-  /// snapshot into it otherwise; every applied segment is journaled under
-  /// it, so a replica restart (and a promotion) recovers locally.
+  /// snapshot into it otherwise; every applied segment is logged in its
+  /// ingest log, so a replica restart (and a promotion) recovers locally.
   std::string dir;
 
   /// Stable name for the leader's per-replica lag gauge

@@ -49,6 +49,9 @@ Document Document::analyze(DocId id, std::string text) {
   a->id = id;
   a->text = std::move(text);
   a->tokens = tokenize(a->text);
+  // tokenize grows its vector by doubling; the analysis lives as long as
+  // the document, so drop the unused slots (~30% of them) once.
+  a->tokens.shrink_to_fit();
   a->tags = tag_tokens(a->tokens);
   a->sentences = split_sentences(a->tokens, a->text);
   a->unit_profiles = annotate_sentences(a->tokens, a->tags, a->sentences);

@@ -20,26 +20,27 @@ struct ShardManifestEntry {
 };
 
 /// The commit record of a sharded save (core/sharded_serving.h). A sharded
-/// persist directory holds one snapshot-v2 file and one WAL per shard
-/// (shard-<i>/snapshot.v2, shard-<i>/wal), a publication-order journal
-/// (ingest.order), and this manifest (MANIFEST) — written last, atomically,
-/// after every shard snapshot has been renamed into place, so its presence
-/// asserts that every state it describes is on disk. Restore composes the
-/// shards back into the unpartitioned publication history:
+/// persist directory holds one snapshot-v2 file per shard
+/// (shard-<i>/snapshot.v2), one ingest log (wal: (id, text) frames in
+/// publication order since the last save), and this manifest (MANIFEST) —
+/// written last, atomically, after every shard snapshot has been renamed
+/// into place, so its presence asserts that every state it describes is on
+/// disk. Restore composes the shards back into the unpartitioned
+/// publication history:
 ///
 ///   * seed_order is the global document order of the seed corpus — the
 ///     order segmentation/clustering/vocabulary seeding iterate in, which
 ///     fixes TermIds and the statistics board's unit order.
 ///   * publication_order is the global order of every online ingest baked
-///     into the shard snapshots. Ingests after the save live in the shard
-///     WALs, ordered by the ingest.order journal.
+///     into the shard snapshots. Ingests after the save live in the
+///     ingest log, in publication order.
 ///   * shards[i] lets restore detect a torn directory: a shard snapshot
 ///     holding fewer documents than its manifest entry claims cannot be the
 ///     one this manifest committed (snapshots are renamed before the
 ///     manifest), so restore must reject it rather than resurrect a
 ///     shorter history. The reverse — snapshot ahead of manifest — is the
 ///     legal crash window between shard renames and the manifest commit,
-///     recovered via WAL replay dedup.
+///     recovered via log replay dedup.
 struct ShardManifest {
   uint32_t num_shards = 0;
   DocId next_id = 0;

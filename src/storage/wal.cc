@@ -138,9 +138,18 @@ bool IngestWal::append_frames(const WalRecord* records, size_t count) {
     return true;
   }
   // A failed write may have left a partial frame behind, and a failed
-  // fsync leaves frames the caller will not acknowledge: cut both back.
+  // fsync leaves frames the caller will not acknowledge: cut both back to
+  // the length before the call (fsync'd under a durable policy; lseek as
+  // well, since the file offset sits wherever the failed write left it).
+  // A cut that fails breaks the log until reset().
   unsynced_ = unsynced;
-  truncate(start);
+  if (::ftruncate(fd_, static_cast<off_t>(start)) != 0 ||
+      ::lseek(fd_, static_cast<off_t>(start), SEEK_SET) < 0 ||
+      (options_.fsync != WalFsync::kNone && ::fsync(fd_) != 0)) {
+    broken_ = true;
+  } else {
+    size_ = start;
+  }
   return false;
 }
 
@@ -150,20 +159,6 @@ bool IngestWal::append(const WalRecord& record) {
 
 bool IngestWal::append_batch(const std::vector<WalRecord>& records) {
   return append_frames(records.data(), records.size());
-}
-
-bool IngestWal::truncate(uint64_t size) {
-  if (broken_) return false;
-  const bool durable = options_.fsync != WalFsync::kNone;
-  // lseek as well: the file offset sits wherever a failed write left it.
-  if (::ftruncate(fd_, static_cast<off_t>(size)) != 0 ||
-      ::lseek(fd_, static_cast<off_t>(size), SEEK_SET) < 0 ||
-      (durable && ::fsync(fd_) != 0)) {
-    broken_ = true;
-    return false;
-  }
-  size_ = size;
-  return true;
 }
 
 bool IngestWal::sync() {

@@ -86,16 +86,6 @@ class IngestWal {
   /// nothing, like append().
   bool append_batch(const std::vector<WalRecord>& records);
 
-  /// Length of the log in bytes: the end of the last appended frame.
-  uint64_t size() const { return size_; }
-
-  /// Cuts the log back to `size` bytes, a length size() reported earlier
-  /// (a caller undoing appends that succeeded, because a sibling log's
-  /// append in the same ingest call failed). Under a durable fsync policy
-  /// the cut is fsync'd too. Returns false — and the log refuses appends
-  /// until reset() — when the cut fails.
-  bool truncate(uint64_t size);
-
   /// Forces an fsync regardless of policy.
   bool sync();
 
@@ -109,7 +99,7 @@ class IngestWal {
   bool reset();
 
   /// Records appended through this handle by calls that succeeded
-  /// (excludes replayed ones; truncate() does not subtract).
+  /// (excludes replayed ones).
   uint64_t appended() const { return appended_; }
 
   const std::string& path() const { return path_; }
@@ -126,7 +116,7 @@ class IngestWal {
   int fd_ = -1;
   std::string path_;
   WalOptions options_;
-  uint64_t size_ = 0;
+  uint64_t size_ = 0;  ///< the end of the last appended frame
   uint64_t appended_ = 0;
   size_t unsynced_ = 0;  ///< appends since the last fsync (kEveryN)
   bool broken_ = false;  ///< a cut back failed; appends refused

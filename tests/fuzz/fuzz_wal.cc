@@ -52,7 +52,7 @@ std::vector<std::string> fuzz_seed_inputs() {
       ibseg::IngestWal::open(path, options, &replayed);
   if (wal != nullptr) {
     wal->append({7, "first logged post text"});
-    wal->append({8, ""});  // empty payload text (journal records use these)
+    wal->append({8, ""});  // empty payload text (an empty post)
     wal->append({9, std::string("binary \x01\x02\xff bytes and \n newline")});
     wal.reset();
     std::ifstream is(path, std::ios::binary);

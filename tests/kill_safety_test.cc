@@ -1,13 +1,13 @@
 // Crash-injection suite (ctest label "killsafety"): a child process is
 // forked, ingests posts through the WAL-backed serving layer, and is
 // killed with _exit(2) mid-stream at a randomized point K. The parent
-// then performs the warm restart (state directory: snapshot v2 + WAL +
-// journal replay) and asserts recovery lands on the EXACT pre-crash
+// then performs the warm restart (state directory: snapshot v2 + ingest
+// log replay) and asserts recovery lands on the EXACT pre-crash
 // published state: epoch == K and find_related answers bit-identical to a
 // never-crashed reference that ingested the same first K posts.
 //
 // _exit skips every destructor and flush — the strongest process-death
-// model short of SIGKILL, and deterministic. The WAL writes each frame
+// model short of SIGKILL, and deterministic. The log writes each frame
 // with a single write(2) before publication, so a post whose add_post
 // returned must survive; a post mid-append may only ever be torn at the
 // tail, which replay truncates.
@@ -113,13 +113,13 @@ void write_base_dir(const std::string& dir) {
 /// One crash trial: child restores the directory, ingests `crash_after`
 /// posts from the deterministic stream, then dies with _exit. Parent
 /// recovers and compares against a never-crashed reference at the same
-/// epoch. `torn_tail_bytes` is appended to the WAL between crash and
+/// epoch. `torn_tail_bytes` is appended to the log between crash and
 /// recovery to additionally exercise torn-tail truncation.
 void run_crash_trial(size_t crash_after, const std::string& torn_tail_bytes) {
   const std::vector<std::string> stream = ingest_stream();
   ASSERT_LE(crash_after, stream.size());
   std::string dir = tmp_path("state");
-  std::string wal_file = dir + "/shard-0/wal";
+  std::string wal_file = dir + "/wal";
   write_base_dir(dir);
 
   pid_t pid = fork();
@@ -159,7 +159,7 @@ void run_crash_trial(size_t crash_after, const std::string& torn_tail_bytes) {
   for (size_t i = 0; i < crash_after; ++i) reference.add_post(stream[i]);
   expect_identical_answers(*recovered, reference);
 
-  // Recovery is stable: restoring again from the same files (the WAL now
+  // Recovery is stable: restoring again from the same files (the log now
   // holds the same K records) reproduces the same state.
   recovered.reset();
   auto again = ShardedServing::restore(dir);
@@ -192,19 +192,18 @@ TEST(KillSafety, TornWalTailIsTruncatedNeverReplayed) {
   run_crash_trial(2, std::string("\xff\x00\x00\x00\x01\x02\x03\x04", 8));
 }
 
-// A WAL append that fails (here: EFBIG, the file-size limit cutting the
+// A log append that fails (here: EFBIG, the file-size limit cutting the
 // frame short) must leave no trace. The child lowers RLIMIT_FSIZE to just
-// past the WAL's size, so the journal entry of the next post fits but its
-// WAL frame is written only in part: add_post must fail without
-// publishing, and both files must be cut back to their lengths before the
-// call — a partial frame left behind would make replay drop every later
-// record. With the limit raised again, the next post is acknowledged.
-// The parent restores: the failed post is absent, the later one present.
+// past the log's size, so the next post's frame is written only in part:
+// add_post must fail without publishing, and the log must be cut back to
+// its length before the call — a partial frame left behind would make
+// replay drop every later record. With the limit raised again, the next
+// post is acknowledged. The parent restores: the failed post is absent,
+// the later one present.
 TEST(KillSafety, FailedWalAppendIsNeitherPublishedNorRestored) {
   const std::vector<std::string> stream = ingest_stream();
   std::string dir = tmp_path("efbig");
-  const std::string wal_file = dir + "/shard-0/wal";
-  const std::string journal_file = dir + "/ingest.order";
+  const std::string wal_file = dir + "/wal";
   write_base_dir(dir);
   DocId first = 0;
   {
@@ -222,7 +221,6 @@ TEST(KillSafety, FailedWalAppendIsNeitherPublishedNorRestored) {
     if (serving->add_post(stream[0]) != first) _exit(41);
     if (serving->add_post(stream[1]) != first + 1) _exit(42);
     const uintmax_t wal_size = std::filesystem::file_size(wal_file);
-    const uintmax_t journal_size = std::filesystem::file_size(journal_file);
     const uint64_t epoch = serving->epoch();
     std::signal(SIGXFSZ, SIG_IGN);  // EFBIG instead of death
     rlimit old_limit{};
@@ -236,7 +234,6 @@ TEST(KillSafety, FailedWalAppendIsNeitherPublishedNorRestored) {
       if (d.id() == first + 2) _exit(47);
     }
     if (std::filesystem::file_size(wal_file) != wal_size) _exit(48);
-    if (std::filesystem::file_size(journal_file) != journal_size) _exit(49);
     if (setrlimit(RLIMIT_FSIZE, &old_limit) != 0) _exit(50);
     if (serving->add_post(stream[3]) != first + 3) _exit(51);
     _exit(kChildExitCode);
@@ -262,13 +259,12 @@ TEST(KillSafety, FailedWalAppendIsNeitherPublishedNorRestored) {
 }
 
 TEST(KillSafety, CrashBetweenSnapshotAndWalTruncation) {
-  // The save()-time crash window: snapshot and manifest committed, WAL and
-  // journal not yet reset. Replay must skip every record already baked
-  // into the snapshot.
+  // The save()-time crash window: snapshot and manifest committed, log not
+  // yet reset. Replay must skip every record already baked into the
+  // snapshot.
   const std::vector<std::string> stream = ingest_stream();
   std::string dir = tmp_path("state_window");
-  std::string wal_file = dir + "/shard-0/wal";
-  std::string journal_file = dir + "/ingest.order";
+  std::string wal_file = dir + "/wal";
   write_base_dir(dir);
 
   pid_t pid = fork();
@@ -277,16 +273,13 @@ TEST(KillSafety, CrashBetweenSnapshotAndWalTruncation) {
     auto serving = ShardedServing::restore(dir);
     if (serving == nullptr) _exit(42);
     for (size_t i = 0; i < 4; ++i) serving->add_post(stream[i]);
-    // Simulate the torn save: capture the logs, save (which truncates
-    // them), then put the stale logs back — the on-disk state of a
-    // process that died after the manifest commit but before the
-    // truncation hit the disk.
+    // Simulate the torn save: capture the log, save (which truncates it),
+    // then put the stale log back — the on-disk state of a process that
+    // died after the manifest commit but before the truncation hit the
+    // disk.
     std::string stale_wal = slurp(wal_file);
-    std::string stale_journal = slurp(journal_file);
     if (!serving->save(dir)) _exit(43);
-    if (!spew(wal_file, stale_wal) || !spew(journal_file, stale_journal)) {
-      _exit(44);
-    }
+    if (!spew(wal_file, stale_wal)) _exit(44);
     _exit(kChildExitCode);
   }
   int status = 0;
@@ -296,7 +289,7 @@ TEST(KillSafety, CrashBetweenSnapshotAndWalTruncation) {
 
   auto recovered = ShardedServing::restore(dir);
   ASSERT_NE(recovered, nullptr);
-  // The four posts are in the snapshot; the stale WAL's copies of them
+  // The four posts are in the snapshot; the stale log's copies of them
   // must be skipped, not published a second time.
   EXPECT_EQ(recovered->epoch(), 4u);
   EXPECT_EQ(recovered->num_docs(),
@@ -312,8 +305,8 @@ TEST(KillSafety, CrashBetweenSnapshotAndWalTruncation) {
 // ==================================================== sharded deployments ====
 //
 // Same crash model, four hash-partitioned shards: the child restores a
-// sharded directory (per-shard snapshot-v2 + per-shard WAL + global
-// publication journal + manifest), ingests mid-stream, dies with _exit.
+// sharded directory (per-shard snapshot-v2 + one ingest log + manifest),
+// ingests mid-stream, dies with _exit.
 // Recovery must land on the exact pre-crash combined epoch with answers
 // bit-identical to BOTH a never-crashed 4-shard deployment and the
 // unpartitioned pipeline at the same logical epoch — the sharded layer's
@@ -328,10 +321,9 @@ std::string tmp_dir(const std::string& name) {
 
 /// All mutable files of a 4-shard persist directory, for capture/rollback.
 std::vector<std::string> shard_dir_files(const std::string& dir) {
-  std::vector<std::string> files = {dir + "/MANIFEST", dir + "/ingest.order"};
+  std::vector<std::string> files = {dir + "/MANIFEST", dir + "/wal"};
   for (uint32_t s = 0; s < kShards; ++s) {
     files.push_back(dir + "/shard-" + std::to_string(s) + "/snapshot.v2");
-    files.push_back(dir + "/shard-" + std::to_string(s) + "/wal");
   }
   return files;
 }
@@ -379,7 +371,7 @@ void run_sharded_crash_trial(size_t crash_after) {
     auto sharded = ShardedServing::restore(dir);
     if (sharded == nullptr) _exit(42);
     for (size_t i = 0; i < crash_after; ++i) sharded->add_post(stream[i]);
-    _exit(kChildExitCode);  // journal + WAL tails unflushed by destructors
+    _exit(kChildExitCode);  // log tail unflushed by destructors
   }
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
@@ -415,19 +407,20 @@ TEST(ShardedKillSafety, FourShardCrashMidIngestRecoversBitIdentical) {
   }
 }
 
-// add_posts' all-or-nothing rule across files. A batch spread over two
-// shards is logged journal first, then each touched shard's WAL in shard
-// order. A forked child sets RLIMIT_FSIZE so the journal and the lower
-// shard's WAL take the batch's records but the higher shard's WAL does
-// not: the call must fail, publish none of the batch, and cut every file
-// back to its length before the call — the ones whose appends succeeded
-// too. A batch added after the limit is raised is acknowledged; the
-// parent restores it, and nothing of the failed batch.
+// add_posts' all-or-nothing rule. A batch spread over two shards is
+// logged in one append to the one ingest log. A forked child sets
+// RLIMIT_FSIZE inside the batch's last frame, so every frame before it is
+// written whole: the call must fail, publish none of the batch on any
+// shard, and cut the log back to its length before the call — the
+// complete frames too, since the batch is not acknowledged. A batch added
+// after the limit is raised is acknowledged; the parent restores it, and
+// nothing of the failed batch.
 TEST(ShardedKillSafety, FailedBatchAppendPublishesNoneOfTheBatch) {
   const std::vector<std::string> stream = ingest_stream();
   std::string dir = tmp_dir("efbig_batch");
   std::filesystem::remove_all(dir);
   write_base_shard_dir(dir);
+  const std::string wal_file = dir + "/wal";
   DocId first = 0;
   {
     auto probe = ShardedServing::restore(dir);
@@ -435,8 +428,7 @@ TEST(ShardedKillSafety, FailedBatchAppendPublishesNoneOfTheBatch) {
     first = probe->next_id();
   }
   // The failed batch: the shortest prefix of the stream whose ids reach a
-  // second shard. Its posts in the higher shard carry every text of the
-  // batch, so that shard's WAL is the one past the limit.
+  // second shard.
   auto owner = [&](size_t i) {
     return ShardedServing::shard_of(first + static_cast<DocId>(i), kShards);
   };
@@ -444,13 +436,7 @@ TEST(ShardedKillSafety, FailedBatchAppendPublishesNoneOfTheBatch) {
   while (n < stream.size() && owner(n) == owner(0)) ++n;
   ++n;
   ASSERT_LE(n + 2, stream.size()) << "stream too short for two batches";
-  const uint32_t high = std::max(owner(0), owner(n - 1));
-  std::string all;
-  for (size_t i = 0; i < n; ++i) all += " " + stream[i];
-  std::vector<std::string> failed(stream.begin(), stream.begin() + n);
-  for (size_t i = 0; i < n; ++i) {
-    if (owner(i) == high) failed[i] += all;
-  }
+  const std::vector<std::string> failed(stream.begin(), stream.begin() + n);
 
   pid_t pid = fork();
   ASSERT_GE(pid, 0) << "fork failed";
@@ -459,31 +445,17 @@ TEST(ShardedKillSafety, FailedBatchAppendPublishesNoneOfTheBatch) {
     auto serving = ShardedServing::restore(dir);
     if (serving == nullptr) _exit(40);
     if (serving->next_id() != first) _exit(41);
-    // files[0] is the journal, files[1 + s] shard s's WAL; `grown` holds
-    // the sizes a successful call would leave.
-    std::vector<std::string> files = {dir + "/ingest.order"};
-    for (uint32_t s = 0; s < kShards; ++s) {
-      files.push_back(dir + "/shard-" + std::to_string(s) + "/wal");
-    }
-    std::vector<uintmax_t> sizes;
-    for (const std::string& f : files) {
-      sizes.push_back(std::filesystem::file_size(f));
-    }
-    std::vector<uintmax_t> grown = sizes;
+    const uintmax_t size = std::filesystem::file_size(wal_file);
+    // The size a successful call would leave, less half the last frame.
+    uintmax_t limit = size;
+    std::string frame;
     for (size_t i = 0; i < n; ++i) {
-      const DocId id = first + static_cast<DocId>(i);
-      std::string entry;
-      wal_encode_frame(WalRecord{id, std::string()}, &entry);
-      grown[0] += entry.size();
-      std::string payload;
-      wal_encode_frame(WalRecord{id, failed[i]}, &payload);
-      grown[1 + owner(i)] += payload.size();
+      frame.clear();
+      wal_encode_frame(WalRecord{first + static_cast<DocId>(i), failed[i]},
+                       &frame);
+      limit += frame.size();
     }
-    uintmax_t limit = 0;
-    for (size_t f = 0; f < files.size(); ++f) {
-      if (f != 1 + high) limit = std::max(limit, grown[f]);
-    }
-    if (grown[1 + high] <= limit) _exit(42);
+    limit -= frame.size() / 2;
     const uint64_t epoch = serving->epoch();
     std::signal(SIGXFSZ, SIG_IGN);  // EFBIG instead of death
     rlimit old_limit{};
@@ -498,9 +470,7 @@ TEST(ShardedKillSafety, FailedBatchAppendPublishesNoneOfTheBatch) {
         if (d.id() >= first && d.id() < first + n) _exit(47);
       }
     }
-    for (size_t f = 0; f < files.size(); ++f) {
-      if (std::filesystem::file_size(files[f]) != sizes[f]) _exit(48);
-    }
+    if (std::filesystem::file_size(wal_file) != size) _exit(48);
     if (setrlimit(RLIMIT_FSIZE, &old_limit) != 0) _exit(49);
     const std::vector<DocId> later = {first + static_cast<DocId>(n),
                                       first + static_cast<DocId>(n + 1)};
@@ -531,9 +501,9 @@ TEST(ShardedKillSafety, FailedBatchAppendPublishesNoneOfTheBatch) {
 
 TEST(ShardedKillSafety, FreshlyCreatedDeploymentSurvivesCrashMidIngest) {
   // Unlike the other trials, the CHILD builds the persisted deployment:
-  // create() with a shard_dir opens brand-new WAL + journal files, whose
-  // directory entries must be made durable at creation (the create-dirent
-  // fsync path) — otherwise a crash could lose the *names* of logs whose
+  // create() with a shard_dir opens a brand-new ingest log, whose
+  // directory entry must be made durable at creation (the create-dirent
+  // fsync path) — otherwise a crash could lose the *name* of a log whose
   // appends were faithfully synced. The child creates, commits the base
   // save, ingests mid-stream and dies with _exit; the parent restores and
   // must land on the exact pre-crash epoch.
@@ -551,7 +521,7 @@ TEST(ShardedKillSafety, FreshlyCreatedDeploymentSurvivesCrashMidIngest) {
     if (sharded == nullptr) _exit(42);
     if (!sharded->save(dir)) _exit(43);  // commit the manifest
     for (size_t i = 0; i < kIngests; ++i) sharded->add_post(stream[i]);
-    _exit(kChildExitCode);  // WAL/journal tails left to recovery
+    _exit(kChildExitCode);  // log tail left to recovery
   }
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
@@ -569,14 +539,13 @@ TEST(ShardedKillSafety, FreshlyCreatedDeploymentSurvivesCrashMidIngest) {
 
 TEST(ShardedKillSafety, CrashBetweenShardSnapshotRenames) {
   // The multi-shard save() crash window: some shard snapshots already
-  // renamed into place, the manifest commit (and the WAL/journal resets
-  // behind it) never reached the disk. The child reproduces that exact
-  // on-disk state by capturing the directory before a save, saving, then
-  // rolling back the manifest, the journal, every WAL, and HALF the shard
-  // snapshots — shards 2 and 3 keep their new (ahead-of-manifest) files.
-  // Recovery must reach the full pre-crash history via journal + WAL
-  // replay with published-set dedup, bit-identical to the unsharded
-  // reference.
+  // renamed into place, the manifest commit (and the log reset behind it)
+  // never reached the disk. The child reproduces that exact on-disk state
+  // by capturing the directory before a save, saving, then rolling back
+  // the manifest, the log, and HALF the shard snapshots — shards 2 and 3
+  // keep their new (ahead-of-manifest) files. Recovery must reach the
+  // full pre-crash history via log replay with published-set dedup,
+  // bit-identical to the unsharded reference.
   const std::vector<std::string> stream = ingest_stream();
   const size_t kIngests = 6;
   std::string dir = tmp_dir("renames");
@@ -592,11 +561,11 @@ TEST(ShardedKillSafety, CrashBetweenShardSnapshotRenames) {
     std::vector<std::string> before;
     for (const std::string& f : files) before.push_back(slurp(f));
     if (!sharded->save(dir)) _exit(43);
-    // Roll back everything EXCEPT shard-2/shard-3 snapshots (indices 4+2*s
-    // in shard_dir_files order: 0 MANIFEST, 1 journal, then snapshot/wal
-    // pairs per shard).
+    // Roll back everything EXCEPT shard-2/shard-3 snapshots (index 2 + s
+    // in shard_dir_files order: 0 MANIFEST, 1 log, then one snapshot per
+    // shard).
     for (size_t i = 0; i < files.size(); ++i) {
-      bool keep_new = (i == 2 + 2 * 2) || (i == 2 + 2 * 3);
+      bool keep_new = (i == 2 + 2) || (i == 2 + 3);
       if (!keep_new && !spew(files[i], before[i])) _exit(44);
     }
     _exit(kChildExitCode);
@@ -635,11 +604,10 @@ TEST(ShardedKillSafety, CrashBeforeReclusterManifestCommitLandsOnOldGeneration) 
   // into place, the manifest commit never reached the disk. The child
   // reproduces it by capturing the generation-0 files before the
   // post-recluster save, saving (which writes snapshot.g1.v2 files,
-  // commits a generation-1 manifest, truncates WALs/journal and GCs the
-  // old snapshots), then rolling every generation-0 file back — leaving
-  // the snapshot.g1.v2 files as orphans. Restore must follow the
-  // manifest: generation 0, full history via journal + WAL replay, the
-  // orphans ignored.
+  // commits a generation-1 manifest, truncates the log and GCs the old
+  // snapshots), then rolling every generation-0 file back — leaving the
+  // snapshot.g1.v2 files as orphans. Restore must follow the manifest:
+  // generation 0, full history via log replay, the orphans ignored.
   const std::vector<std::string> stream = ingest_stream();
   const size_t kIngests = 6;
   std::string dir = tmp_dir("swap_precommit");
@@ -688,8 +656,8 @@ TEST(ShardedKillSafety, CrashBeforeReclusterManifestCommitLandsOnOldGeneration) 
 
 TEST(ShardedKillSafety, KillAfterReclusterSaveRestoresNewGeneration) {
   // The post-commit path: the manifest for generation 1 hit the disk,
-  // then the process is killed mid-stream (journal/WAL tail beyond the
-  // save, destructors never run). Restore must land on generation 1 with
+  // then the process is killed mid-stream (log tail beyond the save,
+  // destructors never run). Restore must land on generation 1 with
   // the full history — offline state from the generation-1 snapshots,
   // the post-save tail via replay.
   const std::vector<std::string> stream = ingest_stream();

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -597,40 +598,6 @@ TEST(Wal, CrcValidFrameBeyondATornGapIsNeverReplayed) {
   std::remove(path.c_str());
 }
 
-TEST(Wal, TruncateCutsBackToAnEarlierSize) {
-  // An ingest whose later log append fails undoes the appends that
-  // already succeeded with truncate(size()): the records past the cut are
-  // gone on replay, and the next append continues from the cut.
-  std::string path = tmp_path("wal_truncate");
-  {
-    std::vector<WalRecord> replayed;
-    auto wal = IngestWal::open(path, WalOptions{}, &replayed);
-    ASSERT_NE(wal, nullptr);
-    ASSERT_TRUE(wal->append({1, "record before the cut"}));
-    const uint64_t cut = wal->size();
-    EXPECT_EQ(cut, file_size(path));
-    const std::vector<WalRecord> undone = {{2, "undone record"},
-                                           {3, "undone record too"}};
-    ASSERT_TRUE(wal->append_batch(undone));
-    ASSERT_GT(wal->size(), cut);
-    ASSERT_TRUE(wal->truncate(cut));
-    EXPECT_EQ(wal->size(), cut);
-    EXPECT_EQ(file_size(path), cut);
-    ASSERT_TRUE(wal->append({4, "record after the cut"}));
-    EXPECT_EQ(wal->size(), file_size(path));
-  }
-  std::vector<WalRecord> replayed;
-  auto wal = IngestWal::open(path, WalOptions{}, &replayed);
-  ASSERT_NE(wal, nullptr);
-  ASSERT_EQ(replayed.size(), 2u);
-  EXPECT_EQ(replayed[0].id, 1u);
-  EXPECT_EQ(replayed[0].text, "record before the cut");
-  EXPECT_EQ(replayed[1].id, 4u);
-  EXPECT_EQ(replayed[1].text, "record after the cut");
-  wal.reset();
-  std::remove(path.c_str());
-}
-
 TEST(Wal, FailedBatchAppendIsCutBackWhole) {
   // append_batch is all or nothing. A forked child, ignoring SIGXFSZ so an
   // oversized write fails with EFBIG instead of killing it, sets
@@ -655,7 +622,7 @@ TEST(Wal, FailedBatchAppendIsCutBackWhole) {
     auto wal = IngestWal::open(path, WalOptions{}, &replayed);
     if (wal == nullptr) _exit(40);
     if (!wal->append(before)) _exit(41);
-    const uint64_t size = wal->size();
+    const size_t size = file_size(path);
     std::string first_frame;
     wal_encode_frame(batch[0], &first_frame);
     std::signal(SIGXFSZ, SIG_IGN);
@@ -665,7 +632,7 @@ TEST(Wal, FailedBatchAppendIsCutBackWhole) {
     low.rlim_cur = static_cast<rlim_t>(size + first_frame.size() + 4);
     if (setrlimit(RLIMIT_FSIZE, &low) != 0) _exit(43);
     if (wal->append_batch(batch)) _exit(44);
-    if (wal->size() != size || file_size(path) != size) _exit(45);
+    if (file_size(path) != size) _exit(45);
     if (wal->appended() != 1) _exit(46);
     if (setrlimit(RLIMIT_FSIZE, &old_limit) != 0) _exit(47);
     if (!wal->append(after)) _exit(48);
@@ -722,14 +689,12 @@ TEST(ServingPersistence, SaveTruncatesWalAndRestoreSkipsDuplicates) {
   ServingOptions with_wal;
   with_wal.persist.shard_dir = dir;
   std::vector<std::string> extras = extra_posts();
-  const std::string wal_file = dir + "/shard-0/wal";
-  const std::string journal_file = dir + "/ingest.order";
+  const std::string wal_file = dir + "/wal";
 
   auto serving = seed_serving(24, with_wal);
   for (const std::string& text : extras) serving->add_post(text);
   ASSERT_GT(file_size(wal_file), 0u);
   const std::string wal_before_save = read_file(wal_file);
-  const std::string journal_before_save = read_file(journal_file);
   ASSERT_TRUE(serving->save(dir));
   // save() bakes every logged record into the snapshot and empties the log.
   EXPECT_EQ(file_size(wal_file), 0u);
@@ -739,7 +704,6 @@ TEST(ServingPersistence, SaveTruncatesWalAndRestoreSkipsDuplicates) {
   // Crash window: snapshot renamed but the WAL truncation never happened.
   // Restore must skip the already-snapshotted records — no double publish.
   write_file(wal_file, wal_before_save);
-  write_file(journal_file, journal_before_save);
   auto recovered = ShardedServing::restore(dir);
   ASSERT_NE(recovered, nullptr);
   EXPECT_EQ(recovered->epoch(), epoch_at_save);
@@ -753,9 +717,8 @@ TEST(ServingPersistence, SaveTruncatesWalAndRestoreSkipsDuplicates) {
   std::filesystem::remove_all(dir);
 }
 
-// A batch is acknowledged only after each of its posts is WAL-appended,
-// and the publication journal records the batch in request order
-// (docs/PROTOCOL.md §4.5). A restart from the directory therefore
+// A batch is acknowledged only after each of its posts is logged, and the
+// ingest log records the batch in request order (docs/PROTOCOL.md §4.5). A restart from the directory therefore
 // replays batched and single ingests across shards in their original
 // publication order: same ids, same sequence, bit-identical answers.
 TEST(ServingPersistence, BatchedIngestReplaysInPublicationOrder) {
@@ -796,6 +759,94 @@ TEST(ServingPersistence, BatchedIngestReplaysInPublicationOrder) {
   EXPECT_EQ(replayed, order);
   expect_same_answers(*recovered, reference, 0.0);
   recovered.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// A state directory holds one ingest log: (id, text) frames in
+// publication order, byte for byte the replication stream ship_segment()
+// builds since the last save. Single and batched ingests interleave over
+// four shards, and no log of the earlier per-shard layout (ingest.order,
+// shard-<s>/wal) is ever created.
+TEST(ServingPersistence, IngestLogIsTheShippedPublicationSequence) {
+  constexpr uint32_t kShards = 4;
+  std::string dir = tmp_path("serving_one_log");
+  ServingOptions options;
+  options.num_shards = static_cast<int>(kShards);
+  options.persist.shard_dir = dir;
+  const std::string wal_file = dir + "/wal";
+  std::vector<std::string> extras = extra_posts(8);
+  auto serving = seed_serving(24, options);
+  ASSERT_NE(serving, nullptr);
+  auto shipped_from = [&](uint64_t seq) {
+    ShardedServing::ShipSegment seg =
+        serving->ship_segment(seq, 0, UINT32_MAX, UINT32_MAX);
+    EXPECT_EQ(seg.status, ShardedServing::ShipSegment::Status::kOk);
+    return seg.raw;
+  };
+
+  ASSERT_TRUE(serving->add_post(extras[0]).has_value());
+  ASSERT_TRUE(
+      serving->add_posts({extras[1], extras[2], extras[3]}).has_value());
+  ASSERT_TRUE(serving->add_post(extras[4]).has_value());
+  EXPECT_EQ(read_file(wal_file), shipped_from(0));
+
+  ASSERT_TRUE(serving->save(dir));
+  EXPECT_EQ(file_size(wal_file), 0u);
+  const uint64_t saved = serving->epoch();
+  ASSERT_TRUE(serving->add_posts({extras[5], extras[6]}).has_value());
+  ASSERT_TRUE(serving->add_post(extras[7]).has_value());
+  EXPECT_EQ(read_file(wal_file), shipped_from(saved));
+
+  EXPECT_FALSE(std::filesystem::exists(dir + "/ingest.order"));
+  for (uint32_t s = 0; s < kShards; ++s) {
+    EXPECT_FALSE(std::filesystem::exists(dir + "/shard-" + std::to_string(s) +
+                                         "/wal"));
+  }
+  serving.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// The earlier layout split the ingest log into a publication journal
+// (ingest.order, ids) and one WAL per shard (shard-<s>/wal, texts). A
+// directory where either still holds a record is a crashed deployment
+// whose acknowledged tail this layout does not read: restore refuses it
+// instead of coming back without that tail. The final save of a drained
+// deployment left both empty, and such a directory restores as before.
+TEST(ServingPersistence, RestoreRefusesUndrainedLegacyLogs) {
+  std::string dir = tmp_path("serving_legacy_logs");
+  ServingOptions options;
+  options.num_shards = 2;
+  ASSERT_TRUE(seed_serving(24, options)->save(dir));
+  const std::string journal = dir + "/ingest.order";
+  const std::string shard_wal = dir + "/shard-1/wal";
+  std::string entry;
+  wal_encode_frame(WalRecord{1000, std::string()}, &entry);
+  std::string payload;
+  wal_encode_frame(WalRecord{1000, "acknowledged before the crash"},
+                   &payload);
+
+  write_file(journal, entry);
+  write_file(shard_wal, "");
+  EXPECT_EQ(ShardedServing::restore(dir), nullptr)
+      << "a one-frame legacy journal";
+
+  write_file(journal, "");
+  write_file(shard_wal, payload);
+  EXPECT_EQ(ShardedServing::restore(dir), nullptr)
+      << "a one-frame legacy shard WAL";
+
+  write_file(shard_wal, "");
+  auto drained = ShardedServing::restore(dir);
+  ASSERT_NE(drained, nullptr) << "both legacy files empty";
+  EXPECT_EQ(drained->num_docs(), 24u);
+  drained.reset();
+
+  // create() starts a fresh deployment, so it discards legacy logs the way
+  // it discards its own log's leftovers.
+  write_file(journal, entry);
+  options.persist.shard_dir = dir;
+  ASSERT_NE(seed_serving(24, options), nullptr);
+  EXPECT_FALSE(std::filesystem::exists(journal));
   std::filesystem::remove_all(dir);
 }
 

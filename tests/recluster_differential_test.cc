@@ -44,7 +44,7 @@ GeneratorOptions corpus_options(size_t posts, uint64_t seed) {
   return gen;
 }
 
-/// Pid-suffixed so reruns never see a previous process's journal/WAL
+/// Pid-suffixed so reruns never see a previous process's ingest log
 /// tails (ShardedServing::restore wires persistence to the directory and
 /// replays whatever it finds there).
 std::string tmp_dir(const std::string& name) {

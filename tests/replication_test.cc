@@ -416,7 +416,7 @@ TEST(WireReplica, BootstrapCatchUpAndLagGauges) {
   expect_identical_backends(*leader.backend, replica->backend());
 
   // A replica restart recovers from its own directory (the applied
-  // frames were journaled) and resumes caught up.
+  // frames were logged) and resumes caught up.
   replica.reset();
   options.replica_id = "wire-catchup-restarted";
   auto again = repl::Replica::bootstrap(options);
@@ -639,13 +639,13 @@ void run_promotion_trial(const std::string& name, bool catch_up_over_wire) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     // Durable by write-ahead order: every add_post that returns has its
-    // journal entry and WAL frame on disk before publication.
+    // log frame on disk before publication.
     for (size_t i = 0; i < kIngests; ++i) backend->add_post(stream[i]);
     { std::ofstream os(ingested_file, std::ios::trunc); os << "x"; }
     while (!std::ifstream(die_file).good()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    _exit(kChildExitCode);  // server threads, WAL handles: all abandoned
+    _exit(kChildExitCode);  // server threads, log handle: all abandoned
   }
 
   // ---- parent: replica side.
@@ -708,6 +708,42 @@ TEST(Promotion, StaleReplicaPromotesFromDeadLeaderTails) {
 
 TEST(Promotion, CaughtUpReplicaPromotesWithNoLoss) {
   run_promotion_trial("caught_up", /*catch_up_over_wire=*/true);
+}
+
+// Promotion first checks lineage: the follower's publication history must
+// be a prefix of the dead leader's durable sequence (the manifest's order,
+// then the records its log holds beyond it). A follower that applied the
+// leader's second publication without the first has diverged — draining
+// the log into it would publish that post twice — so promotion refuses
+// it. A follower on the leader's history drains the rest and matches the
+// leader.
+TEST(Promotion, DivergentFollowerIsRefused) {
+  const std::string leader_dir = tmp_dir("divergent_leader");
+  const std::vector<std::string> stream = ingest_stream(2);
+  ServingOptions persisted;
+  persisted.num_shards = 2;
+  persisted.persist.shard_dir = leader_dir;
+  auto leader = ShardedServing::create(seed_docs(), {}, persisted);
+  ASSERT_NE(leader, nullptr);
+  ASSERT_TRUE(leader->save(leader_dir));
+  const DocId first = leader->add_post(stream[0]).value();
+  const DocId second = leader->add_post(stream[1]).value();
+
+  ServingOptions plain;
+  plain.num_shards = 2;
+  auto divergent = ShardedServing::create(seed_docs(), {}, plain);
+  ASSERT_NE(divergent, nullptr);
+  ASSERT_TRUE(divergent->apply_shipped(0, {WalRecord{second, stream[1]}}));
+  EXPECT_FALSE(divergent->catch_up_from_dir(leader_dir));
+  EXPECT_EQ(divergent->epoch(), 1u);
+
+  auto follower = ShardedServing::create(seed_docs(), {}, plain);
+  ASSERT_NE(follower, nullptr);
+  ASSERT_TRUE(follower->apply_shipped(0, {WalRecord{first, stream[0]}}));
+  ASSERT_TRUE(follower->catch_up_from_dir(leader_dir));
+  expect_identical_backends(*leader, *follower);
+  leader.reset();
+  std::filesystem::remove_all(leader_dir);
 }
 
 }  // namespace

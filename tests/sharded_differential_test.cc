@@ -321,7 +321,7 @@ TEST(ShardedDifferential, SaveRestoreRoundTripIdentical) {
         ShardedServing::create(analyze_corpus(corpus), {}, options);
     ASSERT_NE(original, nullptr) << what;
     // History split across the save: some ingests baked into the shard
-    // snapshots, some only in the WALs + journal.
+    // snapshots, some only in the ingest log.
     for (const std::string& text : before) {
       reference.add_post(text);
       original->add_post(text);
@@ -420,7 +420,7 @@ TEST(ShardedDifferential, RestoreTakesShardCountFromManifest) {
 // A save that fails part-way returns false and leaves the previous commit
 // in force: here shard 1's directory is blocked after shard 0's snapshot
 // was already rewritten (the legal "snapshot ahead of manifest" state).
-// The manifest and the journal stay byte-identical, the directory still
+// The manifest and the ingest log stay byte-identical, the directory still
 // restores to the full history, and the live deployment keeps serving
 // and saves again once the path is clear.
 TEST(ShardedDifferential, FailedSaveKeepsPreviousCommit) {
@@ -446,8 +446,8 @@ TEST(ShardedDifferential, FailedSaveKeepsPreviousCommit) {
     sharded->add_post(text);
   }
   const std::string manifest = read_file(dir + "/MANIFEST");
-  const std::string journal = read_file(dir + "/ingest.order");
-  ASSERT_FALSE(journal.empty());
+  const std::string log = read_file(dir + "/wal");
+  ASSERT_FALSE(log.empty());
 
   const std::string blocked = dir + "/shard-1";
   const std::string aside = blocked + ".aside";
@@ -457,7 +457,7 @@ TEST(ShardedDifferential, FailedSaveKeepsPreviousCommit) {
   ASSERT_EQ(std::remove(blocked.c_str()), 0);
   ASSERT_EQ(std::rename(aside.c_str(), blocked.c_str()), 0);
   EXPECT_EQ(read_file(dir + "/MANIFEST"), manifest);
-  EXPECT_EQ(read_file(dir + "/ingest.order"), journal);
+  EXPECT_EQ(read_file(dir + "/wal"), log);
   expect_equivalent(*sharded, reference, "live after failed save");
 
   // Restored from a copy, so the live deployment keeps sole use of its
@@ -470,7 +470,7 @@ TEST(ShardedDifferential, FailedSaveKeepsPreviousCommit) {
 
   ASSERT_TRUE(sharded->save(dir));
   EXPECT_NE(read_file(dir + "/MANIFEST"), manifest);
-  EXPECT_TRUE(read_file(dir + "/ingest.order").empty());
+  EXPECT_TRUE(read_file(dir + "/wal").empty());
   restored.reset();
   std::filesystem::remove_all(copy);
 }
@@ -529,9 +529,9 @@ TEST(ShardedDifferential, RestoreSurvivesSnapshotAheadOfManifest) {
     reference.add_post(text);
     original->add_post(text);
   }
-  // Second save goes to a scratch directory (so dir's WALs/journal are
-  // NOT truncated — exactly the state an interrupted in-place save
-  // leaves), then one shard's newer snapshot is copied over dir's.
+  // Second save goes to a scratch directory (so dir's log is NOT
+  // truncated — exactly the state an interrupted in-place save leaves),
+  // then one shard's newer snapshot is copied over dir's.
   ASSERT_TRUE(original->save(dir2));
   original.reset();
   {
