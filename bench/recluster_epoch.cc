@@ -15,12 +15,15 @@
 //      the exclusive lock, so the dip should be modest. The same reader
 //      also records its slowest single query in both phases: the stall
 //      the swap's exclusive section costs one query,
-//   4. memory growth — peak resident memory (VmHWM) after recluster()
-//      minus resident memory (VmRSS) just before it, from
-//      /proc/self/status: what the epoch holds beside the live
-//      generation. VmHWM is the process's lifetime peak, so the figure
-//      is an upper bound when corpus construction peaked higher; it
-//      reads 0 where /proc/self/status is unavailable.
+//   4. memory — peak resident memory (VmHWM) after recluster() minus
+//      resident memory (VmRSS) just before it, from /proc/self/status:
+//      what the epoch holds beside the live generation. VmHWM is the
+//      process's lifetime peak, so the figure is an upper bound when
+//      corpus construction peaked higher; it reads 0 where
+//      /proc/self/status is unavailable. Next to it, VmRSS right after
+//      recluster() returns (how much of the epoch's memory came back;
+//      -1 without /proc/self/status) and the document analyses' resident
+//      bytes per post (the ibseg_analysis_bytes gauge over the corpus).
 //
 // Results print as a table and are recorded in BENCH_recluster.json
 // (current working directory, like the other reproduce.sh outputs, which
@@ -128,6 +131,7 @@ int run() {
   const uint64_t generation = serving.recluster();
   const double recluster_sec = recluster_watch.elapsed_seconds();
   const uint64_t during_swap = reader_queries.load() - before_swap;
+  const double rss_after_mib = proc_status_mib("VmRSS");
   const double hwm_after_mib = proc_status_mib("VmHWM");
   stop.store(true);
   reader.join();
@@ -135,6 +139,12 @@ int run() {
                                     ? hwm_after_mib - rss_before_mib
                                     : 0.0;
 
+  size_t analysis_bytes = 0;
+  for (uint32_t s = 0; s < serving.num_shards(); ++s) {
+    analysis_bytes += serving.shard(s).analysis_bytes();
+  }
+  const double analysis_bytes_per_post =
+      static_cast<double>(analysis_bytes) / static_cast<double>(num_docs);
   const size_t pending_after = serving.pending_pool_size();
   const uint64_t docs_since_after = serving.docs_since_recluster();
   const double qps_during_swap =
@@ -163,6 +173,8 @@ int run() {
   table.add_row({"slowest query during epoch (ms)",
                  fmt(max_query_stall_ms, 3)});
   table.add_row({"RSS growth (MiB)", fmt(rss_growth_mib, 1)});
+  table.add_row({"RSS after recluster (MiB)", fmt(rss_after_mib, 1)});
+  table.add_row({"analysis bytes per post", fmt(analysis_bytes_per_post, 1)});
   std::printf("recluster_epoch: background re-clustering cost\n");
   table.print(std::cout);
 
@@ -196,7 +208,10 @@ int run() {
                  max_query_quiescent_ms);
     std::fprintf(out, "  \"max_query_stall_ms\": %.3f,\n",
                  max_query_stall_ms);
-    std::fprintf(out, "  \"rss_growth_mib\": %.1f\n", rss_growth_mib);
+    std::fprintf(out, "  \"rss_growth_mib\": %.1f,\n", rss_growth_mib);
+    std::fprintf(out, "  \"rss_after_mib\": %.1f,\n", rss_after_mib);
+    std::fprintf(out, "  \"analysis_bytes_per_post\": %.1f\n",
+                 analysis_bytes_per_post);
     std::fprintf(out, "}\n");
     std::fclose(out);
     std::printf("wrote BENCH_recluster.json\n");

@@ -241,7 +241,8 @@ for key in '"bench"' '"recluster_sec"' '"pending_before"' \
            '"pending_after"' '"qps_quiescent"' '"qps_during_swap"' \
            '"qps_dip_fraction"' '"offline_generation"' \
            '"max_query_quiescent_ms"' '"max_query_stall_ms"' \
-           '"rss_growth_mib"'; do
+           '"rss_growth_mib"' '"rss_after_mib"' \
+           '"analysis_bytes_per_post"'; do
   if ! grep -q "${key}" BENCH_recluster.json; then
     echo "error: BENCH_recluster.json missing key ${key}" >&2
     exit 1

@@ -7,11 +7,8 @@
 #include <map>
 #include <thread>
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 #include "cluster/vp_tree.h"
+#include "util/memory.h"
 #include "util/vector_math.h"
 
 namespace ibseg {
@@ -95,13 +92,11 @@ IntentionClustering IntentionClustering::build(
       candidates = dbscan_grid(tree, options.dbscan, eps_values,
                                std::thread::hardware_concurrency());
     }
-#if defined(__GLIBC__)
     // The pass's worker threads allocated the neighbour lists in their own
     // glibc arenas. Freed there, that memory stays resident (glibc raises
     // its trim threshold as large buffers come and go) where no later
     // allocation on this thread can reuse it; hand it back to the OS.
-    malloc_trim(0);
-#endif
+    release_free_heap();
     bool have_best = false;
     int best_dist = 0;
     size_t best_noise = 0;

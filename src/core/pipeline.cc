@@ -176,7 +176,7 @@ RelatedPostPipeline RelatedPostPipeline::build_shard(
     std::vector<Document> docs, const PipelineSnapshot& snapshot,
     std::shared_ptr<Vocabulary> shared_vocab,
     const std::vector<std::vector<double>>& centroids,
-    const PipelineOptions& options) {
+    std::vector<TermVector> segment_terms, const PipelineOptions& options) {
   if (!snapshot.is_consistent() ||
       snapshot.segmentations.size() != docs.size()) {
     return build(std::move(docs), options);
@@ -213,7 +213,7 @@ RelatedPostPipeline RelatedPostPipeline::build_shard(
   {
     obs::TraceScope indexing(obs::Stage::kIndexPublish);
     p.matcher_ = std::make_unique<IntentionMatcher>(IntentionMatcher::build(
-        p.docs_, *p.clustering_, *p.vocab_, options.matcher));
+        *p.clustering_, std::move(segment_terms), options.matcher));
   }
   p.timings_.indexing_sec = index_watch.elapsed_seconds();
   return p;

@@ -85,12 +85,17 @@ class RelatedPostPipeline {
   /// nearest-centroid ingest assignment matches the unpartitioned
   /// pipeline. `snapshot` must cover exactly `docs` — this shard's slice
   /// of the global segmentations and labels, in global document order —
-  /// and carry the global cluster count. Falls back to a fresh build on
-  /// an inconsistent snapshot, exactly like build_from_snapshot.
+  /// and carry the global cluster count. `segment_terms` holds the bag of
+  /// each of the slice's refined segments, in the order the slice's
+  /// clustering lists them (IntentionMatcher::build's bag form); the
+  /// indices take them over instead of re-reading tokens. Falls back to a
+  /// fresh build on an inconsistent snapshot, exactly like
+  /// build_from_snapshot.
   static RelatedPostPipeline build_shard(
       std::vector<Document> docs, const PipelineSnapshot& snapshot,
       std::shared_ptr<Vocabulary> shared_vocab,
       const std::vector<std::vector<double>>& centroids,
+      std::vector<TermVector> segment_terms,
       const PipelineOptions& options = {});
 
   /// Rebuilds the full offline phase (clustering + indexing) over `docs`
@@ -151,6 +156,12 @@ class RelatedPostPipeline {
   /// layer's pending pool consumes; purely diagnostic, assignment is
   /// unchanged.
   double ingest(PreparedPost post);
+
+  /// Drops the token arrays of documents [first, end) (Document::
+  /// drop_tokens). The serving layer calls it once they are indexed.
+  void drop_tokens(size_t first) {
+    for (size_t d = first; d < docs_.size(); ++d) docs_[d].drop_tokens();
+  }
 
   /// The id add_post would assign next. Always strictly greater than every
   /// ingested document id (seed ids need not be contiguous).

@@ -185,6 +185,8 @@ void ServingPipeline::publish_prepared(PreparedPost post) {
     obs::TraceScope publish(obs::Stage::kIndexPublish);
     dist = pipeline_.ingest(std::move(post));
   }
+  // The post's bags are indexed; only a re-index reads its tokens again.
+  pipeline_.drop_tokens(pipeline_.docs().size() - 1);
   if (dist > recluster_options_.pending_distance_threshold) {
     pending_pool_.push_back(id);
     pending_size_.store(pending_pool_.size(), std::memory_order_relaxed);

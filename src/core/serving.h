@@ -145,9 +145,9 @@ class ServingPipeline {
     return docs_since_.load(std::memory_order_relaxed);
   }
 
-  /// Bytes of this shard's document analyses: the running total of
-  /// Document::footprint_bytes over its documents, summed at construction
-  /// and grown by each publication (lock-free; gauge input).
+  /// Bytes of this shard's resident document analyses: the running total
+  /// of Document::footprint_bytes over its documents, summed at
+  /// construction and grown by each publication (lock-free; gauge input).
   size_t analysis_bytes() const {
     return analysis_bytes_.load(std::memory_order_relaxed);
   }
@@ -180,8 +180,9 @@ class ServingPipeline {
   const RelatedPostPipeline& quiescent() const { return pipeline_; }
 
   /// The publication primitive: ingests an already-prepared post under
-  /// the exclusive lock and bumps the epoch. The id was reserved by the
-  /// caller (the sharded layer's global counter), and nothing is
+  /// the exclusive lock, drops the shard copy's token array once the
+  /// post's bags are indexed, and bumps the epoch. The id was reserved by
+  /// the caller (the sharded layer's global counter), and nothing is
   /// WAL-logged here — the caller write-ahead-logs before calling.
   void publish_prepared(PreparedPost post);
 

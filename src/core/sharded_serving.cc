@@ -14,6 +14,7 @@
 #include "storage/snapshot_v2.h"
 #include "storage/wal_codec.h"
 #include "text/term_vector.h"
+#include "util/memory.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -75,20 +76,6 @@ std::vector<DocId> durable_order(const ShardManifest& m,
     if (listed.insert(log[i].id).second) order.push_back(log[i].id);
   }
   return order;
-}
-
-/// One refined segment's term bag, interned into `vocab` — byte-for-byte
-/// the accumulation IntentionMatcher::build performs per cluster member.
-TermVector refined_segment_terms(const Document& doc,
-                                 const RefinedSegment& seg,
-                                 Vocabulary& vocab) {
-  TermVector terms;
-  for (auto [b, e] : seg.ranges) {
-    size_t tok_b = doc.sentences()[b].token_begin;
-    size_t tok_e = doc.sentences()[e - 1].token_end;
-    terms.merge(build_term_vector(doc.tokens(), tok_b, tok_e, vocab));
-  }
-  return terms;
 }
 
 /// How many labels make_snapshot emitted for this segmentation: one per
@@ -176,6 +163,7 @@ std::unique_ptr<ShardedServing> ShardedServing::create(
       return nullptr;
     }
   }
+  release_free_heap();
   return s;
 }
 
@@ -195,26 +183,25 @@ ShardedServing::ShardSet ShardedServing::build_shard_set(
   for (const Document& d : docs) ids.push_back(d.id());
   PipelineSnapshot global_snap = make_snapshot(segmentations, clustering, ids);
 
-  // Seeding pass: intern the shared vocabulary and feed the statistics
-  // board in EXACTLY the order IntentionMatcher::build would — cluster-
-  // major, member order within each cluster. Every shard build below then
-  // finds all of its terms pre-interned, so TermIds are corpus-global and
-  // independent of the partitioning.
+  // Seeding pass: build every refined segment's term bag once, interning
+  // the shared vocabulary in EXACTLY the order IntentionMatcher::build
+  // would (cluster-major, member order within each cluster), and feed the
+  // statistics board in that order. TermIds are thus corpus-global and
+  // independent of the partitioning. The bags then move into their
+  // owner shards' indices, so the documents' token arrays are done with.
   set.vocab = std::make_shared<Vocabulary>();
   set.stats = std::make_unique<GlobalIndexStats>(
       set.num_clusters, pipeline_options.matcher.min_norm_fraction);
-  std::map<DocId, size_t> doc_index;
-  for (size_t d = 0; d < docs.size(); ++d) doc_index[docs[d].id()] = d;
+  std::vector<TermVector> bags =
+      IntentionMatcher::segment_terms(docs, clustering, *set.vocab);
   for (int c = 0; c < set.num_clusters; ++c) {
     for (size_t seg_idx :
          clustering.cluster_members()[static_cast<size_t>(c)]) {
-      const RefinedSegment& seg = clustering.segments()[seg_idx];
-      const Document& doc = docs[doc_index[seg.doc]];
-      set.stats->append(c, refined_segment_terms(doc, seg, *set.vocab),
-                        /*refresh_now=*/false);
+      set.stats->append(c, bags[seg_idx], /*refresh_now=*/false);
     }
     set.stats->refresh(c);
   }
+  for (Document& d : docs) d.drop_tokens();
 
   // Partition the corpus in global document order: per-shard docs,
   // segmentations and label slices stay in that order, so each shard's
@@ -222,6 +209,14 @@ ShardedServing::ShardSet ShardedServing::build_shard_set(
   std::vector<std::vector<Document>> shard_docs(num_shards);
   std::vector<std::vector<Segmentation>> shard_segs(num_shards);
   std::vector<std::vector<int>> shard_labels(num_shards);
+  // A shard's clustering lists its refined segments in global segment
+  // order (document-major, and each document keeps its segments), so the
+  // owner-filtered bags line up with it one to one.
+  std::vector<std::vector<TermVector>> shard_bags(num_shards);
+  for (size_t i = 0; i < bags.size(); ++i) {
+    shard_bags[shard_of(clustering.segments()[i].doc, num_shards)].push_back(
+        std::move(bags[i]));
+  }
   size_t label_pos = 0;
   set.doc_order.reserve(docs.size());
   for (size_t d = 0; d < docs.size(); ++d) {
@@ -250,7 +245,7 @@ ShardedServing::ShardSet ShardedServing::build_shard_set(
     snap.num_clusters = set.num_clusters;
     RelatedPostPipeline p = RelatedPostPipeline::build_shard(
         std::move(shard_docs[s]), snap, set.vocab, set.centroids,
-        pipeline_options);
+        std::move(shard_bags[s]), pipeline_options);
     if (shard_states != nullptr) {
       set.shards.push_back(ServingPipeline::adopt(
           std::move(p), recluster_options, (*shard_states)[s]));
@@ -352,8 +347,9 @@ bool ShardedServing::init_shards(
       "Offline generation: completed background reclusters.", tenant_only);
   corpus_gauges_.analysis_bytes = &r.gauge(
       "ibseg_analysis_bytes",
-      "Bytes of the tenant's document analyses (text, tokens, tags, "
-      "sentences, CM profiles), all shards; each analysis counted once.",
+      "Bytes of the tenant's resident document analyses (text, "
+      "sentences, CM profiles; published posts hold no tokens), all "
+      "shards; each analysis counted once.",
       tenant_only);
   return true;
 }
@@ -714,8 +710,6 @@ uint64_t ShardedServing::recluster() {
   // then every generation-scoped member swaps in one block. The old
   // generation moves into these locals and is freed only after both
   // locks are released, so no query or ingest waits for its destructors.
-  // Destruction runs in reverse declaration order: the old shards first,
-  // then the statistics board their stats sink points at.
   std::unique_ptr<GlobalIndexStats> retired_stats;
   std::shared_ptr<Vocabulary> retired_vocab;
   std::vector<std::unique_ptr<ServingPipeline>> retired_shards;
@@ -748,6 +742,12 @@ uint64_t ShardedServing::recluster() {
     gen_history_.push_back(GenSpan{captured_pubs, gen});
     refresh_corpus_gauges();
   }
+  // Free the old generation — its shards first, then the statistics board
+  // their stats sink points at — and hand the epoch's freed heap back.
+  retired_shards.clear();
+  retired_vocab.reset();
+  retired_stats.reset();
+  release_free_heap();
   obs::Labels tenant_only{{"tenant", tenant_label_}};
   reg.counter("ibseg_recluster_total",
               "Completed background re-clustering epochs (shadow "
@@ -803,8 +803,11 @@ bool ShardedServing::save(const std::string& dir) {
   // from the new one.
   if (!save_shard_manifest_file(m, dir + "/MANIFEST")) return false;
   // Logged records are now baked into the snapshots; reset AFTER the
-  // commit so a crash in between merely replays-and-dedups.
-  if (log_ != nullptr && dir == persist_dir_) log_->reset();
+  // commit so a crash in between merely replays-and-dedups. A failed reset
+  // fails the save: the log then refuses ingests until a later save
+  // resets it (IngestWal::reset).
+  const bool log_reset =
+      log_ == nullptr || dir != persist_dir_ || log_->reset();
   // Post-commit garbage collection: earlier generations' snapshot files
   // are unreachable now (the manifest names this generation) — deleting
   // them is safe at any point after the commit, and a crash mid-sweep
@@ -836,7 +839,7 @@ bool ShardedServing::save(const std::string& dir) {
       }
     }
   }
-  return true;
+  return log_reset;
 }
 
 std::unique_ptr<ShardedServing> ShardedServing::restore(
@@ -912,7 +915,11 @@ std::unique_ptr<ShardedServing> ShardedServing::restore(
     auto it = offline_pos[s].find(id);
     if (it == offline_pos[s].end()) return nullptr;
     size_t d = it->second;
-    docs.push_back(Document::analyze(id, snaps[s].doc_texts[d]));
+    // The seeding pass reads each document's tokens once more (one
+    // re-tokenize); holding all of their arrays until then would set the
+    // restore's memory peak.
+    docs.push_back(Document::analyze(id, std::move(snaps[s].doc_texts[d])));
+    docs.back().drop_tokens();
     segmentations.push_back(snaps[s].segmentations[d]);
     size_t off = label_offset[s][d];
     size_t count = num_labels(snaps[s].segmentations[d]);
@@ -1036,6 +1043,7 @@ std::unique_ptr<ShardedServing> ShardedServing::restore(
   DocId seen = sp->next_id_.load(std::memory_order_relaxed);
   sp->next_id_.store(std::max(seen, watermark), std::memory_order_relaxed);
   sp->refresh_corpus_gauges();
+  release_free_heap();
   return sp;
 }
 

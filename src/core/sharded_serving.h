@@ -138,7 +138,10 @@ class ShardedServing {
   /// so a crash anywhere leaves a restorable directory (see
   /// storage/shard_manifest.h for the window-by-window analysis). Runs
   /// under the global publication lock. Returns false with the previous
-  /// manifest intact on any failure.
+  /// manifest intact on any failure before the commit. A failed log reset
+  /// after it also returns false: the new manifest stands, and the log
+  /// refuses ingests (add_post answers nullopt) until a later save of this
+  /// directory resets it.
   bool save(const std::string& dir);
 
   /// A query answer plus the snapshot coordinates it was computed under.
@@ -336,14 +339,16 @@ class ShardedServing {
                                    ///< recluster)
   };
 
-  /// The pure shard-set builder: seeds a fresh vocabulary + statistics
-  /// board from `clustering` in the unpartitioned interning order, slices
-  /// the corpus per shard, builds the shard pipelines and wires the stats
-  /// sink. `shard_states` (parallel to shard index, may be null for
-  /// "fresh") presets each shard pipeline's epoch/offline coordinates via
-  /// ServingPipeline::adopt — the recluster/restore paths, where a shard's
-  /// document count is not its seed count. Touches NO members, so
-  /// recluster() can run it off-lock against a captured cut.
+  /// The pure shard-set builder: builds each refined segment's term bag
+  /// once, seeding a fresh vocabulary + statistics board from them in the
+  /// unpartitioned interning order, drops the documents' token arrays,
+  /// slices the corpus and the bags per shard, builds the shard pipelines
+  /// over them and wires the stats sink. `shard_states` (parallel to
+  /// shard index, may be null for "fresh") presets each shard pipeline's
+  /// epoch/offline coordinates via ServingPipeline::adopt — the
+  /// recluster/restore paths, where a shard's document count is not its
+  /// seed count. Touches NO members, so recluster() can run it off-lock
+  /// against a captured cut.
   ShardSet build_shard_set(
       std::vector<Document> docs, std::vector<Segmentation> segmentations,
       const IntentionClustering& clustering,

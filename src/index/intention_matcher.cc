@@ -10,33 +10,77 @@
 
 namespace ibseg {
 
+std::vector<TermVector> IntentionMatcher::segment_terms(
+    const std::vector<Document>& docs, const IntentionClustering& clustering,
+    Vocabulary& vocab) {
+  const std::vector<RefinedSegment>& segments = clustering.segments();
+  std::map<DocId, size_t> doc_index;
+  for (size_t d = 0; d < docs.size(); ++d) doc_index[docs[d].id()] = d;
+  std::vector<std::vector<size_t>> doc_segments(docs.size());
+  for (size_t i = 0; i < segments.size(); ++i) {
+    doc_segments[doc_index[segments[i].doc]].push_back(i);
+  }
+  // Document by document, so each document's tokens are read once (a
+  // dropped array is tokenized once, not once per segment): every
+  // segment's terms, in token order, as ids of a provisional vocabulary.
+  Vocabulary provisional;
+  std::vector<std::vector<TermId>> sequences(segments.size());
+  for (size_t d = 0; d < docs.size(); ++d) {
+    if (doc_segments[d].empty()) continue;
+    const Document& doc = docs[d];
+    const std::shared_ptr<const std::vector<Token>> tokens =
+        doc.index_tokens();
+    for (size_t seg_idx : doc_segments[d]) {
+      for (auto [b, e] : segments[seg_idx].ranges) {
+        append_term_ids(*tokens, doc.sentences()[b].token_begin,
+                        doc.sentences()[e - 1].token_end, provisional,
+                        &sequences[seg_idx]);
+      }
+    }
+  }
+  // Then cluster by cluster, in member order: each sequence's terms are
+  // interned into `vocab` in turn — the order a build straight from the
+  // tokens interns them in, so new terms get the same TermIds — and
+  // counted into the segment's bag.
+  std::vector<TermId> to_vocab(provisional.size(), kInvalidTerm);
+  std::vector<TermVector> terms(segments.size());
+  for (const std::vector<size_t>& members : clustering.cluster_members()) {
+    for (size_t seg_idx : members) {
+      for (TermId& t : sequences[seg_idx]) {
+        if (to_vocab[t] == kInvalidTerm) {
+          to_vocab[t] = vocab.intern(provisional.term(t));
+        }
+        t = to_vocab[t];
+      }
+      terms[seg_idx] = TermVector::count(std::move(sequences[seg_idx]));
+    }
+  }
+  return terms;
+}
+
 IntentionMatcher IntentionMatcher::build(const std::vector<Document>& docs,
                                          const IntentionClustering& clustering,
                                          Vocabulary& vocab,
                                          const MatcherOptions& options) {
+  return build(clustering, segment_terms(docs, clustering, vocab), options);
+}
+
+IntentionMatcher IntentionMatcher::build(const IntentionClustering& clustering,
+                                         std::vector<TermVector> segment_terms,
+                                         const MatcherOptions& options) {
+  assert(segment_terms.size() == clustering.segments().size());
   IntentionMatcher m;
   m.options_ = options;
   m.indices_.resize(static_cast<size_t>(clustering.num_clusters()));
-
-  std::map<DocId, size_t> doc_index;
-  for (size_t d = 0; d < docs.size(); ++d) doc_index[docs[d].id()] = d;
-
   for (int c = 0; c < clustering.num_clusters(); ++c) {
     ClusterIndex& ci = m.indices_[static_cast<size_t>(c)];
     ci.index.min_norm_fraction = options.min_norm_fraction;
     for (size_t seg_idx : clustering.cluster_members()[static_cast<size_t>(c)]) {
-      const RefinedSegment& seg = clustering.segments()[seg_idx];
-      const Document& doc = docs[doc_index[seg.doc]];
-      TermVector terms;
-      for (auto [b, e] : seg.ranges) {
-        size_t tok_b = doc.sentences()[b].token_begin;
-        size_t tok_e = doc.sentences()[e - 1].token_end;
-        terms.merge(build_term_vector(doc.tokens(), tok_b, tok_e, vocab));
-      }
-      uint32_t unit = ci.index.add_unit(terms);
-      ci.unit_doc.push_back(seg.doc);
-      ci.unit_terms.push_back(std::move(terms));
-      m.doc_units_[seg.doc].emplace_back(c, unit);
+      const DocId doc = clustering.segments()[seg_idx].doc;
+      uint32_t unit = ci.index.add_unit(segment_terms[seg_idx]);
+      ci.unit_doc.push_back(doc);
+      ci.unit_terms.push_back(std::move(segment_terms[seg_idx]));
+      m.doc_units_[doc].emplace_back(c, unit);
       ++m.total_segments_;
     }
     ci.index.finalize();
@@ -74,6 +118,7 @@ std::map<int, TermVector> IntentionMatcher::assign_external(
   // Nearest-centroid assignment + refinement, mirroring add_document.
   std::map<int, TermVector> per_cluster_terms;
   obs::TraceScope assign(obs::Stage::kClusterAssign);
+  const std::shared_ptr<const std::vector<Token>> tokens = doc.index_tokens();
   for (auto [b, e] : segmentation.segments()) {
     if (b == e) continue;
     std::vector<double> f = segment_feature_vector(doc, b, e, features);
@@ -89,7 +134,7 @@ std::map<int, TermVector> IntentionMatcher::assign_external(
     size_t tok_b = doc.sentences()[b].token_begin;
     size_t tok_e = doc.sentences()[e - 1].token_end;
     per_cluster_terms[best].merge(
-        build_term_vector_lookup(doc.tokens(), tok_b, tok_e, vocab));
+        build_term_vector_lookup(*tokens, tok_b, tok_e, vocab));
   }
   return per_cluster_terms;
 }
@@ -140,6 +185,8 @@ double IntentionMatcher::add_document(
   double max_assign_distance = 0.0;
   {
     obs::TraceScope assign(obs::Stage::kClusterAssign);
+    const std::shared_ptr<const std::vector<Token>> tokens =
+        doc.index_tokens();
     for (auto [b, e] : segmentation.segments()) {
       if (b == e) continue;
       std::vector<double> f = segment_feature_vector(doc, b, e, features);
@@ -158,7 +205,7 @@ double IntentionMatcher::add_document(
       size_t tok_b = doc.sentences()[b].token_begin;
       size_t tok_e = doc.sentences()[e - 1].token_end;
       per_cluster_terms[best].merge(
-          build_term_vector(doc.tokens(), tok_b, tok_e, vocab));
+          build_term_vector(*tokens, tok_b, tok_e, vocab));
     }
   }
   for (auto& [cluster, terms] : per_cluster_terms) {

@@ -83,6 +83,22 @@ class IntentionMatcher {
                                 Vocabulary& vocab,
                                 const MatcherOptions& options = {});
 
+  /// The same build over bags made beforehand: `segment_terms[i]` is the
+  /// bag of clustering.segments()[i] (see segment_terms), moved into its
+  /// cluster's index.
+  static IntentionMatcher build(const IntentionClustering& clustering,
+                                std::vector<TermVector> segment_terms,
+                                const MatcherOptions& options = {});
+
+  /// The term bag of every refined segment of `clustering`, parallel to
+  /// clustering.segments(). New terms are interned into `vocab` cluster by
+  /// cluster in member order — the order build() indexes the segments in,
+  /// so TermIds do not depend on who builds the bags. Reads each
+  /// document's tokens through Document::index_tokens.
+  static std::vector<TermVector> segment_terms(
+      const std::vector<Document>& docs,
+      const IntentionClustering& clustering, Vocabulary& vocab);
+
   /// Algorithm 2: the top-k documents related to reference document
   /// `query`. The query document itself is excluded from the result.
   std::vector<ScoredDoc> find_related(DocId query, int k) const;

@@ -1,6 +1,7 @@
 #include "seg/document.h"
 
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 #include "nlp/cm_annotator.h"
@@ -31,14 +32,34 @@ const std::shared_ptr<const Document::Analysis>& Document::empty_analysis() {
   return kEmpty;
 }
 
-Document::Document() : a_(empty_analysis()) {}
+const Document::Tokens& Document::empty_tokens() {
+  static const Tokens kEmpty = std::make_shared<const std::vector<Token>>();
+  return kEmpty;
+}
+
+Document::Document() : a_(empty_analysis()), tokens_(empty_tokens()) {}
 
 Document::Document(Document&& other) noexcept
-    : a_(std::exchange(other.a_, empty_analysis())) {}
+    : a_(std::exchange(other.a_, empty_analysis())),
+      tokens_(std::exchange(other.tokens_, empty_tokens())) {}
 
 Document& Document::operator=(Document&& other) noexcept {
   a_.swap(other.a_);
+  tokens_.swap(other.tokens_);
   return *this;
+}
+
+const std::vector<Token>& Document::tokens() const {
+  if (tokens_ == nullptr) {
+    throw std::logic_error("Document " + std::to_string(id()) +
+                           ": token array dropped; read index_tokens()");
+  }
+  return *tokens_;
+}
+
+std::shared_ptr<const std::vector<Token>> Document::index_tokens() const {
+  if (tokens_ != nullptr) return tokens_;
+  return std::make_shared<const std::vector<Token>>(tokenize(a_->text));
 }
 
 Document Document::analyze(DocId id, std::string text) {
@@ -48,13 +69,13 @@ Document Document::analyze(DocId id, std::string text) {
   auto a = std::make_shared<Analysis>();
   a->id = id;
   a->text = std::move(text);
-  a->tokens = tokenize(a->text);
-  // tokenize grows its vector by doubling; the analysis lives as long as
-  // the document, so drop the unused slots (~30% of them) once.
-  a->tokens.shrink_to_fit();
-  a->tags = tag_tokens(a->tokens);
-  a->sentences = split_sentences(a->tokens, a->text);
-  a->unit_profiles = annotate_sentences(a->tokens, a->tags, a->sentences);
+  auto tokens = std::make_shared<std::vector<Token>>(tokenize(a->text));
+  // tokenize grows its vector by doubling; the array lives until the post
+  // is indexed, so drop the unused slots (~30% of them) once.
+  tokens->shrink_to_fit();
+  a->sentences = split_sentences(*tokens, a->text);
+  a->unit_profiles =
+      annotate_sentences(*tokens, tag_tokens(*tokens), a->sentences);
 
   a->prefix_profiles.resize(a->sentences.size() + 1);
   for (size_t i = 0; i < a->sentences.size(); ++i) {
@@ -62,14 +83,11 @@ Document Document::analyze(DocId id, std::string text) {
     a->prefix_profiles[i + 1].merge(a->unit_profiles[i]);
   }
 
-  size_t bytes = sizeof(Analysis) + capacity_bytes(a->text) +
-                 capacity_bytes(a->tokens) + capacity_bytes(a->tags) +
-                 capacity_bytes(a->sentences) +
-                 capacity_bytes(a->unit_profiles) +
-                 capacity_bytes(a->prefix_profiles);
-  for (const Token& t : a->tokens) bytes += capacity_bytes(t.lower);
-  a->footprint_bytes = bytes;
-  return Document(std::move(a));
+  a->footprint_bytes = sizeof(Analysis) + capacity_bytes(a->text) +
+                       capacity_bytes(a->sentences) +
+                       capacity_bytes(a->unit_profiles) +
+                       capacity_bytes(a->prefix_profiles);
+  return Document(std::move(a), std::move(tokens));
 }
 
 CmProfile Document::range_profile(size_t begin, size_t end) const {

@@ -189,16 +189,18 @@ bool IngestWal::reset() {
     std::remove(tmp.c_str());
     return false;
   }
-  if (!fsync_parent_dir(path_)) {
-    ::close(nfd);
-    return false;
-  }
+  // Until the rename's directory entry is durable, a power failure may
+  // bring the old file back and lose whatever was appended to the new
+  // one, so a failed directory fsync breaks the log: appends are refused
+  // until a reset gets that far. Either way the path names the new file
+  // now, and the handle must follow it: appends to the replaced inode
+  // would be acknowledged into a file no restart reads.
+  broken_ = !fsync_parent_dir(path_);
   ::close(fd_);
   fd_ = nfd;
   size_ = 0;
   unsynced_ = 0;
-  broken_ = false;
-  return true;
+  return !broken_;
 }
 
 }  // namespace ibseg

@@ -95,7 +95,10 @@ class IngestWal {
   /// in-place ftruncate: a truncation whose size change is lost to power
   /// failure leaves stale CRC-valid frames on disk for later appends to
   /// overwrite, and a post-reset tail ending exactly on a stale frame
-  /// boundary would replay resurrected records as current.
+  /// boundary would replay resurrected records as current. Once the
+  /// rename has happened the handle writes to the new file; if the
+  /// directory fsync after it fails, reset() returns false and the log
+  /// refuses appends until a later reset() succeeds.
   bool reset();
 
   /// Records appended through this handle by calls that succeeded
@@ -119,7 +122,8 @@ class IngestWal {
   uint64_t size_ = 0;  ///< the end of the last appended frame
   uint64_t appended_ = 0;
   size_t unsynced_ = 0;  ///< appends since the last fsync (kEveryN)
-  bool broken_ = false;  ///< a cut back failed; appends refused
+  /// A cut back or a reset's directory fsync failed; appends refused.
+  bool broken_ = false;
 };
 
 }  // namespace ibseg

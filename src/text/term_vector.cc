@@ -1,5 +1,6 @@
 #include "text/term_vector.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "text/porter_stemmer.h"
@@ -7,11 +8,26 @@
 
 namespace ibseg {
 
-void TermVector::add(TermId term, double weight) { weights_[term] += weight; }
+namespace {
+
+bool term_less(const TermVector::Entry& e, TermId term) {
+  return e.first < term;
+}
+
+}  // namespace
+
+void TermVector::add(TermId term, double weight) {
+  auto it = std::lower_bound(weights_.begin(), weights_.end(), term, term_less);
+  if (it != weights_.end() && it->first == term) {
+    it->second += weight;
+  } else {
+    weights_.emplace(it, term, weight);
+  }
+}
 
 double TermVector::weight(TermId term) const {
-  auto it = weights_.find(term);
-  return it == weights_.end() ? 0.0 : it->second;
+  auto it = std::lower_bound(weights_.begin(), weights_.end(), term, term_less);
+  return it != weights_.end() && it->first == term ? it->second : 0.0;
 }
 
 double TermVector::total_weight() const {
@@ -45,29 +61,73 @@ double TermVector::cosine(const TermVector& a, const TermVector& b) {
 }
 
 void TermVector::merge(const TermVector& other) {
-  for (const auto& [term, w] : other.weights_) weights_[term] += w;
+  if (other.empty()) return;
+  if (empty()) {
+    weights_ = other.weights_;  // an exact-size copy
+    return;
+  }
+  std::vector<Entry> merged;
+  merged.reserve(weights_.size() + other.weights_.size());
+  auto a = weights_.cbegin();
+  auto b = other.weights_.cbegin();
+  while (a != weights_.cend() && b != other.weights_.cend()) {
+    if (a->first < b->first) {
+      merged.push_back(*a++);
+    } else if (b->first < a->first) {
+      merged.push_back(*b++);
+    } else {
+      merged.emplace_back(a->first, a->second + b->second);
+      ++a;
+      ++b;
+    }
+  }
+  merged.insert(merged.end(), a, weights_.cend());
+  merged.insert(merged.end(), b, other.weights_.cend());
+  weights_ = std::move(merged);
 }
 
-TermVector build_term_vector(const std::vector<Token>& tokens, size_t begin,
-                             size_t end, Vocabulary& vocab) {
+TermVector TermVector::count(std::vector<TermId> terms) {
+  std::sort(terms.begin(), terms.end());
+  size_t distinct = 0;
+  for (size_t i = 0; i < terms.size(); ++i) {
+    if (i == 0 || terms[i] != terms[i - 1]) ++distinct;
+  }
   TermVector tv;
+  tv.weights_.reserve(distinct);
+  for (TermId t : terms) {
+    if (tv.weights_.empty() || tv.weights_.back().first != t) {
+      tv.weights_.emplace_back(t, 0.0);
+    }
+    tv.weights_.back().second += 1.0;
+  }
+  return tv;
+}
+
+void append_term_ids(const std::vector<Token>& tokens, size_t begin,
+                     size_t end, Vocabulary& vocab, std::vector<TermId>* out) {
   for (size_t i = begin; i < end && i < tokens.size(); ++i) {
     const Token& t = tokens[i];
     if (t.kind == TokenKind::kPunctuation) continue;
     if (t.kind == TokenKind::kWord) {
       if (is_stopword(t.lower)) continue;
-      tv.add(vocab.intern(porter_stem(t.lower)));
+      out->push_back(vocab.intern(porter_stem(t.lower)));
     } else {
-      tv.add(vocab.intern(t.lower));  // numbers/units kept verbatim
+      out->push_back(vocab.intern(t.lower));  // numbers/units kept verbatim
     }
   }
-  return tv;
+}
+
+TermVector build_term_vector(const std::vector<Token>& tokens, size_t begin,
+                             size_t end, Vocabulary& vocab) {
+  std::vector<TermId> ids;
+  append_term_ids(tokens, begin, end, vocab, &ids);
+  return TermVector::count(std::move(ids));
 }
 
 TermVector build_term_vector_lookup(const std::vector<Token>& tokens,
                                     size_t begin, size_t end,
                                     const Vocabulary& vocab) {
-  TermVector tv;
+  std::vector<TermId> ids;
   for (size_t i = begin; i < end && i < tokens.size(); ++i) {
     const Token& t = tokens[i];
     if (t.kind == TokenKind::kPunctuation) continue;
@@ -78,9 +138,9 @@ TermVector build_term_vector_lookup(const std::vector<Token>& tokens,
     } else {
       id = vocab.find(t.lower);  // numbers/units kept verbatim
     }
-    if (id != kInvalidTerm) tv.add(id);
+    if (id != kInvalidTerm) ids.push_back(id);
   }
-  return tv;
+  return TermVector::count(std::move(ids));
 }
 
 }  // namespace ibseg

@@ -1,9 +1,9 @@
 #ifndef IBSEG_TEXT_TERM_VECTOR_H_
 #define IBSEG_TEXT_TERM_VECTOR_H_
 
-#include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "text/tokenizer.h"
@@ -11,11 +11,15 @@
 
 namespace ibseg {
 
-/// Sparse bag-of-words with double weights, ordered by TermId so that merge
-/// operations are linear. Used by the TextTiling baseline, the Content-MR
+/// Sparse bag-of-words with double weights: a flat array of (term,
+/// weight) entries in strictly ascending TermId order, so merges are
+/// linear and every sum over the entries adds them in TermId order. Used
+/// by the per-intention indices, the TextTiling baseline, the Content-MR
 /// clustering and the TF/IDF machinery.
 class TermVector {
  public:
+  using Entry = std::pair<TermId, double>;
+
   TermVector() = default;
 
   /// Adds `weight` to the entry for `term`.
@@ -38,15 +42,26 @@ class TermVector {
   /// Merges `other` into this (element-wise sum).
   void merge(const TermVector& other);
 
-  /// Ordered (term, weight) view.
-  const std::map<TermId, double>& entries() const { return weights_; }
+  /// The bag in which each term of `terms` (any order, repeats allowed)
+  /// weighs its number of occurrences, held in an exact-size array.
+  static TermVector count(std::vector<TermId> terms);
+
+  /// The (term, weight) entries, strictly ascending by term.
+  const std::vector<Entry>& entries() const { return weights_; }
 
  private:
-  std::map<TermId, double> weights_;
+  std::vector<Entry> weights_;
 };
 
+/// Appends the term of every indexable token in [begin, end) to `*out`,
+/// in token order: words stemmed and stopword-filtered, numbers verbatim,
+/// punctuation skipped. Interns new terms into `vocab`.
+void append_term_ids(const std::vector<Token>& tokens, size_t begin,
+                     size_t end, Vocabulary& vocab, std::vector<TermId>* out);
+
 /// Builds a stemmed, stopword-filtered term vector from word tokens in
-/// [begin, end). Interns new terms into `vocab`.
+/// [begin, end) (the terms append_term_ids yields, counted). Interns new
+/// terms into `vocab`.
 TermVector build_term_vector(const std::vector<Token>& tokens, size_t begin,
                              size_t end, Vocabulary& vocab);
 

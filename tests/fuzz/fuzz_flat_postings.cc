@@ -56,7 +56,10 @@ std::vector<ibseg::TermVector> parse_units(const uint8_t* data,
     }
     const ibseg::TermId term = control & (kTerms - 1);
     ibseg::TermVector& unit = units.back();
-    if (unit.entries().count(term) == 0) unit.add(term, tf);
+    const bool present =
+        std::any_of(unit.entries().begin(), unit.entries().end(),
+                    [&](const auto& e) { return e.first == term; });
+    if (!present) unit.add(term, tf);
     if ((control & 0x80) != 0) units.emplace_back();
   }
   return units;

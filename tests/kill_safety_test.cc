@@ -12,6 +12,7 @@
 // returned must survive; a post mid-append may only ever be torn at the
 // tail, which replay truncates.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -23,8 +24,10 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/sharded_serving.h"
@@ -32,6 +35,7 @@
 #include "oracle.h"
 #include "storage/snapshot_v2.h"
 #include "storage/wal_codec.h"
+#include "temp_dir.h"
 
 namespace ibseg {
 namespace {
@@ -68,15 +72,6 @@ bool spew(const std::string& path, const std::string& data) {
   os << data;
   os.flush();
   return static_cast<bool>(os);
-}
-
-/// A fresh (emptied) pid-suffixed state directory under gtest's temp dir.
-std::string tmp_path(const std::string& name) {
-  std::string path =
-      ::testing::TempDir() + "/ibseg_kill_" + name + "_" +
-      std::to_string(static_cast<long>(::getpid()));
-  std::filesystem::remove_all(path);
-  return path;
 }
 
 /// Bit-identical comparison: both sides ran the same ingest code path, so
@@ -118,7 +113,7 @@ void write_base_dir(const std::string& dir) {
 void run_crash_trial(size_t crash_after, const std::string& torn_tail_bytes) {
   const std::vector<std::string> stream = ingest_stream();
   ASSERT_LE(crash_after, stream.size());
-  std::string dir = tmp_path("state");
+  std::string dir = fresh_temp_dir("kill_state");
   std::string wal_file = dir + "/wal";
   write_base_dir(dir);
 
@@ -202,7 +197,7 @@ TEST(KillSafety, TornWalTailIsTruncatedNeverReplayed) {
 // the later one present.
 TEST(KillSafety, FailedWalAppendIsNeitherPublishedNorRestored) {
   const std::vector<std::string> stream = ingest_stream();
-  std::string dir = tmp_path("efbig");
+  std::string dir = fresh_temp_dir("kill_efbig");
   const std::string wal_file = dir + "/wal";
   write_base_dir(dir);
   DocId first = 0;
@@ -258,12 +253,108 @@ TEST(KillSafety, FailedWalAppendIsNeitherPublishedNorRestored) {
   std::filesystem::remove_all(dir);
 }
 
+// A save whose log reset fails after the rename (here: the directory
+// fsync hits EMFILE) must not let later ingests be acknowledged into the
+// replaced log file, which no restore reads. The child lowers
+// RLIMIT_NOFILE so exactly one descriptor is free during save(); every
+// ingest after it must be refused or survive restore. A copy of the
+// state directory taken before any later save stands for a crash at that
+// point. With the limit raised, the next save resets the log and
+// ingests are acknowledged again. The child records the ids it saw
+// acknowledged; the parent restores both directories and checks them.
+TEST(KillSafety, FailedLogResetRefusesIngestsUntilASaveSucceeds) {
+  const std::vector<std::string> stream = ingest_stream();
+  const std::string dir = fresh_temp_dir("kill_reset_emfile");
+  const std::string crashed = fresh_temp_dir("kill_reset_emfile_crash");
+  const std::string acked_file = dir + "/acked_ids";
+  write_base_dir(dir);
+
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0) << "fork failed";
+  if (pid == 0) {
+    // ---- child: each failed check exits with its own code.
+    auto serving = ShardedServing::restore(dir);
+    if (serving == nullptr) _exit(40);
+    std::vector<DocId> acked;
+    std::optional<DocId> id = serving->add_post(stream[0]);
+    if (!id.has_value()) _exit(41);
+    acked.push_back(*id);
+    rlimit old_limit{};
+    if (getrlimit(RLIMIT_NOFILE, &old_limit) != 0) _exit(42);
+    const int free_fd = ::open("/dev/null", O_RDONLY);
+    if (free_fd < 0) _exit(43);
+    ::close(free_fd);
+    rlimit low = old_limit;
+    low.rlim_cur = static_cast<rlim_t>(free_fd) + 1;  // one free descriptor
+    if (setrlimit(RLIMIT_NOFILE, &low) != 0) _exit(44);
+    if (serving->save(dir)) _exit(45);  // the log reset failed
+    for (size_t i = 1; i <= 2; ++i) {
+      id = serving->add_post(stream[i]);
+      if (id.has_value()) acked.push_back(*id);
+    }
+    if (setrlimit(RLIMIT_NOFILE, &old_limit) != 0) _exit(46);
+    // Still refused: only a successful save mends the log.
+    id = serving->add_post(stream[3]);
+    if (id.has_value()) acked.push_back(*id);
+    std::filesystem::remove_all(crashed);
+    std::error_code ec;
+    std::filesystem::copy(dir, crashed,
+                          std::filesystem::copy_options::recursive, ec);
+    if (ec) _exit(47);
+    const size_t acked_before_save = acked.size();
+    if (!serving->save(dir)) _exit(48);
+    id = serving->add_post(stream[4]);
+    if (!id.has_value()) _exit(49);
+    acked.push_back(*id);
+    std::ofstream os(acked_file, std::ios::trunc);
+    os << acked_before_save << "\n";
+    for (DocId a : acked) os << a << "\n";
+    os.close();
+    if (!os) _exit(50);
+    _exit(kChildExitCode);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), kChildExitCode);
+
+  size_t acked_before_save = 0;
+  std::vector<DocId> acked;
+  {
+    std::ifstream is(acked_file);
+    is >> acked_before_save;
+    DocId a = 0;
+    while (is >> a) acked.push_back(a);
+  }
+  ASSERT_LE(acked_before_save, acked.size());
+  ASSERT_GE(acked_before_save, 1u);
+  const size_t seed = seed_docs().size();
+  auto expect_restored = [&](const std::string& from, size_t count) {
+    auto recovered = ShardedServing::restore(from);
+    ASSERT_NE(recovered, nullptr) << from;
+    EXPECT_EQ(recovered->num_docs(), seed + count) << from;
+    std::unordered_set<DocId> present;
+    for (const Document& d : recovered->shard(0).quiescent().docs()) {
+      present.insert(d.id());
+    }
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_TRUE(present.count(acked[i]) > 0)
+          << "acknowledged post " << acked[i] << " lost across restore of "
+          << from;
+    }
+  };
+  expect_restored(crashed, acked_before_save);
+  expect_restored(dir, acked.size());
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(crashed);
+}
+
 TEST(KillSafety, CrashBetweenSnapshotAndWalTruncation) {
   // The save()-time crash window: snapshot and manifest committed, log not
   // yet reset. Replay must skip every record already baked into the
   // snapshot.
   const std::vector<std::string> stream = ingest_stream();
-  std::string dir = tmp_path("state_window");
+  std::string dir = fresh_temp_dir("kill_state_window");
   std::string wal_file = dir + "/wal";
   write_base_dir(dir);
 
@@ -314,11 +405,6 @@ TEST(KillSafety, CrashBetweenSnapshotAndWalTruncation) {
 
 constexpr uint32_t kShards = 4;
 
-std::string tmp_dir(const std::string& name) {
-  return ::testing::TempDir() + "/ibseg_kill_" + name + "_" +
-         std::to_string(static_cast<long>(::getpid()));
-}
-
 /// All mutable files of a 4-shard persist directory, for capture/rollback.
 std::vector<std::string> shard_dir_files(const std::string& dir) {
   std::vector<std::string> files = {dir + "/MANIFEST", dir + "/wal"};
@@ -362,7 +448,7 @@ void write_base_shard_dir(const std::string& dir) {
 void run_sharded_crash_trial(size_t crash_after) {
   const std::vector<std::string> stream = ingest_stream();
   ASSERT_LE(crash_after, stream.size());
-  std::string dir = tmp_dir("shards");
+  std::string dir = fresh_temp_dir("kill_shards");
   write_base_shard_dir(dir);
 
   pid_t pid = fork();
@@ -417,8 +503,7 @@ TEST(ShardedKillSafety, FourShardCrashMidIngestRecoversBitIdentical) {
 // nothing of the failed batch.
 TEST(ShardedKillSafety, FailedBatchAppendPublishesNoneOfTheBatch) {
   const std::vector<std::string> stream = ingest_stream();
-  std::string dir = tmp_dir("efbig_batch");
-  std::filesystem::remove_all(dir);
+  std::string dir = fresh_temp_dir("kill_efbig_batch");
   write_base_shard_dir(dir);
   const std::string wal_file = dir + "/wal";
   DocId first = 0;
@@ -509,7 +594,7 @@ TEST(ShardedKillSafety, FreshlyCreatedDeploymentSurvivesCrashMidIngest) {
   // must land on the exact pre-crash epoch.
   const std::vector<std::string> stream = ingest_stream();
   const size_t kIngests = 4;
-  std::string dir = tmp_dir("fresh_create");
+  std::string dir = fresh_temp_dir("kill_fresh_create");
 
   pid_t pid = fork();
   ASSERT_GE(pid, 0) << "fork failed";
@@ -548,7 +633,7 @@ TEST(ShardedKillSafety, CrashBetweenShardSnapshotRenames) {
   // bit-identical to the unsharded reference.
   const std::vector<std::string> stream = ingest_stream();
   const size_t kIngests = 6;
-  std::string dir = tmp_dir("renames");
+  std::string dir = fresh_temp_dir("kill_renames");
   write_base_shard_dir(dir);
 
   pid_t pid = fork();
@@ -610,7 +695,7 @@ TEST(ShardedKillSafety, CrashBeforeReclusterManifestCommitLandsOnOldGeneration) 
   // generation 0, full history via log replay, the orphans ignored.
   const std::vector<std::string> stream = ingest_stream();
   const size_t kIngests = 6;
-  std::string dir = tmp_dir("swap_precommit");
+  std::string dir = fresh_temp_dir("kill_swap_precommit");
   write_base_shard_dir(dir);
 
   pid_t pid = fork();
@@ -663,7 +748,7 @@ TEST(ShardedKillSafety, KillAfterReclusterSaveRestoresNewGeneration) {
   const std::vector<std::string> stream = ingest_stream();
   const size_t kBefore = 6;
   const size_t kAfter = 3;
-  std::string dir = tmp_dir("swap_committed");
+  std::string dir = fresh_temp_dir("kill_swap_committed");
   write_base_shard_dir(dir);
 
   pid_t pid = fork();
@@ -713,7 +798,7 @@ TEST(ShardedKillSafety, StaleShardSnapshotIsRejectedNotResurrected) {
   // swapped in an old file. Resurrecting it would silently fork history;
   // restore must reject the directory instead.
   const std::vector<std::string> stream = ingest_stream();
-  std::string dir = tmp_dir("stale");
+  std::string dir = fresh_temp_dir("kill_stale");
   write_base_shard_dir(dir);
   {
     auto sharded = ShardedServing::restore(dir);

@@ -37,6 +37,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "seg/document.h"
+#include "temp_dir.h"
 
 namespace ibseg {
 namespace net {
@@ -68,10 +69,6 @@ std::vector<std::string> ingest_texts(size_t count, uint64_t seed) {
   texts.reserve(extra.posts.size());
   for (const GeneratedPost& p : extra.posts) texts.push_back(p.text);
   return texts;
-}
-
-std::string tmp_dir(const std::string& name) {
-  return ::testing::TempDir() + "/ibseg_net_" + name;
 }
 
 void expect_identical(const std::vector<ScoredDoc>& got,
@@ -467,7 +464,7 @@ TEST(NetServer, SaveWithoutStateDirIsUnsupported) {
 }
 
 TEST(NetServer, SaveCommandPersistsRestorableState) {
-  const std::string dir = tmp_dir("save_cmd");
+  const std::string dir = fresh_temp_dir("net_save_cmd");
   ServerOptions options;
   options.state_dir = dir;
   Loopback lb = start_loopback(options);
@@ -484,7 +481,7 @@ TEST(NetServer, SaveCommandPersistsRestorableState) {
 }
 
 TEST(NetServer, DrainLosesNoAcknowledgedAddPost) {
-  const std::string dir = tmp_dir("drain");
+  const std::string dir = fresh_temp_dir("net_drain");
   ServerOptions options;
   options.state_dir = dir;
 

@@ -4,6 +4,7 @@
 // lives in kill_safety_test.cc; this file covers the formats and the
 // single-process recovery paths.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <sys/resource.h>
@@ -29,6 +30,7 @@
 #include "storage/snapshot_v2.h"
 #include "storage/wal.h"
 #include "storage/wal_codec.h"
+#include "temp_dir.h"
 
 namespace ibseg {
 namespace {
@@ -68,13 +70,6 @@ void write_file(const std::string& path, const std::string& data) {
 }
 
 size_t file_size(const std::string& path) { return read_file(path).size(); }
-
-/// Fresh per-test file (or state directory) path under gtest's temp dir.
-std::string tmp_path(const std::string& name) {
-  std::string path = ::testing::TempDir() + "/ibseg_" + name;
-  std::filesystem::remove_all(path);
-  return path;
-}
 
 /// The one-shard serving facade over the seed corpus; `options` may name
 /// a state directory.
@@ -120,7 +115,7 @@ void expect_same_answers(const ShardedServing& a, const Reference& b,
 // ------------------------------------------------------- snapshot v2 ----
 
 TEST(SnapshotV2, SaveRestoreRoundTrip) {
-  std::string path = tmp_path("snap_roundtrip");
+  std::string path = fresh_temp_dir("snap_roundtrip");
   auto built = seed_serving();
   ShardedServing& serving = *built;
   size_t seed = serving.shard(0).seed_docs();
@@ -154,7 +149,7 @@ TEST(SnapshotV2, SaveRestoreRoundTrip) {
 }
 
 TEST(SnapshotV2, RestoredPipelineKeepsServing) {
-  std::string path = tmp_path("snap_keeps_serving");
+  std::string path = fresh_temp_dir("snap_keeps_serving");
   auto built = seed_serving(12);
   ShardedServing& serving = *built;
   ASSERT_TRUE(serving.save(path));
@@ -174,7 +169,8 @@ TEST(SnapshotV2, RestoredPipelineKeepsServing) {
 }
 
 TEST(SnapshotV2, EveryPrefixIsRejected) {
-  std::string path = tmp_path("snap_prefix");
+  const std::string dir = fresh_temp_dir("snap_prefix");
+  std::string path = dir + "/snapshot.v2";
   ServingPipeline serving(build_seed_pipeline(6));
   ASSERT_TRUE(serving.save(path));
   const std::string data = read_file(path);
@@ -185,11 +181,12 @@ TEST(SnapshotV2, EveryPrefixIsRejected) {
   }
   std::istringstream full(data);
   EXPECT_TRUE(load_snapshot_v2(full).has_value());
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SnapshotV2, SingleByteCorruptionIsRejected) {
-  std::string path = tmp_path("snap_bitflip");
+  const std::string dir = fresh_temp_dir("snap_bitflip");
+  std::string path = dir + "/snapshot.v2";
   ServingPipeline serving(build_seed_pipeline(6));
   ASSERT_TRUE(serving.save(path));
   std::string data = read_file(path);
@@ -205,18 +202,19 @@ TEST(SnapshotV2, SingleByteCorruptionIsRejected) {
   // Trailing garbage after the last section is also rejected.
   std::istringstream padded(data + "x");
   EXPECT_FALSE(load_snapshot_v2(padded).has_value());
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SnapshotV2, SaveFileIsAtomicAndLoadable) {
-  std::string path = tmp_path("snap_atomic");
+  const std::string dir = fresh_temp_dir("snap_atomic");
+  std::string path = dir + "/snapshot.v2";
   ServingPipeline shard(build_seed_pipeline(6));
   ASSERT_TRUE(shard.save(path));
   ASSERT_TRUE(load_snapshot_v2_file(path).has_value());
   // Unwritable target: reports failure, leaves the good file alone.
   EXPECT_FALSE(shard.save("/nonexistent-ibseg-dir/snap"));
   EXPECT_TRUE(load_snapshot_v2_file(path).has_value());
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 /// A deployment one recluster into its life, with a non-trivial offline
@@ -234,7 +232,7 @@ std::unique_ptr<ShardedServing> build_generation_one_pipeline() {
 }
 
 TEST(SnapshotV2, OfflineSectionRoundTripsAfterRecluster) {
-  std::string path = tmp_path("snap_offline_roundtrip");
+  std::string path = fresh_temp_dir("snap_offline_roundtrip");
   auto serving = build_generation_one_pipeline();
   ASSERT_EQ(serving->offline_generation(), 1u);
   ASSERT_GT(serving->pending_pool_size(), 0u);
@@ -277,7 +275,7 @@ TEST(SnapshotV2, EveryPrefixIsRejectedAtGenerationOne) {
   // The corruption sweeps re-run over a POST-RECLUSTER snapshot: the
   // offline section (generation, horizon, labels, centroids, pool,
   // counter) adds bytes the generation-0 sweeps never cover.
-  std::string path = tmp_path("snap_offline_prefix");
+  std::string path = fresh_temp_dir("snap_offline_prefix");
   auto serving = build_generation_one_pipeline();
   ASSERT_TRUE(serving->save(path));
   const std::string data = read_file(shard_snapshot(path, 1));
@@ -294,7 +292,7 @@ TEST(SnapshotV2, EveryPrefixIsRejectedAtGenerationOne) {
 }
 
 TEST(SnapshotV2, SingleByteCorruptionIsRejectedAtGenerationOne) {
-  std::string path = tmp_path("snap_offline_bitflip");
+  std::string path = fresh_temp_dir("snap_offline_bitflip");
   auto serving = build_generation_one_pipeline();
   ASSERT_TRUE(serving->save(path));
   std::string data = read_file(shard_snapshot(path, 1));
@@ -347,7 +345,8 @@ TEST(SnapshotV2, InflatedLengthFieldsDoNotAllocate) {
 // --------------------------------------------------------------- WAL ----
 
 TEST(Wal, AppendThenReplay) {
-  std::string path = tmp_path("wal_replay");
+  const std::string dir = fresh_temp_dir("wal_replay");
+  std::string path = dir + "/wal";
   std::vector<WalRecord> records = {
       {7, "first post text"}, {8, ""}, {9, "text with \n newline \\ slash"}};
   {
@@ -367,11 +366,12 @@ TEST(Wal, AppendThenReplay) {
     EXPECT_EQ(replayed[i].text, records[i].text);
   }
   EXPECT_EQ(wal->appended(), 0u);  // replays don't count as appends
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Wal, TornTailIsTruncatedNotReplayed) {
-  std::string path = tmp_path("wal_torn");
+  const std::string dir = fresh_temp_dir("wal_torn");
+  std::string path = dir + "/wal";
   {
     std::vector<WalRecord> replayed;
     auto wal = IngestWal::open(path, WalOptions{}, &replayed);
@@ -412,11 +412,12 @@ TEST(Wal, TornTailIsTruncatedNotReplayed) {
   ASSERT_NE(wal, nullptr);
   EXPECT_TRUE(replayed.empty());
   EXPECT_EQ(file_size(path), 0u);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Wal, ResetEmptiesTheLog) {
-  std::string path = tmp_path("wal_reset");
+  const std::string dir = fresh_temp_dir("wal_reset");
+  std::string path = dir + "/wal";
   std::vector<WalRecord> replayed;
   auto wal = IngestWal::open(path, WalOptions{}, &replayed);
   ASSERT_NE(wal, nullptr);
@@ -432,13 +433,14 @@ TEST(Wal, ResetEmptiesTheLog) {
   ASSERT_NE(wal2, nullptr);
   ASSERT_EQ(replayed2.size(), 1u);
   EXPECT_EQ(replayed2[0].id, 2u);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Wal, FsyncPoliciesAllPersist) {
   for (WalFsync policy :
        {WalFsync::kNone, WalFsync::kEveryN, WalFsync::kEveryAppend}) {
-    std::string path = tmp_path("wal_policy");
+    const std::string dir = fresh_temp_dir("wal_policy");
+    std::string path = dir + "/wal";
     WalOptions opts;
     opts.fsync = policy;
     opts.fsync_every_n = 2;
@@ -454,7 +456,7 @@ TEST(Wal, FsyncPoliciesAllPersist) {
     auto wal = IngestWal::open(path, opts, &replayed);
     ASSERT_NE(wal, nullptr);
     EXPECT_EQ(replayed.size(), 3u);
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
   }
 }
 
@@ -480,7 +482,8 @@ TEST(Wal, AppendsAndReplaySurviveASignalStormWithoutSaRestart) {
   action.sa_flags = 0;  // deliberately NOT SA_RESTART
   ASSERT_EQ(sigaction(SIGUSR1, &action, &saved), 0);
 
-  std::string path = tmp_path("wal_eintr");
+  const std::string dir = fresh_temp_dir("wal_eintr");
+  std::string path = dir + "/wal";
   constexpr size_t kRecords = 64;
   // Large payloads keep each append inside write(2) long enough for the
   // storm to land there (a short write resumes through the same loop).
@@ -521,7 +524,7 @@ TEST(Wal, AppendsAndReplaySurviveASignalStormWithoutSaRestart) {
     EXPECT_EQ(replayed[i].text.size(), payload.size());
   }
   wal.reset();
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Wal, ResetReplacesTheInodeInsteadOfTruncatingInPlace) {
@@ -531,7 +534,8 @@ TEST(Wal, ResetReplacesTheInodeInsteadOfTruncatingInPlace) {
   // offset 0 can splice seamlessly into them. reset() therefore renames a
   // fresh empty inode over the log; the observable contract is that the
   // inode number CHANGES and the log keeps working.
-  std::string path = tmp_path("wal_reset_inode");
+  const std::string dir = fresh_temp_dir("wal_reset_inode");
+  std::string path = dir + "/wal";
   std::vector<WalRecord> replayed;
   auto wal = IngestWal::open(path, WalOptions{}, &replayed);
   ASSERT_NE(wal, nullptr);
@@ -556,7 +560,7 @@ TEST(Wal, ResetReplacesTheInodeInsteadOfTruncatingInPlace) {
   EXPECT_EQ(replayed2[0].id, 2u);
   EXPECT_EQ(replayed2[0].text, "post-reset record");
   wal2.reset();
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Wal, CrcValidFrameBeyondATornGapIsNeverReplayed) {
@@ -566,7 +570,8 @@ TEST(Wal, CrcValidFrameBeyondATornGapIsNeverReplayed) {
   // resurrected — replaying past a gap would reorder publication. The
   // truncation must also physically remove it so no later scan can ever
   // see it again.
-  std::string path = tmp_path("wal_gap");
+  const std::string dir = fresh_temp_dir("wal_gap");
+  std::string path = dir + "/wal";
   std::string frame_a;
   wal_encode_frame({1, "record before the gap"}, &frame_a);
   std::string frame_c;
@@ -595,7 +600,7 @@ TEST(Wal, CrcValidFrameBeyondATornGapIsNeverReplayed) {
   EXPECT_EQ(replayed2[0].id, 1u);
   EXPECT_EQ(file_size(path), frame_a.size());
   wal2.reset();
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Wal, FailedBatchAppendIsCutBackWhole) {
@@ -607,7 +612,8 @@ TEST(Wal, FailedBatchAppendIsCutBackWhole) {
   // batch is not acknowledged. With the limit raised again the next
   // append succeeds, and replay sees exactly the acknowledged records.
   constexpr int kChildOk = 2;
-  std::string path = tmp_path("wal_efbig");
+  const std::string dir = fresh_temp_dir("wal_efbig");
+  std::string path = dir + "/wal";
   const WalRecord before{1, "acknowledged before the limit"};
   const std::vector<WalRecord> batch = {
       {2, "first frame of the failed batch"},
@@ -652,13 +658,68 @@ TEST(Wal, FailedBatchAppendIsCutBackWhole) {
   EXPECT_EQ(replayed[1].id, after.id);
   EXPECT_EQ(replayed[1].text, after.text);
   wal.reset();
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Wal, BrokenLogRefusesAppendsUntilResetSucceeds) {
+  // A reset whose directory fsync fails has already renamed the fresh file
+  // over the log: the handle must write to that file, and must refuse
+  // every append (single and batch) until a later reset gets through. A
+  // forked child lowers RLIMIT_NOFILE so the reset's new file takes the
+  // last free descriptor and the directory open fails with EMFILE.
+  constexpr int kChildOk = 2;
+  const std::string dir = fresh_temp_dir("wal_broken_reset");
+  std::string path = dir + "/wal";
+  const WalRecord before{1, "appended before the failed reset"};
+  const WalRecord refused{2, "refused while the log is broken"};
+  const WalRecord after{3, "appended after a reset succeeded"};
+
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0) << "fork failed";
+  if (pid == 0) {
+    // ---- child: each failed check exits with its own code.
+    std::vector<WalRecord> replayed;
+    auto wal = IngestWal::open(path, WalOptions{}, &replayed);
+    if (wal == nullptr) _exit(40);
+    if (!wal->append(before)) _exit(41);
+    rlimit old_limit{};
+    if (getrlimit(RLIMIT_NOFILE, &old_limit) != 0) _exit(42);
+    const int free_fd = ::open("/dev/null", O_RDONLY);
+    if (free_fd < 0) _exit(43);
+    ::close(free_fd);
+    rlimit low = old_limit;
+    low.rlim_cur = static_cast<rlim_t>(free_fd) + 1;  // one free descriptor
+    if (setrlimit(RLIMIT_NOFILE, &low) != 0) _exit(44);
+    if (wal->reset()) _exit(45);
+    if (setrlimit(RLIMIT_NOFILE, &old_limit) != 0) _exit(46);
+    if (file_size(path) != 0) _exit(47);  // the fresh file is in place
+    if (wal->append(refused)) _exit(48);
+    if (wal->append_batch({refused, refused})) _exit(49);
+    if (file_size(path) != 0) _exit(50);
+    if (!wal->reset()) _exit(51);
+    if (!wal->append(after)) _exit(52);
+    if (wal->appended() != 2) _exit(53);
+    _exit(kChildOk);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), kChildOk);
+
+  std::vector<WalRecord> replayed;
+  auto wal = IngestWal::open(path, WalOptions{}, &replayed);
+  ASSERT_NE(wal, nullptr);
+  ASSERT_EQ(replayed.size(), 1u);
+  EXPECT_EQ(replayed[0].id, after.id);
+  EXPECT_EQ(replayed[0].text, after.text);
+  wal.reset();
+  std::filesystem::remove_all(dir);
 }
 
 // ----------------------------------------------- serving + WAL wiring ----
 
 TEST(ServingPersistence, WalReplayRebuildsIdenticalState) {
-  std::string dir = tmp_path("serving_wal_replay");
+  std::string dir = fresh_temp_dir("serving_wal_replay");
   ServingOptions with_wal;
   with_wal.persist.shard_dir = dir;
   std::vector<std::string> extras = extra_posts();
@@ -685,7 +746,7 @@ TEST(ServingPersistence, WalReplayRebuildsIdenticalState) {
 }
 
 TEST(ServingPersistence, SaveTruncatesWalAndRestoreSkipsDuplicates) {
-  std::string dir = tmp_path("serving_wal_dup");
+  std::string dir = fresh_temp_dir("serving_wal_dup");
   ServingOptions with_wal;
   with_wal.persist.shard_dir = dir;
   std::vector<std::string> extras = extra_posts();
@@ -722,7 +783,7 @@ TEST(ServingPersistence, SaveTruncatesWalAndRestoreSkipsDuplicates) {
 // replays batched and single ingests across shards in their original
 // publication order: same ids, same sequence, bit-identical answers.
 TEST(ServingPersistence, BatchedIngestReplaysInPublicationOrder) {
-  std::string dir = tmp_path("serving_batch_replay");
+  std::string dir = fresh_temp_dir("serving_batch_replay");
   ServingOptions options;
   options.num_shards = 2;
   options.persist.shard_dir = dir;
@@ -769,7 +830,7 @@ TEST(ServingPersistence, BatchedIngestReplaysInPublicationOrder) {
 // shard-<s>/wal) is ever created.
 TEST(ServingPersistence, IngestLogIsTheShippedPublicationSequence) {
   constexpr uint32_t kShards = 4;
-  std::string dir = tmp_path("serving_one_log");
+  std::string dir = fresh_temp_dir("serving_one_log");
   ServingOptions options;
   options.num_shards = static_cast<int>(kShards);
   options.persist.shard_dir = dir;
@@ -813,7 +874,7 @@ TEST(ServingPersistence, IngestLogIsTheShippedPublicationSequence) {
 // instead of coming back without that tail. The final save of a drained
 // deployment left both empty, and such a directory restores as before.
 TEST(ServingPersistence, RestoreRefusesUndrainedLegacyLogs) {
-  std::string dir = tmp_path("serving_legacy_logs");
+  std::string dir = fresh_temp_dir("serving_legacy_logs");
   ServingOptions options;
   options.num_shards = 2;
   ASSERT_TRUE(seed_serving(24, options)->save(dir));
@@ -851,8 +912,10 @@ TEST(ServingPersistence, RestoreRefusesUndrainedLegacyLogs) {
 }
 
 TEST(ServingPersistence, RestoreRejectsMissingOrCorruptSnapshot) {
-  EXPECT_EQ(ShardedServing::restore(tmp_path("no_such_snapshot")), nullptr);
-  std::string path = tmp_path("corrupt_snapshot");
+  const std::string empty = fresh_temp_dir("no_such_snapshot");
+  EXPECT_EQ(ShardedServing::restore(empty), nullptr);
+  std::filesystem::remove_all(empty);
+  std::string path = fresh_temp_dir("corrupt_snapshot");
   ASSERT_TRUE(seed_serving(6)->save(path));
   write_file(shard_snapshot(path), "IBSGSNP2 but then nonsense");
   EXPECT_EQ(ShardedServing::restore(path), nullptr);

@@ -28,6 +28,7 @@
 #include "core/sharded_serving.h"
 #include "datagen/post_generator.h"
 #include "oracle.h"
+#include "temp_dir.h"
 
 namespace ibseg {
 namespace {
@@ -42,14 +43,6 @@ GeneratorOptions corpus_options(size_t posts, uint64_t seed) {
   gen.posts_per_scenario = 4;
   gen.seed = seed;
   return gen;
-}
-
-/// Pid-suffixed so reruns never see a previous process's ingest log
-/// tails (ShardedServing::restore wires persistence to the directory and
-/// replays whatever it finds there).
-std::string tmp_dir(const std::string& name) {
-  return ::testing::TempDir() + "/ibseg_recluster_" + name + "_" +
-         std::to_string(static_cast<long>(::getpid()));
 }
 
 std::vector<std::string> ingest_texts(size_t count, uint64_t seed) {
@@ -313,8 +306,7 @@ TEST(ReclusterDifferential, RestoreWithoutSeedRebuildIsBitIdentical) {
   // restore that re-ran the offline phase over the SEED docs only would
   // silently resurrect generation 0. The snapshot carries the offline
   // state; restore must reproduce the post-recluster index exactly.
-  std::string path = tmp_dir("snap_gen1");
-  std::filesystem::remove_all(path);
+  std::string path = fresh_temp_dir("recluster_snap_gen1");
   SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 81));
   std::vector<std::string> tail = ingest_texts(kTail, 82);
   std::vector<std::string> later = ingest_texts(3, 83);
@@ -364,7 +356,8 @@ TEST(ReclusterDifferential, ShardedSaveRestoreRoundTripsGenerationOne) {
 
   for (int shards : kShardCounts) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    std::string dir = tmp_dir("gen1_s" + std::to_string(shards));
+    std::string dir =
+        fresh_temp_dir("recluster_gen1_s" + std::to_string(shards));
     ServingOptions options;
     options.num_shards = shards;
     std::unique_ptr<ShardedServing> original =

@@ -37,6 +37,7 @@
 #include "obs/metrics.h"
 #include "replication/replica.h"
 #include "storage/wal_codec.h"
+#include "temp_dir.h"
 
 namespace ibseg {
 namespace {
@@ -60,13 +61,6 @@ std::vector<std::string> ingest_stream(size_t count = 10, uint64_t seed = 777) {
   std::vector<std::string> texts;
   for (const GeneratedPost& p : corpus.posts) texts.push_back(p.text);
   return texts;
-}
-
-std::string tmp_dir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/ibseg_repl_" + name + "_" +
-                    std::to_string(static_cast<long>(::getpid()));
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 /// Bit-identical comparison of two sharded deployments over every corpus
@@ -354,7 +348,7 @@ struct WireLeader {
 
 WireLeader start_wire_leader(const std::string& name, int shards = 2) {
   WireLeader leader;
-  leader.dir = tmp_dir(name);
+  leader.dir = fresh_temp_dir("repl_" + name);
   ServingOptions serving;
   serving.num_shards = shards;
   serving.persist.shard_dir = leader.dir;
@@ -376,7 +370,7 @@ TEST(WireReplica, BootstrapCatchUpAndLagGauges) {
 
   repl::ReplicaOptions options;
   options.leader_port = leader.server->port();
-  options.dir = tmp_dir("wire_catchup_replica");
+  options.dir = fresh_temp_dir("repl_wire_catchup_replica");
   options.replica_id = "wire-catchup";  // unique: the metrics registry is
                                         // process-global across tests
   options.max_frames = 1;               // one frame per pull → visible lag
@@ -431,7 +425,7 @@ TEST(WireReplica, PollingThreadFollowsLeaderIngest) {
 
   repl::ReplicaOptions options;
   options.leader_port = leader.server->port();
-  options.dir = tmp_dir("wire_poll_replica");
+  options.dir = fresh_temp_dir("repl_wire_poll_replica");
   options.replica_id = "wire-poll";
   options.poll_interval_ms = 5;
   auto replica = repl::Replica::bootstrap(options);
@@ -454,7 +448,7 @@ TEST(WireReplica, ReadOnlyServerRejectsMutationsButServesReads) {
 
   repl::ReplicaOptions replica_options;
   replica_options.leader_port = leader.server->port();
-  replica_options.dir = tmp_dir("wire_readonly_replica");
+  replica_options.dir = fresh_temp_dir("repl_wire_readonly_replica");
   replica_options.replica_id = "wire-readonly";
   auto replica = repl::Replica::bootstrap(replica_options);
   ASSERT_NE(replica, nullptr);
@@ -505,7 +499,7 @@ TEST(WireReplica, LeaderFanOutServesReplicaAnswersBitIdentically) {
 
   repl::ReplicaOptions replica_options;
   replica_options.leader_port = leader.server->port();
-  replica_options.dir = tmp_dir("wire_fanout_replica");
+  replica_options.dir = fresh_temp_dir("repl_wire_fanout_replica");
   replica_options.replica_id = "wire-fanout";
   auto replica = repl::Replica::bootstrap(replica_options);
   ASSERT_NE(replica, nullptr);
@@ -599,8 +593,9 @@ void touch(const std::string& path) {
 void run_promotion_trial(const std::string& name, bool catch_up_over_wire) {
   constexpr size_t kIngests = 5;
   constexpr int kShards = 2;
-  const std::string leader_dir = tmp_dir(name + "_leader");
-  const std::string replica_dir = tmp_dir(name + "_replica");
+  const std::string leader_dir = fresh_temp_dir("repl_" + name + "_leader");
+  const std::string replica_dir =
+      fresh_temp_dir("repl_" + name + "_replica");
   const std::string port_file = leader_dir + "/port";
   const std::string go_file = leader_dir + "/go";
   const std::string ingested_file = leader_dir + "/ingested";
@@ -718,7 +713,7 @@ TEST(Promotion, CaughtUpReplicaPromotesWithNoLoss) {
 // it. A follower on the leader's history drains the rest and matches the
 // leader.
 TEST(Promotion, DivergentFollowerIsRefused) {
-  const std::string leader_dir = tmp_dir("divergent_leader");
+  const std::string leader_dir = fresh_temp_dir("repl_divergent_leader");
   const std::vector<std::string> stream = ingest_stream(2);
   ServingOptions persisted;
   persisted.num_shards = 2;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -118,9 +120,10 @@ TEST(Document, CopiesShareOneAnalysis) {
     EXPECT_EQ(c->sentences().data(), d.sentences().data());
     EXPECT_EQ(c->footprint_bytes(), d.footprint_bytes());
   }
-  // The payload holds at least its text, tokens and two profiles per unit.
+  // The resident payload holds at least its text, sentences and two
+  // profiles per unit; the token array is not part of it.
   EXPECT_GE(d.footprint_bytes(),
-            d.text().size() + d.tokens().size() * sizeof(Token) +
+            d.text().size() + d.num_units() * sizeof(Sentence) +
                 2 * d.num_units() * sizeof(CmProfile));
   // A move hands the payload over and leaves the source empty.
   Document moved = std::move(copy);
@@ -129,12 +132,42 @@ TEST(Document, CopiesShareOneAnalysis) {
   EXPECT_TRUE(copy.text().empty());
 }
 
+TEST(Document, DroppedTokensThrowAndRetokenizeIdentically) {
+  Document d = Document::analyze(5, kThreeIntentPost);
+  const std::vector<Token> original = d.tokens();
+  ASSERT_FALSE(original.empty());
+  Document trimmed = d;
+  EXPECT_TRUE(trimmed.holds_tokens());
+  EXPECT_EQ(trimmed.index_tokens().get(), &d.tokens());  // the held array
+  trimmed.drop_tokens();
+  EXPECT_FALSE(trimmed.holds_tokens());
+  EXPECT_THROW(trimmed.tokens(), std::logic_error);
+  // Other handles keep their array; the resident analysis is shared.
+  EXPECT_TRUE(d.holds_tokens());
+  EXPECT_EQ(trimmed.text().data(), d.text().data());
+  EXPECT_EQ(trimmed.footprint_bytes(), d.footprint_bytes());
+  // A re-index reads the same tokens again.
+  const std::shared_ptr<const std::vector<Token>> again =
+      trimmed.index_tokens();
+  ASSERT_EQ(again->size(), original.size());
+  for (size_t i = 0; i < original.size(); ++i) {
+    EXPECT_EQ((*again)[i].lower, original[i].lower) << i;
+    EXPECT_EQ((*again)[i].kind, original[i].kind) << i;
+    EXPECT_EQ((*again)[i].begin, original[i].begin) << i;
+    EXPECT_EQ((*again)[i].end, original[i].end) << i;
+  }
+  // Moves carry the dropped state along.
+  Document moved = std::move(trimmed);
+  EXPECT_FALSE(moved.holds_tokens());
+  EXPECT_TRUE(trimmed.holds_tokens());
+  EXPECT_TRUE(trimmed.tokens().empty());
+}
+
 TEST(Document, DefaultIsEmptyAndCopyable) {
   Document d;
   EXPECT_EQ(d.id(), 0u);
   EXPECT_TRUE(d.text().empty());
   EXPECT_TRUE(d.tokens().empty());
-  EXPECT_TRUE(d.tags().empty());
   EXPECT_EQ(d.num_units(), 0u);
   EXPECT_EQ(d.border_char_offset(0), 0u);
   EXPECT_TRUE(d.range_text(0, 0).empty());

@@ -8,6 +8,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -17,17 +19,13 @@
 
 #include "core/sharded_serving.h"
 #include "datagen/post_generator.h"
+#include "index/intention_matcher.h"
 #include "storage/shard_manifest.h"
 #include "storage/snapshot.h"
+#include "temp_dir.h"
 
 namespace ibseg {
 namespace {
-
-std::string tmp_path(const std::string& name) {
-  std::string path = ::testing::TempDir() + "/ibseg_" + name;
-  std::remove(path.c_str());
-  return path;
-}
 
 // ------------------------------------------------------ hash partition ----
 
@@ -106,7 +104,8 @@ ShardManifest sample_manifest() {
 TEST(ShardManifestFile, RoundTripPreservesEverything) {
   ShardManifest m = sample_manifest();
   ASSERT_TRUE(m.is_consistent());
-  std::string path = tmp_path("manifest_rt");
+  const std::string dir = fresh_temp_dir("shard_manifest_rt");
+  std::string path = dir + "/MANIFEST";
   ASSERT_TRUE(save_shard_manifest_file(m, path));
   auto loaded = load_shard_manifest_file(path);
   ASSERT_TRUE(loaded.has_value());
@@ -121,10 +120,13 @@ TEST(ShardManifestFile, RoundTripPreservesEverything) {
     EXPECT_EQ(loaded->shards[s].seed_docs, m.shards[s].seed_docs);
     EXPECT_EQ(loaded->shards[s].epoch, m.shards[s].epoch);
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardManifestFile, LoadRejectsMissingFile) {
-  EXPECT_FALSE(load_shard_manifest_file(tmp_path("manifest_missing")));
+  const std::string dir = fresh_temp_dir("shard_manifest_missing");
+  EXPECT_FALSE(load_shard_manifest_file(dir + "/MANIFEST"));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardManifestFile, LoadRejectsTruncation) {
@@ -132,14 +134,15 @@ TEST(ShardManifestFile, LoadRejectsTruncation) {
   // shorter-but-valid manifest (that is how torn commits resurrect old
   // state). Chop the canonical serialization at every byte.
   ShardManifest m = sample_manifest();
-  std::string path = tmp_path("manifest_full");
+  const std::string dir = fresh_temp_dir("shard_manifest_cut");
+  std::string path = dir + "/MANIFEST";
   ASSERT_TRUE(save_shard_manifest_file(m, path));
   std::ifstream in(path, std::ios::binary);
   std::stringstream buf;
   buf << in.rdbuf();
   std::string full = buf.str();
   ASSERT_FALSE(full.empty());
-  std::string cut_path = tmp_path("manifest_cut");
+  std::string cut_path = dir + "/MANIFEST.cut";
   for (size_t len = 0; len < full.size(); ++len) {
     std::ofstream out(cut_path, std::ios::binary | std::ios::trunc);
     out.write(full.data(), static_cast<std::streamsize>(len));
@@ -148,16 +151,19 @@ TEST(ShardManifestFile, LoadRejectsTruncation) {
         << "accepted a manifest truncated to " << len << " of "
         << full.size() << " bytes";
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardManifestFile, LoadRejectsTrailingGarbage) {
   ShardManifest m = sample_manifest();
-  std::string path = tmp_path("manifest_garbage");
+  const std::string dir = fresh_temp_dir("shard_manifest_garbage");
+  std::string path = dir + "/MANIFEST";
   ASSERT_TRUE(save_shard_manifest_file(m, path));
   std::ofstream out(path, std::ios::binary | std::ios::app);
   out << "tail that no writer emits\n";
   out.close();
   EXPECT_FALSE(load_shard_manifest_file(path).has_value());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardManifestFile, LoadRejectsInconsistentCounts) {
@@ -166,12 +172,14 @@ TEST(ShardManifestFile, LoadRejectsInconsistentCounts) {
   ShardManifest m = sample_manifest();
   m.shards[1].epoch += 1;
   EXPECT_FALSE(m.is_consistent());
-  std::string path = tmp_path("manifest_inconsistent");
+  const std::string dir = fresh_temp_dir("shard_manifest_inconsistent");
+  std::string path = dir + "/MANIFEST";
   std::ofstream probe(path, std::ios::binary | std::ios::trunc);
   probe.close();
   if (save_shard_manifest_file(m, path)) {
     EXPECT_FALSE(load_shard_manifest_file(path).has_value());
   }
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------- id-aware snapshot labels ----
@@ -224,7 +232,8 @@ TEST(ShardSnapshot, NonContiguousIdsKeepTheirLabels) {
 TEST(ShardedRecluster, NewGenerationSharesTheDocumentAnalyses) {
   // A recluster captures the live documents and builds a new generation
   // from them; the capture must share each document's analysis, not copy
-  // it, so the epoch never holds the corpus twice.
+  // it, so the epoch never holds the corpus twice — and it must not bring
+  // the dropped token arrays back.
   GeneratorOptions gen;
   gen.num_posts = 24;
   gen.seed = 9;
@@ -252,12 +261,167 @@ TEST(ShardedRecluster, NewGenerationSharesTheDocumentAnalyses) {
       ASSERT_NE(it, before.end()) << d.id();
       const Document& old = it->second;
       EXPECT_EQ(d.text().data(), old.text().data()) << d.id();
-      EXPECT_EQ(d.tokens().data(), old.tokens().data()) << d.id();
+      EXPECT_FALSE(d.holds_tokens()) << d.id();
       EXPECT_EQ(d.sentences().data(), old.sentences().data()) << d.id();
       ++checked;
     }
   }
   EXPECT_EQ(checked, before.size());
+}
+
+// ------------------------------------------------------ dropped tokens ----
+
+/// Every document the deployment's shards hold.
+std::vector<Document> shard_documents(const ShardedServing& serving) {
+  std::vector<Document> out;
+  for (uint32_t s = 0; s < serving.num_shards(); ++s) {
+    const auto& docs = serving.shard(s).quiescent().docs();
+    out.insert(out.end(), docs.begin(), docs.end());
+  }
+  return out;
+}
+
+/// A term bag's entries as (term, weight bits) pairs, for exact equality.
+std::vector<std::pair<TermId, uint64_t>> bag_bits(const TermVector& tv) {
+  std::vector<std::pair<TermId, uint64_t>> out;
+  for (const auto& [term, w] : tv.entries()) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &w, sizeof(bits));
+    out.emplace_back(term, bits);
+  }
+  return out;
+}
+
+TEST(DroppedTokens, TrimmedAndUntrimmedCorporaIndexIdentically) {
+  // A re-index over documents whose token arrays were dropped re-tokenizes
+  // their text; the bags, TermIds and answers must be the ones the held
+  // arrays give. TermIds must also come out in the order a segment-by-
+  // segment build interns them in: scores add their terms in TermId
+  // order, so another order would change the sums' last bits.
+  GeneratorOptions gen;
+  gen.num_posts = 40;
+  gen.seed = 21;
+  std::vector<Document> full = analyze_corpus(generate_corpus(gen));
+  std::vector<Document> trimmed = full;
+  for (Document& d : trimmed) d.drop_tokens();
+  std::vector<Segmentation> segs(full.size());
+  Vocabulary seg_vocab;
+  for (size_t d = 0; d < full.size(); ++d) {
+    segs[d] = Segmenter::cm_tiling().segment(full[d], seg_vocab);
+  }
+  IntentionClustering clustering = IntentionClustering::build(full, segs);
+
+  // The reference interning order: every refined segment's ranges,
+  // cluster by cluster in member order, each range's tokens in order.
+  Vocabulary reference_vocab;
+  for (const std::vector<size_t>& members : clustering.cluster_members()) {
+    for (size_t seg_idx : members) {
+      const RefinedSegment& seg = clustering.segments()[seg_idx];
+      const Document& doc = full[seg.doc];
+      ASSERT_EQ(doc.id(), seg.doc);
+      for (auto [b, e] : seg.ranges) {
+        build_term_vector(doc.tokens(), doc.sentences()[b].token_begin,
+                          doc.sentences()[e - 1].token_end, reference_vocab);
+      }
+    }
+  }
+  Vocabulary full_vocab;
+  Vocabulary trimmed_vocab;
+  IntentionMatcher a = IntentionMatcher::build(full, clustering, full_vocab);
+  IntentionMatcher b =
+      IntentionMatcher::build(trimmed, clustering, trimmed_vocab);
+  ASSERT_EQ(full_vocab.size(), reference_vocab.size());
+  ASSERT_EQ(trimmed_vocab.size(), reference_vocab.size());
+  for (size_t t = 0; t < reference_vocab.size(); ++t) {
+    const TermId id = static_cast<TermId>(t);
+    ASSERT_EQ(full_vocab.term(id), reference_vocab.term(id)) << t;
+    ASSERT_EQ(trimmed_vocab.term(id), reference_vocab.term(id)) << t;
+  }
+
+  // One more post through add_document on each side.
+  GeneratorOptions more = gen;
+  more.num_posts = 1;
+  more.seed = 22;
+  Document post = Document::analyze(
+      1000, generate_corpus(more).posts.front().text);
+  Document trimmed_post = post;
+  trimmed_post.drop_tokens();
+  Vocabulary scratch;
+  Segmentation post_seg = Segmenter::cm_tiling().segment(post, scratch);
+  a.add_document(post, post_seg, clustering.centroids(), full_vocab);
+  b.add_document(trimmed_post, post_seg, clustering.centroids(),
+                 trimmed_vocab);
+
+  std::vector<DocId> ids;
+  for (const Document& d : full) ids.push_back(d.id());
+  ids.push_back(post.id());
+  for (DocId id : ids) {
+    const auto bags_a = a.doc_cluster_terms(id);
+    const auto bags_b = b.doc_cluster_terms(id);
+    ASSERT_EQ(bags_a.size(), bags_b.size()) << id;
+    for (size_t i = 0; i < bags_a.size(); ++i) {
+      EXPECT_EQ(bags_a[i].first, bags_b[i].first) << id;
+      EXPECT_EQ(bag_bits(bags_a[i].second), bag_bits(bags_b[i].second)) << id;
+    }
+    const std::vector<ScoredDoc> ra = a.find_related(id, 5);
+    const std::vector<ScoredDoc> rb = b.find_related(id, 5);
+    ASSERT_EQ(ra.size(), rb.size()) << id;
+    for (size_t i = 0; i < ra.size(); ++i) {
+      EXPECT_EQ(ra[i].doc, rb[i].doc) << id;
+      EXPECT_EQ(std::memcmp(&ra[i].score, &rb[i].score, sizeof(double)), 0)
+          << id;
+    }
+  }
+}
+
+TEST(DroppedTokens, NoShardDocumentHoldsATokenArray) {
+  // After every path that puts a document into a shard — create, publish,
+  // recluster (capture and catch-up), restore (offline slice and replay) —
+  // the shard's copy has dropped its token array.
+  const std::string dir = fresh_temp_dir("shard_dropped_tokens");
+  GeneratorOptions gen;
+  gen.num_posts = 30;
+  gen.seed = 23;
+  std::vector<Document> seed = analyze_corpus(generate_corpus(gen));
+  ServingOptions options;
+  options.num_shards = 2;
+  options.persist.shard_dir = dir;
+  auto serving = ShardedServing::create(seed, {}, options);
+  ASSERT_NE(serving, nullptr);
+  // The caller's own copies keep theirs.
+  for (const Document& d : seed) EXPECT_TRUE(d.holds_tokens()) << d.id();
+  auto expect_none_held = [](const ShardedServing& s, const char* when) {
+    size_t docs = 0;
+    for (const Document& d : shard_documents(s)) {
+      EXPECT_FALSE(d.holds_tokens()) << when << " doc " << d.id();
+      ++docs;
+    }
+    EXPECT_EQ(docs, s.num_docs()) << when;
+  };
+  expect_none_held(*serving, "after create");
+
+  GeneratorOptions more = gen;
+  more.num_posts = 6;
+  more.seed = 24;
+  SyntheticCorpus extra = generate_corpus(more);
+  ASSERT_TRUE(serving->add_post(extra.posts[0].text).has_value());
+  ASSERT_TRUE(serving
+                  ->add_posts({extra.posts[1].text, extra.posts[2].text})
+                  .has_value());
+  expect_none_held(*serving, "after publish");
+  ASSERT_EQ(serving->recluster(), 1u);
+  expect_none_held(*serving, "after recluster");
+  ASSERT_TRUE(serving->add_post(extra.posts[3].text).has_value());
+  ASSERT_TRUE(serving->save(dir));
+  // Logged after the save: restore replays it from the log.
+  ASSERT_TRUE(serving->add_post(extra.posts[4].text).has_value());
+  const size_t docs = serving->num_docs();
+  serving.reset();
+  auto restored = ShardedServing::restore(dir, {}, options);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(restored->num_docs(), docs);
+  expect_none_held(*restored, "after restore");
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

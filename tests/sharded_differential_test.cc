@@ -23,6 +23,7 @@
 #include "core/sharded_serving.h"
 #include "datagen/post_generator.h"
 #include "oracle.h"
+#include "temp_dir.h"
 
 namespace ibseg {
 namespace {
@@ -36,10 +37,6 @@ GeneratorOptions corpus_options(size_t posts, uint64_t seed) {
   gen.posts_per_scenario = 4;
   gen.seed = seed;
   return gen;
-}
-
-std::string tmp_dir(const std::string& name) {
-  return ::testing::TempDir() + "/ibseg_shard_" + name;
 }
 
 std::string read_file(const std::string& path) {
@@ -313,7 +310,7 @@ TEST(ShardedDifferential, SaveRestoreRoundTripIdentical) {
   std::vector<std::string> after = ingest_texts(5, 5901);
   for (int shards : kShardCounts) {
     std::string what = "roundtrip shards=" + std::to_string(shards);
-    std::string dir = tmp_dir("rt" + std::to_string(shards));
+    std::string dir = fresh_temp_dir("shard_rt" + std::to_string(shards));
     Oracle reference(analyze_corpus(corpus));
     ServingOptions options = sharded_options(shards);
     options.persist.shard_dir = dir;
@@ -353,7 +350,7 @@ TEST(ShardedDifferential, SaveRestoreRoundTripIdentical) {
 
 TEST(ShardedDifferential, RestoredCacheStillIdentical) {
   SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 23));
-  std::string dir = tmp_dir("cache_rt");
+  std::string dir = fresh_temp_dir("shard_cache_rt");
   Oracle reference(analyze_corpus(corpus));
   std::unique_ptr<ShardedServing> original =
       ShardedServing::create(analyze_corpus(corpus), {}, sharded_options(3));
@@ -378,7 +375,7 @@ TEST(ShardedDifferential, RestoreTakesShardCountFromManifest) {
   SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 61));
   std::vector<std::string> before = ingest_texts(4, 6100);
   std::vector<std::string> after = ingest_texts(3, 6101);
-  std::string dir = tmp_dir("manifest_count");
+  std::string dir = fresh_temp_dir("shard_manifest_count");
   Oracle reference(analyze_corpus(corpus));
   {
     ServingOptions options = sharded_options(3);
@@ -427,9 +424,8 @@ TEST(ShardedDifferential, FailedSaveKeepsPreviousCommit) {
   SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 89));
   std::vector<std::string> before = ingest_texts(3, 8900);
   std::vector<std::string> after = ingest_texts(4, 8901);
-  std::string dir = tmp_dir("failed_save");
-  std::string copy = tmp_dir("failed_save_copy");
-  std::filesystem::remove_all(copy);
+  std::string dir = fresh_temp_dir("shard_failed_save");
+  std::string copy = fresh_temp_dir("shard_failed_save_copy");
   Oracle reference(analyze_corpus(corpus));
   ServingOptions options = sharded_options(3);
   options.persist.shard_dir = dir;
@@ -479,7 +475,7 @@ TEST(ShardedDifferential, FailedSaveKeepsPreviousCommit) {
 
 TEST(ShardedDifferential, RestoreRejectsStaleShardSnapshot) {
   SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 67));
-  std::string dir = tmp_dir("stale");
+  std::string dir = fresh_temp_dir("shard_stale");
   ServingOptions options = sharded_options(4);
   options.persist.shard_dir = dir;
   std::unique_ptr<ShardedServing> original =
@@ -515,8 +511,8 @@ TEST(ShardedDifferential, RestoreSurvivesSnapshotAheadOfManifest) {
   // via WAL replay dedup.
   SyntheticCorpus corpus = generate_corpus(corpus_options(kPosts, 71));
   std::vector<std::string> extra = ingest_texts(6, 7100);
-  std::string dir = tmp_dir("ahead");
-  std::string dir2 = tmp_dir("ahead_late");
+  std::string dir = fresh_temp_dir("shard_ahead");
+  std::string dir2 = fresh_temp_dir("shard_ahead_late");
   Oracle reference(analyze_corpus(corpus));
   ServingOptions options = sharded_options(4);
   options.persist.shard_dir = dir;

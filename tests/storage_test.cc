@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -15,6 +16,7 @@
 #include "storage/corpus_io.h"
 #include "storage/format_util.h"
 #include "storage/snapshot.h"
+#include "temp_dir.h"
 
 namespace ibseg {
 namespace {
@@ -122,7 +124,8 @@ TEST(FormatUtil, Crc32KnownVector) {
 }
 
 TEST(FormatUtil, AtomicWriteKeepsPreviousFileOnFailure) {
-  std::string path = ::testing::TempDir() + "/ibseg_atomic_write_test";
+  const std::string dir = fresh_temp_dir("atomic_write");
+  std::string path = dir + "/file";
   ASSERT_TRUE(atomic_write_file(path, [](std::ostream& os) {
     os << "old contents";
     return true;
@@ -136,7 +139,7 @@ TEST(FormatUtil, AtomicWriteKeepsPreviousFileOnFailure) {
   std::string contents((std::istreambuf_iterator<char>(is)),
                        std::istreambuf_iterator<char>());
   EXPECT_EQ(contents, "old contents");
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FormatUtil, AtomicWriteFailsOnMissingDirectory) {

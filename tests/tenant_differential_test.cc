@@ -27,6 +27,7 @@
 #include "datagen/post_generator.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "temp_dir.h"
 
 namespace ibseg {
 namespace {
@@ -86,10 +87,6 @@ TenantRegistry::SeedProvider seed_provider() {
 
 std::vector<std::string> tenant_names() {
   return {"alpha", "beta"};  // "default" is implicit
-}
-
-std::string tmp_dir(const std::string& name) {
-  return ::testing::TempDir() + "/ibseg_tenant_" + name;
 }
 
 ServingOptions serving_template(int shards, size_t cache_capacity = 0) {
@@ -188,8 +185,7 @@ TEST(TenantDifferential, RegistryMatchesIsolatedDeployments) {
 TEST(TenantDifferential, SaveRestoreRoundTripPerTenant) {
   for (int shards : kShardCounts) {
     std::string what = "roundtrip shards=" + std::to_string(shards);
-    std::string root = tmp_dir("rt" + std::to_string(shards));
-    std::filesystem::remove_all(root);
+    std::string root = fresh_temp_dir("tenant_rt" + std::to_string(shards));
 
     TenantRegistryOptions options;
     options.state_root = root;
@@ -247,8 +243,7 @@ TEST(TenantDifferential, SaveRestoreRoundTripPerTenant) {
 }
 
 TEST(TenantDifferential, ReopenSeedsOnlyTheNewTenant) {
-  std::string root = tmp_dir("grow");
-  std::filesystem::remove_all(root);
+  std::string root = fresh_temp_dir("tenant_grow");
   TenantRegistryOptions options;
   options.state_root = root;
   options.serving = serving_template(2);
@@ -389,8 +384,7 @@ TEST(TenantDifferential, IngestedTermsNeverLeakAcrossTenants) {
 // ---------------------------------------------------- loopback routing ----
 
 TEST(TenantDifferential, ServerRoutesConnectionsToBoundTenant) {
-  std::string root = tmp_dir("wire");
-  std::filesystem::remove_all(root);
+  std::string root = fresh_temp_dir("tenant_wire");
   TenantRegistryOptions options;
   options.state_root = root;
   options.serving = serving_template(2);

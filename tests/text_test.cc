@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "text/html_cleaner.h"
 #include "text/porter_stemmer.h"
 #include "text/sentence_splitter.h"
@@ -283,6 +286,73 @@ TEST(TermVector, MergeAccumulates) {
   a.merge(b);
   EXPECT_DOUBLE_EQ(a.weight(x), 5.0);
   EXPECT_DOUBLE_EQ(a.total_weight(), 5.0);
+}
+
+/// True when `tv`'s entries are strictly ascending by term.
+bool strictly_ascending(const TermVector& tv) {
+  const auto& e = tv.entries();
+  for (size_t i = 1; i < e.size(); ++i) {
+    if (!(e[i - 1].first < e[i].first)) return false;
+  }
+  return true;
+}
+
+TEST(TermVector, EntriesStayStrictlyAscendingWhateverTheAddOrder) {
+  TermVector tv;
+  for (TermId t : {7u, 3u, 9u, 3u, 0u, 7u, 12u, 5u}) tv.add(t);
+  ASSERT_TRUE(strictly_ascending(tv));
+  const std::vector<TermVector::Entry> want = {
+      {0, 1.0}, {3, 2.0}, {5, 1.0}, {7, 2.0}, {9, 1.0}, {12, 1.0}};
+  EXPECT_EQ(tv.entries(), want);
+  EXPECT_EQ(tv.num_terms(), 6u);
+  EXPECT_FALSE(tv.empty());
+  EXPECT_TRUE(TermVector().empty());
+
+  Vocabulary v;
+  auto tokens = tokenize("zeta alpha printer zeta alpha modem printer zeta");
+  TermVector built = build_term_vector(tokens, 0, tokens.size(), v);
+  EXPECT_TRUE(strictly_ascending(built));
+  EXPECT_EQ(built.num_terms(), 4u);
+}
+
+TEST(TermVector, OperationsMatchHandComputedValues) {
+  TermVector a;
+  a.add(4, 2.0);
+  a.add(1, 1.0);
+  a.add(9, 0.5);
+  a.add(4, 1.0);  // 4 -> 3.0
+  TermVector b;
+  b.add(9, 4.0);
+  b.add(2, 2.0);
+  b.add(4, 1.0);
+
+  EXPECT_EQ(a.weight(1), 1.0);
+  EXPECT_EQ(a.weight(4), 3.0);
+  EXPECT_EQ(a.weight(9), 0.5);
+  EXPECT_EQ(a.weight(2), 0.0);    // absent, between entries
+  EXPECT_EQ(a.weight(100), 0.0);  // absent, past the end
+  EXPECT_EQ(a.total_weight(), 4.5);
+
+  // dot = 3*1 + 0.5*4 = 5; |a|^2 = 1 + 9 + 0.25; |b|^2 = 16 + 4 + 1.
+  EXPECT_DOUBLE_EQ(TermVector::cosine(a, b),
+                   5.0 / (std::sqrt(10.25) * std::sqrt(21.0)));
+  EXPECT_DOUBLE_EQ(TermVector::cosine(b, a), TermVector::cosine(a, b));
+
+  TermVector m = a;
+  m.merge(b);
+  ASSERT_TRUE(strictly_ascending(m));
+  const std::vector<TermVector::Entry> want = {
+      {1, 1.0}, {2, 2.0}, {4, 4.0}, {9, 4.5}};
+  EXPECT_EQ(m.entries(), want);
+  EXPECT_EQ(m.total_weight(), 11.5);
+
+  // Merging into or from an empty bag copies the other side.
+  TermVector empty;
+  empty.merge(b);
+  EXPECT_EQ(empty.entries(), b.entries());
+  TermVector unchanged = a;
+  unchanged.merge(TermVector());
+  EXPECT_EQ(unchanged.entries(), a.entries());
 }
 
 }  // namespace
