@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Reproduces everything: build, tests, every paper table/figure bench, the
-# ablations, and the example programs. Outputs land in the repo root as
-# test_output.txt and bench_output.txt.
+# Reproduces everything: build, tests, the served-path benchmark's build and
+# self-test, every paper table/figure bench, the ablations, and the example
+# programs. Outputs land in the repo root as test_output.txt and
+# bench_output.txt.
 #
 # Usage: scripts/reproduce.sh [scale]
 #   scale  multiplies the bench corpus sizes (default 1; the paper-sized
@@ -87,6 +88,15 @@ cmake --build build
 
 echo "== tests =="
 ctest --test-dir build 2>&1 | tee test_output.txt
+
+echo "== servebench build + self-test =="
+# The served-path benchmark (servebench/, run by BENCHMARK.json) is a CMake
+# project of its own that calls the serving API directly; building it here
+# catches an API change that would break it.
+cmake -S servebench -B build-servebench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-servebench -j "$(nproc)" \
+  --target servebench servebench_selftest
+./build-servebench/servebench_selftest
 
 if [ "${IBSEG_SANITIZE_CHECK:-0}" = "1" ]; then
   echo "== sanitizer matrix (IBSEG_SANITIZE_CHECK=1) =="

@@ -1,6 +1,7 @@
 #ifndef IBSEG_CORE_PIPELINE_H_
 #define IBSEG_CORE_PIPELINE_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -88,14 +89,17 @@ class RelatedPostPipeline {
   /// and carry the global cluster count. `segment_terms` holds the bag of
   /// each of the slice's refined segments, in the order the slice's
   /// clustering lists them (IntentionMatcher::build's bag form); the
-  /// indices take them over instead of re-reading tokens. Falls back to a
-  /// fresh build on an inconsistent snapshot, exactly like
-  /// build_from_snapshot.
+  /// indices take them over instead of re-reading tokens. The matcher
+  /// scores against, and publishes into, `stats`: the deployment's
+  /// statistics board, already seeded over the whole corpus. Falls back to
+  /// a fresh build (with a board of its own) on an inconsistent snapshot,
+  /// exactly like build_from_snapshot.
   static RelatedPostPipeline build_shard(
       std::vector<Document> docs, const PipelineSnapshot& snapshot,
       std::shared_ptr<Vocabulary> shared_vocab,
       const std::vector<std::vector<double>>& centroids,
       std::vector<TermVector> segment_terms,
+      std::shared_ptr<GlobalIndexStats> stats,
       const PipelineOptions& options = {});
 
   /// Rebuilds the full offline phase (clustering + indexing) over `docs`
@@ -186,17 +190,29 @@ class RelatedPostPipeline {
   /// \brief The per-intention index machinery (Algorithms 1/2).
   const IntentionMatcher& matcher() const { return *matcher_; }
 
-  /// Forwards to IntentionMatcher::set_stats_sink: every subsequent
-  /// ingest() also appends its per-cluster term bags to `sink` (the
-  /// cross-shard statistics board). Not owned.
-  void set_stats_sink(GlobalIndexStats* sink) {
-    matcher_->set_stats_sink(sink);
-  }
   /// \brief Offline-phase timing breakdown (Table 6 / Fig. 11).
   const PipelineTimings& timings() const { return timings_; }
 
  private:
   RelatedPostPipeline() = default;
+
+  /// Makes the clustering of the adopted documents and segmentations.
+  using GroupFn = std::function<IntentionClustering(
+      const std::vector<Document>&, const std::vector<Segmentation>&)>;
+  /// Makes the matcher over the adopted documents and their clustering.
+  using IndexFn = std::function<IntentionMatcher(
+      const std::vector<Document>&, const IntentionClustering&, Vocabulary&)>;
+
+  /// The one build path: adopts the corpus, its segmentations, `vocab` and
+  /// `options`, then groups and indexes, timing each. An empty `group`
+  /// clusters afresh (IntentionClustering::build); an empty `index` builds
+  /// the matcher from the documents with a board of its own.
+  static RelatedPostPipeline assemble(std::vector<Document> docs,
+                                      std::vector<Segmentation> segmentations,
+                                      std::shared_ptr<Vocabulary> vocab,
+                                      const PipelineOptions& options,
+                                      const GroupFn& group = {},
+                                      const IndexFn& index = {});
 
   std::vector<Document> docs_;
   std::vector<Segmentation> segmentations_;

@@ -1,6 +1,7 @@
 #include "core/serving.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <utility>
 
@@ -215,6 +216,7 @@ ServingPipeline::ShardMatch ServingPipeline::match_clusters(
     int n,
     const std::vector<std::shared_ptr<const ClusterCollectionStats>>& stats)
     const {
+  assert(stats.size() == queries.size());
   ServingMetrics& m = ServingMetrics::get();
   ShardMatch out;
   out.lists.resize(queries.size());
@@ -222,19 +224,12 @@ ServingPipeline::ShardMatch ServingPipeline::match_clusters(
   std::shared_lock<std::shared_mutex> lock(mu_);
   lock_wait.stop();
   for (size_t i = 0; i < queries.size(); ++i) {
-    const ClusterCollectionStats* view =
-        i < stats.size() ? stats[i].get() : nullptr;
     out.lists[i] = pipeline_.matcher().match_cluster_terms(
-        queries[i].first, queries[i].second, exclude, n, view);
+        queries[i].first, queries[i].second, exclude, n, *stats[i]);
   }
   out.epoch = epoch_.load(std::memory_order_relaxed);
   out.num_docs = pipeline_.docs().size();
   return out;
-}
-
-void ServingPipeline::set_stats_sink(GlobalIndexStats* sink) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  pipeline_.set_stats_sink(sink);
 }
 
 }  // namespace ibseg

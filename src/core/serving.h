@@ -192,11 +192,11 @@ class ServingPipeline {
 
   /// One scatter leg: evaluates IntentionMatcher::match_cluster_terms for
   /// every (cluster, query-bag) pair against this shard's indices —
-  /// scoring with the caller-supplied cross-shard statistics views
-  /// (stats[i] pairs with queries[i]; nullptr entries fall back to local
-  /// statistics) — under a single shared-lock acquisition. Also reports
-  /// the epoch/num_docs observed under that lock so the gather layer can
-  /// stamp its combined result.
+  /// scoring with the caller-supplied snapshots of the deployment's
+  /// statistics board (stats[i] pairs with queries[i]; one per query) —
+  /// under a single shared-lock acquisition. Also reports the
+  /// epoch/num_docs observed under that lock so the gather layer can stamp
+  /// its combined result.
   struct ShardMatch {
     std::vector<std::vector<ScoredDoc>> lists;  ///< parallel to queries
     uint64_t epoch = 0;
@@ -207,11 +207,6 @@ class ServingPipeline {
       int n,
       const std::vector<std::shared_ptr<const ClusterCollectionStats>>& stats)
       const;
-
-  /// Forwards RelatedPostPipeline::set_stats_sink under the exclusive
-  /// lock: subsequent publications also feed the cross-shard statistics
-  /// board.
-  void set_stats_sink(GlobalIndexStats* sink);
 
   /// State carried into a shard whose pipeline is not fresh: how far it
   /// had already progressed (restore from a directory, or a recluster

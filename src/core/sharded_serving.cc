@@ -167,6 +167,16 @@ std::unique_ptr<ShardedServing> ShardedServing::create(
   return s;
 }
 
+ShardedServing::~ShardedServing() {
+  // The generation first: its shards, board and vocabulary are nearly all
+  // of the deployment's heap.
+  shards_.clear();
+  stats_.reset();
+  vocab_.reset();
+  cache_.reset();
+  release_free_heap();
+}
+
 ShardedServing::ShardSet ShardedServing::build_shard_set(
     std::vector<Document> docs, std::vector<Segmentation> segmentations,
     const IntentionClustering& clustering,
@@ -185,22 +195,15 @@ ShardedServing::ShardSet ShardedServing::build_shard_set(
 
   // Seeding pass: build every refined segment's term bag once, interning
   // the shared vocabulary in EXACTLY the order IntentionMatcher::build
-  // would (cluster-major, member order within each cluster), and feed the
+  // would (cluster-major, member order within each cluster), and seed the
   // statistics board in that order. TermIds are thus corpus-global and
   // independent of the partitioning. The bags then move into their
   // owner shards' indices, so the documents' token arrays are done with.
   set.vocab = std::make_shared<Vocabulary>();
-  set.stats = std::make_unique<GlobalIndexStats>(
-      set.num_clusters, pipeline_options.matcher.min_norm_fraction);
   std::vector<TermVector> bags =
       IntentionMatcher::segment_terms(docs, clustering, *set.vocab);
-  for (int c = 0; c < set.num_clusters; ++c) {
-    for (size_t seg_idx :
-         clustering.cluster_members()[static_cast<size_t>(c)]) {
-      set.stats->append(c, bags[seg_idx], /*refresh_now=*/false);
-    }
-    set.stats->refresh(c);
-  }
+  set.stats = IntentionMatcher::seed_stats(
+      clustering, bags, pipeline_options.matcher.min_norm_fraction);
   for (Document& d : docs) d.drop_tokens();
 
   // Partition the corpus in global document order: per-shard docs,
@@ -234,8 +237,9 @@ ShardedServing::ShardSet ShardedServing::build_shard_set(
   }
 
   // Build each shard over its slice: shared vocabulary, global centroids,
-  // global cluster count. Shard pipelines carry no cache and no WAL of
-  // their own — both live at this layer — but DO own their slice's
+  // global cluster count, and the one statistics board every shard scores
+  // against and publishes into. Shard pipelines carry no cache and no WAL
+  // of their own — both live at this layer — but DO own their slice's
   // pending pool (recluster_options carries the threshold).
   set.shards.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
@@ -245,7 +249,7 @@ ShardedServing::ShardSet ShardedServing::build_shard_set(
     snap.num_clusters = set.num_clusters;
     RelatedPostPipeline p = RelatedPostPipeline::build_shard(
         std::move(shard_docs[s]), snap, set.vocab, set.centroids,
-        std::move(shard_bags[s]), pipeline_options);
+        std::move(shard_bags[s]), set.stats, pipeline_options);
     if (shard_states != nullptr) {
       set.shards.push_back(ServingPipeline::adopt(
           std::move(p), recluster_options, (*shard_states)[s]));
@@ -253,7 +257,6 @@ ShardedServing::ShardSet ShardedServing::build_shard_set(
       set.shards.push_back(
           std::make_unique<ServingPipeline>(std::move(p), recluster_options));
     }
-    set.shards.back()->set_stats_sink(set.stats.get());
   }
   return set;
 }
@@ -710,7 +713,7 @@ uint64_t ShardedServing::recluster() {
   // then every generation-scoped member swaps in one block. The old
   // generation moves into these locals and is freed only after both
   // locks are released, so no query or ingest waits for its destructors.
-  std::unique_ptr<GlobalIndexStats> retired_stats;
+  std::shared_ptr<GlobalIndexStats> retired_stats;
   std::shared_ptr<Vocabulary> retired_vocab;
   std::vector<std::unique_ptr<ServingPipeline>> retired_shards;
   uint64_t gen = 0;
@@ -742,8 +745,7 @@ uint64_t ShardedServing::recluster() {
     gen_history_.push_back(GenSpan{captured_pubs, gen});
     refresh_corpus_gauges();
   }
-  // Free the old generation — its shards first, then the statistics board
-  // their stats sink points at — and hand the epoch's freed heap back.
+  // Free the old generation and hand the epoch's freed heap back.
   retired_shards.clear();
   retired_vocab.reset();
   retired_stats.reset();

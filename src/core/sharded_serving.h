@@ -133,6 +133,11 @@ class ShardedServing {
   ShardedServing(const ShardedServing&) = delete;
   ShardedServing& operator=(const ShardedServing&) = delete;
 
+  /// Frees the deployment and hands the freed heap back
+  /// (release_free_heap), so a process that drains one deployment and
+  /// stands up another does not keep the first one's pages.
+  ~ShardedServing();
+
   /// Persists every shard's snapshot, then commits the manifest (the
   /// atomic commit point), then empties the ingest log — in that order,
   /// so a crash anywhere leaves a restorable directory (see
@@ -330,7 +335,7 @@ class ShardedServing {
   struct ShardSet {
     std::vector<std::unique_ptr<ServingPipeline>> shards;
     std::shared_ptr<Vocabulary> vocab;
-    std::unique_ptr<GlobalIndexStats> stats;
+    std::shared_ptr<GlobalIndexStats> stats;
     std::vector<std::vector<double>> centroids;
     int num_clusters = 0;
     DocId watermark = 1;
@@ -342,13 +347,13 @@ class ShardedServing {
   /// The pure shard-set builder: builds each refined segment's term bag
   /// once, seeding a fresh vocabulary + statistics board from them in the
   /// unpartitioned interning order, drops the documents' token arrays,
-  /// slices the corpus and the bags per shard, builds the shard pipelines
-  /// over them and wires the stats sink. `shard_states` (parallel to
-  /// shard index, may be null for "fresh") presets each shard pipeline's
-  /// epoch/offline coordinates via ServingPipeline::adopt — the
-  /// recluster/restore paths, where a shard's document count is not its
-  /// seed count. Touches NO members, so recluster() can run it off-lock
-  /// against a captured cut.
+  /// slices the corpus and the bags per shard, and builds the shard
+  /// pipelines over them, each holding the board. `shard_states`
+  /// (parallel to shard index, may be null for "fresh") presets each
+  /// shard pipeline's epoch/offline coordinates via
+  /// ServingPipeline::adopt — the recluster/restore paths, where a
+  /// shard's document count is not its seed count. Touches NO members, so
+  /// recluster() can run it off-lock against a captured cut.
   ShardSet build_shard_set(
       std::vector<Document> docs, std::vector<Segmentation> segmentations,
       const IntentionClustering& clustering,
@@ -402,7 +407,8 @@ class ShardedServing {
 
   std::vector<std::unique_ptr<ServingPipeline>> shards_;
   std::shared_ptr<Vocabulary> vocab_;
-  std::unique_ptr<GlobalIndexStats> stats_;
+  /// The statistics board; every shard's matcher holds it too.
+  std::shared_ptr<GlobalIndexStats> stats_;
   std::vector<std::vector<double>> centroids_;  ///< global centroids
   int num_clusters_ = 0;
   MatcherOptions matcher_options_;

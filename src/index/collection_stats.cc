@@ -28,8 +28,6 @@ void GlobalIndexStats::append(int cluster, const TermVector& terms,
   {
     std::lock_guard<std::mutex> lock(mu_);
     ClusterAccum& acc = accums_[static_cast<size_t>(cluster)];
-    // Mirror of InvertedIndex::add_unit: same iteration (TermId order),
-    // same tf <= 0 skip, same += accumulation of the collection totals.
     for (const auto& [term, tf] : terms.entries()) {
       if (tf <= 0.0) continue;
       ++acc.df[term];
@@ -50,10 +48,10 @@ void GlobalIndexStats::refresh(int cluster) {
   view->df = acc.df;
   view->collection_tf = acc.collection_tf;
   view->collection_length = acc.collection_length;
-  // Mirror of InvertedIndex::finalize: the averages come from sums of
-  // integer-valued doubles (exact, order-independent), the norm floor from
-  // a serial sweep over pre-floor norms in unit order (order-sensitive —
-  // this vector IS the global publication order).
+  // The averages come from sums of integer-valued doubles (exact,
+  // order-independent), the norm floor from a serial sweep over pre-floor
+  // norms in unit order (order-sensitive — this vector IS the board
+  // order).
   double total_unique = 0.0;
   for (const UnitLexStats& s : acc.units) total_unique += s.unique_terms;
   view->avg_unique_terms =

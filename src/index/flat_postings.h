@@ -27,6 +27,14 @@ struct FlatTermMeta {
   uint32_t tfs_offset = 0;   ///< first entry of the term's other-tf run
 };
 
+/// A posting keyed by its term: how an InvertedIndex holds the postings of
+/// the units added since its last seal.
+struct TermPosting {
+  TermId term = 0;
+  uint32_t unit = 0;
+  double tf = 0.0;
+};
+
 /// One term's sealed postings, both runs in ascending unit order.
 struct TermRuns {
   std::span<const uint32_t> ones;  ///< units whose tf is exactly 1
@@ -42,25 +50,26 @@ struct TermRuns {
 ///    operand precomputed for tf = 1, scoring.h);
 ///  * (unit, tf) pairs for every other tf, the double stored as is.
 ///
-/// Nothing is encoded, so a scan reads back exactly the doubles the build
-/// form holds, which the bit-identity contract of the differential suite
-/// depends on.
+/// Nothing is encoded, so a scan reads back exactly the tf doubles the
+/// units were added with, which the bit-identity contract of the
+/// differential suite depends on.
 ///
-/// The structure is sealed from a finalized InvertedIndex and immutable
-/// afterwards; add_unit() marks the owning index un-finalized, and the
-/// next finalize() re-seals fresh runs — the flat form can never serve
-/// stale postings across an ingest (the epoch/publication machinery
-/// re-finalizes touched cluster indices before publishing).
+/// The structure is immutable once sealed. InvertedIndex::finalize()
+/// seals a new one from the previous seal plus the postings of the units
+/// added since; add_unit() marks the index un-finalized, so the flat form
+/// can never serve stale postings across an ingest (the publication
+/// machinery re-finalizes touched cluster indices before publishing).
 class FlatPostings {
  public:
   FlatPostings() = default;
 
-  /// Seals the serving form. `term_postings` must be in ascending TermId
-  /// order, each list with strictly ascending unit ids (InvertedIndex
-  /// appends units in insertion order).
-  static FlatPostings seal(
-      const std::vector<std::pair<TermId, const std::vector<Posting>*>>&
-          term_postings);
+  /// Seals `sealed`'s runs with `added` appended, term by term. `added`
+  /// must be sorted by (term, unit), and each of its units must be greater
+  /// than every unit `sealed` holds (InvertedIndex assigns unit ids in
+  /// insertion order), so every term's runs stay in ascending unit order
+  /// and come out exactly as one seal over all of its postings lays them.
+  static FlatPostings seal(const FlatPostings& sealed,
+                           std::span<const TermPosting> added);
 
   /// Metadata for `term`; nullptr when the term is absent.
   const FlatTermMeta* term_meta(TermId term) const;

@@ -11,14 +11,18 @@ FullTextMatcher FullTextMatcher::build(const std::vector<Document>& docs,
                                        const ScoringOptions& scoring) {
   FullTextMatcher m;
   m.scoring_ = scoring;
+  GlobalIndexStats board(1, MatcherOptions().min_norm_fraction);
   for (const Document& doc : docs) {
     TermVector terms =
         build_term_vector(doc.tokens(), 0, doc.tokens().size(), vocab);
+    board.append(0, terms, /*refresh_now=*/false);
     uint32_t unit = m.index_.add_unit(terms);
     m.unit_doc_.push_back(doc.id());
     m.unit_terms_.push_back(std::move(terms));
     m.doc_unit_[doc.id()] = unit;
   }
+  board.refresh(0);
+  m.stats_ = board.cluster(0);
   m.index_.finalize();
   return m;
 }
@@ -30,7 +34,8 @@ std::vector<ScoredDoc> FullTextMatcher::find_related(DocId query,
   if (it == doc_unit_.end() || k <= 0) return out;
   const TermVector& query_terms = unit_terms_[it->second];
 
-  std::vector<ScoredUnit> hits = score_units(index_, query_terms, scoring_);
+  std::vector<ScoredUnit> hits =
+      score_units(index_, query_terms, scoring_, *stats_);
   hits.erase(std::remove_if(hits.begin(), hits.end(),
                             [&](const ScoredUnit& h) {
                               return unit_doc_[h.unit] == query;

@@ -2,6 +2,7 @@
 #define IBSEG_INDEX_FULLTEXT_MATCHER_H_
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "index/intention_matcher.h"
@@ -14,8 +15,9 @@ namespace ibseg {
 /// The *FullText* baseline (Sec. 9.2): whole-post matching with the
 /// MySQL-5.5.3 weighting of Eq. 7 and the same probabilistic-IDF ranking,
 /// i.e., exactly the intention machinery with a single index over
-/// unsegmented posts. This is the method the paper reports 10-12% mean
-/// precision below IntentIntent-MR.
+/// unsegmented posts (one cluster, scored against a one-cluster statistics
+/// board). This is the method the paper reports 10-12% mean precision
+/// below IntentIntent-MR.
 class FullTextMatcher {
  public:
   /// \brief Builds the single whole-post index over `docs`.
@@ -35,6 +37,8 @@ class FullTextMatcher {
 
  private:
   InvertedIndex index_;
+  /// The board's snapshot of the whole-post collection's statistics.
+  std::shared_ptr<const ClusterCollectionStats> stats_;
   std::vector<DocId> unit_doc_;
   std::vector<TermVector> unit_terms_;
   std::map<DocId, uint32_t> doc_unit_;

@@ -58,23 +58,44 @@ std::vector<TermVector> IntentionMatcher::segment_terms(
   return terms;
 }
 
+std::shared_ptr<GlobalIndexStats> IntentionMatcher::seed_stats(
+    const IntentionClustering& clustering,
+    const std::vector<TermVector>& segment_terms, double min_norm_fraction) {
+  auto stats = std::make_shared<GlobalIndexStats>(clustering.num_clusters(),
+                                                  min_norm_fraction);
+  for (int c = 0; c < clustering.num_clusters(); ++c) {
+    for (size_t seg_idx :
+         clustering.cluster_members()[static_cast<size_t>(c)]) {
+      stats->append(c, segment_terms[seg_idx], /*refresh_now=*/false);
+    }
+    stats->refresh(c);
+  }
+  return stats;
+}
+
 IntentionMatcher IntentionMatcher::build(const std::vector<Document>& docs,
                                          const IntentionClustering& clustering,
                                          Vocabulary& vocab,
                                          const MatcherOptions& options) {
-  return build(clustering, segment_terms(docs, clustering, vocab), options);
+  std::vector<TermVector> bags = segment_terms(docs, clustering, vocab);
+  std::shared_ptr<GlobalIndexStats> stats =
+      seed_stats(clustering, bags, options.min_norm_fraction);
+  return build(clustering, std::move(bags), options, std::move(stats));
 }
 
-IntentionMatcher IntentionMatcher::build(const IntentionClustering& clustering,
-                                         std::vector<TermVector> segment_terms,
-                                         const MatcherOptions& options) {
+IntentionMatcher IntentionMatcher::build(
+    const IntentionClustering& clustering,
+    std::vector<TermVector> segment_terms, const MatcherOptions& options,
+    std::shared_ptr<GlobalIndexStats> stats) {
   assert(segment_terms.size() == clustering.segments().size());
+  assert(stats != nullptr &&
+         stats->num_clusters() == clustering.num_clusters());
   IntentionMatcher m;
   m.options_ = options;
+  m.stats_ = std::move(stats);
   m.indices_.resize(static_cast<size_t>(clustering.num_clusters()));
   for (int c = 0; c < clustering.num_clusters(); ++c) {
     ClusterIndex& ci = m.indices_[static_cast<size_t>(c)];
-    ci.index.min_norm_fraction = options.min_norm_fraction;
     for (size_t seg_idx : clustering.cluster_members()[static_cast<size_t>(c)]) {
       const DocId doc = clustering.segments()[seg_idx].doc;
       uint32_t unit = ci.index.add_unit(segment_terms[seg_idx]);
@@ -156,8 +177,8 @@ std::vector<ScoredDoc> IntentionMatcher::find_related_external(
     if (terms.empty()) continue;
     double weight = cluster_weight(cluster);
     if (weight <= 0.0) continue;
-    std::vector<ScoredDoc> list =
-        match_cluster_terms(cluster, terms, kNoDocId, n);
+    std::vector<ScoredDoc> list = match_cluster_terms(
+        cluster, terms, kNoDocId, n, *stats_->cluster(cluster));
     for (const ScoredDoc& sd : list) {
       merged[sd.doc] += weight * sd.score;
     }
@@ -210,7 +231,7 @@ double IntentionMatcher::add_document(
   }
   for (auto& [cluster, terms] : per_cluster_terms) {
     ClusterIndex& ci = indices_[static_cast<size_t>(cluster)];
-    if (stats_sink_ != nullptr) stats_sink_->append(cluster, terms);
+    stats_->append(cluster, terms);
     uint32_t unit = ci.index.add_unit(terms);
     ci.index.finalize();
     ci.unit_doc.push_back(doc.id());
@@ -252,12 +273,13 @@ std::vector<ScoredDoc> IntentionMatcher::match_single_intention(
     }
   }
   if (query_terms == nullptr || query_terms->empty()) return out;
-  return match_cluster_terms(cluster, *query_terms, query, n);
+  return match_cluster_terms(cluster, *query_terms, query, n,
+                             *stats_->cluster(cluster));
 }
 
 std::vector<ScoredDoc> IntentionMatcher::match_cluster_terms(
     int cluster, const TermVector& terms, DocId exclude, int n,
-    const ClusterCollectionStats* global) const {
+    const ClusterCollectionStats& collection) const {
   std::vector<ScoredDoc> out;
   if (cluster < 0 || cluster >= num_clusters() || n <= 0) return out;
   if (terms.empty()) return out;
@@ -270,7 +292,7 @@ std::vector<ScoredDoc> IntentionMatcher::match_cluster_terms(
     // differential suite sweeps the equivalence.
     ScoreStats stats;
     std::vector<ScoredUnit> hits = score_units_dense(
-        ci.index, terms, options_.scoring, global, ci.unit_doc, exclude,
+        ci.index, terms, options_.scoring, collection, ci.unit_doc, exclude,
         static_cast<size_t>(n), options_.score_threshold, &stats);
     work_->units_scored.fetch_add(stats.units_scored,
                                   std::memory_order_relaxed);
@@ -283,7 +305,7 @@ std::vector<ScoredDoc> IntentionMatcher::match_cluster_terms(
 
   ScoreStats reference_stats;
   std::vector<ScoredUnit> hits = score_units_counted(
-      ci.index, terms, options_.scoring, global, &reference_stats);
+      ci.index, terms, options_.scoring, collection, &reference_stats);
   work_->units_scored.fetch_add(reference_stats.units_scored,
                                 std::memory_order_relaxed);
   // Exclude the query document's own segment(s).

@@ -38,7 +38,12 @@ struct MatcherOptions {
   /// Fagin-style threshold variant the paper mentions — and rejects for
   /// fairness across intentions; provided for the ablation bench).
   double score_threshold = 0.0;
-  /// Passed to each per-cluster index (see InvertedIndex::min_norm_fraction).
+  /// Floor applied to unit norms, as a fraction of the cluster's
+  /// collection-average norm (0 = no floor; the statistics board applies
+  /// it). Eq. 7/8 divide by a per-unit sum that gets tiny for very short
+  /// units, which would let a one-term overlap with a three-term segment
+  /// outscore multi-term matches against substantial segments; the floor
+  /// keeps short-unit weights bounded.
   double min_norm_fraction = 1.0;
   /// The segment-comparison function (paper Eq. 9 by default; BM25 and a
   /// query-likelihood language model are selectable, per the paper's
@@ -71,13 +76,16 @@ struct QueryWorkCounters {
 /// index per intention cluster, Eq. 8 term weighting (weights computed
 /// within the segment's cluster), Eq. 9 per-intention relatedness,
 /// Algorithm 1 (single-intention top-n) and Algorithm 2 (all-intentions
-/// top-k by score summation).
+/// top-k by score summation). Every cluster's collection statistics live
+/// on one statistics board (GlobalIndexStats) the matcher holds: its own
+/// for a standalone matcher, the deployment's for a shard.
 class IntentionMatcher {
  public:
   /// Builds the per-cluster indices over the refined segments of
-  /// `clustering`. `docs` must be the corpus the clustering was built from;
-  /// `vocab` is the corpus-shared vocabulary (terms are stemmed and
-  /// stopword-filtered exactly as at segmentation time).
+  /// `clustering`, and a statistics board holding exactly them. `docs`
+  /// must be the corpus the clustering was built from; `vocab` is the
+  /// corpus-shared vocabulary (terms are stemmed and stopword-filtered
+  /// exactly as at segmentation time).
   static IntentionMatcher build(const std::vector<Document>& docs,
                                 const IntentionClustering& clustering,
                                 Vocabulary& vocab,
@@ -85,10 +93,20 @@ class IntentionMatcher {
 
   /// The same build over bags made beforehand: `segment_terms[i]` is the
   /// bag of clustering.segments()[i] (see segment_terms), moved into its
-  /// cluster's index.
+  /// cluster's index. The matcher scores against, and ingests into,
+  /// `stats`, which the caller has seeded (seed_stats) — over exactly these
+  /// bags, or over the whole corpus when this matcher is one shard of it.
   static IntentionMatcher build(const IntentionClustering& clustering,
                                 std::vector<TermVector> segment_terms,
-                                const MatcherOptions& options = {});
+                                const MatcherOptions& options,
+                                std::shared_ptr<GlobalIndexStats> stats);
+
+  /// A statistics board holding every bag of `segment_terms` (parallel to
+  /// clustering.segments()), appended in the order build() indexes them:
+  /// cluster by cluster, in member order.
+  static std::shared_ptr<GlobalIndexStats> seed_stats(
+      const IntentionClustering& clustering,
+      const std::vector<TermVector>& segment_terms, double min_norm_fraction);
 
   /// The term bag of every refined segment of `clustering`, parallel to
   /// clustering.segments(). New terms are interned into `vocab` cluster by
@@ -116,14 +134,15 @@ class IntentionMatcher {
   /// a corpus DocId: scores `terms` against cluster `cluster`'s index,
   /// drops `exclude`'s own segment (pass kNoDocId to keep everything),
   /// applies MatcherOptions::score_threshold, and selects/ranks on
-  /// (score desc, DocId asc). This is the scatter primitive of the sharded
-  /// serving layer: each shard evaluates it over its own partition, with
-  /// `global` carrying the cross-shard collection statistics so per-unit
-  /// scores are bit-identical to an unpartitioned index (see score_units).
-  /// nullptr `global` scores against this matcher's own statistics.
+  /// (score desc, DocId asc), weighing the postings with `collection`, a
+  /// snapshot of the cluster's statistics on this matcher's board. This is
+  /// the scatter primitive of the sharded serving layer: each shard
+  /// evaluates it over its own partition against one snapshot of the
+  /// deployment's board, so per-unit scores are bit-identical to an
+  /// unpartitioned index (see score_units).
   std::vector<ScoredDoc> match_cluster_terms(
       int cluster, const TermVector& terms, DocId exclude, int n,
-      const ClusterCollectionStats* global = nullptr) const;
+      const ClusterCollectionStats& collection) const;
 
   /// The term bag of each cluster where `doc` has a (refined) segment, in
   /// ascending cluster order. Copies — safe to ship across shards. Empty
@@ -172,7 +191,8 @@ class IntentionMatcher {
   /// segments are assigned to the nearest intention centroid (the paper
   /// re-clusters offline periodically and finds intentions stable over
   /// time, Sec. 9.2, so nearest-centroid assignment between re-clusterings
-  /// is sound); same-cluster segments are concatenated (refinement) and the
+  /// is sound); same-cluster segments are concatenated (refinement),
+  /// appended to the statistics board in ascending cluster order, and the
   /// touched cluster indices re-finalized. `doc.id()` must be new.
   /// `centroids` are the offline clustering's centroids; `features`
   /// must match the options the clustering was built with.
@@ -187,15 +207,6 @@ class IntentionMatcher {
                       const std::vector<std::vector<double>>& centroids,
                       Vocabulary& vocab,
                       const FeatureVectorOptions& features = {});
-
-  /// Routes ingested per-cluster term bags to a cross-shard statistics
-  /// board: after this call every add_document also append()s each
-  /// refined segment's bag to `sink` (in the same ascending-cluster order
-  /// the local indices ingest them). The sharded serving layer points all
-  /// shards at one board so queries can score against collection-wide
-  /// statistics. nullptr (default) disables. Not owned; must outlive the
-  /// matcher or be reset first.
-  void set_stats_sink(GlobalIndexStats* sink) { stats_sink_ = sink; }
 
   /// \brief Number of intention clusters (= per-cluster indices).
   int num_clusters() const { return static_cast<int>(indices_.size()); }
@@ -239,9 +250,9 @@ class IntentionMatcher {
   /// Query-path work counters; shared_ptr so the matcher stays movable.
   std::shared_ptr<QueryWorkCounters> work_ =
       std::make_shared<QueryWorkCounters>();
-  /// Cross-shard statistics board fed by add_document (see
-  /// set_stats_sink). Not owned.
-  GlobalIndexStats* stats_sink_ = nullptr;
+  /// The statistics board every query scores against and add_document
+  /// appends to; shared with the deployment's other shards.
+  std::shared_ptr<GlobalIndexStats> stats_;
 };
 
 }  // namespace ibseg

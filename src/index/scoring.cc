@@ -24,33 +24,21 @@ double probabilistic_idf(size_t collection_size, size_t df) {
 
 namespace {
 
-// Eq. 7/8 norm of `unit` under external collection statistics: the same
-// pre-floor expression finalize() evaluates, with the *global* NU average
-// and floor substituted. Bit-identical to the norm an unpartitioned index
-// would have stored for this unit.
-double global_unit_norm(const InvertedIndex& index, uint32_t unit,
-                        const ClusterCollectionStats& global) {
-  double norm = pre_floor_unit_norm(index.unit_log_tf_sum(unit),
-                                    index.unit_unique_terms(unit),
-                                    global.avg_unique_terms);
-  if (global.norm_floor > 0.0) norm = std::max(norm, global.norm_floor);
-  return norm;
-}
-
 // --- Scoring functions ------------------------------------------------
 //
-// One struct per ScoringFunction; each provides
-//   setup(term, f_q, meta, &t)  -> false to skip the term entirely
-//   operand_key()               -> the scorer and the bits of every
-//                                  collection input unit_input() reads
-//                                  (the UnitOperands cache key)
-//   unit_input(unit)            -> the unit's operand: the part of the
-//                                  per-posting expression that depends on
-//                                  the unit alone
-//   tf_part(tf, in)             -> the part that depends on the posting
-//                                  (tf and the unit's operand) alone
-//   combine(t, part)            -> the contribution of a posting to its
-//                                  unit's score
+// One struct per ScoringFunction, reading the collection statistics from
+// the ClusterCollectionStats it holds; each provides
+//   setup(term, f_q, &t)  -> false to skip the term entirely
+//   operand_key()         -> the scorer and the bits of every collection
+//                            input unit_input() reads (the UnitOperands
+//                            cache key)
+//   unit_input(unit)      -> the unit's operand: the part of the
+//                            per-posting expression that depends on the
+//                            unit alone
+//   tf_part(tf, in)       -> the part that depends on the posting (tf and
+//                            the unit's operand) alone
+//   combine(t, part)      -> the contribution of a posting to its unit's
+//                            score
 // so one posting contributes combine(t, tf_part(tf, unit_input(unit))),
 // spelled with EXACTLY the expressions (associativity included) the
 // scoring function defines. A tf = 1 posting's tf_part(1.0, in) is a
@@ -75,32 +63,28 @@ inline uint64_t bits(double v) { return std::bit_cast<uint64_t>(v); }
 
 struct PaperScorer {
   const InvertedIndex& index;
-  const ClusterCollectionStats* global;
+  const ClusterCollectionStats& collection;
   const double* logs = small_tf_log_table();
   struct Term {
     double f_q = 0.0;
     double pidf = 0.0;
   };
-  bool setup(TermId term, double f_q, const FlatTermMeta& meta,
-             Term* t) const {
-    double pidf = global == nullptr
-                      ? probabilistic_idf(index.num_units(), meta.df)
-                      : probabilistic_idf(global->num_units,
-                                          global->df_of(term));
+  bool setup(TermId term, double f_q, Term* t) const {
+    double pidf = probabilistic_idf(collection.num_units,
+                                    collection.df_of(term));
     if (pidf <= 0.0) return false;
     t->f_q = f_q;
     t->pidf = pidf;
     return true;
   }
-  /// Local norms are the index's own (reset with it by finalize());
-  /// global ones read the snapshot's NU average and floor.
+  /// A norm reads the snapshot's NU average and floor.
   UnitOperands::Key operand_key() const {
-    if (global == nullptr) return {0, 0, 0, 0};
-    return {0, 1, bits(global->avg_unique_terms), bits(global->norm_floor)};
+    return {0, bits(collection.avg_unique_terms),
+            bits(collection.norm_floor), 0};
   }
+  /// The unit's Eq. 7/8 norm.
   double unit_input(uint32_t unit) const {
-    return global == nullptr ? index.unit_norm(unit)
-                             : global_unit_norm(index, unit, *global);
+    return collection.unit_norm(index.unit_stats(unit));
   }
   /// The Eq. 8 weight w.
   double tf_part(double tf, double norm) const {
@@ -111,7 +95,7 @@ struct PaperScorer {
 
 struct Bm25Scorer {
   const InvertedIndex& index;
-  const ClusterCollectionStats* global;
+  const ClusterCollectionStats& collection;
   double k1 = 1.2;
   double b = 0.75;
   double n = 0.0;
@@ -119,10 +103,8 @@ struct Bm25Scorer {
   struct Term {
     double fi = 0.0;  ///< f_q * idf (hoisting is associativity-preserving)
   };
-  bool setup(TermId term, double f_q, const FlatTermMeta& meta,
-             Term* t) const {
-    double df = static_cast<double>(
-        global == nullptr ? meta.df : global->df_of(term));
+  bool setup(TermId term, double f_q, Term* t) const {
+    double df = static_cast<double>(collection.df_of(term));
     double idf = std::log(1.0 + (n - df + 0.5) / (df + 0.5));
     t->fi = f_q * idf;
     return true;
@@ -133,7 +115,7 @@ struct Bm25Scorer {
   /// K of the unit: the right operand of the tf-component denominator's
   /// `tf + K`, evaluated exactly as that subexpression would be.
   double unit_input(uint32_t unit) const {
-    double len = index.unit_length(unit);
+    double len = index.unit_stats(unit).length;
     return k1 * (1.0 - b + b * len / avg_len);
   }
   /// The tf component.
@@ -147,20 +129,15 @@ struct Bm25Scorer {
 
 struct LmScorer {
   const InvertedIndex& index;
-  const ClusterCollectionStats* global;
+  const ClusterCollectionStats& collection;
   double lambda = 0.7;
   double collection_len = 1e-9;
   struct Term {
     double f_q = 0.0;
     double p_collection = 0.0;
   };
-  bool setup(TermId term, double f_q, const FlatTermMeta& meta,
-             Term* t) const {
-    (void)meta;
-    double p_collection =
-        (global == nullptr ? index.collection_tf(term)
-                           : global->collection_tf_of(term)) /
-        collection_len;
+  bool setup(TermId term, double f_q, Term* t) const {
+    double p_collection = collection.cf_of(term) / collection_len;
     if (p_collection <= 0.0) return false;
     t->f_q = f_q;
     t->p_collection = p_collection;
@@ -169,7 +146,7 @@ struct LmScorer {
   /// The clamped length reads no collection statistics.
   UnitOperands::Key operand_key() const { return {2, 0, 0, 0}; }
   double unit_input(uint32_t unit) const {
-    return std::max(index.unit_length(unit), 1e-9);
+    return std::max(index.unit_stats(unit).length, 1e-9);
   }
   /// The unit model's p(t | u).
   double tf_part(double tf, double len) const { return tf / len; }
@@ -181,40 +158,35 @@ struct LmScorer {
 
 template <class Scorer>
 Scorer make_scorer(const InvertedIndex& index, const ScoringOptions& options,
-                   const ClusterCollectionStats* global);
+                   const ClusterCollectionStats& collection);
 
 template <>
 PaperScorer make_scorer<PaperScorer>(const InvertedIndex& index,
                                      const ScoringOptions& options,
-                                     const ClusterCollectionStats* global) {
+                                     const ClusterCollectionStats& collection) {
   (void)options;
-  return PaperScorer{index, global};
+  return PaperScorer{index, collection};
 }
 
 template <>
 Bm25Scorer make_scorer<Bm25Scorer>(const InvertedIndex& index,
                                    const ScoringOptions& options,
-                                   const ClusterCollectionStats* global) {
-  Bm25Scorer s{index, global};
+                                   const ClusterCollectionStats& collection) {
+  Bm25Scorer s{index, collection};
   s.k1 = options.bm25_k1;
   s.b = options.bm25_b;
-  s.n = static_cast<double>(global == nullptr ? index.num_units()
-                                              : global->num_units);
-  s.avg_len = std::max(
-      global == nullptr ? index.avg_unit_length() : global->avg_unit_length,
-      1e-9);
+  s.n = static_cast<double>(collection.num_units);
+  s.avg_len = std::max(collection.avg_unit_length, 1e-9);
   return s;
 }
 
 template <>
 LmScorer make_scorer<LmScorer>(const InvertedIndex& index,
                                const ScoringOptions& options,
-                               const ClusterCollectionStats* global) {
-  LmScorer s{index, global};
+                               const ClusterCollectionStats& collection) {
+  LmScorer s{index, collection};
   s.lambda = std::clamp(options.lm_lambda, 1e-6, 1.0 - 1e-6);
-  s.collection_len = std::max(global == nullptr ? index.collection_length()
-                                                : global->collection_length,
-                              1e-9);
+  s.collection_len = std::max(collection.collection_length, 1e-9);
   return s;
 }
 
@@ -226,9 +198,9 @@ LmScorer make_scorer<LmScorer>(const InvertedIndex& index,
 template <class Scorer>
 std::vector<ScoredUnit> score_units_reference(
     const InvertedIndex& index, const TermVector& query,
-    const ScoringOptions& options, const ClusterCollectionStats* global,
+    const ScoringOptions& options, const ClusterCollectionStats& collection,
     ScoreStats* stats) {
-  Scorer scorer = make_scorer<Scorer>(index, options, global);
+  Scorer scorer = make_scorer<Scorer>(index, options, collection);
   const FlatPostings& flat = index.flat();
   std::unordered_map<uint32_t, double> acc;
   auto add = [&](const typename Scorer::Term& t, uint32_t unit, double tf) {
@@ -240,7 +212,7 @@ std::vector<ScoredUnit> score_units_reference(
     const FlatTermMeta* meta = flat.term_meta(term);
     if (meta == nullptr) continue;
     typename Scorer::Term t;
-    if (!scorer.setup(term, f_q, *meta, &t)) continue;
+    if (!scorer.setup(term, f_q, &t)) continue;
     const TermRuns runs = flat.runs(*meta);
     for (uint32_t unit : runs.ones) add(t, unit, 1.0);
     for (const Posting& p : runs.tfs) add(t, p.unit, p.tf);
@@ -311,7 +283,7 @@ std::vector<ScoredUnit> dense_select(
     const FlatTermMeta* meta = flat.term_meta(term);
     if (meta == nullptr) continue;
     typename Scorer::Term t;
-    if (scorer.setup(term, f_q, *meta, &t)) terms.emplace_back(t, meta);
+    if (scorer.setup(term, f_q, &t)) terms.emplace_back(t, meta);
   }
   if (terms.empty()) return {};
 
@@ -372,52 +344,52 @@ std::vector<ScoredUnit> dense_select(
 
 std::vector<ScoredUnit> score_units_counted(
     const InvertedIndex& index, const TermVector& query,
-    const ScoringOptions& options, const ClusterCollectionStats* global,
+    const ScoringOptions& options, const ClusterCollectionStats& collection,
     ScoreStats* stats) {
   obs::TraceScope score(obs::Stage::kScore);
   switch (options.function) {
     case ScoringFunction::kBm25:
       return score_units_reference<Bm25Scorer>(index, query, options,
-                                                global, stats);
+                                                collection, stats);
     case ScoringFunction::kQueryLikelihood:
-      return score_units_reference<LmScorer>(index, query, options, global,
-                                              stats);
+      return score_units_reference<LmScorer>(index, query, options,
+                                              collection, stats);
     case ScoringFunction::kPaperTfIdf:
       break;
   }
-  return score_units_reference<PaperScorer>(index, query, options, global,
-                                             stats);
+  return score_units_reference<PaperScorer>(index, query, options,
+                                             collection, stats);
 }
 
 std::vector<ScoredUnit> score_units(const InvertedIndex& index,
                                     const TermVector& query,
                                     const ScoringOptions& options,
-                                    const ClusterCollectionStats* global) {
-  return score_units_counted(index, query, options, global, nullptr);
+                                    const ClusterCollectionStats& collection) {
+  return score_units_counted(index, query, options, collection, nullptr);
 }
 
 std::vector<ScoredUnit> score_units_dense(
     const InvertedIndex& index, const TermVector& query,
-    const ScoringOptions& options, const ClusterCollectionStats* global,
+    const ScoringOptions& options, const ClusterCollectionStats& collection,
     const std::vector<uint32_t>& unit_doc, uint32_t exclude_doc,
     size_t top_n, double score_threshold, ScoreStats* stats) {
   obs::TraceScope score(obs::Stage::kScore);
   switch (options.function) {
     case ScoringFunction::kBm25:
       return dense_select(index, query,
-                          make_scorer<Bm25Scorer>(index, options, global),
+                          make_scorer<Bm25Scorer>(index, options, collection),
                           unit_doc, exclude_doc, top_n, score_threshold,
                           stats);
     case ScoringFunction::kQueryLikelihood:
       return dense_select(index, query,
-                          make_scorer<LmScorer>(index, options, global),
+                          make_scorer<LmScorer>(index, options, collection),
                           unit_doc, exclude_doc, top_n, score_threshold,
                           stats);
     case ScoringFunction::kPaperTfIdf:
       break;
   }
   return dense_select(index, query,
-                      make_scorer<PaperScorer>(index, options, global),
+                      make_scorer<PaperScorer>(index, options, collection),
                       unit_doc, exclude_doc, top_n, score_threshold, stats);
 }
 

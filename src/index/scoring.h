@@ -44,30 +44,30 @@ struct ScoringOptions {
   double lm_lambda = 0.7;
 };
 
-/// Scores every unit of `index` against the query bag `query`.
+/// Scores every unit of `index` against the query bag `query`, weighing
+/// its postings with `collection`, the statistics of the index's cluster
+/// (a statistics board's snapshot, collection_stats.h).
 /// Default (kPaperTfIdf): the paper's Eq. 9,
 ///   scr(q, u) = sum_t f_q(t) * w(t, u) * pidf(t)
-/// with w the Eq. 7/8 weight stored in the index. kBm25 and
-/// kQueryLikelihood evaluate the corresponding classic functions (the LM
-/// uses the rank-equivalent sparse form
+/// with w the Eq. 7/8 weight (log tf + 1) / collection.unit_norm(u).
+/// kBm25 and kQueryLikelihood evaluate the corresponding classic functions
+/// (the LM uses the rank-equivalent sparse form
 ///   sum_t f_q(t) * log(1 + ((1-l)*tf/len) / (l*ctf/C))
 /// so non-matching units keep score 0). Returns the units with positive
 /// score, unordered. Term-at-a-time evaluation over the postings lists.
 ///
-/// `global` switches every collection-dependent input — |I|, |I^t|, the NU
-/// pivot average, the norm floor, the BM25 length pivot, the LM collection
-/// model — from the index's own statistics to the supplied cross-shard
-/// aggregate, and re-derives unit norms on the fly from the index's
-/// per-unit lexical stats via pre_floor_unit_norm. A document-partitioned
-/// shard scored this way produces, for each of its units, exactly the
-/// bits a single unpartitioned index holding the full collection would
-/// produce (same per-term accumulation order, same arithmetic, same skip
-/// rules). nullptr (the default) keeps the classic local-statistics path.
+/// Every collection-dependent input — |I|, |I^t|, the NU pivot average,
+/// the norm floor, the BM25 length pivot, the LM collection model — comes
+/// from `collection`; each unit's norm and length are derived from the
+/// index's per-unit UnitLexStats. A document-partitioned shard scored
+/// against its deployment's board therefore produces, for each of its
+/// units, exactly the bits a single unpartitioned index holding the full
+/// collection would produce (same per-term accumulation order, same
+/// arithmetic, same skip rules).
 std::vector<ScoredUnit> score_units(const InvertedIndex& index,
                                     const TermVector& query,
-                                    const ScoringOptions& options = {},
-                                    const ClusterCollectionStats* global =
-                                        nullptr);
+                                    const ScoringOptions& options,
+                                    const ClusterCollectionStats& collection);
 
 /// Sorts hits by descending score (ties by ascending unit id for
 /// determinism) and truncates to `n`.
@@ -86,7 +86,7 @@ struct ScoreStats {
 /// semantics) — the reference the dense kernel is checked against.
 std::vector<ScoredUnit> score_units_counted(
     const InvertedIndex& index, const TermVector& query,
-    const ScoringOptions& options, const ClusterCollectionStats* global,
+    const ScoringOptions& options, const ClusterCollectionStats& collection,
     ScoreStats* stats);
 
 /// The per-intention score → exclude → threshold → select step of
@@ -115,14 +115,14 @@ std::vector<ScoredUnit> score_units_counted(
 /// sequence of the same double operations (the tf = 1 form is the
 /// tf-dependent part evaluated at tf = 1.0 by the same function, the
 /// accumulation runs in the same TermId-ascending order from 0.0), and the
-/// selection keeps the same set under a total order. `global` selects the
-/// sharded (cross-shard statistics) arithmetic exactly as in score_units.
-/// tests/differential_test.cc sweeps this equivalence. The accumulator is
+/// selection keeps the same set under a total order. `collection` is read
+/// exactly as in score_units. tests/differential_test.cc sweeps this
+/// equivalence. The accumulator is
 /// per thread and the operand cache is filled under a lock, so concurrent
 /// calls (the scatter legs of concurrent queries) are race-free.
 std::vector<ScoredUnit> score_units_dense(
     const InvertedIndex& index, const TermVector& query,
-    const ScoringOptions& options, const ClusterCollectionStats* global,
+    const ScoringOptions& options, const ClusterCollectionStats& collection,
     const std::vector<uint32_t>& unit_doc, uint32_t exclude_doc,
     size_t top_n, double score_threshold, ScoreStats* stats = nullptr);
 

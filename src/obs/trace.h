@@ -20,7 +20,8 @@ enum class Stage : int {
   kClusterAssign, ///< nearest-centroid assignment of query/ingest segments
   kIndexPublish,  ///< adding units to per-cluster indices (under the
                   ///  serving write lock on the ingest path)
-  kTermWeight,    ///< InvertedIndex::finalize: Eq. 7/8 norm recomputation
+  kTermWeight,    ///< InvertedIndex::finalize: sealing the postings runs
+                  ///  (the Eq. 7/8 norms live on the statistics board)
   kScore,         ///< score_units: Eq. 9 / BM25 / LM postings traversal
   kTopK,          ///< Algorithm 2 merge + final sort + truncate
 };

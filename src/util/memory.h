@@ -9,7 +9,7 @@ namespace ibseg {
 /// resident size stays at a bulk build's peak long after the build's
 /// transient memory is freed. Called where such a build ends: the
 /// offline grouping pass, ShardedServing::create and restore, and the end
-/// of a recluster epoch.
+/// of a recluster epoch; and when a ShardedServing is destroyed.
 void release_free_heap();
 
 }  // namespace ibseg

@@ -4,12 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
-#include "index/inverted_index.h"
 #include "index/scoring.h"
 #include "nlp/pos_tagger.h"
+#include "one_cluster_index.h"
 #include "text/porter_stemmer.h"
 #include "text/tokenizer.h"
 #include "util/rng.h"
@@ -216,6 +217,9 @@ TEST(TaggerCorpus, HandCheckedSentences) {
 
 class IndexStress : public ::testing::TestWithParam<uint64_t> {};
 
+// Every collection statistic below (df, the NU average, the norm floor,
+// the BM25 length pivot, the LM collection model) is derived from the term
+// bags alone, so the check does not read the statistics code it tests.
 TEST_P(IndexStress, ScoresMatchBruteForce) {
   Rng rng(GetParam());
   const size_t vocab_size = 30;
@@ -226,7 +230,7 @@ TEST_P(IndexStress, ScoresMatchBruteForce) {
   for (size_t t = 0; t < vocab_size; ++t) {
     terms.push_back(vocab.intern("t" + std::to_string(t)));
   }
-  InvertedIndex index;
+  OneClusterIndex index;  // default floor: the collection-average norm
   std::vector<TermVector> unit_bags(units);
   for (size_t u = 0; u < units; ++u) {
     size_t num_terms = 1 + rng.next_below(8);
@@ -243,23 +247,72 @@ TEST_P(IndexStress, ScoresMatchBruteForce) {
     query.add(terms[rng.next_below(vocab_size)], 1.0);
   }
 
-  auto hits = score_units(index, query);
-  std::map<uint32_t, double> by_unit;
-  for (const ScoredUnit& h : hits) by_unit[h.unit] = h.score;
-
-  // Brute force over the same formula.
-  for (uint32_t u = 0; u < units; ++u) {
-    double expected = 0.0;
-    for (const auto& [term, f_q] : query.entries()) {
-      double tf = unit_bags[u].weight(term);
-      if (tf <= 0.0) continue;
-      double w = (std::log(tf) + 1.0) / index.unit_norm(u);
-      expected += f_q * w * probabilistic_idf(units, index.df(term));
+  // Collection statistics from the bags.
+  const double n = static_cast<double>(units);
+  std::map<TermId, double> df;
+  std::map<TermId, double> ctf;
+  double collection_length = 0.0;
+  double unique_sum = 0.0;
+  std::vector<double> length(units);
+  std::vector<double> norm(units);
+  for (size_t u = 0; u < units; ++u) {
+    for (const auto& [term, tf] : unit_bags[u].entries()) {
+      df[term] += 1.0;
+      ctf[term] += tf;
+      length[u] += tf;
+      norm[u] += std::log(tf) + 1.0;
     }
-    auto it = by_unit.find(u);
-    double got = it == by_unit.end() ? 0.0 : it->second;
-    EXPECT_NEAR(got, expected, 1e-9) << "unit " << u;
+    collection_length += length[u];
+    unique_sum += static_cast<double>(unit_bags[u].num_terms());
   }
+  const double avg_unique = unique_sum / n;
+  const double avg_length = collection_length / n;
+  double norm_sum = 0.0;
+  for (size_t u = 0; u < units; ++u) {
+    norm[u] *= 0.25 + 0.75 * static_cast<double>(unit_bags[u].num_terms()) /
+                          avg_unique;
+    norm_sum += norm[u];
+  }
+  for (double& v : norm) v = std::max(v, norm_sum / n);
+
+  auto check = [&](ScoringFunction fn, auto contribution) {
+    ScoringOptions options;
+    options.function = fn;
+    std::map<uint32_t, double> by_unit;
+    for (const ScoredUnit& h : index.score(query, options)) {
+      by_unit[h.unit] = h.score;
+    }
+    for (uint32_t u = 0; u < units; ++u) {
+      double expected = 0.0;
+      for (const auto& [term, f_q] : query.entries()) {
+        double tf = unit_bags[u].weight(term);
+        if (tf > 0.0) expected += f_q * contribution(term, tf, u);
+      }
+      auto it = by_unit.find(u);
+      double got = it == by_unit.end() ? 0.0 : it->second;
+      EXPECT_NEAR(got, expected, 1e-9)
+          << "unit " << u << " fn " << static_cast<int>(fn);
+    }
+  };
+  // Eq. 8/9: w = (log tf + 1) / norm, pidf = log(n - df + 0.5) / (df + 0.5)
+  // floored at 0.
+  check(ScoringFunction::kPaperTfIdf, [&](TermId term, double tf, size_t u) {
+    double pidf = std::max(
+        0.0, std::log(n - df[term] + 0.5) / (df[term] + 0.5));
+    return (std::log(tf) + 1.0) / norm[u] * pidf;
+  });
+  // BM25, k1 = 1.2, b = 0.75.
+  check(ScoringFunction::kBm25, [&](TermId term, double tf, size_t u) {
+    double idf = std::log(1.0 + (n - df[term] + 0.5) / (df[term] + 0.5));
+    double k = 1.2 * (1.0 - 0.75 + 0.75 * length[u] / avg_length);
+    return idf * (tf * 2.2) / (tf + k);
+  });
+  // Jelinek-Mercer query likelihood, lambda = 0.7, sparse form.
+  check(ScoringFunction::kQueryLikelihood,
+        [&](TermId term, double tf, size_t u) {
+          return std::log(1.0 + (0.3 * tf / length[u]) /
+                                    (0.7 * ctf[term] / collection_length));
+        });
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexStress,

@@ -439,11 +439,11 @@ TermVector edge_bag(std::mt19937& rng) {
 // threshold, (score desc, doc asc) order and the top-n cut.
 std::vector<ScoredUnit> reference_select(
     const InvertedIndex& index, const TermVector& query,
-    const ScoringOptions& options, const ClusterCollectionStats* global,
+    const ScoringOptions& options, const ClusterCollectionStats& collection,
     const std::vector<uint32_t>& unit_doc, uint32_t exclude, size_t n,
     double threshold, ScoreStats* stats) {
   std::vector<ScoredUnit> hits =
-      score_units_counted(index, query, options, global, stats);
+      score_units_counted(index, query, options, collection, stats);
   std::erase_if(hits, [&](const ScoredUnit& h) {
     return unit_doc[h.unit] == exclude ||
            (threshold > 0.0 && h.score < threshold);
@@ -473,8 +473,9 @@ size_t bit_differences(const std::vector<ScoredUnit>& got,
 
 // score_units_dense against reference_select, compared as bit patterns,
 // on bags built from the edge tf values: all three scoring functions, top-n
-// and threshold mode, local and cross-shard statistics (a board that also
-// holds units living on another shard), with and without an excluded doc.
+// and threshold mode, local statistics (a board holding exactly the
+// index's units) and cross-shard statistics (a board that also holds units
+// living on another shard), with and without an excluded doc.
 // Duplicate units force exact score ties, and doc ids run against unit ids
 // so the tie order is the DocId order, not the insertion order.
 TEST(Differential, KernelBitExactAgainstMapReference) {
@@ -491,7 +492,12 @@ TEST(Differential, KernelBitExactAgainstMapReference) {
   for (size_t u = 0; u < units.size(); ++u) {
     unit_doc[u] = static_cast<uint32_t>(5000 - 3 * u);
   }
-  GlobalIndexStats board(1, index.min_norm_fraction);
+  const double floor = MatcherOptions().min_norm_fraction;
+  GlobalIndexStats local_board(1, floor);
+  for (const TermVector& v : units) local_board.append(0, v, false);
+  local_board.refresh(0);
+  std::shared_ptr<const ClusterCollectionStats> local = local_board.cluster(0);
+  GlobalIndexStats board(1, floor);
   for (const TermVector& v : units) board.append(0, v, false);
   for (int u = 0; u < 25; ++u) board.append(0, edge_bag(rng), false);
   board.refresh(0);
@@ -507,13 +513,11 @@ TEST(Differential, KernelBitExactAgainstMapReference) {
         ScoringFunction::kQueryLikelihood}) {
     ScoringOptions options;
     options.function = fn;
-    for (const ClusterCollectionStats* stats : {
-             static_cast<const ClusterCollectionStats*>(nullptr),
-             global.get()}) {
+    for (const ClusterCollectionStats* stats : {local.get(), global.get()}) {
       for (const TermVector& query : queries) {
         std::vector<ScoredUnit> all = reference_select(
-            index, query, options, stats, unit_doc, IntentionMatcher::kNoDocId,
-            units.size(), 0.0, nullptr);
+            index, query, options, *stats, unit_doc,
+            IntentionMatcher::kNoDocId, units.size(), 0.0, nullptr);
         // Thresholds: keep every positive score; and exactly the third
         // best score, so keep-on-equality is exercised.
         std::vector<double> thresholds = {0.0, 1e-300};
@@ -524,14 +528,14 @@ TEST(Differential, KernelBitExactAgainstMapReference) {
               ScoreStats want_stats;
               ScoreStats got_stats;
               std::vector<ScoredUnit> want =
-                  reference_select(index, query, options, stats, unit_doc,
+                  reference_select(index, query, options, *stats, unit_doc,
                                    exclude, n, threshold, &want_stats);
               std::vector<ScoredUnit> got = score_units_dense(
-                  index, query, options, stats, unit_doc, exclude, n,
+                  index, query, options, *stats, unit_doc, exclude, n,
                   threshold, &got_stats);
               const std::string what =
                   "fn " + std::to_string(static_cast<int>(fn)) +
-                  (stats != nullptr ? " global" : " local") + " exclude " +
+                  (stats == global.get() ? " global" : " local") + " exclude " +
                   std::to_string(exclude) + " threshold " +
                   std::to_string(threshold) + " n " + std::to_string(n);
               EXPECT_EQ(got_stats.units_scored, want_stats.units_scored)
@@ -564,10 +568,10 @@ TEST(Differential, KernelBitExactAgainstMapReference) {
     for (const TermVector& query : queries) {
       for (double threshold : {0.0, 1e-300}) {
         std::vector<ScoredUnit> want = reference_select(
-            index, query, options, stats, unit_doc,
+            index, query, options, *stats, unit_doc,
             IntentionMatcher::kNoDocId, 10, threshold, nullptr);
         std::vector<ScoredUnit> got = score_units_dense(
-            index, query, options, stats, unit_doc,
+            index, query, options, *stats, unit_doc,
             IntentionMatcher::kNoDocId, 10, threshold);
         EXPECT_EQ(bit_differences(got, want), 0u)
             << what << " fn " << static_cast<int>(fn) << " threshold "
@@ -581,7 +585,7 @@ TEST(Differential, KernelBitExactAgainstMapReference) {
                                       ScoringFunction::kQueryLikelihood};
   // Snapshots A and B hold as many units as each other (the index's
   // units plus 25 others each), with different statistics: A, B, A.
-  GlobalIndexStats board_b(1, index.min_norm_fraction);
+  GlobalIndexStats board_b(1, floor);
   for (const TermVector& v : units) board_b.append(0, v, false);
   for (int u = 0; u < 25; ++u) board_b.append(0, edge_bag(rng), false);
   board_b.refresh(0);
@@ -596,11 +600,16 @@ TEST(Differential, KernelBitExactAgainstMapReference) {
   // An ingest re-finalizes the index while the call's key stays the one
   // cached (the LM's operands read no statistics at all).
   check(ScoringFunction::kPaperTfIdf, global.get(), "snapshot A");
-  index.add_unit(edge_bag(rng));
+  const TermVector ingested = edge_bag(rng);
+  index.add_unit(ingested);
   index.finalize();
   unit_doc.push_back(17);
   check(ScoringFunction::kPaperTfIdf, global.get(), "snapshot A after ingest");
-  for (ScoringFunction fn : kScorers) check(fn, nullptr, "local after ingest");
+  local_board.append(0, ingested);
+  local = local_board.cluster(0);
+  for (ScoringFunction fn : kScorers) {
+    check(fn, local.get(), "local after ingest");
+  }
   // A publish on another shard swaps the snapshot under an unchanged
   // index.
   board.append(0, edge_bag(rng));
@@ -614,10 +623,12 @@ TEST(Differential, KernelBitExactAgainstMapReference) {
 }
 
 // A finalized index over edge bags, its doc ids running against its unit
-// ids.
+// ids, and the statistics of a board holding exactly its units.
 struct EdgeBoard {
   InvertedIndex index;
   std::vector<uint32_t> unit_doc;
+  GlobalIndexStats local_board{1, MatcherOptions().min_norm_fraction};
+  std::shared_ptr<const ClusterCollectionStats> local;
 };
 
 std::vector<std::unique_ptr<EdgeBoard>> edge_boards(
@@ -626,10 +637,14 @@ std::vector<std::unique_ptr<EdgeBoard>> edge_boards(
   for (int size : sizes) {
     auto board = std::make_unique<EdgeBoard>();
     for (int u = 0; u < size; ++u) {
-      board->index.add_unit(edge_bag(rng));
+      const TermVector bag = edge_bag(rng);
+      board->index.add_unit(bag);
+      board->local_board.append(0, bag, false);
       board->unit_doc.push_back(static_cast<uint32_t>(9000 - 2 * u));
     }
     board->index.finalize();
+    board->local_board.refresh(0);
+    board->local = board->local_board.cluster(0);
     boards.push_back(std::move(board));
   }
   return boards;
@@ -659,10 +674,10 @@ TEST(Differential, KernelWorkspaceReusedAcrossIndexSizes) {
           const EdgeBoard& board = *boards[b];
           for (double threshold : {0.0, 1e-300}) {
             std::vector<ScoredUnit> want = reference_select(
-                board.index, query, options, nullptr, board.unit_doc,
+                board.index, query, options, *board.local, board.unit_doc,
                 IntentionMatcher::kNoDocId, 5, threshold, nullptr);
             std::vector<ScoredUnit> got = score_units_dense(
-                board.index, query, options, nullptr, board.unit_doc,
+                board.index, query, options, *board.local, board.unit_doc,
                 IntentionMatcher::kNoDocId, 5, threshold);
             EXPECT_EQ(bit_differences(got, want), 0u)
                 << "round " << round << " fn " << static_cast<int>(fn)
@@ -684,7 +699,7 @@ TEST(Differential, KernelWorkspaceReusedAcrossIndexSizes) {
 TEST(Differential, KernelConcurrentCallsMatchSerialReference) {
   std::mt19937 rng(91);
   const auto boards = edge_boards(rng, {50, 7, 31});
-  GlobalIndexStats stats_board(1, boards[0]->index.min_norm_fraction);
+  GlobalIndexStats stats_board(1, MatcherOptions().min_norm_fraction);
   for (int u = 0; u < 90; ++u) stats_board.append(0, edge_bag(rng), false);
   stats_board.refresh(0);
   std::shared_ptr<const ClusterCollectionStats> global =
@@ -707,14 +722,13 @@ TEST(Differential, KernelConcurrentCallsMatchSerialReference) {
       for (ScoringFunction fn :
            {ScoringFunction::kPaperTfIdf, ScoringFunction::kBm25,
             ScoringFunction::kQueryLikelihood}) {
-        for (const ClusterCollectionStats* stats : {
-                 static_cast<const ClusterCollectionStats*>(nullptr),
-                 global.get()}) {
+        for (const ClusterCollectionStats* stats :
+             {board->local.get(), global.get()}) {
           for (double threshold : {0.0, 1e-300}) {
             Call call{board.get(), &query, {}, stats, threshold, {}};
             call.options.function = fn;
             call.want = reference_select(
-                board->index, query, call.options, stats, board->unit_doc,
+                board->index, query, call.options, *stats, board->unit_doc,
                 IntentionMatcher::kNoDocId, 4, threshold, nullptr);
             compared += call.want.size();
             calls.push_back(std::move(call));
@@ -739,7 +753,7 @@ TEST(Differential, KernelConcurrentCallsMatchSerialReference) {
           const Call& call = calls[i];
           diffs += bit_differences(
               score_units_dense(call.board->index, *call.query,
-                                   call.options, call.global,
+                                   call.options, *call.global,
                                    call.board->unit_doc,
                                    IntentionMatcher::kNoDocId, 4,
                                    call.threshold),

@@ -61,6 +61,19 @@ std::vector<Posting> random_postings(std::mt19937& rng) {
   return postings;
 }
 
+// One seal over every list of `term_postings` (ascending TermId order).
+FlatPostings seal_lists(
+    const std::vector<std::pair<TermId, const std::vector<Posting>*>>&
+        term_postings) {
+  std::vector<TermPosting> added;
+  for (const auto& [term, list] : term_postings) {
+    for (const Posting& p : *list) {
+      added.push_back(TermPosting{term, p.unit, p.tf});
+    }
+  }
+  return FlatPostings::seal(FlatPostings(), added);
+}
+
 // `runs` merged back by unit: the tf = 1 run's units with tf 1.0, the
 // other run's (unit, tf) as stored.
 std::vector<Posting> merged(const TermRuns& runs) {
@@ -92,7 +105,7 @@ TEST(FlatPostingsRuns, RandomListsScanBackBitExactly) {
       lists.push_back(random_postings(rng));
       terms.emplace_back(static_cast<TermId>(3 * t + 1), &lists.back());
     }
-    FlatPostings flat = FlatPostings::seal(terms);
+    FlatPostings flat = seal_lists(terms);
     ASSERT_EQ(flat.num_terms(), lists.size());
     for (const auto& [term, list] : terms) {
       const FlatTermMeta* meta = flat.term_meta(term);
@@ -124,7 +137,7 @@ TEST(FlatPostingsRuns, GoldenLayout) {
   const std::vector<Posting> a{{2, 1.0}, {5, 3.0}, {9, 1.0}};
   const std::vector<Posting> b{{0, 2.5}, {4, 1.0}};
   const std::vector<Posting> none;
-  FlatPostings flat = FlatPostings::seal({{7, &a}, {8, &none}, {12, &b}});
+  FlatPostings flat = seal_lists({{7, &a}, {8, &none}, {12, &b}});
   ASSERT_EQ(flat.num_terms(), 2u);  // an empty list seals nothing
 
   const FlatTermMeta* ma = flat.term_meta(7);

@@ -10,6 +10,7 @@
 #include "cluster/feature_vector.h"
 #include "index/inverted_index.h"
 #include "index/scoring.h"
+#include "one_cluster_index.h"
 #include "seg/coherence.h"
 #include "seg/diversity.h"
 
@@ -111,8 +112,7 @@ TEST(Eq5And6, WeightVectorsOfKnownDocument) {
 TEST(Eq7And8, MySqlStyleWeight) {
   // One unit with tf(a)=4, tf(b)=1; a second unit so averages exist.
   Vocabulary vocab;
-  InvertedIndex index;
-  index.min_norm_fraction = 0.0;  // test the formula as printed
+  OneClusterIndex index(0.0);  // test the formula as printed
   TermVector u0;
   TermId a = vocab.intern("a");
   TermId b = vocab.intern("b");
@@ -136,8 +136,7 @@ TEST(Eq7And8, MySqlStyleWeight) {
 TEST(Eq8, NuPenaltyExactValue) {
   // unique(u0)=1, unique(u1)=3 -> avg 2; NU(u1) = 0.25 + 0.75*3/2 = 1.375.
   Vocabulary vocab;
-  InvertedIndex index;
-  index.min_norm_fraction = 0.0;
+  OneClusterIndex index(0.0);
   TermVector u0;
   u0.add(vocab.intern("x"), 1.0);
   index.add_unit(u0);
@@ -155,8 +154,7 @@ TEST(Eq9, RelatednessScoreComposition) {
   // Cluster of 3 segments; query shares term "t" (f_q = 2) with segment 0
   // only. scr = f_q * w(t, s0) * pidf where pidf uses |I|=3, |I^t|=1.
   Vocabulary vocab;
-  InvertedIndex index;
-  index.min_norm_fraction = 0.0;
+  OneClusterIndex index(0.0);
   TermId t = vocab.intern("t");
   TermVector s0;
   s0.add(t, 1.0);
@@ -172,7 +170,7 @@ TEST(Eq9, RelatednessScoreComposition) {
 
   TermVector query;
   query.add(t, 2.0);
-  auto hits = score_units(index, query);
+  auto hits = index.score(query);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].unit, unit0);
   double expected =
@@ -198,8 +196,7 @@ TEST(Eq8Golden, AbsoluteTermWeights) {
   // norm(u1)   = 3                  * NU(u1) = 3.6428571428571428
   // norm(u2)   = (ln2 + 2)          * NU(u2) = 2.4045956969285225
   Vocabulary vocab;
-  InvertedIndex index;
-  index.min_norm_fraction = 0.0;  // the formula exactly as printed
+  OneClusterIndex index(0.0);  // the formula exactly as printed
   TermId a = vocab.intern("a"), b = vocab.intern("b"), c = vocab.intern("c"),
          d = vocab.intern("d");
   TermVector u0, u1, u2;
@@ -232,8 +229,7 @@ TEST(Eq9Golden, AbsoluteRelatednessScores) {
   // scr(q,u1) = 2 w(a,u1) pidf                  = 0.08904331785904787
   // scr(q,u2) = 1 w(b,u2) pidf                  = 0.11420000551205824
   Vocabulary vocab;
-  InvertedIndex index;
-  index.min_norm_fraction = 0.0;
+  OneClusterIndex index(0.0);
   TermId a = vocab.intern("a"), b = vocab.intern("b"), c = vocab.intern("c"),
          d = vocab.intern("d");
   TermVector u0, u1, u2;
@@ -252,7 +248,7 @@ TEST(Eq9Golden, AbsoluteRelatednessScores) {
   TermVector query;
   query.add(a, 2.0);
   query.add(b, 1.0);
-  auto hits = score_units(index, query);
+  auto hits = index.score(query);
   keep_top_n(hits, hits.size());
   ASSERT_EQ(hits.size(), 3u);
   EXPECT_EQ(hits[0].unit, 0u);

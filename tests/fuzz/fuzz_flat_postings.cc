@@ -4,16 +4,19 @@
 // exactly 1, and raw IEEE-754 bit patterns (subnormals, huge values,
 // infinities, NaNs) — which are indexed, finalized and sealed. Contract
 // under ANY input: never crash; each term's two sealed runs read back, in
-// unit order, exactly the postings the build form holds (tf compared as
-// bit patterns, tf = 1 postings and only they in the unit-id run); and
-// for every scoring function, local and cross-shard statistics, top-n and
-// threshold mode, the kernel's answer equals the map-based reference's
-// bit for bit.
+// unit order, exactly the postings of the parsed bags (tf compared as bit
+// patterns, tf = 1 postings and only they in the unit-id run); sealing
+// part of the units, then the rest one unit and one seal at a time (the
+// publish path), lays out the very bytes one seal over all units does;
+// and for every scoring function, local statistics (a board holding
+// exactly the index's units) and cross-shard ones, top-n and threshold
+// mode, the kernel's answer equals the map-based reference's bit for bit.
 //
 // Input layout, repeated until the bytes run out: a control byte (low 4
 // bits = term id, top bit = the unit ends after this posting) and a tf
 // byte s: s < 0x80 -> tf 1, s < 0xc0 -> tf (s & 0x3f) + 2, else the next
-// 8 bytes are the tf's little-endian bit pattern.
+// 8 bytes are the tf's little-endian bit pattern. The last byte also picks
+// how many units the first of the incremental seals covers.
 
 #include "fuzz_driver.h"
 
@@ -21,11 +24,13 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "index/collection_stats.h"
 #include "index/flat_postings.h"
+#include "index/intention_matcher.h"
 #include "index/inverted_index.h"
 #include "index/scoring.h"
 
@@ -69,15 +74,42 @@ bool same_bits(double a, double b) {
   return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
 
+// Aborts unless `a` and `b` hold the same terms with the same metadata and
+// the same run bytes.
+void require_same_bytes(const ibseg::FlatPostings& a,
+                        const ibseg::FlatPostings& b) {
+  if (a.num_terms() != b.num_terms() || a.total_bytes() != b.total_bytes()) {
+    std::abort();
+  }
+  for (ibseg::TermId term = 0; term < kTerms; ++term) {
+    const ibseg::FlatTermMeta* ma = a.term_meta(term);
+    const ibseg::FlatTermMeta* mb = b.term_meta(term);
+    if ((ma == nullptr) != (mb == nullptr)) std::abort();
+    if (ma == nullptr) continue;
+    if (std::memcmp(ma, mb, sizeof(ibseg::FlatTermMeta)) != 0) std::abort();
+    const ibseg::TermRuns ra = a.runs(*ma);
+    const ibseg::TermRuns rb = b.runs(*mb);
+    if (!std::equal(ra.ones.begin(), ra.ones.end(), rb.ones.begin())) {
+      std::abort();
+    }
+    for (size_t i = 0; i < ra.tfs.size(); ++i) {
+      if (ra.tfs[i].unit != rb.tfs[i].unit ||
+          !same_bits(ra.tfs[i].tf, rb.tfs[i].tf)) {
+        std::abort();
+      }
+    }
+  }
+}
+
 // The matcher's reference selection: map-based scores, then exclude,
 // threshold, (score desc, doc asc) order and the top-n cut.
 std::vector<ibseg::ScoredUnit> reference_select(
     const ibseg::InvertedIndex& index, const ibseg::TermVector& query,
     const ibseg::ScoringOptions& options,
-    const ibseg::ClusterCollectionStats* global,
+    const ibseg::ClusterCollectionStats& collection,
     const std::vector<uint32_t>& unit_doc, size_t n, double threshold) {
   std::vector<ibseg::ScoredUnit> hits =
-      ibseg::score_units_counted(index, query, options, global, nullptr);
+      ibseg::score_units_counted(index, query, options, collection, nullptr);
   std::erase_if(hits, [&](const ibseg::ScoredUnit& h) {
     return threshold > 0.0 && h.score < threshold;
   });
@@ -94,23 +126,51 @@ std::vector<ibseg::ScoredUnit> reference_select(
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::vector<ibseg::TermVector> units = parse_units(data, size);
+  const double floor = ibseg::MatcherOptions().min_norm_fraction;
   ibseg::InvertedIndex index;
-  ibseg::GlobalIndexStats board(1, index.min_norm_fraction);
+  ibseg::GlobalIndexStats local_board(1, floor);
+  ibseg::GlobalIndexStats board(1, floor);
   std::vector<uint32_t> unit_doc;
+  // Every term's postings in unit order, straight from the bags.
+  std::map<ibseg::TermId, std::vector<ibseg::Posting>> postings;
   for (const ibseg::TermVector& unit : units) {
+    const auto id = static_cast<uint32_t>(unit_doc.size());
+    for (const auto& [term, tf] : unit.entries()) {
+      if (tf <= 0.0) continue;  // NaN tf is kept, as add_unit keeps it
+      postings[term].push_back(ibseg::Posting{id, tf});
+    }
     index.add_unit(unit);
+    local_board.append(0, unit, /*refresh_now=*/false);
     board.append(0, unit, /*refresh_now=*/false);
     unit_doc.push_back(static_cast<uint32_t>(100000 - 7 * unit_doc.size()));
   }
+  local_board.refresh(0);
   // The board also holds units of a second (absent) shard.
   board.append(0, units.front(), /*refresh_now=*/false);
   board.refresh(0);
   index.finalize();
   const ibseg::FlatPostings& flat = index.flat();
 
-  // Scan: each term's runs, merged by unit, are its build-form postings.
+  // Publish path: a seal over the first `split` units, then one seal per
+  // further unit, lays out the bytes of the one seal above.
+  {
+    const size_t split = size == 0 ? 0 : data[size - 1] % (units.size() + 1);
+    ibseg::InvertedIndex incremental;
+    for (size_t u = 0; u < split; ++u) incremental.add_unit(units[u]);
+    incremental.finalize();
+    for (size_t u = split; u < units.size(); ++u) {
+      incremental.add_unit(units[u]);
+      incremental.finalize();
+    }
+    require_same_bytes(incremental.flat(), flat);
+  }
+
+  // Scan: each term's runs, merged by unit, are its postings in the bags.
   for (ibseg::TermId term = 0; term < kTerms; ++term) {
-    const std::vector<ibseg::Posting>& want = index.postings(term);
+    static const std::vector<ibseg::Posting> kNone;
+    auto it = postings.find(term);
+    const std::vector<ibseg::Posting>& want =
+        it == postings.end() ? kNone : it->second;
     const ibseg::TermRuns runs = flat.runs(term);
     if (runs.ones.size() + runs.tfs.size() != want.size()) std::abort();
     size_t i = 0;
@@ -127,6 +187,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
 
   // Score: the kernel equals the reference, bit for bit.
+  const std::shared_ptr<const ibseg::ClusterCollectionStats> local =
+      local_board.cluster(0);
   const std::shared_ptr<const ibseg::ClusterCollectionStats> global =
       board.cluster(0);
   const ibseg::TermVector* queries[] = {&units.front(),
@@ -138,14 +200,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     ibseg::ScoringOptions options;
     options.function = fn;
     for (const ibseg::ClusterCollectionStats* stats :
-         {static_cast<const ibseg::ClusterCollectionStats*>(nullptr),
-          global.get()}) {
+         {local.get(), global.get()}) {
       for (const ibseg::TermVector* query : queries) {
         for (double threshold : {0.0, 1e-300}) {
           const std::vector<ibseg::ScoredUnit> want = reference_select(
-              index, *query, options, stats, unit_doc, 5, threshold);
+              index, *query, options, *stats, unit_doc, 5, threshold);
           const std::vector<ibseg::ScoredUnit> got = ibseg::score_units_dense(
-              index, *query, options, stats, unit_doc,
+              index, *query, options, *stats, unit_doc,
               /*exclude_doc=*/0xffffffffu, 5, threshold);
           if (got.size() != want.size()) std::abort();
           for (size_t r = 0; r < got.size(); ++r) {

@@ -10,6 +10,7 @@
 #include "index/intention_matcher.h"
 #include "index/inverted_index.h"
 #include "index/scoring.h"
+#include "one_cluster_index.h"
 #include "seg/document.h"
 
 namespace ibseg {
@@ -26,7 +27,7 @@ TermVector tv(Vocabulary& vocab,
 
 TEST(InvertedIndex, PostingsAndDf) {
   Vocabulary vocab;
-  InvertedIndex index;
+  OneClusterIndex index;
   index.add_unit(tv(vocab, {{"a", 2.0}, {"b", 1.0}}));
   index.add_unit(tv(vocab, {{"a", 1.0}}));
   index.finalize();
@@ -38,8 +39,7 @@ TEST(InvertedIndex, PostingsAndDf) {
 
 TEST(InvertedIndex, WeightFollowsEq7Shape) {
   Vocabulary vocab;
-  InvertedIndex index;
-  index.min_norm_fraction = 0.0;
+  OneClusterIndex index(0.0);
   uint32_t u0 = index.add_unit(tv(vocab, {{"a", 4.0}, {"b", 1.0}}));
   index.add_unit(tv(vocab, {{"a", 1.0}, {"b", 1.0}}));
   index.finalize();
@@ -52,7 +52,7 @@ TEST(InvertedIndex, WeightFollowsEq7Shape) {
 
 TEST(InvertedIndex, NormFloorBoundsShortUnits) {
   Vocabulary vocab;
-  InvertedIndex index;  // default floor = collection average
+  OneClusterIndex index;  // default floor = collection average
   uint32_t tiny = index.add_unit(tv(vocab, {{"a", 1.0}}));
   uint32_t big = index.add_unit(tv(vocab, {
       {"a", 1.0}, {"b", 1.0}, {"c", 1.0}, {"d", 1.0},
@@ -65,8 +65,7 @@ TEST(InvertedIndex, NormFloorBoundsShortUnits) {
 
 TEST(InvertedIndex, NuPenalizesManyUniqueTerms) {
   Vocabulary vocab;
-  InvertedIndex index;
-  index.min_norm_fraction = 0.0;
+  OneClusterIndex index(0.0);
   uint32_t small = index.add_unit(tv(vocab, {{"a", 1.0}, {"b", 1.0}}));
   uint32_t wide = index.add_unit(tv(vocab, {{"a", 1.0},
                                             {"b", 1.0},
@@ -90,13 +89,13 @@ TEST(Scoring, ProbabilisticIdfShape) {
 
 TEST(Scoring, ScoreUnitsRanksSharedTermsHigher) {
   Vocabulary vocab;
-  InvertedIndex index;
+  OneClusterIndex index;
   uint32_t match2 = index.add_unit(tv(vocab, {{"printer", 2.0}, {"ink", 1.0}}));
   uint32_t match1 = index.add_unit(tv(vocab, {{"printer", 1.0}, {"fan", 1.0}}));
   index.add_unit(tv(vocab, {{"router", 1.0}, {"wifi", 1.0}}));
   index.finalize();
   TermVector query = tv(vocab, {{"printer", 1.0}, {"ink", 1.0}});
-  auto hits = score_units(index, query);
+  auto hits = index.score(query);
   keep_top_n(hits, 10);
   ASSERT_GE(hits.size(), 2u);
   EXPECT_EQ(hits[0].unit, match2);
@@ -114,10 +113,10 @@ TEST(Scoring, KeepTopNTruncatesAndSortsDeterministically) {
 
 TEST(Scoring, NoSharedTermsNoHits) {
   Vocabulary vocab;
-  InvertedIndex index;
+  OneClusterIndex index;
   index.add_unit(tv(vocab, {{"alpha", 1.0}}));
   index.finalize();
-  auto hits = score_units(index, tv(vocab, {{"beta", 1.0}}));
+  auto hits = index.score(tv(vocab, {{"beta", 1.0}}));
   EXPECT_TRUE(hits.empty());
 }
 

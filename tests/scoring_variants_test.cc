@@ -12,6 +12,7 @@
 #include "index/intention_matcher.h"
 #include "index/inverted_index.h"
 #include "index/scoring.h"
+#include "one_cluster_index.h"
 #include "seg/segmenter.h"
 
 namespace ibseg {
@@ -26,7 +27,7 @@ TermVector tv(Vocabulary& vocab,
 
 struct SmallIndex {
   Vocabulary vocab;
-  InvertedIndex index;
+  OneClusterIndex index;
   uint32_t strong = 0;  // shares 2 query terms
   uint32_t weak = 0;    // shares 1
 };
@@ -49,7 +50,7 @@ TEST_P(ScorerCase, RanksStrongerOverlapHigher) {
   ScoringOptions options;
   options.function = GetParam();
   TermVector query = tv(s.vocab, {{"printer", 1.0}, {"ink", 1.0}});
-  auto hits = score_units(s.index, query, options);
+  auto hits = s.index.score(query, options);
   keep_top_n(hits, 10);
   ASSERT_GE(hits.size(), 2u);
   EXPECT_EQ(hits[0].unit, s.strong);
@@ -61,7 +62,7 @@ TEST_P(ScorerCase, NoOverlapNoHits) {
   SmallIndex s = make_index();
   ScoringOptions options;
   options.function = GetParam();
-  auto hits = score_units(s.index, tv(s.vocab, {{"ghost", 1.0}}), options);
+  auto hits = s.index.score(tv(s.vocab, {{"ghost", 1.0}}), options);
   EXPECT_TRUE(hits.empty());
 }
 
@@ -72,7 +73,7 @@ INSTANTIATE_TEST_SUITE_P(AllScorers, ScorerCase,
 
 TEST(Bm25, HandComputedSingleTerm) {
   Vocabulary vocab;
-  InvertedIndex index;
+  OneClusterIndex index;
   TermVector u0;
   TermId t = vocab.intern("t");
   u0.add(t, 3.0);
@@ -82,13 +83,13 @@ TEST(Bm25, HandComputedSingleTerm) {
   u1.add(vocab.intern("y"), 4.0);  // len 4
   index.add_unit(u1);
   index.finalize();
-  ASSERT_DOUBLE_EQ(index.avg_unit_length(), 4.0);
+  ASSERT_DOUBLE_EQ(index.collection().avg_unit_length, 4.0);
 
   ScoringOptions options;
   options.function = ScoringFunction::kBm25;
   TermVector q;
   q.add(t, 1.0);
-  auto hits = score_units(index, q, options);
+  auto hits = index.score(q, options);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].unit, unit0);
   // idf = log(1 + (2 - 1 + 0.5)/(1 + 0.5)) = log(2);
@@ -99,7 +100,7 @@ TEST(Bm25, HandComputedSingleTerm) {
 
 TEST(QueryLikelihood, HandComputedSingleTerm) {
   Vocabulary vocab;
-  InvertedIndex index;
+  OneClusterIndex index;
   TermId t = vocab.intern("t");
   TermVector u0;
   u0.add(t, 2.0);
@@ -115,7 +116,7 @@ TEST(QueryLikelihood, HandComputedSingleTerm) {
   options.lm_lambda = 0.5;
   TermVector q;
   q.add(t, 2.0);
-  auto hits = score_units(index, q, options);
+  auto hits = index.score(q, options);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].unit, unit0);
   double expected = 2.0 * std::log(1.0 + (0.5 * 0.5) / (0.5 * 0.25));
@@ -124,10 +125,11 @@ TEST(QueryLikelihood, HandComputedSingleTerm) {
 
 TEST(IndexStats, LengthsAndCollectionTf) {
   SmallIndex s = make_index();
-  EXPECT_DOUBLE_EQ(s.index.unit_length(s.strong), 4.0);
-  EXPECT_DOUBLE_EQ(s.index.collection_tf(s.vocab.find("printer")), 3.0);
-  EXPECT_DOUBLE_EQ(s.index.collection_length(), 4.0 + 3.0 + 2.0 + 3.0);
-  EXPECT_NEAR(s.index.avg_unit_length(), 3.0, 1e-12);
+  EXPECT_DOUBLE_EQ(s.index.index.unit_stats(s.strong).length, 4.0);
+  const ClusterCollectionStats& collection = s.index.collection();
+  EXPECT_DOUBLE_EQ(collection.cf_of(s.vocab.find("printer")), 3.0);
+  EXPECT_DOUBLE_EQ(collection.collection_length, 4.0 + 3.0 + 2.0 + 3.0);
+  EXPECT_NEAR(collection.avg_unit_length, 3.0, 1e-12);
 }
 
 // --------------------------------------------------------- external query ----
