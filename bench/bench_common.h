@@ -6,6 +6,7 @@
 // against the generator's scenario ground truth, and scaling via the
 // IBSEG_BENCH_SCALE environment variable.
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -42,6 +43,18 @@ inline GeneratorOptions eval_profile(ForumDomain domain, size_t num_posts,
   gen.contaminant_ratio = 3.0;
   gen.scenario_pool_size = 6;
   return gen;
+}
+
+/// The q-quantile of `values` (linear interpolation between order
+/// statistics); 0 for no values.
+inline double quantile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] +
+         (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
 }
 
 /// Default corpus size per domain for the quality benches (scaled).

@@ -126,17 +126,6 @@ WindowResult run_window(const SyntheticCorpus& corpus, bool metrics_on,
   return r;
 }
 
-/// The q-quantile of `values` (linear interpolation between order
-/// statistics); 0 for no values.
-double quantile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, values.size() - 1);
-  return values[lo] + (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
-}
-
 /// Reader-thread time per query, in ns, of a window at `qps`.
 double ns_per_query(double qps) {
   return qps > 0.0 ? static_cast<double>(kReaderThreads) / qps * 1e9 : 0.0;

@@ -16,6 +16,10 @@
 // per-post latency of add_posts batches at fsync=every-append. Every
 // ingest call, single post or batch, is one append to the state
 // directory's one ingest log, so fsync=every pays one fsync per call.
+// One pass of 32 ingests is too noisy to tell those rows apart, so the
+// four rows run as kIngestRounds rounds (each pass into a fresh
+// deployment), rotating their order every round so drift over the run
+// spreads evenly; each row reports its median with q1/q3.
 //
 // Results print as a table and are recorded in BENCH_persist_restore.json
 // (current working directory, like the other reproduce.sh outputs).
@@ -54,35 +58,46 @@ std::string tmp_dir(const char* name) {
   return path;
 }
 
-/// Mean add_post latency (seconds) over `texts` for one WAL config.
-double ingest_latency(const SyntheticCorpus& corpus,
-                      const std::vector<std::string>& texts,
-                      const ServingOptions& options) {
-  auto serving = ShardedServing::create(analyze_corpus(corpus), {}, options);
-  if (serving == nullptr) return 0.0;
-  Stopwatch watch;
-  for (const std::string& text : texts) serving->add_post(text);
-  return texts.empty() ? 0.0
-                       : watch.elapsed_seconds() /
-                             static_cast<double>(texts.size());
-}
+/// Rounds of the ingest rows (each row runs one pass per round).
+constexpr size_t kIngestRounds = 9;
 
-/// Mean per-post latency (seconds) of add_posts over `texts` in batches
-/// of `batch` posts.
-double batch_ingest_latency(const SyntheticCorpus& corpus,
-                            const std::vector<std::string>& texts,
-                            const ServingOptions& options, size_t batch) {
-  auto serving = ShardedServing::create(analyze_corpus(corpus), {}, options);
+/// One ingest row of the durability-tax table.
+struct IngestRow {
+  std::string label;  ///< table label
+  std::string key;    ///< JSON key; _q1/_q3 keys sit beside it
+  const char* dir = nullptr;  ///< tmp_dir name of its log; nullptr = no WAL
+  WalFsync fsync = WalFsync::kNone;
+  size_t batch = 1;   ///< posts per call: 1 = add_post, else add_posts
+};
+
+/// Mean per-post latency (ms) of one pass over `texts` into a fresh
+/// deployment over `docs`, in calls of `row.batch` posts.
+double ingest_pass(const std::vector<Document>& docs,
+                   const std::vector<std::string>& texts,
+                   const IngestRow& row) {
+  ServingOptions options;
+  if (row.dir != nullptr) {
+    options.persist.shard_dir = tmp_dir(row.dir);
+    options.persist.wal.fsync = row.fsync;
+  }
+  auto serving = ShardedServing::create(docs, {}, options);
   if (serving == nullptr || texts.empty()) return 0.0;
   std::vector<std::vector<std::string>> batches;
-  for (size_t i = 0; i < texts.size(); i += batch) {
-    batches.emplace_back(texts.begin() + static_cast<long>(i),
-                         texts.begin() + static_cast<long>(
-                                             std::min(i + batch, texts.size())));
+  for (size_t i = 0; i < texts.size(); i += row.batch) {
+    batches.emplace_back(
+        texts.begin() + static_cast<long>(i),
+        texts.begin() + static_cast<long>(std::min(i + row.batch,
+                                                   texts.size())));
   }
   Stopwatch watch;
-  for (std::vector<std::string>& b : batches) serving->add_posts(std::move(b));
-  return watch.elapsed_seconds() / static_cast<double>(texts.size());
+  for (std::vector<std::string>& b : batches) {
+    if (row.batch == 1) {
+      serving->add_post(std::move(b.front()));
+    } else {
+      serving->add_posts(std::move(b));
+    }
+  }
+  return watch.elapsed_seconds() * 1e3 / static_cast<double>(texts.size());
 }
 
 int run() {
@@ -136,25 +151,29 @@ int run() {
   }
   restored.reset();
 
-  // 4. Durability tax on the ingest path.
-  ServingOptions no_wal;
-  ServingOptions wal_nosync;
-  wal_nosync.persist.shard_dir = tmp_dir("persist.nosync.d");
-  wal_nosync.persist.wal.fsync = WalFsync::kNone;
-  ServingOptions wal_sync;
-  wal_sync.persist.shard_dir = tmp_dir("persist.sync.d");
-  wal_sync.persist.wal.fsync = WalFsync::kEveryAppend;
-  const double ingest_off = ingest_latency(corpus, tail_texts, no_wal);
-  const double ingest_nosync = ingest_latency(corpus, tail_texts, wal_nosync);
-  const double ingest_sync = ingest_latency(corpus, tail_texts, wal_sync);
+  // 4. Durability tax on the ingest path: kIngestRounds rounds of the
+  // four rows, round r starting at row r mod 4.
   constexpr size_t kBatch = 8;
-  ServingOptions wal_batch = wal_sync;
-  wal_batch.persist.shard_dir = tmp_dir("persist.batch.d");
-  const double ingest_batch_sync =
-      batch_ingest_latency(corpus, tail_texts, wal_batch, kBatch);
-  std::filesystem::remove_all(wal_nosync.persist.shard_dir);
-  std::filesystem::remove_all(wal_sync.persist.shard_dir);
-  std::filesystem::remove_all(wal_batch.persist.shard_dir);
+  const std::vector<IngestRow> rows = {
+      {"add_post, no WAL", "ingest_ms_no_wal", nullptr},
+      {"add_post, WAL fsync=none", "ingest_ms_wal_nosync", "persist.nosync.d"},
+      {"add_post, WAL fsync=every", "ingest_ms_wal_fsync", "persist.sync.d",
+       WalFsync::kEveryAppend},
+      {"add_posts x" + std::to_string(kBatch) + ", WAL fsync=every",
+       "ingest_ms_batch_wal_fsync", "persist.batch.d", WalFsync::kEveryAppend,
+       kBatch},
+  };
+  const std::vector<Document> docs = analyze_corpus(corpus);
+  std::vector<std::vector<double>> ms_per_post(rows.size());  // per round
+  for (size_t round = 0; round < kIngestRounds; ++round) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const size_t r = (round + i) % rows.size();
+      ms_per_post[r].push_back(ingest_pass(docs, tail_texts, rows[r]));
+    }
+  }
+  for (const IngestRow& row : rows) {
+    if (row.dir != nullptr) std::filesystem::remove_all(tmp_dir(row.dir));
+  }
 
   const double speedup =
       restore_sec > 0.0 ? cold_build_sec / restore_sec : 0.0;
@@ -170,12 +189,13 @@ int run() {
                      " WAL records",
                  fmt(restore_sec, 3)});
   table.add_row({"restore speedup vs cold", fmt(speedup, 2)});
-  table.add_row({"add_post, no WAL (ms)", fmt(ingest_off * 1e3, 3)});
-  table.add_row({"add_post, WAL fsync=none (ms)", fmt(ingest_nosync * 1e3, 3)});
-  table.add_row({"add_post, WAL fsync=every (ms)", fmt(ingest_sync * 1e3, 3)});
-  table.add_row({"add_posts x" + std::to_string(kBatch) +
-                     ", WAL fsync=every (ms/post)",
-                 fmt(ingest_batch_sync * 1e3, 3)});
+  for (size_t r = 0; r < rows.size(); ++r) {
+    table.add_row({rows[r].label + " (ms/post, median [q1, q3] of " +
+                       std::to_string(kIngestRounds) + ")",
+                   fmt(bench::quantile(ms_per_post[r], 0.5), 3) + " [" +
+                       fmt(bench::quantile(ms_per_post[r], 0.25), 3) + ", " +
+                       fmt(bench::quantile(ms_per_post[r], 0.75), 3) + "]"});
+  }
   std::printf("persist_restore: crash-safe persistence cost/payoff\n");
   table.print(std::cout);
 
@@ -190,12 +210,17 @@ int run() {
                  static_cast<unsigned long long>(snapshot_bytes));
     std::fprintf(out, "  \"warm_restore_sec\": %.6f,\n", restore_sec);
     std::fprintf(out, "  \"restore_speedup_vs_cold\": %.3f,\n", speedup);
-    std::fprintf(out, "  \"ingest_ms_no_wal\": %.6f,\n", ingest_off * 1e3);
-    std::fprintf(out, "  \"ingest_ms_wal_nosync\": %.6f,\n",
-                 ingest_nosync * 1e3);
-    std::fprintf(out, "  \"ingest_ms_wal_fsync\": %.6f,\n", ingest_sync * 1e3);
-    std::fprintf(out, "  \"ingest_ms_batch_wal_fsync\": %.6f,\n",
-                 ingest_batch_sync * 1e3);
+    // Each ingest key is its row's median over the rounds.
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const char* key = rows[r].key.c_str();
+      std::fprintf(out, "  \"%s\": %.6f,\n", key,
+                   bench::quantile(ms_per_post[r], 0.5));
+      std::fprintf(out, "  \"%s_q1\": %.6f,\n", key,
+                   bench::quantile(ms_per_post[r], 0.25));
+      std::fprintf(out, "  \"%s_q3\": %.6f,\n", key,
+                   bench::quantile(ms_per_post[r], 0.75));
+    }
+    std::fprintf(out, "  \"ingest_rounds\": %zu,\n", kIngestRounds);
     std::fprintf(out, "  \"ingest_batch_posts\": %zu\n", kBatch);
     std::fprintf(out, "}\n");
     std::fclose(out);

@@ -50,11 +50,11 @@
 #                           each epoch runs the parallel DBSCAN grid pass.
 #   IBSEG_NET_CHECK=1       also exercise the network front-end: the
 #                           loopback server suite (ctest label "net") under
-#                           AddressSanitizer, plus the operational smoke
-#                           scripts/check_net.sh (real ibseg_server +
-#                           ibseg_cli over TCP: cold start, wire commands,
-#                           drain, warm restart) against both the plain and
-#                           the ASan build.
+#                           AddressSanitizer and ThreadSanitizer, plus the
+#                           operational smoke scripts/check_net.sh (real
+#                           ibseg_server + ibseg_cli over TCP: cold start,
+#                           wire commands, drain, warm restart) against both
+#                           the plain and the ASan build.
 #   IBSEG_REPL_CHECK=1      also exercise WAL-shipped replication: the
 #                           replication suite (ctest label "replication":
 #                           ship/apply bit-identity, wire bootstrap +
@@ -70,9 +70,9 @@
 #                           save/restore + recluster per tenant, cache
 #                           isolation, cross-tenant leakage probe, wire
 #                           routing) explicitly, then the same label under
-#                           ThreadSanitizer — tenants share the scatter
-#                           pool and the metrics registry, exactly where a
-#                           cross-tenant data race would hide. The gates
+#                           ThreadSanitizer — tenants share the server's
+#                           workers and the metrics registry, exactly where
+#                           a cross-tenant data race would hide. The gates
 #                           (bench/graded_eval adversarial floors,
 #                           bench/tenant_fairness_qps starvation bound)
 #                           already run with the bench step below.
@@ -159,10 +159,13 @@ if [ "${IBSEG_NET_CHECK:-0}" = "1" ]; then
   # Plain run of the loopback label (also covered by the full ctest above,
   # repeated here so a net regression is named explicitly), the loopback
   # suite under ASan — sockets, worker handoff, drain teardown are exactly
-  # where a use-after-close would hide — and the operational smoke with
-  # the real binaries, in both build flavors.
+  # where a use-after-close would hide — and under TSan — workers write
+  # their answers to the socket and hand off parked input to the I/O
+  # thread through a flag handshake — and the operational smoke with the
+  # real binaries, in both build flavors.
   ctest --test-dir build -L net --output-on-failure
   IBSEG_SAN_LABELS="net" scripts/check_sanitizers.sh address
+  IBSEG_SAN_LABELS="net" scripts/check_sanitizers.sh thread
   scripts/check_net.sh build
   cmake --build build-address -j "$(nproc)" --target ibseg_server ibseg_cli
   scripts/check_net.sh build-address
@@ -185,8 +188,8 @@ if [ "${IBSEG_TENANT_CHECK:-0}" = "1" ]; then
   # Plain run of the tenant label (also covered by the full ctest above,
   # repeated here so a tenant regression is named explicitly) ...
   ctest --test-dir build -L tenant --output-on-failure
-  # ... then the same label under TSan: every tenant's queries scatter on
-  # the one shared thread pool and register into the one shared metrics
+  # ... then the same label under TSan: every tenant's queries run on the
+  # server's shared workers and register into the one shared metrics
   # registry while the server's DRR dispatcher moves work between
   # per-tenant queues — the exact surfaces where cross-tenant races hide.
   IBSEG_SAN_LABELS="tenant" scripts/check_sanitizers.sh thread

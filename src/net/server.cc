@@ -65,45 +65,68 @@ std::vector<std::string> snapshot_file_names(const ShardManifest& m) {
 }  // namespace
 
 /// One client connection. The I/O thread owns the input side (buffer,
-/// parsing, lifecycle); the output side (out/out_offset/closing) is
-/// mutex-guarded because workers append response bytes concurrently.
+/// parsing, tenant binding, lifecycle). The output side is guarded by
+/// out_mu and written to the socket by two parties: the I/O thread
+/// flushes its inline answers and whatever a POLLOUT lets through, and
+/// the worker that executed a request appends its answer and sends it
+/// itself. close_connection closes `fd` under out_mu, so a holder of
+/// out_mu that sees `closed` false writes to this client's socket, never
+/// to a newer connection that reuses the descriptor.
 struct Server::Connection {
-  explicit Connection(int fd_in) : fd(fd_in) {}
+  Connection(int fd_in, TenantQueue* tenant_in)
+      : fd(fd_in), tenant(tenant_in) {}
 
   int fd;
   std::string input;  ///< buffered unparsed request bytes (I/O thread only)
   /// Tenant this connection is bound to (TENANT_OPEN; PROTOCOL.md §4.14).
-  /// Written and read only on the I/O thread — dispatch snapshots the
-  /// resolved backend into the Work, so workers never look at this.
-  std::string tenant = TenantRegistry::kDefaultTenant;
-  std::atomic<bool> in_flight{false};  ///< one admitted request outstanding
+  /// Written and read only on the I/O thread — dispatch copies it into
+  /// the Work, so workers never look at this.
+  TenantQueue* tenant;
+  /// One admitted request outstanding. Set by dispatch; cleared by the
+  /// worker under out_mu, right after it appends the answer.
+  std::atomic<bool> in_flight{false};
+  /// The I/O thread holds buffered input behind the in-flight request and
+  /// no longer polls for input, so the worker must wake it (parse_frames).
+  std::atomic<bool> parked{false};
   std::atomic<bool> closed{false};
 
   std::mutex out_mu;
   std::string out;        ///< encoded, not-yet-written response bytes
   size_t out_offset = 0;  ///< bytes of `out` already written
-  bool closing = false;   ///< close once `out` fully flushes
+  bool closing = false;   ///< close once nothing is in flight or unsent
+  obs::Clock::time_point last_activity = obs::Clock::now();  ///< idle clock
 
-  obs::Clock::time_point last_activity = obs::Clock::now();
-
-  size_t pending_output() {
-    std::lock_guard<std::mutex> lock(out_mu);
-    return out.size() - out_offset;
+  /// Writes as much of `out` as the socket takes; a failed write marks
+  /// the connection closing (the sweep closes it). Caller holds out_mu.
+  void flush_locked() {
+    while (out_offset < out.size()) {
+      ssize_t n = ::send(fd, out.data() + out_offset, out.size() - out_offset,
+                         MSG_NOSIGNAL);
+      if (n > 0) {
+        out_offset += static_cast<size_t>(n);
+        last_activity = obs::Clock::now();
+        continue;
+      }
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+      if (n < 0 && errno == EINTR) continue;
+      closing = true;  // broken pipe
+      return;
+    }
+    out.clear();
+    out_offset = 0;
   }
 };
 
 /// One admitted request travelling from the I/O thread to a worker. The
-/// tenant routing (backend + state dir) is resolved at dispatch time on
-/// the I/O thread, so workers never read mutable connection state.
+/// tenant is resolved at dispatch time on the I/O thread, so workers
+/// never read mutable connection state.
 struct Server::Work {
   std::shared_ptr<Connection> conn;
   MsgType type = MsgType::kPing;
   std::string payload;
   obs::Clock::time_point enqueued;
-  std::string tenant;                  ///< tenant the request routes to
-  ShardedServing* backend = nullptr;   ///< that tenant's corpus
-  std::string state_dir;               ///< that tenant's durable state root
-  size_t cost = 0;                     ///< DRR cost: frame bytes
+  TenantQueue* tenant = nullptr;  ///< routing: queue, backend and name
+  size_t cost = 0;                ///< DRR cost: frame bytes
 };
 
 /// The ibseg_net_* instrument set (docs/OPERATIONS.md §5 catalogs it).
@@ -186,14 +209,8 @@ Server::Server(TenantRegistry* tenants, ServerOptions options)
   tenants_ = tenants;
   // One queue + one wait histogram per tenant, eagerly — the tenant set
   // is fixed, so an idle tenant still renders its series at zero.
-  obs::MetricsRegistry& r = obs::MetricsRegistry::global();
   for (const std::string& name : tenants_->names()) {
-    TenantQueue& tq = tenant_queues_[name];
-    tq.queue_seconds = &r.histogram(
-        "ibseg_tenant_queue_seconds",
-        "Dispatch-queue wait of admitted requests, by tenant (the "
-        "fairness scheduler's observable).",
-        {{"tenant", name}});
+    add_tenant(name, tenants_->find(name));
   }
 }
 
@@ -205,12 +222,7 @@ Server::Server(ShardedServing* backend, ServerOptions options)
   if (options_.max_in_flight < 1) options_.max_in_flight = 1;
   // Single-tenant mode still schedules through the (single) default
   // tenant queue — one code path, no special cases.
-  TenantQueue& tq = tenant_queues_[TenantRegistry::kDefaultTenant];
-  tq.queue_seconds = &obs::MetricsRegistry::global().histogram(
-      "ibseg_tenant_queue_seconds",
-      "Dispatch-queue wait of admitted requests, by tenant (the "
-      "fairness scheduler's observable).",
-      {{"tenant", TenantRegistry::kDefaultTenant}});
+  add_tenant(TenantRegistry::kDefaultTenant, backend_);
   for (const std::string& addr : options_.read_replicas) {
     const size_t colon = addr.rfind(':');
     unsigned long port = 0;
@@ -228,6 +240,22 @@ Server::Server(ShardedServing* backend, ServerOptions options)
     channel->port = static_cast<uint16_t>(port);
     replica_channels_.push_back(std::move(channel));
   }
+}
+
+void Server::add_tenant(const std::string& name, ShardedServing* backend) {
+  TenantQueue& tq = tenant_queues_[name];
+  tq.name = name;
+  tq.backend = backend;
+  tq.queue_seconds = &obs::MetricsRegistry::global().histogram(
+      "ibseg_tenant_queue_seconds",
+      "Dispatch-queue wait of admitted requests, by tenant (the "
+      "fairness scheduler's observable).",
+      {{"tenant", name}});
+}
+
+std::string Server::state_dir(const TenantQueue& tenant) const {
+  return tenants_ != nullptr ? tenants_->state_dir(tenant.name)
+                             : options_.state_dir;
 }
 
 Server::~Server() {
@@ -400,34 +428,40 @@ void Server::io_loop() {
     }
 
     // A worker finishing its request may have unblocked parsing of
-    // already-buffered pipelined frames; give every eligible connection a
-    // parse pass before sleeping.
+    // already-buffered pipelined frames (it woke us because they were
+    // parked); give every eligible connection a parse pass before
+    // sleeping.
     for (auto& [fd, conn] : connections_) {
       if (!conn->closed.load(std::memory_order_acquire) &&
           !conn->in_flight.load(std::memory_order_acquire) &&
-          !conn->input.empty() &&
-          conn->pending_output() < options_.max_output_bytes) {
+          !conn->input.empty()) {
         if (!parse_frames(conn)) close_connection(conn);
       }
     }
 
     const obs::Clock::time_point now = obs::Clock::now();
 
-    // Idle timeout + deferred closes + drain force-close sweep.
+    // Idle timeout + deferred closes + drain force-close sweep. in_flight
+    // is read under out_mu, where the worker appends its answer before
+    // clearing it, so a finished request's answer is never missed.
     for (auto& [fd, conn] : connections_) {
       if (conn->closed.load(std::memory_order_acquire)) continue;
       bool closing;
+      bool busy;
       size_t pending;
+      obs::Clock::time_point last_activity;
       {
         std::lock_guard<std::mutex> lock(conn->out_mu);
         closing = conn->closing;
+        busy = conn->in_flight.load(std::memory_order_relaxed);
         pending = conn->out.size() - conn->out_offset;
+        last_activity = conn->last_activity;
       }
-      if (closing && pending == 0) {
+      if (closing && pending == 0 && !busy) {
         close_connection(conn);
       } else if (options_.idle_timeout_sec > 0 && !closing && pending == 0 &&
-                 !conn->in_flight.load(std::memory_order_acquire) &&
-                 obs::seconds_between(conn->last_activity, now) >
+                 !busy &&
+                 obs::seconds_between(last_activity, now) >
                      options_.idle_timeout_sec) {
         close_connection(conn);
       } else if (drain_seen && pending > 0 &&
@@ -445,11 +479,15 @@ void Server::io_loop() {
     }
 
     // Drain exit: nothing admitted, nothing buffered, nothing half-read.
+    // A worker releases its admission slot before it appends the answer,
+    // so each connection's in_flight and output are read together, under
+    // out_mu.
     if (drain_seen && in_flight_.load(std::memory_order_acquire) == 0) {
       bool flushed = true;
       for (auto& [fd, conn] : connections_) {
-        if (conn->pending_output() > 0 ||
-            conn->in_flight.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> lock(conn->out_mu);
+        if (conn->out_offset < conn->out.size() ||
+            conn->in_flight.load(std::memory_order_relaxed)) {
           flushed = false;
           break;
         }
@@ -464,15 +502,18 @@ void Server::io_loop() {
     const size_t first_conn = fds.size();
     for (auto& [fd, conn] : connections_) {
       short events = 0;
-      if (conn->pending_output() > 0) events |= POLLOUT;
-      bool closing;
       {
         std::lock_guard<std::mutex> lock(conn->out_mu);
-        closing = conn->closing;
-      }
-      if (!closing && !conn->in_flight.load(std::memory_order_acquire) &&
-          conn->pending_output() < options_.max_output_bytes) {
-        events |= POLLIN;
+        const size_t pending = conn->out.size() - conn->out_offset;
+        if (pending > 0) events |= POLLOUT;
+        // Input stays polled during a request while the buffer is empty,
+        // so the client's next request or its close needs no wake from
+        // the worker; buffered input waits parked for the answer.
+        if (!conn->closing && pending < options_.max_output_bytes &&
+            (conn->input.empty() ||
+             !conn->in_flight.load(std::memory_order_relaxed))) {
+          events |= POLLIN;
+        }
       }
       if (events == 0) continue;
       fds.push_back({fd, events, 0});
@@ -497,7 +538,10 @@ void Server::io_loop() {
         close_connection(conn);
         continue;
       }
-      if ((fds[i].revents & POLLOUT) != 0) connection_writable(conn);
+      if ((fds[i].revents & POLLOUT) != 0) {
+        std::lock_guard<std::mutex> lock(conn->out_mu);
+        conn->flush_locked();
+      }
       if ((fds[i].revents & (POLLIN | POLLHUP)) != 0) {
         connection_readable(conn);
       }
@@ -542,7 +586,8 @@ void Server::accept_ready() {
       ::close(fd);
       continue;
     }
-    auto conn = std::make_shared<Connection>(fd);
+    auto conn = std::make_shared<Connection>(
+        fd, &tenant_queues_.at(TenantRegistry::kDefaultTenant));
     connections_.emplace(fd, std::move(conn));
     metrics_->connections.set(static_cast<double>(connections_.size()));
   }
@@ -550,50 +595,66 @@ void Server::accept_ready() {
 
 void Server::connection_readable(const std::shared_ptr<Connection>& conn) {
   char buf[65536];
+  bool got = false;
+  bool eof = false;
   while (true) {
     ssize_t n = ::read(conn->fd, buf, sizeof(buf));
     if (n > 0) {
       conn->input.append(buf, static_cast<size_t>(n));
-      conn->last_activity = obs::Clock::now();
+      got = true;
       // One read chunk may complete many frames but at most one request is
       // admitted; stop pulling more bytes once a request is in flight so
-      // the input buffer stays bounded by the socket buffer + one frame.
-      if (conn->in_flight.load(std::memory_order_acquire)) break;
+      // the input buffer stays bounded by the socket buffer + one frame. A
+      // short read emptied the socket: another would only return EAGAIN.
+      if (conn->in_flight.load(std::memory_order_acquire) ||
+          static_cast<size_t>(n) < sizeof(buf)) {
+        break;
+      }
       continue;
     }
-    if (n == 0) {  // peer closed
-      close_connection(conn);
-      return;
+    if (n == 0) {  // peer closed, or half-closed its side
+      eof = true;
+      break;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
     close_connection(conn);
     return;
   }
-  if (!parse_frames(conn)) close_connection(conn);
-}
-
-void Server::connection_writable(const std::shared_ptr<Connection>& conn) {
-  std::lock_guard<std::mutex> lock(conn->out_mu);
-  while (conn->out_offset < conn->out.size()) {
-    ssize_t n = ::send(conn->fd, conn->out.data() + conn->out_offset,
-                       conn->out.size() - conn->out_offset, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn->out_offset += static_cast<size_t>(n);
-      conn->last_activity = obs::Clock::now();
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    if (n < 0 && errno == EINTR) continue;
-    conn->closing = true;  // broken pipe; sweep closes it
+  if (got) {
+    std::lock_guard<std::mutex> lock(conn->out_mu);
+    conn->last_activity = obs::Clock::now();
+  }
+  if (!parse_frames(conn)) {
+    close_connection(conn);
     return;
   }
-  conn->out.clear();
-  conn->out_offset = 0;
+  if (eof) {
+    // A half-closed client still reads: let the admitted request answer,
+    // then the sweep closes once nothing is in flight or unsent.
+    bool busy;
+    {
+      std::lock_guard<std::mutex> lock(conn->out_mu);
+      busy = conn->in_flight.load(std::memory_order_relaxed) ||
+             conn->out_offset < conn->out.size();
+      conn->closing = true;
+    }
+    if (!busy) close_connection(conn);
+  }
 }
 
 bool Server::parse_frames(const std::shared_ptr<Connection>& conn) {
-  while (!conn->in_flight.load(std::memory_order_acquire)) {
+  while (true) {
+    if (conn->in_flight.load()) {
+      if (conn->input.empty()) return true;
+      // Park the buffered input behind the in-flight request: set the
+      // flag, then re-read in_flight. The worker clears in_flight, then
+      // reads the flag (all seq_cst), so either it sees the flag and wakes
+      // this thread, or this thread sees in_flight cleared and parses now.
+      conn->parked.store(true);
+      if (conn->in_flight.load()) return true;
+    }
+    conn->parked.store(false, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(conn->out_mu);
       if (conn->closing) return true;
@@ -620,7 +681,6 @@ bool Server::parse_frames(const std::shared_ptr<Connection>& conn) {
     conn->input.erase(0, total);
     dispatch(conn, header.type, std::move(payload));
   }
-  return true;
 }
 
 void Server::dispatch(const std::shared_ptr<Connection>& conn, MsgType type,
@@ -645,8 +705,9 @@ void Server::dispatch(const std::shared_ptr<Connection>& conn, MsgType type,
   }
 
   // The tenant envelope executes inline on the I/O thread: both commands
-  // are registry lookups (no corpus work), and handling them here makes
-  // conn->tenant I/O-thread-private — no admission slot, no queueing.
+  // are lookups in the fixed tenant map (no corpus work), and handling
+  // them here makes conn->tenant I/O-thread-private — no admission slot,
+  // no queueing.
   if (type == MsgType::kTenantOpen) {
     TenantOpenRequest req;
     if (!decode_tenant_open(payload, &req)) {
@@ -654,19 +715,16 @@ void Server::dispatch(const std::shared_ptr<Connection>& conn, MsgType type,
       send_error(conn, ErrCode::kBadRequest, "malformed tenant_open payload");
       return;
     }
-    ShardedServing* bound =
-        tenants_ != nullptr
-            ? tenants_->find(req.name)
-            : (req.name == TenantRegistry::kDefaultTenant ? backend_
-                                                          : nullptr);
-    if (bound == nullptr) {
+    auto bound = tenant_queues_.find(req.name);
+    if (bound == tenant_queues_.end()) {
       metrics_->reject("unknown_tenant");
       send_error(conn, ErrCode::kUnknownTenant, "no such tenant: " + req.name);
       return;
     }
-    conn->tenant = req.name;
+    conn->tenant = &bound->second;
+    const ShardedServing& backend = *bound->second.backend;
     std::string resp;
-    encode_tenant_opened({bound->epoch(), bound->num_docs()}, &resp);
+    encode_tenant_opened({backend.epoch(), backend.num_docs()}, &resp);
     send_frame(conn, MsgType::kTenantOpened, resp);
     return;
   }
@@ -677,13 +735,8 @@ void Server::dispatch(const std::shared_ptr<Connection>& conn, MsgType type,
       return;
     }
     TenantListingResponse listing;
-    if (tenants_ != nullptr) {
-      for (const std::string& name : tenants_->names()) {
-        listing.tenants.push_back({name, tenants_->find(name)->num_docs()});
-      }
-    } else {
-      listing.tenants.push_back(
-          {TenantRegistry::kDefaultTenant, backend_->num_docs()});
+    for (const auto& [name, tq] : tenant_queues_) {
+      listing.tenants.push_back({name, tq.backend->num_docs()});
     }
     std::string resp;
     encode_tenant_listing(listing, &resp);
@@ -691,20 +744,10 @@ void Server::dispatch(const std::shared_ptr<Connection>& conn, MsgType type,
     return;
   }
 
-  // Resolve the tenant once, on the I/O thread. conn->tenant is always a
-  // name TENANT_OPEN validated (or the default), so the lookup cannot
-  // fail on an open registry.
   Work work;
   work.conn = conn;
   work.type = type;
   work.tenant = conn->tenant;
-  if (tenants_ != nullptr) {
-    work.backend = tenants_->find(conn->tenant);
-    work.state_dir = tenants_->state_dir(conn->tenant);
-  } else {
-    work.backend = backend_;
-    work.state_dir = options_.state_dir;
-  }
   work.cost = kFrameHeaderBytes + payload.size();
   work.payload = std::move(payload);
   work.enqueued = obs::Clock::now();
@@ -727,7 +770,7 @@ void Server::dispatch(const std::shared_ptr<Connection>& conn, MsgType type,
   conn->in_flight.store(true, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    TenantQueue& tq = tenant_queues_.at(work.tenant);
+    TenantQueue& tq = *work.tenant;
     // ... and the per-tenant bound keeps one flooding tenant from
     // consuming every slot (0 = no tighter bound).
     const size_t tenant_cap = options_.tenant_max_in_flight > 0
@@ -738,14 +781,14 @@ void Server::dispatch(const std::shared_ptr<Connection>& conn, MsgType type,
       in_flight_.fetch_sub(1, std::memory_order_acq_rel);
       metrics_->reject("overloaded");
       send_error(conn, ErrCode::kOverloaded,
-                 "too many requests in flight for tenant " + work.tenant);
+                 "too many requests in flight for tenant " + tq.name);
       return;
     }
     ++tq.in_flight;
     tq.queue.push_back(std::move(work));
     if (!tq.active) {
       tq.active = true;
-      active_.push_back(tq.queue.back().tenant);
+      active_.push_back(&tq);
     }
     ++queued_total_;
   }
@@ -763,7 +806,7 @@ Server::Work Server::pop_next_locked() {
   // full rotation grows the front-most deficits by a quantum and costs
   // are bounded by kMaxPayloadBytes.
   while (true) {
-    TenantQueue& tq = tenant_queues_.at(active_.front());
+    TenantQueue& tq = *active_.front();
     if (tq.queue.empty()) {  // emptied by earlier pops; drop from the ring
       tq.active = false;
       tq.deficit = 0;
@@ -821,7 +864,7 @@ void Server::worker_loop() {
         obs::seconds_between(work.enqueued, obs::Clock::now());
     // Histogram writes are atomic; no queue_mu_ needed, and the pointer
     // is stable (the tenant map's key set is fixed at construction).
-    tenant_queues_.at(work.tenant).queue_seconds->observe(waited);
+    work.tenant->queue_seconds->observe(waited);
     if (options_.request_timeout_sec > 0 &&
         waited > options_.request_timeout_sec) {
       metrics_->reject("timeout");
@@ -831,26 +874,45 @@ void Server::worker_loop() {
     } else {
       execute(work, &resp_type, &resp_payload);
       if (tenants_ != nullptr) {
-        tenants_->count_query(work.tenant);
+        tenants_->count_query(work.tenant->name);
         if (work.type == MsgType::kAddPost ||
             work.type == MsgType::kAddPosts) {
-          tenants_->refresh_doc_gauge(work.tenant);
+          tenants_->refresh_doc_gauge(work.tenant->name);
         }
       }
     }
-
-    if (!work.conn->closed.load(std::memory_order_acquire)) {
-      send_frame(work.conn, resp_type, resp_payload);
-    }
     metrics_->request_seconds.observe(
         obs::seconds_between(work.enqueued, obs::Clock::now()));
-    work.conn->in_flight.store(false, std::memory_order_release);
+    // Release the admission slots before the answer goes out: a client
+    // that sends its next request on reading this answer must not find
+    // its previous one still counted.
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
-      --tenant_queues_.at(work.tenant).in_flight;
+      --work.tenant->in_flight;
     }
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    wake_io();
+
+    Connection& conn = *work.conn;
+    bool wake;
+    {
+      std::lock_guard<std::mutex> lock(conn.out_mu);
+      // Under out_mu an open connection's fd is still this client's:
+      // close_connection closes it under the same lock.
+      const bool open = !conn.closed.load(std::memory_order_relaxed);
+      if (open) encode_frame(resp_type, resp_payload, &conn.out);
+      // Cleared after the append, under out_mu: a pipelined successor
+      // dispatched from here on appends its answer behind this one.
+      conn.in_flight.store(false);
+      if (open) conn.flush_locked();
+      wake = open && (conn.closing || conn.out_offset < conn.out.size());
+    }
+    // The I/O thread still polls this connection for input, so it needs a
+    // wake only for unsent bytes, a close, parked input (the flag is read
+    // after in_flight was cleared; see parse_frames) or a drain.
+    if (wake || conn.parked.load() ||
+        draining_.load(std::memory_order_acquire)) {
+      wake_io();
+    }
   }
 }
 
@@ -860,6 +922,7 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
         std::chrono::milliseconds(options_.debug_handler_delay_ms));
   }
   payload->clear();
+  ShardedServing& backend = *work.tenant->backend;
   auto bad_request = [&](const char* message) {
     metrics_->reject("bad_request");
     *type = MsgType::kError;
@@ -875,7 +938,7 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
     case MsgType::kPing: {
       if (!work.payload.empty()) return bad_request("ping carries no payload");
       *type = MsgType::kPong;
-      encode_pong({work.backend->epoch(), work.backend->num_docs()}, payload);
+      encode_pong({backend.epoch(), backend.num_docs()}, payload);
       return;
     }
     case MsgType::kQuery: {
@@ -883,7 +946,7 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
       if (!decode_query(work.payload, &req)) {
         return bad_request("malformed query payload");
       }
-      if (req.doc_id >= work.backend->next_id()) {
+      if (req.doc_id >= backend.next_id()) {
         *type = MsgType::kError;
         encode_error({ErrCode::kUnknownDoc, "document id not in corpus"},
                      payload);
@@ -892,7 +955,7 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
       // Replica fan-out is a leader/default-tenant concept: replicas tail
       // the default tenant's WAL, so only its reads may be offloaded.
       if (!replica_channels_.empty() &&
-          work.tenant == TenantRegistry::kDefaultTenant) {
+          work.tenant->name == TenantRegistry::kDefaultTenant) {
         std::string forwarded;
         if (forward_to_replica(MsgType::kQuery, work.payload, &forwarded)) {
           metrics_->fanout_forwarded.inc();
@@ -903,7 +966,7 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
         metrics_->fanout_local.inc();
       }
       ShardedServing::QueryResult result =
-          work.backend->find_related(req.doc_id, static_cast<int>(req.k));
+          backend.find_related(req.doc_id, static_cast<int>(req.k));
       *type = MsgType::kRelated;
       encode_related({result.epoch, result.num_docs, std::move(result.results)},
                      payload);
@@ -917,7 +980,7 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
       Document doc = Document::analyze(kExternalQueryId, req.text);
       if (doc.num_units() == 0) return bad_request("empty post");
       if (!replica_channels_.empty() &&
-          work.tenant == TenantRegistry::kDefaultTenant) {
+          work.tenant->name == TenantRegistry::kDefaultTenant) {
         std::string forwarded;
         if (forward_to_replica(MsgType::kAsk, work.payload, &forwarded)) {
           metrics_->fanout_forwarded.inc();
@@ -928,7 +991,7 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
         metrics_->fanout_local.inc();
       }
       ShardedServing::QueryResult result =
-          work.backend->find_related_external(doc, static_cast<int>(req.k));
+          backend.find_related_external(doc, static_cast<int>(req.k));
       *type = MsgType::kRelated;
       encode_related({result.epoch, result.num_docs, std::move(result.results)},
                      payload);
@@ -946,7 +1009,7 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
       if (!decode_add_post(work.payload, &req) || req.text.empty()) {
         return bad_request("malformed or empty add_post payload");
       }
-      std::optional<DocId> id = work.backend->add_post(std::move(req.text));
+      std::optional<DocId> id = backend.add_post(std::move(req.text));
       if (!id.has_value()) return ingest_failed();
       *type = MsgType::kAdded;
       encode_added({{*id}}, payload);
@@ -968,21 +1031,22 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
         if (text.empty()) return bad_request("empty post in batch");
       }
       std::optional<std::vector<DocId>> ids =
-          work.backend->add_posts(std::move(req.texts));
+          backend.add_posts(std::move(req.texts));
       if (!ids.has_value()) return ingest_failed();
       *type = MsgType::kAdded;
       encode_added({std::move(*ids)}, payload);
       return;
     }
     case MsgType::kSave: {
+      const std::string dir = state_dir(*work.tenant);
       if (!work.payload.empty()) return bad_request("save carries no payload");
-      if (work.state_dir.empty()) {
+      if (dir.empty()) {
         *type = MsgType::kError;
         encode_error({ErrCode::kUnsupported, "server has no state directory"},
                      payload);
         return;
       }
-      if (!work.backend->save(work.state_dir)) {
+      if (!backend.save(dir)) {
         *type = MsgType::kError;
         encode_error({ErrCode::kInternal, "save failed"}, payload);
         return;
@@ -1019,10 +1083,10 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
       // connection observes the new clustering. The worker executing this
       // holds no serving lock; queries on other workers keep flowing
       // through the shadow build exactly as with the background worker.
-      uint64_t generation = work.backend->recluster();
+      uint64_t generation = backend.recluster();
       *type = MsgType::kReclustered;
       encode_reclustered(
-          {generation, static_cast<uint32_t>(work.backend->num_clusters())},
+          {generation, static_cast<uint32_t>(backend.num_clusters())},
           payload);
       return;
     }
@@ -1031,7 +1095,7 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
       if (!decode_subscribe_wal(work.payload, &req)) {
         return bad_request("malformed subscribe_wal payload");
       }
-      ShardedServing::ShipSegment seg = work.backend->ship_segment(
+      ShardedServing::ShipSegment seg = backend.ship_segment(
           req.from_seq, req.replica_generation, req.max_frames,
           req.max_bytes);
       using Status = ShardedServing::ShipSegment::Status;
@@ -1075,12 +1139,12 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
       if (!decode_wal_ack(work.payload, &req)) {
         return bad_request("malformed wal_ack payload");
       }
-      const uint64_t epoch = work.backend->epoch();
+      const uint64_t epoch = backend.epoch();
       const uint64_t lag = epoch > req.acked_seq ? epoch - req.acked_seq : 0;
       // Single-tenant servers keep the historical series shape; registry
       // mode adds the tenant label so per-tenant followers stay distinct.
       obs::Labels lag_labels{{"replica", req.replica_id}};
-      if (tenants_ != nullptr) lag_labels.push_back({"tenant", work.tenant});
+      if (tenants_ != nullptr) lag_labels.push_back({"tenant", work.tenant->name});
       obs::MetricsRegistry::global()
           .gauge("ibseg_leader_replica_lag_frames",
                  "Publications the leader is ahead of each replica's last "
@@ -1091,10 +1155,11 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
       return;
     }
     case MsgType::kSnapshotList: {
+      const std::string dir = state_dir(*work.tenant);
       if (!work.payload.empty()) {
         return bad_request("snapshot_list carries no payload");
       }
-      if (work.state_dir.empty()) {
+      if (dir.empty()) {
         *type = MsgType::kError;
         encode_error({ErrCode::kUnsupported, "server has no state directory"},
                      payload);
@@ -1104,13 +1169,13 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
       // state (ingest log truncated, manifest covering every publication),
       // so a bootstrap that fetches exactly the listed files restores to a
       // clean frame boundary.
-      if (!work.backend->save(work.state_dir)) {
+      if (!backend.save(dir)) {
         *type = MsgType::kError;
         encode_error({ErrCode::kInternal, "snapshot save failed"}, payload);
         return;
       }
       std::optional<ShardManifest> manifest =
-          load_shard_manifest_file(work.state_dir + "/MANIFEST");
+          load_shard_manifest_file(dir + "/MANIFEST");
       if (!manifest.has_value()) {
         *type = MsgType::kError;
         encode_error({ErrCode::kInternal, "manifest unreadable after save"},
@@ -1121,7 +1186,7 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
       resp.generation = manifest->generation;
       resp.num_shards = manifest->num_shards;
       for (const std::string& name : snapshot_file_names(*manifest)) {
-        std::ifstream in(work.state_dir + "/" + name, std::ios::binary);
+        std::ifstream in(dir + "/" + name, std::ios::binary);
         uint32_t crc = 0;
         uint64_t size = 0;
         char buf[65536];
@@ -1150,11 +1215,12 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
       return;
     }
     case MsgType::kSnapshotChunk: {
+      const std::string dir = state_dir(*work.tenant);
       SnapshotChunkRequest req;
       if (!decode_snapshot_chunk(work.payload, &req)) {
         return bad_request("malformed snapshot_chunk payload");
       }
-      if (work.state_dir.empty()) {
+      if (dir.empty()) {
         *type = MsgType::kError;
         encode_error({ErrCode::kUnsupported, "server has no state directory"},
                      payload);
@@ -1164,7 +1230,7 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
       // here rather than trusting the request, so a chunk request can
       // never traverse outside the state directory.
       std::optional<ShardManifest> manifest =
-          load_shard_manifest_file(work.state_dir + "/MANIFEST");
+          load_shard_manifest_file(dir + "/MANIFEST");
       if (!manifest.has_value()) {
         *type = MsgType::kError;
         encode_error({ErrCode::kSnapshotNeeded,
@@ -1176,7 +1242,7 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
       if (std::find(names.begin(), names.end(), req.name) == names.end()) {
         return bad_request("name not in the current snapshot listing");
       }
-      std::ifstream in(work.state_dir + "/" + req.name,
+      std::ifstream in(dir + "/" + req.name,
                        std::ios::binary | std::ios::ate);
       if (!in) {
         // Listed a moment ago but gone now: a newer save swapped
@@ -1289,10 +1355,8 @@ bool Server::forward_to_replica(MsgType type, const std::string& payload,
 
 void Server::send_frame(const std::shared_ptr<Connection>& conn, MsgType type,
                         std::string_view payload) {
-  std::string frame;
-  encode_frame(type, payload, &frame);
   std::lock_guard<std::mutex> lock(conn->out_mu);
-  conn->out.append(frame);
+  encode_frame(type, payload, &conn->out);
 }
 
 void Server::send_error(const std::shared_ptr<Connection>& conn, ErrCode code,
@@ -1303,9 +1367,15 @@ void Server::send_error(const std::shared_ptr<Connection>& conn, ErrCode code,
 }
 
 void Server::close_connection(const std::shared_ptr<Connection>& conn) {
-  if (conn->closed.exchange(true, std::memory_order_acq_rel)) return;
-  ::shutdown(conn->fd, SHUT_RDWR);
-  ::close(conn->fd);
+  {
+    // Closed under out_mu: a worker holding it and seeing `closed` false
+    // may still write to this fd, and the fd number must not be reused
+    // by a new connection until that write is done.
+    std::lock_guard<std::mutex> lock(conn->out_mu);
+    if (conn->closed.exchange(true, std::memory_order_acq_rel)) return;
+    ::shutdown(conn->fd, SHUT_RDWR);
+    ::close(conn->fd);
+  }
   size_t open = 0;
   for (auto& [fd, c] : connections_) {
     if (!c->closed.load(std::memory_order_acquire)) ++open;

@@ -132,18 +132,20 @@ struct ServerOptions {
 /// protocol and dispatches into a ShardedServing backend.
 ///
 /// Threading model (docs/ARCHITECTURE.md §8): one I/O thread owns every
-/// socket and runs a poll(2) readiness loop — accepting, reading frames
-/// into per-connection buffers, writing queued responses, enforcing the
-/// connection limit, write backpressure and idle timeouts. Complete
-/// well-framed requests are handed to a fixed worker pool through a
-/// bounded queue (the max_in_flight admission bound); workers execute
-/// against the backend (queries under its shared locks, ingests through
-/// its global publication path), encode the response and hand the bytes
-/// back to the I/O thread via the connection's output buffer and a wake
-/// pipe. At most one request per connection is admitted at a time:
-/// responses are therefore trivially in request order, and a pipelining
-/// client's buffered requests are parsed one-by-one as its responses
-/// drain (PROTOCOL.md §6).
+/// socket's lifecycle and runs a poll(2) readiness loop — accepting,
+/// reading frames into per-connection buffers, flushing what the workers
+/// could not send, enforcing the connection limit, write backpressure and
+/// idle timeouts. Complete well-framed requests are handed to a fixed
+/// worker pool through a bounded queue (the max_in_flight admission
+/// bound); workers execute against the backend (queries under its shared
+/// locks, ingests through its global publication path), encode the
+/// response and write it to the socket themselves. A worker wakes the I/O
+/// thread (through a self-pipe) only when bytes are left unsent, the
+/// connection is closing, the server is draining, or pipelined input is
+/// parked behind the request. At most one request per connection is
+/// admitted at a time: responses are therefore trivially in request
+/// order, and a pipelining client's buffered requests are parsed
+/// one-by-one as its responses drain (PROTOCOL.md §6).
 ///
 /// Lifecycle: construct over a backend (not owned), start(), then either
 /// wait_drained() — blocks until a DRAIN command or drain() call — or
@@ -209,6 +211,7 @@ class Server {
   struct Work;
   struct Metrics;
   struct ReplicaChannel;
+  struct TenantQueue;
 
   void io_loop();
   void worker_loop();
@@ -222,16 +225,15 @@ class Server {
   /// under the backpressure bound).
   void connection_readable(const std::shared_ptr<Connection>& conn);
 
-  /// Flushes as much pending output as the socket accepts.
-  void connection_writable(const std::shared_ptr<Connection>& conn);
-
-  /// Parses frames out of conn->input; returns false when the stream is
+  /// Parses frames out of conn->input while the connection may admit
+  /// work, and parks input left behind an in-flight request (the worker
+  /// then wakes the I/O thread). Returns false when the stream is
   /// unrecoverable (malformed frame) and the connection must close.
   bool parse_frames(const std::shared_ptr<Connection>& conn);
 
   /// Admission + queueing of one well-framed request. TENANT_OPEN /
-  /// TENANT_LIST execute inline here on the I/O thread (registry lookups,
-  /// no backend work) — which makes the connection's tenant binding
+  /// TENANT_LIST execute inline here on the I/O thread (tenant map
+  /// lookups, no corpus work) — which makes the connection's tenant binding
   /// I/O-thread-private state, no lock needed.
   void dispatch(const std::shared_ptr<Connection>& conn, MsgType type,
                 std::string payload);
@@ -270,6 +272,13 @@ class Server {
 
   void wake_io();
 
+  /// Adds `name`'s scheduling state (construction only).
+  void add_tenant(const std::string& name, ShardedServing* backend);
+
+  /// The state directory SAVE and the snapshot bootstrap serve for a
+  /// tenant; empty when there is none.
+  std::string state_dir(const TenantQueue& tenant) const;
+
   ShardedServing* backend_;
   /// Non-null in multi-tenant mode; backend_ is then the default
   /// tenant's backend. The tenant set (and thus every map below keyed by
@@ -298,26 +307,30 @@ class Server {
 
   /// Connections, keyed by fd. Owned by the I/O thread; the map itself is
   /// only touched there. Workers hold shared_ptrs and touch only the
-  /// mutex-guarded output side of a Connection.
+  /// mutex-guarded output side of a Connection (and its two flags).
   std::map<int, std::shared_ptr<Connection>> connections_;
 
   /// Per-tenant scheduling state. The worker queue is one FIFO per
   /// tenant plus a round-robin ring of tenants with queued work;
   /// pop_next_locked() implements deficit round robin over the ring
-  /// (docs/ARCHITECTURE.md §11). Everything here is guarded by
-  /// queue_mu_; the map's KEY SET is fixed at construction (one entry
-  /// per tenant), so holding a TenantQueue* across an unlock is safe.
+  /// (docs/ARCHITECTURE.md §11). The map's KEY SET is fixed at
+  /// construction (one entry per tenant), so connections and requests
+  /// hold a TenantQueue* for their routing, and the first three fields,
+  /// immutable after construction, are read without a lock. The rest is
+  /// guarded by queue_mu_.
   struct TenantQueue {
+    std::string name;                   ///< the tenant
+    ShardedServing* backend = nullptr;  ///< its corpus
+    obs::Histogram* queue_seconds = nullptr;  ///< ibseg_tenant_queue_seconds
     std::deque<Work> queue;
     size_t deficit = 0;    ///< DRR byte budget carried into this turn
     size_t in_flight = 0;  ///< admitted (queued + executing) requests
     bool active = false;   ///< true iff present in active_
-    obs::Histogram* queue_seconds = nullptr;  ///< ibseg_tenant_queue_seconds
   };
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
-  std::map<std::string, TenantQueue> tenant_queues_;  ///< guarded by queue_mu_
-  std::deque<std::string> active_;  ///< DRR ring, guarded by queue_mu_
+  std::map<std::string, TenantQueue> tenant_queues_;
+  std::deque<TenantQueue*> active_;  ///< DRR ring, guarded by queue_mu_
   size_t queued_total_ = 0;         ///< guarded by queue_mu_
 
   std::mutex lifecycle_mu_;

@@ -14,6 +14,10 @@
 //     codes (OVERLOADED, TIMEOUT, DRAINING) instead of silently dropping.
 //   * Malformed payloads get ERROR/BAD_REQUEST and the connection stays
 //     usable; a malformed *frame* closes the connection (framing is lost).
+//   * The stream contract around the worker's own socket write: a
+//     pipelined burst is answered in order under write backpressure, a
+//     half-closed client still gets its answer, and the answer of a reset
+//     connection never lands on a new connection reusing its descriptor.
 //
 // Registered under the `net` ctest label; scripts/reproduce.sh
 // IBSEG_NET_CHECK=1 runs the label normally and under ASan.
@@ -21,6 +25,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -145,7 +150,53 @@ struct RawSocket {
     ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     return n == 0;
   }
+
+  /// Reads exactly one frame; false on EOF, error or a bad header. Every
+  /// recv is bounded by a 10 s timeout so a lost answer fails, not hangs.
+  bool read_frame(MsgType* type, std::string* payload) {
+    timeval timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    std::string header(kFrameHeaderBytes, '\0');
+    FrameHeader h;
+    if (!recv_exactly(header.data(), header.size()) ||
+        decode_frame_header(reinterpret_cast<const uint8_t*>(header.data()),
+                            header.size(), &h) != DecodeStatus::kOk) {
+      return false;
+    }
+    payload->assign(h.payload_len, '\0');
+    *type = h.type;
+    return recv_exactly(payload->data(), payload->size());
+  }
+
+ private:
+  bool recv_exactly(char* out, size_t size) {
+    size_t off = 0;
+    while (off < size) {
+      ssize_t n = ::recv(fd, out + off, size - off, 0);
+      if (n <= 0) return false;
+      off += static_cast<size_t>(n);
+    }
+    return true;
+  }
 };
+
+std::string query_frame(DocId doc, uint32_t k) {
+  std::string payload, frame;
+  encode_query({doc, k}, &payload);
+  encode_frame(MsgType::kQuery, payload, &frame);
+  return frame;
+}
+
+/// The RELATED payload the server must send for `doc`: the in-process
+/// answer, encoded (the wire carries raw IEEE-754 bits).
+std::string related_payload(ShardedServing& backend, DocId doc, uint32_t k) {
+  ShardedServing::QueryResult want =
+      backend.find_related(doc, static_cast<int>(k));
+  std::string payload;
+  encode_related({want.epoch, want.num_docs, std::move(want.results)},
+                 &payload);
+  return payload;
+}
 
 // ---------------------------------------------------------- liveness ----
 
@@ -431,6 +482,101 @@ TEST(NetServer, QueueWaitPastDeadlineAnswersTimeoutError) {
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.error.code, ErrCode::kTimeout);
   slow.join();
+}
+
+// --------------------------------------------------- stream contract ----
+
+TEST(NetServer, HalfClosedClientStillGetsItsAnswer) {
+  ServerOptions options;
+  options.debug_handler_delay_ms = 100;
+  Loopback lb = start_loopback(options);
+  // The client is done writing but still reads: whether the server sees
+  // EOF while the query executes (round 0) or right behind the request
+  // bytes (round 1), it must answer before closing.
+  for (int round = 0; round < 2; ++round) {
+    RawSocket raw(lb.server->port());
+    ASSERT_GE(raw.fd, 0);
+    ASSERT_TRUE(raw.send_bytes(query_frame(3, 5)));
+    if (round == 0) std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    ASSERT_EQ(::shutdown(raw.fd, SHUT_WR), 0);
+
+    MsgType type = MsgType::kError;
+    std::string payload;
+    ASSERT_TRUE(raw.read_frame(&type, &payload)) << "round " << round;
+    EXPECT_EQ(type, MsgType::kRelated) << "round " << round;
+    EXPECT_EQ(payload, related_payload(*lb.backend, 3, 5)) << "round " << round;
+    EXPECT_TRUE(raw.closed_by_peer()) << "round " << round;
+  }
+}
+
+TEST(NetServer, PipelinedBurstAnsweredInOrder) {
+  ServerOptions options;
+  options.num_workers = 4;
+  options.max_output_bytes = 4096;
+  Loopback lb = start_loopback(options);
+  RawSocket raw(lb.server->port());
+  ASSERT_GE(raw.fd, 0);
+
+  // 600 queries in one write, with answers of up to 20 results each: far
+  // more than the output bound, so the server parks the burst behind its
+  // backpressure until this client reads.
+  constexpr size_t kBurst = 600;
+  const DocId num_docs = static_cast<DocId>(lb.backend->num_docs());
+  auto doc_of = [&](size_t i) { return static_cast<DocId>(i % num_docs); };
+  auto k_of = [](size_t i) { return static_cast<uint32_t>(1 + i % 20); };
+  std::string burst;
+  for (size_t i = 0; i < kBurst; ++i) burst += query_frame(doc_of(i), k_of(i));
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(raw.send_bytes(burst));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  // The backed-up connection throttles only itself.
+  PongResponse pong;
+  ASSERT_TRUE(lb.client->ping(&pong).ok());
+
+  for (size_t i = 0; i < kBurst; ++i) {
+    MsgType type = MsgType::kError;
+    std::string payload;
+    ASSERT_TRUE(raw.read_frame(&type, &payload)) << "answer " << i;
+    ASSERT_EQ(type, MsgType::kRelated) << "answer " << i;
+    ASSERT_EQ(payload, related_payload(*lb.backend, doc_of(i), k_of(i)))
+        << "answer " << i;
+  }
+  // A lost wake for parked input shows only as delay: every pipelined
+  // request would wait out the I/O thread's 100 ms poll tick (60 s here).
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(15));
+}
+
+TEST(NetServer, AnswerOfAResetConnectionNeverReachesItsFdSuccessor) {
+  ServerOptions options;
+  options.debug_handler_delay_ms = 200;
+  Loopback lb = start_loopback(options);
+  std::string ping;
+  encode_frame(MsgType::kPing, {}, &ping);
+  for (int round = 0; round < 3; ++round) {
+    {
+      RawSocket doomed(lb.server->port());
+      ASSERT_GE(doomed.fd, 0);
+      ASSERT_TRUE(doomed.send_bytes(query_frame(1, 5)));
+      // Let the query be admitted, then reset the connection while the
+      // handler still runs: SO_LINGER {1, 0} makes close() send RST.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      linger reset{1, 0};
+      ASSERT_EQ(::setsockopt(doomed.fd, SOL_SOCKET, SO_LINGER, &reset,
+                             sizeof(reset)),
+                0);
+    }
+    // The server closes its side at once, so the next accept may reuse
+    // the descriptor the executing query will answer on.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    RawSocket fresh(lb.server->port());
+    ASSERT_GE(fresh.fd, 0);
+    ASSERT_TRUE(fresh.send_bytes(ping));
+    MsgType type = MsgType::kError;
+    std::string payload;
+    ASSERT_TRUE(fresh.read_frame(&type, &payload)) << "round " << round;
+    EXPECT_EQ(type, MsgType::kPong) << "round " << round;
+  }
 }
 
 // ----------------------------------------------------------- metrics ----
