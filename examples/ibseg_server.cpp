@@ -65,13 +65,10 @@
 //   --replica-id=NAME    stable name for the lag gauges (default the
 //                        state directory's basename)
 //   --replica-poll-ms=N  WAL poll interval once caught up (default 50)
-//   --read-replicas=H:P[,H:P...]
-//                        leader-side read fan-out: QUERY/ASK answers come
-//                        from these replicas (round-robin, falling back
-//                        to local execution) when fresh enough
-//   --replica-staleness=N
-//                        max publications a fanned-out answer may trail
-//                        the local epoch (default 0 = fully caught up)
+//
+// Every server, leader or replica, runs the QUERY/ASK requests it admits
+// on its own backend; a read client that wants a replica's answers
+// connects to the replica.
 //
 // Shutdown: SIGTERM or SIGINT (or a DRAIN frame from any client) starts a
 // graceful drain — stop accepting, answer new requests with
@@ -129,8 +126,6 @@ int usage() {
                "                    [--fair-quantum=N]\n"
                "                    [--replicate-from=H:P] [--replica-id=NAME]\n"
                "                    [--replica-poll-ms=N]\n"
-               "                    [--read-replicas=H:P[,H:P...]]\n"
-               "                    [--replica-staleness=N]\n"
                "see docs/OPERATIONS.md\n");
   return 2;
 }
@@ -243,20 +238,6 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--replica-poll-ms=")) {
       replica_poll_ms = std::atoi(v);
       if (replica_poll_ms < 1) return usage();
-    } else if (const char* v = value("--read-replicas=")) {
-      std::string list = v;
-      size_t pos = 0;
-      while (pos <= list.size()) {
-        const size_t comma = list.find(',', pos);
-        const std::string addr =
-            list.substr(pos, comma == std::string::npos ? std::string::npos
-                                                        : comma - pos);
-        if (!addr.empty()) server_options.read_replicas.push_back(addr);
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
-    } else if (const char* v = value("--replica-staleness=")) {
-      server_options.replica_staleness = std::strtoull(v, nullptr, 10);
     } else {
       return usage();
     }

@@ -55,6 +55,13 @@ wait_port() {
 echo "-- generate corpus"
 "${CLI}" generate tech 40 "${WORK}/posts.corpus" >/dev/null
 
+echo "-- removed fan-out flags print usage and exit 2"
+for flag in --read-replicas=127.0.0.1:1 --replica-staleness=0; do
+  rc=0
+  "${SERVER}" --corpus="${WORK}/posts.corpus" "${flag}" 2>/dev/null || rc=$?
+  [ "${rc}" -eq 2 ] || { echo "error: ${flag} exited ${rc}" >&2; exit 1; }
+done
+
 echo "-- cold start (ephemeral port, durable state)"
 "${SERVER}" --corpus="${WORK}/posts.corpus" --shards=2 \
     --state="${WORK}/state.d" --port=0 --port-file="${WORK}/port" \

@@ -12,13 +12,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
 #include <utility>
 
-#include "net/client.h"
 #include "seg/document.h"
 #include "storage/format_util.h"
 #include "storage/shard_manifest.h"
@@ -140,17 +138,7 @@ struct Server::Metrics {
         request_seconds(obs::MetricsRegistry::global().histogram(
             "ibseg_net_request_seconds",
             "Queue wait plus execution time of admitted requests, in "
-            "seconds.")),
-        fanout_forwarded(obs::MetricsRegistry::global().counter(
-            "ibseg_net_fanout_total",
-            "QUERY/ASK requests on a fan-out-enabled server, by where the "
-            "answer came from.",
-            {{"answered_by", "replica"}})),
-        fanout_local(obs::MetricsRegistry::global().counter(
-            "ibseg_net_fanout_total",
-            "QUERY/ASK requests on a fan-out-enabled server, by where the "
-            "answer came from.",
-            {{"answered_by", "local"}})) {
+            "seconds.")) {
     obs::MetricsRegistry& r = obs::MetricsRegistry::global();
     static constexpr MsgType kCommands[] = {
         MsgType::kPing,         MsgType::kQuery,   MsgType::kAsk,
@@ -179,24 +167,8 @@ struct Server::Metrics {
 
   obs::Gauge& connections;
   obs::Histogram& request_seconds;
-  obs::Counter& fanout_forwarded;
-  obs::Counter& fanout_local;
   std::map<uint8_t, obs::Counter*> requests;
   std::map<std::string, obs::Counter*> rejected;
-};
-
-/// One pooled leader-side connection to a read replica. A worker try-locks
-/// a channel for the duration of one forwarded call; a busy channel is
-/// skipped rather than waited on. The Client connects lazily and, after
-/// any transport failure, is dropped and the channel sits out
-/// replica_retry_sec before the next attempt.
-struct Server::ReplicaChannel {
-  std::string host;
-  uint16_t port = 0;
-
-  std::mutex mu;  ///< guards client + cooldown_until
-  std::unique_ptr<Client> client;
-  obs::Clock::time_point cooldown_until{};  ///< epoch value = no cooldown
 };
 
 // The wire-level name bound and the registry's directory-name bound must
@@ -223,23 +195,6 @@ Server::Server(ShardedServing* backend, ServerOptions options)
   // Single-tenant mode still schedules through the (single) default
   // tenant queue — one code path, no special cases.
   add_tenant(TenantRegistry::kDefaultTenant, backend_);
-  for (const std::string& addr : options_.read_replicas) {
-    const size_t colon = addr.rfind(':');
-    unsigned long port = 0;
-    if (colon != std::string::npos) {
-      port = std::strtoul(addr.c_str() + colon + 1, nullptr, 10);
-    }
-    if (colon == std::string::npos || colon == 0 || port == 0 ||
-        port > 65535) {
-      std::fprintf(stderr, "ibseg_server: ignoring bad replica address %s\n",
-                   addr.c_str());
-      continue;
-    }
-    auto channel = std::make_unique<ReplicaChannel>();
-    channel->host = addr.substr(0, colon);
-    channel->port = static_cast<uint16_t>(port);
-    replica_channels_.push_back(std::move(channel));
-  }
 }
 
 void Server::add_tenant(const std::string& name, ShardedServing* backend) {
@@ -952,19 +907,6 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
                      payload);
         return;
       }
-      // Replica fan-out is a leader/default-tenant concept: replicas tail
-      // the default tenant's WAL, so only its reads may be offloaded.
-      if (!replica_channels_.empty() &&
-          work.tenant->name == TenantRegistry::kDefaultTenant) {
-        std::string forwarded;
-        if (forward_to_replica(MsgType::kQuery, work.payload, &forwarded)) {
-          metrics_->fanout_forwarded.inc();
-          *type = MsgType::kRelated;
-          *payload = std::move(forwarded);
-          return;
-        }
-        metrics_->fanout_local.inc();
-      }
       ShardedServing::QueryResult result =
           backend.find_related(req.doc_id, static_cast<int>(req.k));
       *type = MsgType::kRelated;
@@ -979,17 +921,6 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
       }
       Document doc = Document::analyze(kExternalQueryId, req.text);
       if (doc.num_units() == 0) return bad_request("empty post");
-      if (!replica_channels_.empty() &&
-          work.tenant->name == TenantRegistry::kDefaultTenant) {
-        std::string forwarded;
-        if (forward_to_replica(MsgType::kAsk, work.payload, &forwarded)) {
-          metrics_->fanout_forwarded.inc();
-          *type = MsgType::kRelated;
-          *payload = std::move(forwarded);
-          return;
-        }
-        metrics_->fanout_local.inc();
-      }
       ShardedServing::QueryResult result =
           backend.find_related_external(doc, static_cast<int>(req.k));
       *type = MsgType::kRelated;
@@ -1294,63 +1225,6 @@ void Server::execute(const Work& work, MsgType* type, std::string* payload) {
     default:
       return bad_request("unknown request type");
   }
-}
-
-bool Server::forward_to_replica(MsgType type, const std::string& payload,
-                                std::string* resp_payload) {
-  const size_t n = replica_channels_.size();
-  if (n == 0) return false;
-  // The staleness reference is the local epoch observed BEFORE the call:
-  // an ingest racing the forwarded query may advance the local epoch past
-  // the replica's answer, but that answer was current when the query
-  // arrived — exactly the bound a local execution would have given.
-  const uint64_t local_epoch = backend_->epoch();
-  const auto cooldown = std::chrono::duration_cast<obs::Clock::duration>(
-      std::chrono::duration<double>(options_.replica_retry_sec));
-  const size_t start = replica_rr_.fetch_add(1, std::memory_order_relaxed);
-  for (size_t i = 0; i < n; ++i) {
-    ReplicaChannel& channel = *replica_channels_[(start + i) % n];
-    std::unique_lock<std::mutex> lock(channel.mu, std::try_to_lock);
-    if (!lock.owns_lock()) continue;  // busy with another worker's call
-    if (channel.cooldown_until != obs::Clock::time_point{} &&
-        obs::Clock::now() < channel.cooldown_until) {
-      continue;
-    }
-    if (channel.client == nullptr) {
-      const double timeout = options_.request_timeout_sec > 0
-                                 ? options_.request_timeout_sec
-                                 : 5.0;
-      channel.client = Client::connect(channel.host, channel.port, timeout);
-      if (channel.client == nullptr) {
-        channel.cooldown_until = obs::Clock::now() + cooldown;
-        continue;
-      }
-    }
-    MsgType resp_type = MsgType::kError;
-    std::string raw;
-    CallResult result = channel.client->call(type, payload, &resp_type, &raw);
-    if (!result.transport_ok) {
-      channel.client.reset();
-      channel.cooldown_until = obs::Clock::now() + cooldown;
-      continue;
-    }
-    if (resp_type != MsgType::kRelated) continue;  // replica-side refusal
-    RelatedResponse related;
-    if (!decode_related(raw, &related)) {
-      channel.client.reset();
-      channel.cooldown_until = obs::Clock::now() + cooldown;
-      continue;
-    }
-    if (local_epoch > related.epoch &&
-        local_epoch - related.epoch > options_.replica_staleness) {
-      continue;  // healthy but too far behind; try the next channel
-    }
-    // Replicas are bit-identical to the leader at frame boundaries, so
-    // the replica's RELATED bytes pass through verbatim.
-    *resp_payload = std::move(raw);
-    return true;
-  }
-  return false;
 }
 
 void Server::send_frame(const std::shared_ptr<Connection>& conn, MsgType type,

@@ -85,22 +85,6 @@ struct ServerOptions {
   /// production.
   int debug_handler_delay_ms = 0;
 
-  /// Read fan-out (docs/ARCHITECTURE.md §10): "host:port" addresses of
-  /// read replicas QUERY/ASK requests are load-balanced across
-  /// (round-robin, skipping unhealthy or busy channels). Empty disables
-  /// fan-out — every query executes locally.
-  std::vector<std::string> read_replicas;
-
-  /// Staleness bound for fan-out: a replica answer whose observed epoch
-  /// trails the local backend's by more than this many publications is
-  /// discarded and the query is served locally. 0 = replicas must be
-  /// fully caught up at answer time for their answer to be used.
-  uint64_t replica_staleness = 0;
-
-  /// After a replica channel fails (connect or call), it is skipped for
-  /// this long before the next attempt.
-  double replica_retry_sec = 1.0;
-
   /// Replica role: reject the mutating commands (ADD_POST, ADD_POSTS,
   /// RECLUSTER) with ERROR/UNSUPPORTED. Replicas mutate only through
   /// applied WAL segments — a local ingest would fork their history.
@@ -210,7 +194,6 @@ class Server {
   struct Connection;
   struct Work;
   struct Metrics;
-  struct ReplicaChannel;
   struct TenantQueue;
 
   void io_loop();
@@ -244,15 +227,6 @@ class Server {
 
   /// Executes one request against the backend (worker context).
   void execute(const Work& work, MsgType* type, std::string* payload);
-
-  /// Tries to answer a QUERY/ASK by forwarding its raw payload to a read
-  /// replica (round-robin over healthy, idle channels). On success the
-  /// replica's RELATED payload is passed through byte-for-byte — replicas
-  /// are bit-identical at frame boundaries, so the bytes ARE the local
-  /// answer. Returns false (serve locally) when no channel is usable or
-  /// every usable answer violates the staleness bound.
-  bool forward_to_replica(MsgType type, const std::string& payload,
-                          std::string* resp_payload);
 
   /// Appends an encoded frame to the connection's output (any thread).
   void send_frame(const std::shared_ptr<Connection>& conn, MsgType type,
@@ -337,12 +311,6 @@ class Server {
   std::condition_variable lifecycle_cv_;
   bool drain_finishing_ = false;  ///< guarded by lifecycle_mu_
   bool drain_finished_ = false;   ///< guarded by lifecycle_mu_
-
-  /// One pooled connection per configured read replica (built in the
-  /// constructor, connected lazily). Workers try-lock a channel; a busy
-  /// channel is simply skipped for the next one.
-  std::vector<std::unique_ptr<ReplicaChannel>> replica_channels_;
-  std::atomic<size_t> replica_rr_{0};  ///< round-robin cursor
 
   std::unique_ptr<Metrics> metrics_;
 };

@@ -109,7 +109,6 @@ IngestWal::~IngestWal() {
 bool IngestWal::append_frames(const WalRecord* records, size_t count) {
   if (broken_) return false;
   const uint64_t start = size_;
-  const size_t unsynced = unsynced_;
   bool ok = true;
   std::string frame;
   for (size_t i = 0; ok && i < count; ++i) {
@@ -121,17 +120,10 @@ bool IngestWal::append_frames(const WalRecord* records, size_t count) {
     ok = write_fully(fd_, frame.data(), frame.size());
     if (ok) size_ += frame.size();
   }
-  if (ok) {
-    unsynced_ += count;
-    // One durability decision per call; kEveryAppend syncs once for a
-    // batch (it is acknowledged as a whole, so per-record syncs buy
-    // nothing).
-    if (options_.fsync == WalFsync::kEveryAppend && count > 0) {
-      ok = sync();
-    } else if (options_.fsync == WalFsync::kEveryN &&
-               unsynced_ >= options_.fsync_every_n) {
-      ok = sync();
-    }
+  // One durability decision per call; kEveryAppend syncs once for a batch
+  // (it is acknowledged as a whole, so per-record syncs buy nothing).
+  if (ok && options_.fsync == WalFsync::kEveryAppend && count > 0) {
+    ok = ::fsync(fd_) == 0;
   }
   if (ok) {
     appended_ += count;
@@ -142,7 +134,6 @@ bool IngestWal::append_frames(const WalRecord* records, size_t count) {
   // the length before the call (fsync'd under a durable policy; lseek as
   // well, since the file offset sits wherever the failed write left it).
   // A cut that fails breaks the log until reset().
-  unsynced_ = unsynced;
   if (::ftruncate(fd_, static_cast<off_t>(start)) != 0 ||
       ::lseek(fd_, static_cast<off_t>(start), SEEK_SET) < 0 ||
       (options_.fsync != WalFsync::kNone && ::fsync(fd_) != 0)) {
@@ -159,12 +150,6 @@ bool IngestWal::append(const WalRecord& record) {
 
 bool IngestWal::append_batch(const std::vector<WalRecord>& records) {
   return append_frames(records.data(), records.size());
-}
-
-bool IngestWal::sync() {
-  if (::fsync(fd_) != 0) return false;
-  unsynced_ = 0;
-  return true;
 }
 
 bool IngestWal::reset() {
@@ -199,7 +184,6 @@ bool IngestWal::reset() {
   ::close(fd_);
   fd_ = nfd;
   size_ = 0;
-  unsynced_ = 0;
   return !broken_;
 }
 

@@ -24,14 +24,11 @@ struct WalRecord {
 /// publish path.
 enum class WalFsync {
   kNone,        ///< never fsync; OS-crash may lose the page-cache tail
-  kEveryN,      ///< fsync every fsync_every_n appends (and on batch ends)
-  kEveryAppend  ///< fsync after every record; strongest, slowest
+  kEveryAppend  ///< fsync once per append or batch; strongest, slowest
 };
 
 struct WalOptions {
   WalFsync fsync = WalFsync::kEveryAppend;
-  /// Used when fsync == kEveryN.
-  size_t fsync_every_n = 64;
 };
 
 /// Write-ahead log of online ingests, the durability half of the serving
@@ -86,9 +83,6 @@ class IngestWal {
   /// nothing, like append().
   bool append_batch(const std::vector<WalRecord>& records);
 
-  /// Forces an fsync regardless of policy.
-  bool sync();
-
   /// Empties the log — called right after a snapshot save has made every
   /// logged record redundant. Implemented as a fresh empty inode renamed
   /// over the path (file and directory entry both fsync'd), never an
@@ -121,7 +115,6 @@ class IngestWal {
   WalOptions options_;
   uint64_t size_ = 0;  ///< the end of the last appended frame
   uint64_t appended_ = 0;
-  size_t unsynced_ = 0;  ///< appends since the last fsync (kEveryN)
   /// A cut back or a reset's directory fsync failed; appends refused.
   bool broken_ = false;
 };

@@ -437,13 +437,11 @@ TEST(Wal, ResetEmptiesTheLog) {
 }
 
 TEST(Wal, FsyncPoliciesAllPersist) {
-  for (WalFsync policy :
-       {WalFsync::kNone, WalFsync::kEveryN, WalFsync::kEveryAppend}) {
+  for (WalFsync policy : {WalFsync::kNone, WalFsync::kEveryAppend}) {
     const std::string dir = fresh_temp_dir("wal_policy");
     std::string path = dir + "/wal";
     WalOptions opts;
     opts.fsync = policy;
-    opts.fsync_every_n = 2;
     {
       std::vector<WalRecord> replayed;
       auto wal = IngestWal::open(path, opts, &replayed);
