@@ -26,7 +26,7 @@
 #include <iostream>
 #include <vector>
 
-#include "bench/bench_common.h"
+#include "bench/harness.h"
 #include "core/pipeline.h"
 #include "datagen/adversarial.h"
 #include "eval/ndcg.h"
@@ -195,26 +195,22 @@ int adversarial_gate(size_t num_posts) {
   }
   t.print(std::cout);
 
-  FILE* out = std::fopen("BENCH_adversarial_eval.json", "w");
-  if (out != nullptr) {
-    std::fprintf(out, "{\n  \"bench\": \"adversarial_eval\",\n");
-    std::fprintf(out, "  \"profiles\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const GateRow& row = rows[i];
-      std::fprintf(out,
-                   "    {\"profile\": \"%s\", \"posts\": %zu, "
-                   "\"queries\": %zu, \"mean_prec5\": %.4f, "
-                   "\"mean_ndcg5\": %.4f, \"max_mean_prec5\": %.4f, "
-                   "\"floor\": %.4f, \"pass\": %s}%s\n",
-                   row.profile.c_str(), row.posts, row.queries,
-                   row.mean_prec5, row.mean_ndcg5, row.max_mean_prec5,
-                   row.floor, row.pass ? "true" : "false",
-                   i + 1 < rows.size() ? "," : "");
+  bench::BenchJson json("adversarial_eval");
+  json.array("profiles", [&] {
+    for (const GateRow& row : rows) {
+      json.element([&] {
+        json.put("profile", row.profile);
+        json.put("posts", row.posts);
+        json.put("queries", row.queries);
+        json.put("mean_prec5", row.mean_prec5);
+        json.put("mean_ndcg5", row.mean_ndcg5);
+        json.put("max_mean_prec5", row.max_mean_prec5);
+        json.put("floor", row.floor);
+        json.put("pass", row.pass);
+      });
     }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("wrote BENCH_adversarial_eval.json\n");
-  }
+  });
+  json.write();
 
   bool all_pass = true;
   for (const GateRow& row : rows) {

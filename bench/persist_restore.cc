@@ -34,19 +34,14 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
+#include "bench/harness.h"
 #include "core/sharded_serving.h"
 #include "util/stopwatch.h"
+#include "util/strings.h"
 #include "util/table_printer.h"
 
 namespace ibseg {
 namespace {
-
-std::string fmt(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
-}
 
 /// A fresh (emptied) state directory under $TMPDIR.
 std::string tmp_dir(const char* name) {
@@ -164,13 +159,10 @@ int run() {
        kBatch},
   };
   const std::vector<Document> docs = analyze_corpus(corpus);
-  std::vector<std::vector<double>> ms_per_post(rows.size());  // per round
-  for (size_t round = 0; round < kIngestRounds; ++round) {
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const size_t r = (round + i) % rows.size();
-      ms_per_post[r].push_back(ingest_pass(docs, tail_texts, rows[r]));
-    }
-  }
+  const std::vector<std::vector<double>> ms_per_post =
+      bench::rotating_rounds(rows.size(), kIngestRounds, [&](size_t r) {
+        return ingest_pass(docs, tail_texts, rows[r]);
+      });
   for (const IngestRow& row : rows) {
     if (row.dir != nullptr) std::filesystem::remove_all(tmp_dir(row.dir));
   }
@@ -180,52 +172,38 @@ int run() {
 
   TablePrinter table({"measurement", "value"});
   table.add_row({"corpus posts", std::to_string(corpus_size)});
-  table.add_row({"cold build (s)", fmt(cold_build_sec, 3)});
-  table.add_row({"snapshot save (s)", fmt(save_sec, 3)});
+  table.add_row({"cold build (s)", str_format("%.3f", cold_build_sec)});
+  table.add_row({"snapshot save (s)", str_format("%.3f", save_sec)});
   table.add_row({"snapshot bytes",
                  std::to_string(static_cast<unsigned long long>(
                      snapshot_bytes))});
   table.add_row({"warm restore (s), " + std::to_string(wal_tail) +
                      " WAL records",
-                 fmt(restore_sec, 3)});
-  table.add_row({"restore speedup vs cold", fmt(speedup, 2)});
+                 str_format("%.3f", restore_sec)});
+  table.add_row({"restore speedup vs cold", str_format("%.2f", speedup)});
   for (size_t r = 0; r < rows.size(); ++r) {
     table.add_row({rows[r].label + " (ms/post, median [q1, q3] of " +
                        std::to_string(kIngestRounds) + ")",
-                   fmt(bench::quantile(ms_per_post[r], 0.5), 3) + " [" +
-                       fmt(bench::quantile(ms_per_post[r], 0.25), 3) + ", " +
-                       fmt(bench::quantile(ms_per_post[r], 0.75), 3) + "]"});
+                   bench::spread_text(bench::spread_of(ms_per_post[r]), 3)});
   }
   std::printf("persist_restore: crash-safe persistence cost/payoff\n");
   table.print(std::cout);
 
-  FILE* out = std::fopen("BENCH_persist_restore.json", "w");
-  if (out != nullptr) {
-    std::fprintf(out, "{\n  \"bench\": \"persist_restore\",\n");
-    std::fprintf(out, "  \"corpus_posts\": %zu,\n", corpus_size);
-    std::fprintf(out, "  \"wal_tail_records\": %zu,\n", wal_tail);
-    std::fprintf(out, "  \"cold_build_sec\": %.6f,\n", cold_build_sec);
-    std::fprintf(out, "  \"snapshot_save_sec\": %.6f,\n", save_sec);
-    std::fprintf(out, "  \"snapshot_bytes\": %llu,\n",
-                 static_cast<unsigned long long>(snapshot_bytes));
-    std::fprintf(out, "  \"warm_restore_sec\": %.6f,\n", restore_sec);
-    std::fprintf(out, "  \"restore_speedup_vs_cold\": %.3f,\n", speedup);
-    // Each ingest key is its row's median over the rounds.
-    for (size_t r = 0; r < rows.size(); ++r) {
-      const char* key = rows[r].key.c_str();
-      std::fprintf(out, "  \"%s\": %.6f,\n", key,
-                   bench::quantile(ms_per_post[r], 0.5));
-      std::fprintf(out, "  \"%s_q1\": %.6f,\n", key,
-                   bench::quantile(ms_per_post[r], 0.25));
-      std::fprintf(out, "  \"%s_q3\": %.6f,\n", key,
-                   bench::quantile(ms_per_post[r], 0.75));
-    }
-    std::fprintf(out, "  \"ingest_rounds\": %zu,\n", kIngestRounds);
-    std::fprintf(out, "  \"ingest_batch_posts\": %zu\n", kBatch);
-    std::fprintf(out, "}\n");
-    std::fclose(out);
-    std::printf("wrote BENCH_persist_restore.json\n");
+  bench::BenchJson json("persist_restore");
+  json.put("corpus_posts", corpus_size);
+  json.put("wal_tail_records", wal_tail);
+  json.put("cold_build_sec", cold_build_sec);
+  json.put("snapshot_save_sec", save_sec);
+  json.put("snapshot_bytes", snapshot_bytes);
+  json.put("warm_restore_sec", restore_sec);
+  json.put("restore_speedup_vs_cold", speedup);
+  // Each ingest key is its row's median over the rounds.
+  for (size_t r = 0; r < rows.size(); ++r) {
+    json.put(rows[r].key, bench::spread_of(ms_per_post[r]));
   }
+  json.put("ingest_rounds", kIngestRounds);
+  json.put("ingest_batch_posts", kBatch);
+  json.write();
   std::filesystem::remove_all(state_dir);
   return 0;
 }

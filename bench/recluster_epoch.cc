@@ -25,12 +25,20 @@
 //      -1 without /proc/self/status) and the document analyses' resident
 //      bytes per post (the ibseg_analysis_bytes gauge over the corpus).
 //
+// The quiescent and the during-epoch reader windows run as kRounds
+// rotating rounds (round r starts at the quiescent window when r is even,
+// at the epoch when it is odd), each epoch window being one recluster();
+// the QPS rows and the dip are medians with q1/q3 over the rounds, the dip
+// paired within each round. The drain and memory rows read the first
+// epoch, the only one with a pending pool to drain.
+//
 // Results print as a table and are recorded in BENCH_recluster.json
 // (current working directory, like the other reproduce.sh outputs, which
 // schema-checks the keys). IBSEG_BENCH_SCALE scales the corpus.
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -39,31 +47,52 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_common.h"
+#include "bench/harness.h"
 #include "core/sharded_serving.h"
 #include "util/stopwatch.h"
+#include "util/strings.h"
+#include "util/sync.h"
 #include "util/table_printer.h"
 
 namespace ibseg {
 namespace {
 
-std::string fmt(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
-}
+/// Rounds of the (quiescent, during-epoch) reader windows.
+constexpr size_t kRounds = 9;
+/// Length of a quiescent reader window.
+constexpr std::chrono::milliseconds kQuiescentWindow{250};
 
-/// One pass of the reader loop: top-5 queries round-robin over the
-/// corpus. Returns the number of queries issued; raises `*slowest_ms` to
-/// the slowest single query of the pass.
-uint64_t reader_pass(const ShardedServing& serving, size_t num_docs,
-                     double* slowest_ms) {
-  for (size_t q = 0; q < num_docs; ++q) {
-    Stopwatch query_watch;
-    serving.find_related(static_cast<DocId>(q), 5);
-    *slowest_ms = std::max(*slowest_ms, query_watch.elapsed_millis());
-  }
-  return num_docs;
+/// One reader window: a reader thread issues top-5 queries round-robin
+/// over the corpus, counting each, while `body` runs on this thread.
+/// Returns the queries per second completed during `body` and raises
+/// `*slowest_ms` to the window's slowest single query.
+template <typename Body>
+double reader_window(const ShardedServing& serving, double* slowest_ms,
+                     Body&& body) {
+  const size_t num_docs = serving.num_docs();
+  std::atomic<uint64_t> queries{0};
+  std::atomic<bool> stop{false};
+  double slowest = 0.0;  // written by the reader until join()
+  CyclicBarrier start(2);
+  std::thread reader([&] {
+    start.arrive_and_wait();
+    for (size_t q = 0; !stop.load(std::memory_order_relaxed);
+         q = (q + 1) % num_docs) {
+      Stopwatch query_watch;
+      serving.find_related(static_cast<DocId>(q), 5);
+      slowest = std::max(slowest, query_watch.elapsed_millis());
+      queries.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  start.arrive_and_wait();
+  Stopwatch watch;
+  body();
+  const double seconds = watch.elapsed_seconds();
+  const uint64_t done = queries.load(std::memory_order_relaxed);
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  *slowest_ms = std::max(*slowest_ms, slowest);
+  return seconds > 0.0 ? static_cast<double>(done) / seconds : 0.0;
 }
 
 /// A memory line of /proc/self/status ("VmRSS", "VmHWM") in MiB, or -1
@@ -101,40 +130,47 @@ int run() {
   const size_t pending_before = serving.pending_pool_size();
   const uint64_t docs_since_before = serving.docs_since_recluster();
 
-  // 1. Quiescent read throughput (same loop the dip measurement runs).
-  uint64_t quiescent_queries = 0;
+  // Arm 0 reads for kQuiescentWindow with nothing else running; arm 1
+  // reads while one recluster() runs on this thread.
+  std::vector<double> recluster_secs;
+  uint64_t generation = 0;
   double max_query_quiescent_ms = 0.0;
-  Stopwatch quiescent_watch;
-  while (quiescent_watch.elapsed_seconds() < 0.25) {
-    quiescent_queries +=
-        reader_pass(serving, num_docs, &max_query_quiescent_ms);
+  double max_query_stall_ms = 0.0;
+  double rss_before_mib = -1.0;
+  double rss_after_mib = -1.0;
+  double hwm_after_mib = -1.0;
+  size_t pending_after = 0;
+  uint64_t docs_since_after = 0;
+  const std::vector<std::vector<double>> qps =
+      bench::rotating_rounds(2, kRounds, [&](size_t arm) {
+        if (arm == 0) {
+          return reader_window(serving, &max_query_quiescent_ms, [] {
+            std::this_thread::sleep_for(kQuiescentWindow);
+          });
+        }
+        const bool first = recluster_secs.empty();
+        if (first) rss_before_mib = proc_status_mib("VmRSS");
+        const double during = reader_window(serving, &max_query_stall_ms, [&] {
+          Stopwatch recluster_watch;
+          generation = serving.recluster();
+          recluster_secs.push_back(recluster_watch.elapsed_seconds());
+        });
+        if (first) {
+          rss_after_mib = proc_status_mib("VmRSS");
+          hwm_after_mib = proc_status_mib("VmHWM");
+          pending_after = serving.pending_pool_size();
+          docs_since_after = serving.docs_since_recluster();
+        }
+        return during;
+      });
+  std::vector<double> dip;
+  for (size_t r = 0; r < kRounds; ++r) {
+    dip.push_back(qps[0][r] > 0.0 ? 1.0 - qps[1][r] / qps[0][r] : 0.0);
   }
-  const double qps_quiescent =
-      static_cast<double>(quiescent_queries) /
-      quiescent_watch.elapsed_seconds();
-
-  // 2+3. Recluster latency with a concurrent reader: the reader counts
-  // completed queries in an atomic; the delta across the recluster()
-  // window over its wall time is the during-swap QPS.
-  std::atomic<uint64_t> reader_queries{0};
-  std::atomic<bool> stop{false};
-  double max_query_stall_ms = 0.0;  // written by the reader until join()
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      reader_pass(serving, num_docs, &max_query_stall_ms);
-      reader_queries.fetch_add(num_docs, std::memory_order_relaxed);
-    }
-  });
-  const double rss_before_mib = proc_status_mib("VmRSS");
-  const uint64_t before_swap = reader_queries.load();
-  Stopwatch recluster_watch;
-  const uint64_t generation = serving.recluster();
-  const double recluster_sec = recluster_watch.elapsed_seconds();
-  const uint64_t during_swap = reader_queries.load() - before_swap;
-  const double rss_after_mib = proc_status_mib("VmRSS");
-  const double hwm_after_mib = proc_status_mib("VmHWM");
-  stop.store(true);
-  reader.join();
+  const bench::Spread qps_quiescent = bench::spread_of(qps[0]);
+  const bench::Spread qps_during_swap = bench::spread_of(qps[1]);
+  const bench::Spread dip_fraction = bench::spread_of(dip);
+  const bench::Spread recluster_sec = bench::spread_of(recluster_secs);
   const double rss_growth_mib = rss_before_mib >= 0.0 && hwm_after_mib >= 0.0
                                     ? hwm_after_mib - rss_before_mib
                                     : 0.0;
@@ -145,13 +181,6 @@ int run() {
   }
   const double analysis_bytes_per_post =
       static_cast<double>(analysis_bytes) / static_cast<double>(num_docs);
-  const size_t pending_after = serving.pending_pool_size();
-  const uint64_t docs_since_after = serving.docs_since_recluster();
-  const double qps_during_swap =
-      recluster_sec > 0.0 ? static_cast<double>(during_swap) / recluster_sec
-                          : 0.0;
-  const double dip_fraction =
-      qps_quiescent > 0.0 ? 1.0 - qps_during_swap / qps_quiescent : 0.0;
 
   TablePrinter table({"measurement", "value"});
   table.add_row({"seed posts", std::to_string(seed_posts)});
@@ -164,58 +193,57 @@ int run() {
   table.add_row({"docs since recluster after",
                  std::to_string(static_cast<unsigned long long>(
                      docs_since_after))});
-  table.add_row({"recluster (s)", fmt(recluster_sec, 3)});
-  table.add_row({"QPS quiescent", fmt(qps_quiescent, 1)});
-  table.add_row({"QPS during swap", fmt(qps_during_swap, 1)});
-  table.add_row({"QPS dip fraction", fmt(dip_fraction, 3)});
+  const std::string of_rounds =
+      ", median [q1, q3] of " + std::to_string(kRounds);
+  table.add_row({"recluster (s)" + of_rounds,
+                 bench::spread_text(recluster_sec, 3)});
+  table.add_row({"QPS quiescent" + of_rounds,
+                 bench::spread_text(qps_quiescent, 1)});
+  table.add_row({"QPS during swap" + of_rounds,
+                 bench::spread_text(qps_during_swap, 1)});
+  table.add_row({"QPS dip fraction" + of_rounds,
+                 bench::spread_text(dip_fraction, 3)});
   table.add_row({"slowest query quiescent (ms)",
-                 fmt(max_query_quiescent_ms, 3)});
+                 str_format("%.3f", max_query_quiescent_ms)});
   table.add_row({"slowest query during epoch (ms)",
-                 fmt(max_query_stall_ms, 3)});
-  table.add_row({"RSS growth (MiB)", fmt(rss_growth_mib, 1)});
-  table.add_row({"RSS after recluster (MiB)", fmt(rss_after_mib, 1)});
-  table.add_row({"analysis bytes per post", fmt(analysis_bytes_per_post, 1)});
+                 str_format("%.3f", max_query_stall_ms)});
+  table.add_row({"RSS growth (MiB)", str_format("%.1f", rss_growth_mib)});
+  table.add_row({"RSS after recluster (MiB)",
+                 str_format("%.1f", rss_after_mib)});
+  table.add_row({"analysis bytes per post",
+                 str_format("%.1f", analysis_bytes_per_post)});
   std::printf("recluster_epoch: background re-clustering cost\n");
   table.print(std::cout);
 
-  if (generation != 1 || pending_after != 0 || docs_since_after != 0) {
+  if (generation != kRounds || pending_after != 0 || docs_since_after != 0) {
     std::fprintf(stderr,
-                 "error: recluster did not drain (generation %llu, pool"
-                 " %zu, docs_since %llu)\n",
-                 static_cast<unsigned long long>(generation), pending_after,
+                 "error: recluster did not drain (generation %llu of %zu,"
+                 " pool %zu, docs_since %llu)\n",
+                 static_cast<unsigned long long>(generation), kRounds,
+                 pending_after,
                  static_cast<unsigned long long>(docs_since_after));
     return 1;
   }
 
-  FILE* out = std::fopen("BENCH_recluster.json", "w");
-  if (out != nullptr) {
-    std::fprintf(out, "{\n  \"bench\": \"recluster\",\n");
-    std::fprintf(out, "  \"seed_posts\": %zu,\n", seed_posts);
-    std::fprintf(out, "  \"ingested_posts\": %zu,\n", tail_posts);
-    std::fprintf(out, "  \"pending_before\": %zu,\n", pending_before);
-    std::fprintf(out, "  \"pending_after\": %zu,\n", pending_after);
-    std::fprintf(out, "  \"docs_since_before\": %llu,\n",
-                 static_cast<unsigned long long>(docs_since_before));
-    std::fprintf(out, "  \"docs_since_after\": %llu,\n",
-                 static_cast<unsigned long long>(docs_since_after));
-    std::fprintf(out, "  \"offline_generation\": %llu,\n",
-                 static_cast<unsigned long long>(generation));
-    std::fprintf(out, "  \"recluster_sec\": %.6f,\n", recluster_sec);
-    std::fprintf(out, "  \"qps_quiescent\": %.1f,\n", qps_quiescent);
-    std::fprintf(out, "  \"qps_during_swap\": %.1f,\n", qps_during_swap);
-    std::fprintf(out, "  \"qps_dip_fraction\": %.4f,\n", dip_fraction);
-    std::fprintf(out, "  \"max_query_quiescent_ms\": %.3f,\n",
-                 max_query_quiescent_ms);
-    std::fprintf(out, "  \"max_query_stall_ms\": %.3f,\n",
-                 max_query_stall_ms);
-    std::fprintf(out, "  \"rss_growth_mib\": %.1f,\n", rss_growth_mib);
-    std::fprintf(out, "  \"rss_after_mib\": %.1f,\n", rss_after_mib);
-    std::fprintf(out, "  \"analysis_bytes_per_post\": %.1f\n",
-                 analysis_bytes_per_post);
-    std::fprintf(out, "}\n");
-    std::fclose(out);
-    std::printf("wrote BENCH_recluster.json\n");
-  }
+  bench::BenchJson json("recluster");
+  json.put("seed_posts", seed_posts);
+  json.put("ingested_posts", tail_posts);
+  json.put("pending_before", pending_before);
+  json.put("pending_after", pending_after);
+  json.put("docs_since_before", docs_since_before);
+  json.put("docs_since_after", docs_since_after);
+  json.put("offline_generation", generation);
+  json.put("rounds", kRounds);
+  json.put("recluster_sec", recluster_sec);
+  json.put("qps_quiescent", qps_quiescent);
+  json.put("qps_during_swap", qps_during_swap);
+  json.put("qps_dip_fraction", dip_fraction);
+  json.put("max_query_quiescent_ms", max_query_quiescent_ms);
+  json.put("max_query_stall_ms", max_query_stall_ms);
+  json.put("rss_growth_mib", rss_growth_mib);
+  json.put("rss_after_mib", rss_after_mib);
+  json.put("analysis_bytes_per_post", analysis_bytes_per_post);
+  json.write();
   return 0;
 }
 

@@ -39,11 +39,12 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_common.h"
+#include "bench/harness.h"
 #include "core/sharded_serving.h"
 #include "net/server.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "util/strings.h"
 #include "util/table_printer.h"
 
 namespace ibseg {
@@ -156,38 +157,8 @@ int connect_loopback(uint16_t port) {
 
 // ------------------------------------------------------------------------
 
-struct LoadRow {
-  int clients = 0;
-  double qps = 0.0;
-  uint64_t queries = 0;
-  uint64_t errors = 0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-};
-
-std::string fmt(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
-}
-
-int window_ms() {
-  const char* env = std::getenv("IBSEG_QPS_WINDOW_MS");
-  if (env == nullptr) return 1200;
-  int v = std::atoi(env);
-  return v > 0 ? v : 1200;
-}
-
-double percentile(std::vector<double>& sorted_ms, double q) {
-  if (sorted_ms.empty()) return 0.0;
-  size_t idx = static_cast<size_t>(q * static_cast<double>(sorted_ms.size()));
-  if (idx >= sorted_ms.size()) idx = sorted_ms.size() - 1;
-  return sorted_ms[idx];
-}
-
-LoadRow run_config(uint16_t port, size_t num_docs, int clients) {
-  const double window_sec = window_ms() / 1000.0;
+bench::ClientWindow run_config(uint16_t port, size_t num_docs, int clients,
+                               double window_sec) {
   constexpr uint32_t kTopK = 5;
 
   std::vector<std::vector<double>> latencies(clients);
@@ -226,26 +197,7 @@ LoadRow run_config(uint16_t port, size_t num_docs, int clients) {
   Stopwatch watch;
   go.store(true, std::memory_order_release);
   for (std::thread& th : threads) th.join();
-  const double elapsed = watch.elapsed_seconds();
-
-  std::vector<double> all_ms;
-  uint64_t total_errors = 0;
-  for (int t = 0; t < clients; ++t) {
-    const auto& v = latencies[static_cast<size_t>(t)];
-    all_ms.insert(all_ms.end(), v.begin(), v.end());
-    total_errors += errors[static_cast<size_t>(t)];
-  }
-  std::sort(all_ms.begin(), all_ms.end());
-
-  LoadRow row;
-  row.clients = clients;
-  row.queries = all_ms.size();
-  row.errors = total_errors;
-  row.qps = elapsed > 0.0 ? static_cast<double>(all_ms.size()) / elapsed : 0.0;
-  row.p50_ms = percentile(all_ms, 0.50);
-  row.p95_ms = percentile(all_ms, 0.95);
-  row.p99_ms = percentile(all_ms, 0.99);
-  return row;
+  return bench::summarize_clients(latencies, errors, watch.elapsed_seconds());
 }
 
 }  // namespace
@@ -277,50 +229,44 @@ int main() {
     return 1;
   }
 
-  std::vector<LoadRow> rows;
-  for (int clients : {1, 2, 4, 8}) {
-    rows.push_back(run_config(server.port(), backend->num_docs(), clients));
+  const int window = window_ms(1200);
+  const std::vector<int> client_counts = {1, 2, 4, 8};
+  std::vector<ClientWindow> rows;
+  for (int clients : client_counts) {
+    rows.push_back(run_config(server.port(), backend->num_docs(), clients,
+                              window / 1000.0));
   }
   server.drain();
 
   TablePrinter table({"clients", "queries/sec", "p50 ms", "p95 ms", "p99 ms",
                       "errors"});
-  for (const LoadRow& row : rows) {
-    table.add_row({std::to_string(row.clients), fmt(row.qps, 1),
-                   fmt(row.p50_ms, 3), fmt(row.p95_ms, 3), fmt(row.p99_ms, 3),
-                   std::to_string(row.errors)});
+  for (size_t i = 0; i < rows.size(); ++i) {
+    table.add_row({std::to_string(client_counts[i]),
+                   str_format("%.1f", rows[i].qps),
+                   str_format("%.3f", rows[i].p50_ms),
+                   str_format("%.3f", rows[i].p95_ms),
+                   str_format("%.3f", rows[i].p99_ms),
+                   std::to_string(rows[i].errors)});
   }
   std::printf(
       "server_qps: closed-loop QUERY load over loopback TCP "
       "(hand-rolled docs/PROTOCOL.md frames)\n");
   table.print(std::cout);
 
-  FILE* out = std::fopen("BENCH_server_qps.json", "w");
-  if (out != nullptr) {
-    std::fprintf(out, "{\n  \"bench\": \"server_qps\",\n");
-    std::fprintf(out, "  \"corpus_posts\": %zu,\n", corpus_size);
-    std::fprintf(out, "  \"window_ms\": %d,\n", window_ms());
-    std::fprintf(out, "  \"hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
-    std::fprintf(out, "  \"configs\": [\n");
+  BenchJson json("server_qps");
+  json.put("corpus_posts", corpus_size);
+  json.put("window_ms", window);
+  json.array("configs", [&] {
     for (size_t i = 0; i < rows.size(); ++i) {
-      const LoadRow& row = rows[i];
-      std::fprintf(out,
-                   "    {\"clients\": %d, \"qps\": %.1f, "
-                   "\"queries\": %llu, \"errors\": %llu, "
-                   "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f}%s\n",
-                   row.clients, row.qps,
-                   static_cast<unsigned long long>(row.queries),
-                   static_cast<unsigned long long>(row.errors),
-                   row.p50_ms, row.p95_ms, row.p99_ms,
-                   i + 1 < rows.size() ? "," : "");
+      json.element([&] {
+        json.put("clients", client_counts[i]);
+        json.put(rows[i]);
+      });
     }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("wrote BENCH_server_qps.json\n");
-  }
+  });
+  json.write();
 
   uint64_t total_errors = 0;
-  for (const LoadRow& row : rows) total_errors += row.errors;
+  for (const ClientWindow& row : rows) total_errors += row.errors;
   return total_errors == 0 ? 0 : 1;
 }

@@ -24,10 +24,11 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_common.h"
+#include "bench/harness.h"
 #include "core/sharded_serving.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "util/strings.h"
 #include "util/table_printer.h"
 
 namespace ibseg {
@@ -40,22 +41,9 @@ struct ShardRow {
   uint64_t ingests = 0;
 };
 
-std::string fmt(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
-}
-
-int window_ms() {
-  const char* env = std::getenv("IBSEG_QPS_WINDOW_MS");
-  if (env == nullptr) return 1200;
-  int v = std::atoi(env);
-  return v > 0 ? v : 1200;
-}
-
 ShardRow run_config(const SyntheticCorpus& corpus,
-                    const std::vector<std::string>& ingest_texts,
-                    int shards) {
+                    const std::vector<std::string>& ingest_texts, int shards,
+                    int window) {
   ServingOptions options;
   options.num_shards = shards;
   std::unique_ptr<ShardedServing> serving =
@@ -81,7 +69,7 @@ ShardRow run_config(const SyntheticCorpus& corpus,
   });
 
   Rng rng(99);
-  const double window_sec = window_ms() / 1000.0;
+  const double window_sec = window / 1000.0;
   uint64_t queries = 0;
   Stopwatch watch;
   while (watch.elapsed_seconds() < window_sec) {
@@ -118,47 +106,42 @@ int main() {
   std::vector<std::string> ingest_texts;
   for (const GeneratedPost& p : extra.posts) ingest_texts.push_back(p.text);
 
+  const int window = window_ms(1200);
   std::vector<ShardRow> rows;
   for (int shards : {1, 2, 4, 8}) {
-    rows.push_back(run_config(corpus, ingest_texts, shards));
+    rows.push_back(run_config(corpus, ingest_texts, shards, window));
   }
 
-  double base_qps = rows[0].qps;
+  const double base_qps = rows[0].qps;
+  auto speedup = [&](const ShardRow& row) {
+    return base_qps > 0.0 ? row.qps / base_qps : 0.0;
+  };
   TablePrinter table(
       {"shards", "queries/sec", "ingests during window", "vs 1 shard"});
   for (const ShardRow& row : rows) {
-    table.add_row({std::to_string(row.shards), fmt(row.qps, 1),
+    table.add_row({std::to_string(row.shards), str_format("%.1f", row.qps),
                    std::to_string(row.ingests),
-                   fmt(base_qps > 0.0 ? row.qps / base_qps : 0.0, 2)});
+                   str_format("%.2f", speedup(row))});
   }
   std::printf(
       "sharded_qps: scatter-gather query throughput under concurrent "
       "ingest\n");
   table.print(std::cout);
 
-  FILE* out = std::fopen("BENCH_sharded_qps.json", "w");
-  if (out != nullptr) {
-    std::fprintf(out, "{\n  \"bench\": \"sharded_qps\",\n");
-    std::fprintf(out, "  \"corpus_posts\": %zu,\n", corpus_size);
-    std::fprintf(out, "  \"window_ms\": %d,\n", window_ms());
-    std::fprintf(out, "  \"hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
-    std::fprintf(out, "  \"configs\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const ShardRow& row = rows[i];
-      std::fprintf(out,
-                   "    {\"shards\": %d, \"qps\": %.1f, "
-                   "\"queries\": %llu, \"ingests\": %llu, "
-                   "\"speedup_vs_one_shard\": %.2f}%s\n",
-                   row.shards, row.qps,
-                   static_cast<unsigned long long>(row.queries),
-                   static_cast<unsigned long long>(row.ingests),
-                   base_qps > 0.0 ? row.qps / base_qps : 0.0,
-                   i + 1 < rows.size() ? "," : "");
+  BenchJson json("sharded_qps");
+  json.put("corpus_posts", corpus_size);
+  json.put("window_ms", window);
+  json.array("configs", [&] {
+    for (const ShardRow& row : rows) {
+      json.element([&] {
+        json.put("shards", row.shards);
+        json.put("qps", row.qps);
+        json.put("queries", row.queries);
+        json.put("ingests", row.ingests);
+        json.put("speedup_vs_one_shard", speedup(row));
+      });
     }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("wrote BENCH_sharded_qps.json\n");
-  }
+  });
+  json.write();
   return 0;
 }

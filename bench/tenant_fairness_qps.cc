@@ -31,12 +31,13 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_common.h"
+#include "bench/harness.h"
 #include "core/tenant_registry.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "util/strings.h"
 #include "util/table_printer.h"
 
 namespace ibseg {
@@ -53,30 +54,11 @@ constexpr int kLightClients = 2;
 constexpr double kP99Multiple = 8.0;
 constexpr double kP99SlackMs = 25.0;
 
-int window_ms() {
-  const char* env = std::getenv("IBSEG_QPS_WINDOW_MS");
-  if (env == nullptr) return 1200;
-  int v = std::atoi(env);
-  return v > 0 ? v : 1200;
-}
-
-double percentile(std::vector<double>& sorted_ms, double q) {
-  if (sorted_ms.empty()) return 0.0;
-  size_t idx = static_cast<size_t>(q * static_cast<double>(sorted_ms.size()));
-  if (idx >= sorted_ms.size()) idx = sorted_ms.size() - 1;
-  return sorted_ms[idx];
-}
-
 struct TenantRow {
   std::string tenant;
   std::string phase;
   int clients = 0;
-  double qps = 0.0;
-  uint64_t queries = 0;
-  uint64_t errors = 0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
+  bench::ClientWindow window;
 };
 
 /// One closed-loop client: TENANT_OPEN once, then send-QUERY /
@@ -113,37 +95,13 @@ void client_loop(uint16_t port, const std::string& tenant, size_t num_docs,
   }
 }
 
-TenantRow summarize(const std::string& tenant, const std::string& phase,
-                    int clients, std::vector<std::vector<double>> latencies,
-                    const std::vector<uint64_t>& errors, double elapsed_sec) {
-  std::vector<double> all_ms;
-  uint64_t total_errors = 0;
-  for (const auto& v : latencies) {
-    all_ms.insert(all_ms.end(), v.begin(), v.end());
-  }
-  for (uint64_t e : errors) total_errors += e;
-  std::sort(all_ms.begin(), all_ms.end());
-  TenantRow row;
-  row.tenant = tenant;
-  row.phase = phase;
-  row.clients = clients;
-  row.queries = all_ms.size();
-  row.errors = total_errors;
-  row.qps = elapsed_sec > 0.0
-                ? static_cast<double>(all_ms.size()) / elapsed_sec
-                : 0.0;
-  row.p50_ms = percentile(all_ms, 0.50);
-  row.p95_ms = percentile(all_ms, 0.95);
-  row.p99_ms = percentile(all_ms, 0.99);
-  return row;
-}
-
 /// Runs one phase: `spec` is (tenant, client count) pairs, all clients
 /// run concurrently for the window. Returns one row per tenant.
 std::vector<TenantRow> run_phase(
     uint16_t port, const std::string& phase,
     const std::vector<std::pair<std::string, int>>& spec,
-    const std::vector<std::pair<std::string, size_t>>& corpus_sizes) {
+    const std::vector<std::pair<std::string, size_t>>& corpus_sizes,
+    int window) {
   std::atomic<bool> go{false};
   std::atomic<bool> stop{false};
 
@@ -180,16 +138,15 @@ std::vector<TenantRow> run_phase(
 
   Stopwatch watch;
   go.store(true, std::memory_order_release);
-  std::this_thread::sleep_for(
-      std::chrono::milliseconds(window_ms()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(window));
   stop.store(true, std::memory_order_release);
   for (std::thread& th : threads) th.join();
   const double elapsed = watch.elapsed_seconds();
 
   std::vector<TenantRow> rows;
-  for (TenantClients& g : groups) {
-    rows.push_back(summarize(g.tenant, phase, g.clients,
-                             std::move(g.latencies), g.errors, elapsed));
+  for (const TenantClients& g : groups) {
+    rows.push_back({g.tenant, phase, g.clients,
+                    bench::summarize_clients(g.latencies, g.errors, elapsed)});
   }
   return rows;
 }
@@ -239,26 +196,26 @@ int main() {
       {kHeavy, tenants->find(kHeavy)->num_docs()},
       {kLight, tenants->find(kLight)->num_docs()}};
 
+  const int window = window_ms(1200);
   std::vector<TenantRow> rows =
       run_phase(server.port(), "solo", {{kLight, kLightClients}},
-                corpus_sizes);
+                corpus_sizes, window);
   std::vector<TenantRow> mixed = run_phase(
       server.port(), "mixed",
-      {{kHeavy, kHeavyClients}, {kLight, kLightClients}}, corpus_sizes);
+      {{kHeavy, kHeavyClients}, {kLight, kLightClients}}, corpus_sizes,
+      window);
   rows.insert(rows.end(), mixed.begin(), mixed.end());
   server.drain();
 
   TablePrinter table({"tenant", "phase", "clients", "queries/sec", "p50 ms",
                       "p95 ms", "p99 ms", "errors"});
-  auto fmt = [](double v, int precision) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-    return std::string(buf);
-  };
   for (const TenantRow& row : rows) {
     table.add_row({row.tenant, row.phase, std::to_string(row.clients),
-                   fmt(row.qps, 1), fmt(row.p50_ms, 3), fmt(row.p95_ms, 3),
-                   fmt(row.p99_ms, 3), std::to_string(row.errors)});
+                   str_format("%.1f", row.window.qps),
+                   str_format("%.3f", row.window.p50_ms),
+                   str_format("%.3f", row.window.p95_ms),
+                   str_format("%.3f", row.window.p99_ms),
+                   std::to_string(row.window.errors)});
   }
   std::printf(
       "tenant_fairness_qps: closed-loop mixed-tenant load over loopback"
@@ -271,49 +228,38 @@ int main() {
   uint64_t light_mixed_queries = 0;
   for (const TenantRow& row : rows) {
     if (row.tenant != kLight) continue;
-    if (row.phase == "solo") light_solo_p99 = row.p99_ms;
+    if (row.phase == "solo") light_solo_p99 = row.window.p99_ms;
     if (row.phase == "mixed") {
-      light_mixed_p99 = row.p99_ms;
-      light_mixed_queries = row.queries;
+      light_mixed_p99 = row.window.p99_ms;
+      light_mixed_queries = row.window.queries;
     }
   }
   const double bound_ms = kP99Multiple * light_solo_p99 + kP99SlackMs;
   const bool starved = light_mixed_queries == 0;
   const bool pass = !starved && light_mixed_p99 <= bound_ms;
 
-  FILE* out = std::fopen("BENCH_tenant_fairness.json", "w");
-  if (out != nullptr) {
-    std::fprintf(out, "{\n  \"bench\": \"tenant_fairness\",\n");
-    std::fprintf(out, "  \"window_ms\": %d,\n", window_ms());
-    std::fprintf(out, "  \"heavy_clients\": %d,\n", kHeavyClients);
-    std::fprintf(out, "  \"light_clients\": %d,\n", kLightClients);
-    std::fprintf(out, "  \"tenant_max_in_flight\": %zu,\n",
-                 options.tenant_max_in_flight);
-    std::fprintf(out, "  \"tenants\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const TenantRow& row = rows[i];
-      std::fprintf(out,
-                   "    {\"tenant\": \"%s\", \"phase\": \"%s\", "
-                   "\"clients\": %d, \"qps\": %.1f, \"queries\": %llu, "
-                   "\"errors\": %llu, \"p50_ms\": %.3f, \"p95_ms\": %.3f, "
-                   "\"p99_ms\": %.3f}%s\n",
-                   row.tenant.c_str(), row.phase.c_str(), row.clients,
-                   row.qps, static_cast<unsigned long long>(row.queries),
-                   static_cast<unsigned long long>(row.errors), row.p50_ms,
-                   row.p95_ms, row.p99_ms,
-                   i + 1 < rows.size() ? "," : "");
+  BenchJson json("tenant_fairness");
+  json.put("window_ms", window);
+  json.put("heavy_clients", kHeavyClients);
+  json.put("light_clients", kLightClients);
+  json.put("tenant_max_in_flight", options.tenant_max_in_flight);
+  json.array("tenants", [&] {
+    for (const TenantRow& row : rows) {
+      json.element([&] {
+        json.put("tenant", row.tenant);
+        json.put("phase", row.phase);
+        json.put("clients", row.clients);
+        json.put(row.window);
+      });
     }
-    std::fprintf(out, "  ],\n");
-    std::fprintf(out,
-                 "  \"gate\": {\"light_solo_p99_ms\": %.3f, "
-                 "\"light_mixed_p99_ms\": %.3f, \"bound_ms\": %.3f, "
-                 "\"pass\": %s}\n",
-                 light_solo_p99, light_mixed_p99, bound_ms,
-                 pass ? "true" : "false");
-    std::fprintf(out, "}\n");
-    std::fclose(out);
-    std::printf("wrote BENCH_tenant_fairness.json\n");
-  }
+  });
+  json.object("gate", [&] {
+    json.put("light_solo_p99_ms", light_solo_p99);
+    json.put("light_mixed_p99_ms", light_mixed_p99);
+    json.put("bound_ms", bound_ms);
+    json.put("pass", pass);
+  });
+  json.write();
 
   if (!pass) {
     std::fprintf(stderr,

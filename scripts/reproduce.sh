@@ -219,60 +219,31 @@ export IBSEG_BENCH_SCALE="${SCALE}"
 for b in build/bench/*; do "$b"; done 2>&1 | tee bench_output.txt
 
 echo "== bench JSON schema check =="
-# The QPS benches must have produced machine-readable results with the
-# fields the dashboards consume; a silent format drift fails here.
-for key in '"bench"' '"cold_build_sec"' '"snapshot_save_sec"' \
-           '"warm_restore_sec"' '"snapshot_bytes"' \
-           '"ingest_ms_batch_wal_fsync"'; do
-  if ! grep -q "${key}" BENCH_persist_restore.json; then
-    echo "error: BENCH_persist_restore.json missing key ${key}" >&2
+# Every BENCH_*.json must parse as JSON and carry the keys the dashboards
+# consume, beyond the "bench", "scale" and "hardware_threads" every file
+# opens with (bench/harness.h); a silent format drift fails here.
+while read -r file keys; do
+  if ! python3 -m json.tool "${file}" >/dev/null; then
+    echo "error: ${file} is missing or not valid JSON" >&2
     exit 1
   fi
-done
-echo "BENCH_persist_restore.json schema OK"
-for key in '"bench"' '"configs"' '"shards"' '"qps"' '"ingests"'; do
-  if ! grep -q "${key}" BENCH_sharded_qps.json; then
-    echo "error: BENCH_sharded_qps.json missing key ${key}" >&2
-    exit 1
-  fi
-done
-echo "BENCH_sharded_qps.json schema OK"
-for key in '"bench"' '"configs"' '"clients"' '"qps"' '"p50_ms"' '"p95_ms"' \
-           '"p99_ms"'; do
-  if ! grep -q "${key}" BENCH_server_qps.json; then
-    echo "error: BENCH_server_qps.json missing key ${key}" >&2
-    exit 1
-  fi
-done
-echo "BENCH_server_qps.json schema OK"
-for key in '"bench"' '"recluster_sec"' '"pending_before"' \
-           '"pending_after"' '"qps_quiescent"' '"qps_during_swap"' \
-           '"qps_dip_fraction"' '"offline_generation"' \
-           '"max_query_quiescent_ms"' '"max_query_stall_ms"' \
-           '"rss_growth_mib"' '"rss_after_mib"' \
-           '"analysis_bytes_per_post"'; do
-  if ! grep -q "${key}" BENCH_recluster.json; then
-    echo "error: BENCH_recluster.json missing key ${key}" >&2
-    exit 1
-  fi
-done
-echo "BENCH_recluster.json schema OK"
-for key in '"bench"' '"profiles"' '"mean_prec5"' '"mean_ndcg5"' '"floor"' \
-           '"pass"'; do
-  if ! grep -q "${key}" BENCH_adversarial_eval.json; then
-    echo "error: BENCH_adversarial_eval.json missing key ${key}" >&2
-    exit 1
-  fi
-done
-echo "BENCH_adversarial_eval.json schema OK"
-for key in '"bench"' '"tenants"' '"tenant"' '"phase"' '"qps"' '"p50_ms"' \
-           '"p95_ms"' '"p99_ms"' '"gate"' '"bound_ms"'; do
-  if ! grep -q "${key}" BENCH_tenant_fairness.json; then
-    echo "error: BENCH_tenant_fairness.json missing key ${key}" >&2
-    exit 1
-  fi
-done
-echo "BENCH_tenant_fairness.json schema OK"
+  for key in bench scale hardware_threads ${keys}; do
+    if ! grep -q "\"${key}\"" "${file}"; then
+      echo "error: ${file} missing key \"${key}\"" >&2
+      exit 1
+    fi
+  done
+  echo "${file} schema OK"
+done <<'EOF'
+BENCH_adversarial_eval.json profiles mean_prec5 mean_ndcg5 floor pass
+BENCH_concurrent_qps.json configs reader_threads qps ingests_per_sec final_docs
+BENCH_obs_overhead.json windows median_qps_disabled median_qps_enabled overhead_pct overhead_pct_q1 overhead_pct_q3 overhead_ns_per_query within_target
+BENCH_persist_restore.json cold_build_sec snapshot_save_sec warm_restore_sec snapshot_bytes ingest_ms_batch_wal_fsync
+BENCH_recluster.json recluster_sec pending_before pending_after qps_quiescent qps_during_swap qps_dip_fraction qps_dip_fraction_q1 qps_dip_fraction_q3 offline_generation max_query_quiescent_ms max_query_stall_ms rss_growth_mib rss_after_mib analysis_bytes_per_post
+BENCH_server_qps.json configs clients qps p50_ms p95_ms p99_ms
+BENCH_sharded_qps.json configs shards qps ingests
+BENCH_tenant_fairness.json tenants tenant phase qps p50_ms p95_ms p99_ms gate bound_ms
+EOF
 
 echo "== examples =="
 ./build/examples/quickstart

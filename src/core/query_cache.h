@@ -3,15 +3,16 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "index/intention_matcher.h"
+#include "obs/metrics.h"
 
 /// \file
 /// QueryCache: the bounded LRU result cache above the serving layer,
@@ -20,42 +21,28 @@
 
 namespace ibseg {
 
-/// Stable 64-bit fingerprint of every result-affecting MatcherOptions
-/// field (FNV-1a over the field values, doubles by bit pattern). Two
-/// option sets with the same fingerprint produce the same rankings, so
-/// the fingerprint is a valid cache-key component. When a field is added
-/// to MatcherOptions it MUST be folded in here; the static-coverage test
-/// in tests/query_cache_test.cc (sizeof watchdog + per-field sensitivity)
-/// fails until both this function and the test are updated.
-uint64_t matcher_options_fingerprint(const MatcherOptions& options);
-
 /// Tuning knobs for QueryCache.
 struct QueryCacheOptions {
   /// Maximum cached entries across all shards. 0 disables the cache
   /// (every lookup misses, inserts are dropped).
   size_t capacity = 0;
-  /// Entries older than this many seconds are expired on lookup.
-  /// 0 = no time-based expiry (epoch validation still applies).
-  double ttl_seconds = 0.0;
   /// Number of independently locked buckets. Clamped to >= 1; rounded up
   /// to a power of two so shard selection is a mask.
   size_t shards = 8;
-  /// Injectable time source (seconds, monotonic) for TTL checks — tests
-  /// substitute a fake; default reads obs::Clock.
-  std::function<double()> time_source;
 };
 
 /// Sharded, epoch-validated LRU cache for serving query results.
 ///
-/// Key: (query DocId, k, MatcherOptions fingerprint, offline
-/// generation). Value: the ranked
+/// Key: (query DocId, k, offline generation). The matcher options are
+/// not part of it: each serving instance owns one cache and fixes its
+/// options at construction. Value: the ranked
 /// list plus the (epoch, num_docs) snapshot it was computed under.
 /// Invalidation is by epoch comparison at lookup time: every ingest
 /// publish bumps the serving layer's epoch, so an entry filled at epoch E
 /// stops validating the moment any post is published — no writer ever
 /// has to touch the cache, and a hit is exactly as fresh as a query that
-/// took the shared lock at the same instant. Stale and TTL-expired
-/// entries are erased by the lookup that discovers them.
+/// took the shared lock at the same instant. Stale entries are erased by
+/// the lookup that discovers them.
 ///
 /// Thread-safety: keys hash to one of `shards` buckets, each guarded by
 /// its own mutex; lookups and inserts on different shards never contend.
@@ -63,14 +50,14 @@ struct QueryCacheOptions {
 /// evicting the shard's least-recently-used entry.
 ///
 /// Metrics: ibseg_query_cache_hits / _misses / _evictions (counters) and
-/// ibseg_query_cache_size (gauge) in the global registry; the same
-/// counts are readable per instance via hits()/misses()/evictions().
+/// ibseg_query_cache_size (gauge) in the global registry, labeled with
+/// the owning instance's tenant; the same counts are readable per
+/// instance via hits()/misses()/evictions().
 class QueryCache {
  public:
   struct Key {
     DocId query = 0;
     int k = 0;
-    uint64_t fingerprint = 0;
     /// Offline generation the entry was computed under. A background
     /// recluster (docs/ARCHITECTURE.md §9) swaps the whole index without
     /// bumping the publication epoch — epoch validation alone would keep
@@ -81,7 +68,6 @@ class QueryCache {
 
     bool operator==(const Key& other) const {
       return query == other.query && k == other.k &&
-             fingerprint == other.fingerprint &&
              generation == other.generation;
     }
   };
@@ -93,14 +79,15 @@ class QueryCache {
     size_t num_docs = 0;
   };
 
-  explicit QueryCache(QueryCacheOptions options);
+  /// `tenant` labels the instance's metric series.
+  QueryCache(QueryCacheOptions options, const std::string& tenant);
 
   QueryCache(const QueryCache&) = delete;
   QueryCache& operator=(const QueryCache&) = delete;
 
   /// Returns the entry for `key` iff it was filled at exactly
-  /// `current_epoch` and has not outlived the TTL; otherwise a miss.
-  /// Invalid entries (older epoch, expired) are erased on discovery.
+  /// `current_epoch`; otherwise a miss. A stale entry is erased on
+  /// discovery.
   /// A hit refreshes the entry's LRU position.
   std::optional<Value> lookup(const Key& key, uint64_t current_epoch);
 
@@ -122,7 +109,6 @@ class QueryCache {
   struct Entry {
     Key key;
     Value value;
-    double fill_time = 0.0;  ///< time_source() seconds at insert
   };
 
   struct KeyHash {
@@ -138,10 +124,12 @@ class QueryCache {
   };
 
   Shard& shard_for(const Key& key);
-  double now() const { return time_(); }
 
-  QueryCacheOptions options_;
-  std::function<double()> time_;
+  /// This instance's {tenant} series.
+  obs::Counter& hits_metric_;
+  obs::Counter& misses_metric_;
+  obs::Counter& evictions_metric_;
+  obs::Gauge& size_metric_;
   size_t shard_mask_ = 0;
   size_t per_shard_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;

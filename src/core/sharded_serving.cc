@@ -271,7 +271,6 @@ bool ShardedServing::init_shards(
   segmenter_ = pipeline_options.segmenter;
   pipeline_options_ = pipeline_options;
   recluster_options_ = options.recluster;
-  matcher_fingerprint_ = matcher_options_fingerprint(matcher_options_);
 
   ShardSet set = build_shard_set(std::move(docs), std::move(segmentations),
                                  clustering, pipeline_options,
@@ -284,10 +283,10 @@ bool ShardedServing::init_shards(
   seed_order_ = std::move(set.doc_order);
   next_id_.store(set.watermark, std::memory_order_relaxed);
 
-  if (options.cache.capacity > 0) {
-    cache_ = std::make_unique<QueryCache>(options.cache);
-  }
   tenant_label_ = options.tenant.empty() ? "default" : options.tenant;
+  if (options.cache.capacity > 0) {
+    cache_ = std::make_unique<QueryCache>(options.cache, tenant_label_);
+  }
 
   // Every per-instance series carries the tenant label: the registry is
   // process-wide and find_or_create dedupes on (kind, name, labels), so
@@ -526,8 +525,7 @@ ShardedServing::QueryResult ShardedServing::find_related(DocId query,
   obs::TraceScope latency(*query_seconds_[kRelated]);
   queries_[kRelated]->inc();
   std::shared_lock<std::shared_mutex> gen_lock(recluster_mu_);
-  QueryCache::Key key{query, k, matcher_fingerprint_,
-                      generation_.load(std::memory_order_relaxed)};
+  QueryCache::Key key{query, k, generation_.load(std::memory_order_relaxed)};
   if (cache_ != nullptr) {
     if (auto cached = cache_->lookup(key, epoch_unlocked())) {
       return QueryResult{std::move(cached->results), cached->epoch,

@@ -472,7 +472,6 @@ class ShardedServing {
 
   /// Result cache above the scatter layer (combined-epoch invalidation).
   mutable std::unique_ptr<QueryCache> cache_;
-  uint64_t matcher_fingerprint_ = 0;
 
   /// Tenant (instance) label from ServingOptions::tenant — stamped onto
   /// every per-instance metric so coexisting instances never collide in

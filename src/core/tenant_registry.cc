@@ -57,14 +57,9 @@ std::unique_ptr<TenantRegistry> TenantRegistry::open(
     }
     if (t.serving == nullptr) return nullptr;
 
-    obs::Labels labels{{"tenant", name}};
     t.queries = &metrics.counter(
         "ibseg_tenant_queries_total",
-        "Requests executed on this tenant's corpus.", labels);
-    t.docs = &metrics.gauge("ibseg_tenant_docs",
-                            "Documents resident in this tenant's corpus.",
-                            labels);
-    t.docs->set(static_cast<double>(t.serving->num_docs()));
+        "Requests executed on this tenant's corpus.", {{"tenant", name}});
     reg->tenants_.emplace(name, std::move(t));
   }
   return reg;
@@ -90,12 +85,7 @@ std::vector<std::string> TenantRegistry::names() const {
 bool TenantRegistry::save(const std::string& name) {
   auto it = tenants_.find(name);
   if (it == tenants_.end() || it->second.dir.empty()) return false;
-  bool ok = it->second.serving->save(it->second.dir);
-  if (ok) {
-    it->second.docs->set(
-        static_cast<double>(it->second.serving->num_docs()));
-  }
-  return ok;
+  return it->second.serving->save(it->second.dir);
 }
 
 bool TenantRegistry::save_all() {
@@ -110,19 +100,6 @@ bool TenantRegistry::save_all() {
 void TenantRegistry::count_query(const std::string& name) {
   auto it = tenants_.find(name);
   if (it != tenants_.end()) it->second.queries->inc();
-}
-
-void TenantRegistry::refresh_doc_gauge(const std::string& name) {
-  auto it = tenants_.find(name);
-  if (it != tenants_.end()) {
-    it->second.docs->set(static_cast<double>(it->second.serving->num_docs()));
-  }
-}
-
-void TenantRegistry::refresh_doc_gauges() {
-  for (auto& [name, tenant] : tenants_) {
-    tenant.docs->set(static_cast<double>(tenant.serving->num_docs()));
-  }
 }
 
 }  // namespace ibseg

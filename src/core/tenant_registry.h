@@ -109,14 +109,6 @@ class TenantRegistry {
   /// Bumps ibseg_tenant_queries_total{tenant}. Unknown names are ignored.
   void count_query(const std::string& name);
 
-  /// Refreshes every ibseg_tenant_docs{tenant} gauge from the live
-  /// corpus sizes (takes each tenant's shared lock briefly).
-  void refresh_doc_gauges();
-
-  /// Refreshes one tenant's ibseg_tenant_docs gauge (the server calls
-  /// this after each ingest). Unknown names are ignored.
-  void refresh_doc_gauge(const std::string& name);
-
  private:
   TenantRegistry() = default;
 
@@ -124,7 +116,6 @@ class TenantRegistry {
     std::unique_ptr<ShardedServing> serving;
     std::string dir;                   ///< "" when persistence is off
     obs::Counter* queries = nullptr;   ///< ibseg_tenant_queries_total
-    obs::Gauge* docs = nullptr;        ///< ibseg_tenant_docs
   };
 
   /// Immutable after open() — that immutability is the thread-safety

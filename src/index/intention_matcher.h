@@ -55,9 +55,6 @@ struct MatcherOptions {
   /// differential suites set it to reach the reference, and nothing else
   /// should.
   bool exhaustive_fallback = false;
-  // NOTE: when adding a field here, extend matcher_options_fingerprint()
-  // (core/query_cache.h) — the static-coverage test in
-  // tests/query_cache_test.cc enforces this.
 };
 
 /// Cumulative query-path work counters (one per matcher, fed by every
@@ -211,8 +208,7 @@ class IntentionMatcher {
   /// \brief Number of intention clusters (= per-cluster indices).
   int num_clusters() const { return static_cast<int>(indices_.size()); }
 
-  /// \brief The options the matcher was built with (fingerprinted by the
-  /// serving layer's result cache).
+  /// \brief The options the matcher was built with.
   const MatcherOptions& options() const { return options_; }
 
   /// Total number of indexed segments (diagnostics).

@@ -828,13 +828,7 @@ void Server::worker_loop() {
                    &resp_payload);
     } else {
       execute(work, &resp_type, &resp_payload);
-      if (tenants_ != nullptr) {
-        tenants_->count_query(work.tenant->name);
-        if (work.type == MsgType::kAddPost ||
-            work.type == MsgType::kAddPosts) {
-          tenants_->refresh_doc_gauge(work.tenant->name);
-        }
-      }
+      if (tenants_ != nullptr) tenants_->count_query(work.tenant->name);
     }
     metrics_->request_seconds.observe(
         obs::seconds_between(work.enqueued, obs::Clock::now()));
